@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Run the curated symbol battery and the randomized agreement sweep.
 
-Writes one report directory per curated case, then prints a summary
-table of classifier verdicts against the brute-force oracle trends for
-the seeded random battery.
+The curated half is ``blochlab battery``: one report directory (JSON and
+CSV) per curated case and one line per headline verdict.  The script then
+prints a summary table of classifier verdicts against the brute-force
+oracle trends for the seeded random battery.  Exit status is 1 when a
+curated verdict misses its expectation or a decided random pair
+disagrees with the oracle, 0 otherwise.
 
 Usage:
     python scripts/run_battery.py [--out DIR] [--seed N] [--count N]
@@ -11,11 +14,10 @@ Usage:
 
 import argparse
 import sys
-from pathlib import Path
 
 from blochlab import RadialGrid, SpaceSpec, classify_bounded_into_bloch
-from blochlab.battery import CURATED, random_pairs
-from blochlab.cli import emit, parse_config, run
+from blochlab.battery import random_pairs
+from blochlab.cli import main as blochlab_main
 from blochlab.oracle import TREND_STABLE, lower_bound_trend
 
 
@@ -26,23 +28,8 @@ def main() -> int:
     parser.add_argument("--count", type=int, default=20)
     args = parser.parse_args()
 
-    out = Path(args.out)
     print("== curated cases ==")
-    failures = 0
-    for name, entry in CURATED.items():
-        config = parse_config(dict(entry["config"]))
-        report = run(config)
-        emit(report, out / name, ("json", "csv"))
-        for task, task_entry in report.results["tasks"].items():
-            if not isinstance(task_entry, dict) or "overall" not in task_entry:
-                continue
-            got = task_entry["overall"]
-            expected = entry.get("expect", {}).get(task)
-            mark = ""
-            if expected is not None:
-                mark = " ok" if got == expected else f"  << expected {expected}"
-                failures += got != expected
-            print(f"  {name:22s} {task:22s} {'holds' if got else 'fails/inconclusive'}{mark}")
+    curated = blochlab_main(["battery", "--out", args.out, "--format", "json,csv"])
 
     print("== randomized agreement sweep ==")
     space = SpaceSpec.bergman(2)
@@ -60,7 +47,7 @@ def main() -> int:
         state = "bounded" if outcome.overall else "unbounded"
         print(f"  {label:24s} {state:10s} oracle={trend.classification:9s} {'ok' if ok else 'DISAGREE'}")
     print(f"agreement: {agree}/{decided} decided cases")
-    return 1 if (failures or agree != decided) else 0
+    return 1 if (curated or agree != decided) else 0
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ from .norms import (
     NonConvergentError,
     RadialGrid,
     bergman_type_norm,
-    bloch_norm,
     bloch_seminorm,
     boundary_profile,
     derivative_form_norm,
@@ -47,13 +46,12 @@ from .norms import (
     sw_integral_check,
 )
 from .criteria import (
-    BoundednessResult,
-    CompactnessResult,
     EquivalenceProbe,
     PreconditionUnmetError,
     Status,
     SymbolPair,
     Verdict,
+    VerdictGroup,
     bergman_specialization_ratio,
     classify_bounded_into_bloch,
     classify_bounded_into_little_bloch,
@@ -68,11 +66,9 @@ from .criteria import (
 from .oracle import (
     CompactnessProbe,
     LowerBoundTrend,
-    TestFamily,
     boundary_test_function,
     compactness_probe,
     lower_bound_trend,
     operator_apply,
-    operator_lower_bound,
     vanishing_test_function,
 )

@@ -22,7 +22,7 @@ from .disk_functions import (
     ScaledMap,
 )
 
-__all__ = ["CURATED", "curated_configs", "random_pairs"]
+__all__ = ["CURATED", "random_pairs"]
 
 _ALL_TASKS = [
     "bounded_bloch",
@@ -90,10 +90,6 @@ CURATED: dict[str, dict] = {
         "expect": {"bounded_bloch": True, "compact_bloch": True},
     },
 }
-
-
-def curated_configs() -> dict[str, dict]:
-    return {name: dict(entry["config"]) for name, entry in CURATED.items()}
 
 
 def _random_disk_point(rng, max_mod=0.9):

@@ -53,6 +53,7 @@ from .disk_functions import (
     SelfMap,
     Sum,
     identity_map,
+    truncated_log_series,
     validate_self_map,
 )
 from .norms import RadialGrid
@@ -120,90 +121,84 @@ def _single_key(spec: dict, where: str) -> str:
     return next(iter(spec))
 
 
+def _build_variant(table: dict, kind: str, spec, where: str):
+    """Dispatch a one-key variant object through ``table`` and report any
+    malformed body at ``where.<variant>``; nested builders report their
+    own, deeper locations."""
+    key = _single_key(spec, where)
+    if key not in table:
+        raise ValidationError(f"{where}: unknown {kind} variant {key!r}")
+    try:
+        return table[key](spec[key], where)
+    except ValidationError:
+        raise
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"{where}.{key}: malformed body ({exc})") from exc
+    except ValueError as exc:
+        raise ValidationError(f"{where}.{key}: {exc}") from exc
+
+
+def _product(body, where: str) -> Product:
+    if len(body) != 2:
+        raise ValidationError(f"{where}.product: expected exactly two factors")
+    return Product(
+        build_function(body[0], f"{where}.product[0]"),
+        build_function(body[1], f"{where}.product[1]"),
+    )
+
+
+_FUNCTIONS = {
+    "constant": lambda body, where: PowerSeries([_complex_from(body, where)]),
+    "power_series": lambda body, where: PowerSeries([_complex_from(c, f"{where}.power_series") for c in body]),
+    "log_series": lambda body, where: truncated_log_series(int(body)),
+    "fractional_kernel": lambda body, where: FractionalKernel(
+        _complex_from(body["base"], f"{where}.base"),
+        float(body["exponent"]),
+        _complex_from(body.get("scale", 1.0), f"{where}.scale"),
+    ),
+    "sum": lambda body, where: Sum(tuple(build_function(s, f"{where}.sum[{i}]") for i, s in enumerate(body))),
+    "product": _product,
+    "scaled": lambda body, where: Scaled(
+        _complex_from(body["factor"], f"{where}.factor"), build_function(body["inner"], f"{where}.inner")
+    ),
+    "composed": lambda body, where: ComposedWithSelfMap(
+        build_function(body["outer"], f"{where}.outer"), build_self_map(body["inner"], f"{where}.inner")
+    ),
+}
+
+_SELF_MAPS = {
+    "affine": lambda body, where: Affine(
+        _complex_from(body["a"], f"{where}.a"), _complex_from(body["b"], f"{where}.b")
+    ),
+    "monomial": lambda body, where: MonomialPower(
+        int(body["degree"]), _complex_from(body.get("scale", 1.0), f"{where}.scale")
+    ),
+    "blaschke": lambda body, where: BlaschkeFactor(_complex_from(body["base"], f"{where}.base")),
+    "blaschke_product": lambda body, where: FiniteBlaschkeProduct(
+        [_complex_from(b, f"{where}.bases") for b in body["bases"]],
+        _complex_from(body.get("unimodular", 1.0), f"{where}.unimodular"),
+    ),
+    "scaled": lambda body, where: ScaledMap(
+        _complex_from(body["factor"], f"{where}.factor"), build_self_map(body["inner"], f"{where}.inner")
+    ),
+    "composition": lambda body, where: CompositionMap(
+        build_self_map(body["outer"], f"{where}.outer"), build_self_map(body["inner"], f"{where}.inner")
+    ),
+}
+
+
 def build_function(spec, where: str = "u") -> DiskFunction:
     """Build a disk function from its config form."""
     if isinstance(spec, (int, float)):
         return PowerSeries([complex(spec)])
-    key = _single_key(spec, where)
-    body = spec[key]
-    try:
-        if key == "constant":
-            return PowerSeries([_complex_from(body, where)])
-        if key == "power_series":
-            return PowerSeries([_complex_from(c, f"{where}.power_series") for c in body])
-        if key == "log_series":
-            from .disk_functions import truncated_log_series
-
-            return truncated_log_series(int(body))
-        if key == "fractional_kernel":
-            return FractionalKernel(
-                _complex_from(body["base"], f"{where}.base"),
-                float(body["exponent"]),
-                _complex_from(body.get("scale", 1.0), f"{where}.scale"),
-            )
-        if key == "sum":
-            return Sum(tuple(build_function(s, f"{where}.sum[{i}]") for i, s in enumerate(body)))
-        if key == "product":
-            if len(body) != 2:
-                raise ValidationError(f"{where}.product: expected exactly two factors")
-            return Product(
-                build_function(body[0], f"{where}.product[0]"),
-                build_function(body[1], f"{where}.product[1]"),
-            )
-        if key == "scaled":
-            return Scaled(
-                _complex_from(body["factor"], f"{where}.factor"),
-                build_function(body["inner"], f"{where}.inner"),
-            )
-        if key == "composed":
-            return ComposedWithSelfMap(
-                build_function(body["outer"], f"{where}.outer"),
-                build_self_map(body["inner"], f"{where}.inner"),
-            )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"{where}.{key}: malformed body ({exc})") from exc
-    except ValueError as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(f"{where}.{key}: {exc}") from exc
-    raise ValidationError(f"{where}: unknown function variant {key!r}")
+    return _build_variant(_FUNCTIONS, "function", spec, where)
 
 
 def build_self_map(spec, where: str = "phi") -> SelfMap:
     """Build a self-map from its config form."""
     if spec == "identity":
         return identity_map()
-    key = _single_key(spec, where)
-    body = spec[key]
-    try:
-        if key == "affine":
-            return Affine(_complex_from(body["a"], f"{where}.a"), _complex_from(body["b"], f"{where}.b"))
-        if key == "monomial":
-            return MonomialPower(int(body["degree"]), _complex_from(body.get("scale", 1.0), f"{where}.scale"))
-        if key == "blaschke":
-            return BlaschkeFactor(_complex_from(body["base"], f"{where}.base"))
-        if key == "blaschke_product":
-            return FiniteBlaschkeProduct(
-                [_complex_from(b, f"{where}.bases") for b in body["bases"]],
-                _complex_from(body.get("unimodular", 1.0), f"{where}.unimodular"),
-            )
-        if key == "scaled":
-            return ScaledMap(
-                _complex_from(body["factor"], f"{where}.factor"),
-                build_self_map(body["inner"], f"{where}.inner"),
-            )
-        if key == "composition":
-            return CompositionMap(
-                build_self_map(body["outer"], f"{where}.outer"),
-                build_self_map(body["inner"], f"{where}.inner"),
-            )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"{where}.{key}: malformed body ({exc})") from exc
-    except ValueError as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(f"{where}.{key}: {exc}") from exc
-    raise ValidationError(f"{where}: unknown self-map variant {key!r}")
+    return _build_variant(_SELF_MAPS, "self-map", spec, where)
 
 
 def _build_space(spec) -> SpaceSpec:
@@ -420,7 +415,6 @@ def _empirical_constants(config: RunConfig, bounded_entry) -> dict:
     ratios, the interval of derivative-form to direct norm ratios, and
     (for a bounded pair) the chain constant tying the image seminorm to
     the criterion suprema."""
-    from .disk_functions import PowerSeries
     from .norms import (
         bergman_type_norm,
         derivative_form_norm,

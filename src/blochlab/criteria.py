@@ -18,6 +18,7 @@ than guessed.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,10 +51,7 @@ __all__ = [
     "multiplier_quotient",
     "composition_quotient",
     "criterion_profile",
-    "BoundednessResult",
-    "CompactnessResult",
-    "LittleBlochBoundedness",
-    "LittleBlochCompactness",
+    "VerdictGroup",
     "EquivalenceProbe",
     "classify_bounded_into_bloch",
     "classify_compact_into_bloch",
@@ -73,6 +71,8 @@ LIMIT_ABS = 1e-9
 
 MULTIPLIER_QUANTITY = "u_prime"
 COMPOSITION_QUANTITY = "u_phi_prime"
+_QUOTIENTS = (MULTIPLIER_QUANTITY, COMPOSITION_QUANTITY)
+_PLAIN_COMPOSITION = "u_phi_prime_plain"
 
 _PHI_CLIP = 1.0 - 1e-16  # guards double rounding of |phi| at extreme radii
 
@@ -144,20 +144,16 @@ def composition_quotient(z, sym: SymbolPair, space: SpaceSpec):
 
 @dataclass
 class _SymbolSamples:
-    """Both quotients and the plain numerators over the sample circles."""
+    """Both quotients and the plain composition numerator over the sample
+    circles, keyed by quantity name."""
 
     abs_z: np.ndarray
     abs_phi: np.ndarray
-    multiplier: np.ndarray
-    composition: np.ndarray
-    plain_multiplier: np.ndarray  # (1-|z|^2)|u'|
-    plain_composition: np.ndarray  # (1-|z|^2)|u phi'|
+    quantities: dict
 
-    def quantity(self, name: str) -> np.ndarray:
-        return {MULTIPLIER_QUANTITY: self.multiplier, COMPOSITION_QUANTITY: self.composition}[name]
-
-    def modulus(self, trigger: str) -> np.ndarray:
-        return self.abs_z if trigger == TRIGGER_Z else self.abs_phi
+    def profile(self, name: str, trigger: str, depth: int) -> BoundaryProfile:
+        modulus = self.abs_z if trigger == TRIGGER_Z else self.abs_phi
+        return boundary_profile(self.quantities[name], modulus, depth, trigger)
 
 
 def _symbol_samples(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid) -> _SymbolSamples:
@@ -178,10 +174,11 @@ def _symbol_samples(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid) -> _Sym
     return _SymbolSamples(
         abs_z=abs_z.ravel(),
         abs_phi=pm.ravel(),
-        multiplier=q_mult.ravel(),
-        composition=q_comp.ravel(),
-        plain_multiplier=plain_mult.ravel(),
-        plain_composition=plain_comp.ravel(),
+        quantities={
+            MULTIPLIER_QUANTITY: q_mult.ravel(),
+            COMPOSITION_QUANTITY: q_comp.ravel(),
+            _PLAIN_COMPOSITION: plain_comp.ravel(),  # (1-|z|^2)|u phi'|
+        },
     )
 
 
@@ -194,8 +191,7 @@ def criterion_profile(
 ) -> BoundaryProfile:
     """Boundary profile of the chosen quotient, triggered by ``|z|`` or
     ``|phi(z)|``.  Regions the image never reaches come back flagged empty."""
-    samples = _symbol_samples(sym, space, grid)
-    return boundary_profile(samples.quantity(quantity), samples.modulus(trigger), grid.depth, trigger)
+    return _symbol_samples(sym, space, grid).profile(quantity, trigger, grid.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +220,11 @@ def _band_slope(profile: BoundaryProfile) -> float | None:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _band_growing(profile: BoundaryProfile) -> bool:
+def _diverges(profile: BoundaryProfile, slope: float | None) -> bool:
+    """Sustained divergence: a steep log-log slope while the deepest band
+    suprema are still climbing."""
+    if slope is None or not slope > SLOPE_FAIL:
+        return False
     finite = np.nonzero(np.isfinite(profile.band_values) & (profile.band_values > 0.0))[0]
     if finite.size < 3:
         return False
@@ -232,25 +232,21 @@ def _band_growing(profile: BoundaryProfile) -> bool:
     return bool(profile.band_values[idx[-1]] > profile.band_values[idx[0]])
 
 
-def _sup_type_verdict(
-    name: str,
-    profile: BoundaryProfile,
-    quantity: np.ndarray,
-    modulus: np.ndarray,
-    depth: int,
-) -> Verdict:
-    """Finite-sup test: fail on a sustained positive log-log slope, hold
-    when the slope is flat-or-negative and the running supremum has
-    stabilized away from the deepest bands."""
+def _sup_type_verdict(name: str, samples: _SymbolSamples, depth: int) -> Verdict:
+    """Finite-sup test over ``|z| -> 1``: fail on a sustained positive
+    log-log slope, hold when the slope is flat-or-negative and the running
+    supremum has stabilized away from the deepest bands."""
+    profile = samples.profile(name, TRIGGER_Z, depth)
+    quantity = samples.quantities[name]
     global_sup = float(quantity.max(initial=0.0))
     if global_sup == 0.0:
         return Verdict(name, Status.HOLDS, 0.0, None, profile, "quantity vanishes identically")
     slope = _band_slope(profile)
     inner_cut = profile_thresholds(depth)[depth - 4]
-    inner = quantity[modulus <= inner_cut]
+    inner = quantity[samples.abs_z <= inner_cut]
     inner_sup = float(inner.max(initial=0.0))
     stabilized = global_sup <= inner_sup * (1.0 + STABLE_REL)
-    if slope is not None and slope > SLOPE_FAIL and _band_growing(profile):
+    if _diverges(profile, slope):
         return Verdict(
             name, Status.FAILS, math.inf, slope, profile,
             f"band suprema grow with slope {slope:.3f}; sample sup {global_sup:.6g}",
@@ -263,13 +259,8 @@ def _sup_type_verdict(
     )
 
 
-def _limit_type_verdict(name: str, profile: BoundaryProfile, vacuous: bool = False) -> Verdict:
+def _limit_type_verdict(name: str, profile: BoundaryProfile) -> Verdict:
     """Limit-to-zero test mirroring the little-Bloch tail rule."""
-    if vacuous:
-        return Verdict(
-            name, Status.HOLDS, 0.0, None, profile,
-            "vacuous: the image stays inside a compact sub-disk",
-        )
     vals = profile.nonempty_values
     if vals.size == 0:
         return Verdict(
@@ -286,7 +277,7 @@ def _limit_type_verdict(name: str, profile: BoundaryProfile, vacuous: bool = Fal
         notes = "deepest regions unsampled at this resolution"
     if tail_ok and vk < max(LIMIT_REL * v0, LIMIT_ABS):
         return Verdict(name, Status.HOLDS, vk, slope, profile, notes)
-    if slope is not None and slope > SLOPE_FAIL and _band_growing(profile):
+    if _diverges(profile, slope):
         return Verdict(
             name, Status.FAILS, math.inf, slope, profile,
             f"band suprema grow with slope {slope:.3f}; limit cannot be zero",
@@ -310,69 +301,79 @@ def _tri(verdicts) -> bool | None:
 
 
 @dataclass
-class BoundednessResult:
-    multiplier: Verdict
-    composition: Verdict
+class VerdictGroup:
+    """The verdicts that jointly answer one classification question.
+
+    ``overall`` is True when every verdict Holds; ``decided`` when the
+    verdicts are not left Inconclusive.  An ``into_bloch`` prerequisite
+    group must itself hold (be decided) for this group to.  ``vacuous``
+    records whether the structural bound on ``phi`` made a ``|phi|``
+    limit test vacuous.  The optional fields are emitted only when set.
+    """
+
+    verdicts: tuple[Verdict, ...]
+    vacuous: bool | None = None
+    into_bloch: VerdictGroup | None = None
 
     @property
     def overall(self) -> bool:
-        return _tri((self.multiplier, self.composition)) is True
+        prior = self.into_bloch is None or self.into_bloch.overall
+        return prior and _tri(self.verdicts) is True
 
     @property
     def decided(self) -> bool:
-        return _tri((self.multiplier, self.composition)) is not None
+        prior = self.into_bloch is None or self.into_bloch.decided
+        return prior and _tri(self.verdicts) is not None
 
     def to_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "decided": self.decided,
-            "verdicts": [self.multiplier.to_dict(), self.composition.to_dict()],
-        }
+        out = {"overall": self.overall, "decided": self.decided}
+        if self.vacuous is not None:
+            out["vacuous"] = self.vacuous
+        if self.into_bloch is not None:
+            out["into_bloch"] = self.into_bloch.to_dict()
+        out["verdicts"] = [v.to_dict() for v in self.verdicts]
+        return out
 
 
 def classify_bounded_into_bloch(
     sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID
-) -> BoundednessResult:
+) -> VerdictGroup:
     """Finite-sup verdicts for both criterion quotients over the disk."""
     samples = _symbol_samples(sym, space, grid)
-    verdicts = []
-    for name in (MULTIPLIER_QUANTITY, COMPOSITION_QUANTITY):
-        q = samples.quantity(name)
-        prof = boundary_profile(q, samples.abs_z, grid.depth, TRIGGER_Z)
-        verdicts.append(_sup_type_verdict(name, prof, q, samples.abs_z, grid.depth))
-    return BoundednessResult(*verdicts)
+    return VerdictGroup(tuple(_sup_type_verdict(name, samples, grid.depth) for name in _QUOTIENTS))
 
 
-@dataclass
-class CompactnessResult:
-    multiplier: Verdict
-    composition: Verdict
-    vacuous: bool
+def _phi_limit(
+    sym: SymbolPair,
+    space: SpaceSpec,
+    grid: RadialGrid,
+    names: tuple,
+    samples: _SymbolSamples | None = None,
+    force_boundary: bool = False,
+) -> VerdictGroup:
+    """Limit-to-zero verdicts for the named quantities as ``|phi(z)| -> 1``.
 
-    @property
-    def overall(self) -> bool:
-        return _tri((self.multiplier, self.composition)) is True
-
-    @property
-    def decided(self) -> bool:
-        return _tri((self.multiplier, self.composition)) is not None
-
-    def to_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "decided": self.decided,
-            "vacuous": self.vacuous,
-            "verdicts": [self.multiplier.to_dict(), self.composition.to_dict()],
-        }
+    When the structural bound keeps the image inside a compact sub-disk
+    the limits hold vacuously and nothing is sampled, unless
+    ``force_boundary`` asks for the profile analysis anyway.
+    """
+    vacuous = sym.phi.sup_norm_estimate < 1.0
+    if vacuous and not force_boundary:
+        note = "vacuous: the image stays inside a compact sub-disk"
+        verdicts = [Verdict(name, Status.HOLDS, 0.0, None, _empty_phi_profile(grid), note) for name in names]
+    else:
+        samples = samples or _symbol_samples(sym, space, grid)
+        verdicts = [_limit_type_verdict(name, samples.profile(name, TRIGGER_PHI, grid.depth)) for name in names]
+    return VerdictGroup(tuple(verdicts), vacuous=vacuous)
 
 
 def classify_compact_into_bloch(
     sym: SymbolPair,
     space: SpaceSpec,
     grid: RadialGrid = DEFAULT_GRID,
-    bounded: BoundednessResult | None = None,
+    bounded: VerdictGroup | None = None,
     force_boundary: bool = False,
-) -> CompactnessResult:
+) -> VerdictGroup:
     """Limit-to-zero verdicts triggered by ``|phi(z)| -> 1``.
 
     Requires a positive boundedness verdict (the characterization assumes
@@ -385,20 +386,10 @@ def classify_compact_into_bloch(
     if not bounded.overall:
         raise PreconditionUnmetError(
             "compactness classification requires a bounded operator; got "
-            f"multiplier={bounded.multiplier.status.value}, "
-            f"composition={bounded.composition.status.value}"
+            f"multiplier={bounded.verdicts[0].status.value}, "
+            f"composition={bounded.verdicts[1].status.value}"
         )
-    vacuous = sym.phi.sup_norm_estimate < 1.0
-    if vacuous and not force_boundary:
-        mk = _limit_type_verdict(MULTIPLIER_QUANTITY, _empty_phi_profile(grid), vacuous=True)
-        ck = _limit_type_verdict(COMPOSITION_QUANTITY, _empty_phi_profile(grid), vacuous=True)
-        return CompactnessResult(mk, ck, True)
-    samples = _symbol_samples(sym, space, grid)
-    verdicts = []
-    for name in (MULTIPLIER_QUANTITY, COMPOSITION_QUANTITY):
-        prof = boundary_profile(samples.quantity(name), samples.abs_phi, grid.depth, TRIGGER_PHI)
-        verdicts.append(_limit_type_verdict(name, prof))
-    return CompactnessResult(verdicts[0], verdicts[1], vacuous)
+    return _phi_limit(sym, space, grid, _QUOTIENTS, force_boundary=force_boundary)
 
 
 def _empty_phi_profile(grid: RadialGrid) -> BoundaryProfile:
@@ -417,93 +408,47 @@ def little_bloch_verdict(f: DiskFunction, grid: RadialGrid = DEFAULT_GRID, name:
     """Tri-state little-Bloch classification of a single function."""
     prof = little_bloch_profile(f, grid)
     semi = bloch_seminorm(f, grid)
-    if is_little_bloch(prof, semi):
-        vals = prof.nonempty_values
-        tail = float(vals[-1]) if vals.size else 0.0
-        return Verdict(name, Status.HOLDS, tail, _band_slope(prof), prof, f"seminorm {semi:.6g}")
     slope = _band_slope(prof)
-    if slope is not None and slope > SLOPE_FAIL and _band_growing(prof):
-        return Verdict(name, Status.FAILS, math.inf, slope, prof, "derivative growth accelerates at the boundary")
     vals = prof.nonempty_values
     tail = float(vals[-1]) if vals.size else 0.0
+    if is_little_bloch(prof, semi):
+        return Verdict(name, Status.HOLDS, tail, slope, prof, f"seminorm {semi:.6g}")
+    if _diverges(prof, slope):
+        return Verdict(name, Status.FAILS, math.inf, slope, prof, "derivative growth accelerates at the boundary")
     return Verdict(
         name, Status.INCONCLUSIVE, tail, slope, prof,
         f"tail {tail:.3g} above threshold at this depth (seminorm {semi:.6g}); may decay further",
     )
 
 
-@dataclass
-class LittleBlochBoundedness:
-    into_bloch: BoundednessResult
-    multiplier_tail: Verdict  # u itself has a vanishing Bloch tail
-    product_tail: Verdict  # (1-|z|^2)|u phi'| -> 0
-
-    @property
-    def overall(self) -> bool:
-        return self.into_bloch.overall and _tri((self.multiplier_tail, self.product_tail)) is True
-
-    @property
-    def decided(self) -> bool:
-        return self.into_bloch.decided and _tri((self.multiplier_tail, self.product_tail)) is not None
-
-    def to_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "decided": self.decided,
-            "into_bloch": self.into_bloch.to_dict(),
-            "verdicts": [self.multiplier_tail.to_dict(), self.product_tail.to_dict()],
-        }
-
-
 def classify_bounded_into_little_bloch(
     sym: SymbolPair,
     space: SpaceSpec,
     grid: RadialGrid = DEFAULT_GRID,
-    bounded: BoundednessResult | None = None,
-) -> LittleBlochBoundedness:
+    bounded: VerdictGroup | None = None,
+) -> VerdictGroup:
     """Boundedness into the little Bloch space: bounded into Bloch, the
     multiplier has a vanishing Bloch tail, and ``(1-|z|^2)|u phi'| -> 0``."""
     if bounded is None:
         bounded = classify_bounded_into_bloch(sym, space, grid)
     u_tail = little_bloch_verdict(sym.u, grid, name="u_bloch_tail")
-    samples = _symbol_samples(sym, space, grid)
-    prof = boundary_profile(samples.plain_composition, samples.abs_z, grid.depth, TRIGGER_Z)
-    prod_tail = _limit_type_verdict("u_phi_prime_plain", prof)
-    return LittleBlochBoundedness(bounded, u_tail, prod_tail)
+    prod_tail = _product_tail(_symbol_samples(sym, space, grid), grid.depth)
+    return VerdictGroup((u_tail, prod_tail), into_bloch=bounded)
 
 
-@dataclass
-class LittleBlochCompactness:
-    multiplier: Verdict
-    composition: Verdict
-
-    @property
-    def overall(self) -> bool:
-        return _tri((self.multiplier, self.composition)) is True
-
-    @property
-    def decided(self) -> bool:
-        return _tri((self.multiplier, self.composition)) is not None
-
-    def to_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "decided": self.decided,
-            "verdicts": [self.multiplier.to_dict(), self.composition.to_dict()],
-        }
+def _product_tail(samples: _SymbolSamples, depth: int) -> Verdict:
+    """``(1-|z|^2)|u phi'| -> 0`` as ``|z| -> 1``."""
+    return _limit_type_verdict(_PLAIN_COMPOSITION, samples.profile(_PLAIN_COMPOSITION, TRIGGER_Z, depth))
 
 
 def classify_compact_into_little_bloch(
     sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID
-) -> LittleBlochCompactness:
+) -> VerdictGroup:
     """Both criterion quotients must vanish as ``|z| -> 1`` (no boundedness
     hypothesis enters this characterization)."""
     samples = _symbol_samples(sym, space, grid)
-    verdicts = []
-    for name in (MULTIPLIER_QUANTITY, COMPOSITION_QUANTITY):
-        prof = boundary_profile(samples.quantity(name), samples.abs_z, grid.depth, TRIGGER_Z)
-        verdicts.append(_limit_type_verdict(name, prof))
-    return LittleBlochCompactness(verdicts[0], verdicts[1])
+    return VerdictGroup(tuple(_limit_type_verdict(name, samples.profile(name, TRIGGER_Z, grid.depth))
+                              for name in _QUOTIENTS))
 
 
 # ---------------------------------------------------------------------------
@@ -544,43 +489,39 @@ class EquivalenceProbe:
         }
 
 
+def _limit_probe(
+    name: str,
+    quantity: str,
+    side: Callable[[_SymbolSamples], Verdict],
+    sym: SymbolPair,
+    space: SpaceSpec,
+    grid: RadialGrid,
+) -> EquivalenceProbe:
+    """Dual evaluation of a quotient's limit equivalence: vanishing as
+    ``|z| -> 1`` against vanishing as ``|phi(z)| -> 1`` jointly with the
+    side condition ``side(samples)``."""
+    samples = _symbol_samples(sym, space, grid)
+    lhs = _limit_type_verdict(quantity, samples.profile(quantity, TRIGGER_Z, grid.depth))
+    (rhs,) = _phi_limit(sym, space, grid, (quantity,), samples).verdicts
+    return EquivalenceProbe(name, lhs, (rhs, side(samples)))
+
+
 def derivative_limit_probe(
     sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID
 ) -> EquivalenceProbe:
-    """Dual evaluation of the multiplier-quotient limit equivalence:
-    vanishing as ``|z| -> 1`` against vanishing as ``|phi(z)| -> 1``
-    jointly with a vanishing Bloch tail for ``u``."""
-    samples = _symbol_samples(sym, space, grid)
-    lhs_prof = boundary_profile(samples.multiplier, samples.abs_z, grid.depth, TRIGGER_Z)
-    lhs = _limit_type_verdict(MULTIPLIER_QUANTITY, lhs_prof)
-    vacuous = sym.phi.sup_norm_estimate < 1.0
-    if vacuous:
-        rhs_quot = _limit_type_verdict(MULTIPLIER_QUANTITY, _empty_phi_profile(grid), vacuous=True)
-    else:
-        rhs_prof = boundary_profile(samples.multiplier, samples.abs_phi, grid.depth, TRIGGER_PHI)
-        rhs_quot = _limit_type_verdict(MULTIPLIER_QUANTITY, rhs_prof)
-    u_tail = little_bloch_verdict(sym.u, grid, name="u_bloch_tail")
-    return EquivalenceProbe("derivative_limit", lhs, (rhs_quot, u_tail))
+    """Multiplier-quotient limit equivalence; the side condition is a
+    vanishing Bloch tail for ``u``."""
+    return _limit_probe("derivative_limit", MULTIPLIER_QUANTITY,
+                        lambda _: little_bloch_verdict(sym.u, grid, name="u_bloch_tail"), sym, space, grid)
 
 
 def composition_limit_probe(
     sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID
 ) -> EquivalenceProbe:
-    """Dual evaluation of the composition-quotient limit equivalence:
-    vanishing as ``|z| -> 1`` against vanishing as ``|phi(z)| -> 1``
-    jointly with ``(1-|z|^2)|u phi'| -> 0``."""
-    samples = _symbol_samples(sym, space, grid)
-    lhs_prof = boundary_profile(samples.composition, samples.abs_z, grid.depth, TRIGGER_Z)
-    lhs = _limit_type_verdict(COMPOSITION_QUANTITY, lhs_prof)
-    vacuous = sym.phi.sup_norm_estimate < 1.0
-    if vacuous:
-        rhs_quot = _limit_type_verdict(COMPOSITION_QUANTITY, _empty_phi_profile(grid), vacuous=True)
-    else:
-        rhs_prof = boundary_profile(samples.composition, samples.abs_phi, grid.depth, TRIGGER_PHI)
-        rhs_quot = _limit_type_verdict(COMPOSITION_QUANTITY, rhs_prof)
-    plain_prof = boundary_profile(samples.plain_composition, samples.abs_z, grid.depth, TRIGGER_Z)
-    plain = _limit_type_verdict("u_phi_prime_plain", plain_prof)
-    return EquivalenceProbe("composition_limit", lhs, (rhs_quot, plain))
+    """Composition-quotient limit equivalence; the side condition is
+    ``(1-|z|^2)|u phi'| -> 0``."""
+    return _limit_probe("composition_limit", COMPOSITION_QUANTITY,
+                        lambda samples: _product_tail(samples, grid.depth), sym, space, grid)
 
 
 # ---------------------------------------------------------------------------

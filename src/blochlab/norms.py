@@ -38,13 +38,15 @@ __all__ = [
     "sample_radii",
     "sample_points",
     "profile_thresholds",
+    "radial_rule",
+    "weight_power_over_gap",
     "integral_mean",
     "bergman_type_norm",
     "derivative_form_norm",
     "direct_area_integral",
     "unit_norm_mass",
+    "golden_argmax",
     "bloch_seminorm",
-    "bloch_norm",
     "little_bloch_profile",
     "is_little_bloch",
     "sw_integral_check",
@@ -103,8 +105,8 @@ def _gauss(order: int):
 
 
 @lru_cache(maxsize=None)
-def _radial_rule(depth: int, order: int, gamma: float):
-    """Nodes and weights in ``x`` for ``int_0^1 F(x) dx`` with
+def radial_rule(depth: int, order: int, gamma: float, scale: float = 1.0):
+    """Nodes and weights in ``x`` for ``int_0^scale F(x) dx`` with
     ``F(x) = x**(gamma-1) * (slowly varying)``.
 
     Returns ``(x, w, band)`` where ``band`` is the dyadic band index and
@@ -113,12 +115,12 @@ def _radial_rule(depth: int, order: int, gamma: float):
     g, gw = _gauss(order)
     xs, ws, bands = [], [], []
     for k in range(depth):
-        hi, lo = 0.5**k, 0.5 ** (k + 1)
+        hi, lo = scale * 0.5**k, scale * 0.5 ** (k + 1)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         xs.append(mid + half * g)
         ws.append(half * gw)
         bands.append(np.full(order, k, dtype=np.intp))
-    h = 0.5**depth
+    h = scale * 0.5**depth
     v = 0.5 * (g + 1.0)
     x_tail = h * v ** (1.0 / gamma)
     w_tail = (h / gamma) * (0.5 * gw) * v ** (1.0 / gamma - 1.0)
@@ -208,7 +210,7 @@ def _angular_power_mean(values: np.ndarray, p: float) -> np.ndarray:
     return np.mean(np.abs(values) ** p, axis=1)
 
 
-def _weight_power_over_gap(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
+def weight_power_over_gap(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
     """``w(1-x)**p / x`` evaluated stably through the gap variable."""
     gamma = space.weight.alpha * space.p
     out = x ** (gamma - 1.0)
@@ -225,11 +227,11 @@ def bergman_type_norm(f: DiskFunction, space: SpaceSpec, grid: RadialGrid = DEFA
     not resolved at this depth.
     """
     gamma = space.weight.alpha * space.p
-    x, w, band = _radial_rule(grid.depth, grid.panel_order, gamma)
+    x, w, band = radial_rule(grid.depth, grid.panel_order, gamma)
     r = 1.0 - x
     z = r[:, None] * _unit_circle(grid.angular_nodes)[None, :]
     mpp = _angular_power_mean(f.eval(z), space.p)
-    F = mpp * _weight_power_over_gap(space, x) * r
+    F = mpp * weight_power_over_gap(space, x) * r
     total, _ = _decay_checked_total(F, w, band, grid.depth, "bergman_type_norm")
     return float(total ** (1.0 / space.p))
 
@@ -238,8 +240,8 @@ def bergman_type_norm(f: DiskFunction, space: SpaceSpec, grid: RadialGrid = DEFA
 def unit_norm_mass(space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID) -> float:
     """``int_0^1 w(r)^p/(1-r) r dr``, the p-th power of the norm of 1."""
     gamma = space.weight.alpha * space.p
-    x, w, band = _radial_rule(grid.depth, grid.panel_order, gamma)
-    F = _weight_power_over_gap(space, x) * (1.0 - x)
+    x, w, band = radial_rule(grid.depth, grid.panel_order, gamma)
+    F = weight_power_over_gap(space, x) * (1.0 - x)
     return float(np.sum(w * F))
 
 
@@ -252,11 +254,11 @@ def derivative_form_norm(f: DiskFunction, space: SpaceSpec, grid: RadialGrid = D
     functions.
     """
     gamma = space.weight.alpha * space.p
-    x, w, band = _radial_rule(grid.depth, grid.panel_order, gamma)
+    x, w, band = radial_rule(grid.depth, grid.panel_order, gamma)
     r = 1.0 - x
     z = r[:, None] * _unit_circle(grid.angular_nodes)[None, :]
     mpp = _angular_power_mean(f.deriv(z), space.p)
-    F = mpp * (x * (2.0 - x)) ** space.p * _weight_power_over_gap(space, x) * 2.0 * r
+    F = mpp * (x * (2.0 - x)) ** space.p * weight_power_over_gap(space, x) * 2.0 * r
     total, _ = _decay_checked_total(F, w, band, grid.depth, "derivative_form_norm")
     head = unit_norm_mass(space, grid) * abs(f.eval(0.0)) ** space.p
     return float((head + total) ** (1.0 / space.p))
@@ -269,11 +271,11 @@ def direct_area_integral(f: DiskFunction, space: SpaceSpec, grid: RadialGrid = D
     norm; the factor is asserted in the test suite.
     """
     gamma = space.weight.alpha * space.p
-    x, w, band = _radial_rule(grid.depth, grid.panel_order, gamma)
+    x, w, band = radial_rule(grid.depth, grid.panel_order, gamma)
     r = 1.0 - x
     z = r[:, None] * _unit_circle(grid.angular_nodes)[None, :]
     mpp = _angular_power_mean(f.eval(z), space.p)
-    F = mpp * _weight_power_over_gap(space, x) * 2.0 * r
+    F = mpp * weight_power_over_gap(space, x) * 2.0 * r
     total, _ = _decay_checked_total(F, w, band, grid.depth, "direct_area_integral")
     return float(total)
 
@@ -285,14 +287,22 @@ def direct_area_integral(f: DiskFunction, space: SpaceSpec, grid: RadialGrid = D
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 64) -> float:
+def golden_argmax(fn, lo: float, hi: float, iters: int):
+    """Golden-section search for the maximum of ``fn`` on ``[lo, hi]``.
+
+    Returns ``(x, fn(x))`` for the best bracket point seen, the earliest
+    one on ties; a degenerate interval returns its midpoint.  Tracking
+    starts after the first step: of the two opening probes, the one the
+    step discards is never better than the one it keeps.
+    """
     a, b = float(lo), float(hi)
     if not b > a:
-        return fn(0.5 * (a + b))
+        x = 0.5 * (a + b)
+        return x, fn(x)
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    best = max(fc, fd)
+    best_x, best = c, -np.inf
     for _ in range(iters):
         if fc < fd:
             a, c, fc = c, d, fd
@@ -302,8 +312,11 @@ def _golden_max(fn, lo: float, hi: float, iters: int = 64) -> float:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
             fc = fn(c)
-        best = max(best, fc, fd)
-    return best
+        if fc > best:
+            best_x, best = c, fc
+        if fd > best:
+            best_x, best = d, fd
+    return best_x, best
 
 
 def bloch_seminorm(f: DiskFunction, grid: RadialGrid = DEFAULT_GRID) -> float:
@@ -320,7 +333,7 @@ def bloch_seminorm(f: DiskFunction, grid: RadialGrid = DEFAULT_GRID) -> float:
 
     lo = radii[i - 1] if i >= 1 else 0.0
     hi = radii[i + 1] if i + 1 < radii.size else 0.5 * (1.0 + radii[i])
-    best = max(grid_best, _golden_max(radial, lo, hi))
+    best = max(grid_best, golden_argmax(radial, lo, hi, 64)[1])
 
     span = 2.0 * np.pi / grid.angular_nodes
     r_best = radii[i]
@@ -328,13 +341,7 @@ def bloch_seminorm(f: DiskFunction, grid: RadialGrid = DEFAULT_GRID) -> float:
     def angular(th: float) -> float:
         return (1.0 - r_best * r_best) * abs(f.deriv(r_best * np.exp(1j * th)))
 
-    best = max(best, _golden_max(angular, theta - span, theta + span))
-    return best
-
-
-def bloch_norm(f: DiskFunction, grid: RadialGrid = DEFAULT_GRID) -> float:
-    """``|f(0)| + sup (1-|z|^2)|f'(z)|``."""
-    return abs(f.eval(0.0)) + bloch_seminorm(f, grid)
+    return max(best, golden_argmax(angular, theta - span, theta + span, 64)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +471,7 @@ def sw_integral_check(beta: float, m: float, rho: float, grid: RadialGrid = DEFA
     if not 0.0 < rho < 1.0:
         raise DomainError("rho must lie in (0, 1)")
     depth = max(grid.depth, int(np.ceil(np.log2(1.0 / (1.0 - rho)))) + 12)
-    x, w, band = _radial_rule(depth, grid.panel_order, beta + 1.0)
+    x, w, band = radial_rule(depth, grid.panel_order, beta + 1.0)
     F = x**beta * ((1.0 - rho) + rho * x) ** (-m)
     numeric = float(np.sum(w * F))
     bound = float((1.0 - rho) ** (1.0 + beta - m))

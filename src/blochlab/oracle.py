@@ -29,12 +29,11 @@ from .disk_functions import (
 from .norms import (
     DEFAULT_GRID,
     RadialGrid,
-    _gauss,
-    _radial_rule,
-    _weight_power_over_gap,
     bergman_type_norm,
-    bloch_norm,
     bloch_seminorm,
+    golden_argmax,
+    radial_rule,
+    weight_power_over_gap,
 )
 from .criteria import SymbolPair
 from .weights import SpaceSpec
@@ -43,9 +42,7 @@ __all__ = [
     "boundary_test_function",
     "vanishing_test_function",
     "operator_apply",
-    "TestFamily",
     "kernel_family_norm",
-    "operator_lower_bound",
     "LowerBoundTrend",
     "lower_bound_trend",
     "CompactnessProbe",
@@ -121,34 +118,6 @@ def operator_apply(sym: SymbolPair, f: DiskFunction) -> DiskFunction:
     return Product(sym.u, ComposedWithSelfMap(f, sym.phi))
 
 
-@dataclass(eq=False)
-class TestFamily:
-    """A finite family of probe functions in a fixed space."""
-
-    __test__ = False  # not a pytest class, despite the name
-
-    kind: str  # "kernel" | "vanishing" | "monomials" | "custom"
-    parameters: tuple
-    space: SpaceSpec
-    functions: tuple = ()
-
-    def members(self) -> tuple:
-        if self.kind == "kernel":
-            return tuple(boundary_test_function(w, self.space) for w in self.parameters)
-        if self.kind == "vanishing":
-            return tuple(vanishing_test_function(q, self.space) for q in self.parameters)
-        if self.kind == "monomials":
-            out = []
-            for n in self.parameters:
-                coeffs = np.zeros(int(n) + 1, dtype=complex)
-                coeffs[int(n)] = 1.0
-                out.append(PowerSeries(coeffs))
-            return tuple(out)
-        if self.kind == "custom":
-            return self.functions
-        raise ValueError(f"unknown family kind {self.kind!r}")
-
-
 def kernel_family_norm(base_modulus: float, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID) -> float:
     """Norm of the normalized boundary kernel with ``|base| = base_modulus``.
 
@@ -170,49 +139,19 @@ def kernel_family_norm(base_modulus: float, space: SpaceSpec, grid: RadialGrid =
     pq = space.p * (1.0 / space.p + t + 1.0)
 
     depth = max(grid.depth, int(np.ceil(np.log2(1.0 / max(1.0 - s_mod, 1e-300)))) + 8)
-    x, w, _ = _radial_rule(depth, grid.panel_order, space.weight.alpha * space.p)
+    x, w, _ = radial_rule(depth, grid.panel_order, space.weight.alpha * space.p)
     r = 1.0 - x
     s = r * s_mod
 
     # dyadic angular panels [pi 2^-(j+1), pi 2^-j] down past the peak width
     j_max = int(np.ceil(np.log2(np.pi / max(1.0 - s.max(), 1e-300)))) + 6
-    g, gw = _gauss(grid.panel_order)
-    theta_nodes, theta_wts = [], []
-    for j in range(j_max):
-        hi, lo = np.pi * 0.5**j, np.pi * 0.5 ** (j + 1)
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        theta_nodes.append(mid + half * g)
-        theta_wts.append(half * gw)
-    flat = np.pi * 0.5**j_max
-    theta_nodes.append(0.5 * flat * (g + 1.0))
-    theta_wts.append(0.5 * flat * gw)
-    theta = np.concatenate(theta_nodes)
-    tw = np.concatenate(theta_wts)
+    theta, tw, _ = radial_rule(j_max, grid.panel_order, 1.0, np.pi)
 
     # |1 - s e^{i theta}|^2 without boundary cancellation
     dist_sq = (1.0 - s[:, None]) ** 2 + 4.0 * s[:, None] * np.sin(0.5 * theta[None, :]) ** 2
     mean = (dist_sq ** (-0.5 * pq) @ tw) / np.pi
-    F = mean * _weight_power_over_gap(space, x) * r
+    F = mean * weight_power_over_gap(space, x) * r
     return float(scale * np.sum(w * F) ** (1.0 / space.p))
-
-
-def operator_lower_bound(
-    sym: SymbolPair,
-    space: SpaceSpec,
-    family: TestFamily,
-    grid: RadialGrid = DEFAULT_GRID,
-    norm_grid: RadialGrid | None = None,
-) -> float:
-    """``max_f ||u (f o phi)||_B / ||f||`` over the family: a numerical
-    lower bound for the operator norm."""
-    norm_grid = norm_grid or grid
-    best = 0.0
-    for f in family.members():
-        denom = bergman_type_norm(f, space, norm_grid)
-        if denom == 0.0:
-            continue
-        best = max(best, bloch_norm(operator_apply(sym, f), grid) / denom)
-    return best
 
 
 def boundary_chase_point(phi, depth: int, angular_nodes: int = 256) -> complex:
@@ -220,35 +159,16 @@ def boundary_chase_point(phi, depth: int, angular_nodes: int = 256) -> complex:
     largest (angular grid argmax followed by a golden-section pass)."""
     r = 1.0 - 0.5**depth
     theta = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
-    z = r * np.exp(1j * theta)
-    mods = np.abs(phi.eval(z))
+    mods = np.abs(phi.eval(r * np.exp(1j * theta)))
     j = int(np.argmax(mods))
 
     def along(th: float) -> float:
         return abs(phi.eval(r * np.exp(1j * th)))
 
     span = 2.0 * np.pi / angular_nodes
-    lo, hi = theta[j] - span, theta[j] + span
-    best_th = theta[j]
-    best = mods[j]
-    # golden pass on the angle, then keep the better of grid and refined
-    a, b = lo, hi
-    inv = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - inv * (b - a), a + inv * (b - a)
-    fc, fd = along(c), along(d)
-    for _ in range(48):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = along(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = along(c)
-        for th, val in ((c, fc), (d, fd)):
-            if val > best:
-                best, best_th = val, th
-    return r * np.exp(1j * best_th)
+    th, best = golden_argmax(along, theta[j] - span, theta[j] + span, 48)
+    # keep the better of grid and refined
+    return r * np.exp(1j * (th if best > mods[j] else theta[j]))
 
 
 @dataclass

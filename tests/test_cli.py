@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from blochlab.battery import CURATED
 from blochlab.cli import (
     ParseError,
     Report,
@@ -82,6 +83,127 @@ class TestParsing:
             build_self_map({"mystery": {}})
 
 
+# One malformed body per variant (and per nested location), with the exact
+# message parse_config must give.  The location prefix is part of the
+# contract: it tells the user which field of the document is wrong.
+FUNCTION_ERRORS = [
+    ({'constant': 'x'},
+     'symbol.u: expected a number, [re, im] pair, or re/im object'),
+    ({'power_series': 5},
+     "symbol.u.power_series: malformed body ('int' object is not iterable)"),
+    ({'power_series': [1, 'x']},
+     'symbol.u.power_series: expected a number, [re, im] pair, or re/im object'),
+    ({'log_series': 'x'},
+     "symbol.u.log_series: invalid literal for int() with base 10: 'x'"),
+    ({'log_series': None},
+     "symbol.u.log_series: malformed body (int() argument must be a string, a bytes-like object or a real number, not 'NoneType')"),
+    ({'fractional_kernel': {'exponent': 1}},
+     "symbol.u.fractional_kernel: malformed body ('base')"),
+    ({'fractional_kernel': {'base': 0.5, 'exponent': -1}},
+     'symbol.u.fractional_kernel: kernel exponent must be positive'),
+    ({'fractional_kernel': {'base': 'x', 'exponent': 1}},
+     'symbol.u.base: expected a number, [re, im] pair, or re/im object'),
+    ({'fractional_kernel': {'base': 0.5, 'exponent': 1, 'scale': 'x'}},
+     'symbol.u.scale: expected a number, [re, im] pair, or re/im object'),
+    ({'sum': 3},
+     "symbol.u.sum: malformed body ('int' object is not iterable)"),
+    ({'sum': []},
+     'symbol.u.sum: Sum needs at least one term'),
+    ({'sum': [1, {'x': 0}]},
+     "symbol.u.sum[1]: unknown function variant 'x'"),
+    ({'product': 1},
+     "symbol.u.product: malformed body (object of type 'int' has no len())"),
+    ({'product': [1]},
+     'symbol.u.product: expected exactly two factors'),
+    ({'product': [1, {'constant': 'x'}]},
+     'symbol.u.product[1]: expected a number, [re, im] pair, or re/im object'),
+    ({'scaled': {'inner': 1}},
+     "symbol.u.scaled: malformed body ('factor')"),
+    ({'scaled': {'factor': 'x', 'inner': 1}},
+     'symbol.u.factor: expected a number, [re, im] pair, or re/im object'),
+    ({'scaled': {'factor': 1, 'inner': {'constant': 'x'}}},
+     'symbol.u.inner: expected a number, [re, im] pair, or re/im object'),
+    ({'composed': {'outer': 1}},
+     "symbol.u.composed: malformed body ('inner')"),
+    ({'composed': {'outer': 1, 'inner': {'x': 1}}},
+     "symbol.u.inner: unknown self-map variant 'x'"),
+    ({'composed': {'outer': {'log_series': 'y'}, 'inner': 'identity'}},
+     "symbol.u.outer.log_series: invalid literal for int() with base 10: 'y'"),
+    ({'x': 1},
+     "symbol.u: unknown function variant 'x'"),
+    ({'a': 1, 'b': 2},
+     'symbol.u: expected an object with exactly one variant key'),
+    ('text',
+     'symbol.u: expected an object with exactly one variant key'),
+]
+SELF_MAP_ERRORS = [
+    ({'affine': {}},
+     "symbol.phi.affine: malformed body ('a')"),
+    ({'affine': {'a': 'x', 'b': 0}},
+     'symbol.phi.a: expected a number, [re, im] pair, or re/im object'),
+    ({'affine': {'a': 0.6, 'b': 0.6}},
+     'symbol.phi.affine: affine map is not a self-map: |a|+|b| = 1.2 > 1'),
+    ({'monomial': {}},
+     "symbol.phi.monomial: malformed body ('degree')"),
+    ({'monomial': {'degree': 'x'}},
+     "symbol.phi.monomial: invalid literal for int() with base 10: 'x'"),
+    ({'monomial': {'degree': 0}},
+     'symbol.phi.monomial: degree must be a positive integer'),
+    ({'monomial': {'degree': 1, 'scale': 2}},
+     'symbol.phi.monomial: monomial scale must satisfy |s| <= 1'),
+    ({'monomial': {'degree': 1, 'scale': 'x'}},
+     'symbol.phi.scale: expected a number, [re, im] pair, or re/im object'),
+    ({'blaschke': {}},
+     "symbol.phi.blaschke: malformed body ('base')"),
+    ({'blaschke': {'base': 2}},
+     'symbol.phi.blaschke: Blaschke base must satisfy |a| < 1'),
+    ({'blaschke': {'base': 'x'}},
+     'symbol.phi.base: expected a number, [re, im] pair, or re/im object'),
+    ({'blaschke_product': {'bases': 3}},
+     "symbol.phi.blaschke_product: malformed body ('int' object is not iterable)"),
+    ({'blaschke_product': {'bases': []}},
+     'symbol.phi.blaschke_product: need at least one factor'),
+    ({'blaschke_product': {'bases': ['x']}},
+     'symbol.phi.bases: expected a number, [re, im] pair, or re/im object'),
+    ({'blaschke_product': {'bases': [0.5], 'unimodular': 2}},
+     'symbol.phi.blaschke_product: constant must be unimodular'),
+    ({'blaschke_product': {'bases': [0.5], 'unimodular': 'x'}},
+     'symbol.phi.unimodular: expected a number, [re, im] pair, or re/im object'),
+    ({'scaled': {'factor': 0.5}},
+     "symbol.phi.scaled: malformed body ('inner')"),
+    ({'scaled': {'factor': 2, 'inner': 'identity'}},
+     'symbol.phi.scaled: scaling factor must satisfy |s| <= 1'),
+    ({'scaled': {'factor': 'x', 'inner': 'identity'}},
+     'symbol.phi.factor: expected a number, [re, im] pair, or re/im object'),
+    ({'scaled': {'factor': 0.5, 'inner': {'x': 1}}},
+     "symbol.phi.inner: unknown self-map variant 'x'"),
+    ({'composition': {'outer': 'identity'}},
+     "symbol.phi.composition: malformed body ('inner')"),
+    ({'composition': {'outer': {'blaschke': {'base': 2}}, 'inner': 'identity'}},
+     'symbol.phi.outer.blaschke: Blaschke base must satisfy |a| < 1'),
+    ({'x': 1},
+     "symbol.phi: unknown self-map variant 'x'"),
+    ('rotate',
+     'symbol.phi: expected an object with exactly one variant key'),
+    (5,
+     'symbol.phi: expected an object with exactly one variant key'),
+]
+
+
+@pytest.mark.parametrize("spec,message", FUNCTION_ERRORS)
+def test_function_error_location(spec, message):
+    with pytest.raises(ValidationError) as info:
+        parse_config({"symbol": {"u": spec, "phi": "identity"}, "tasks": ["bounded_bloch"]})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("spec,message", SELF_MAP_ERRORS)
+def test_self_map_error_location(spec, message):
+    with pytest.raises(ValidationError) as info:
+        parse_config({"symbol": {"u": 1.0, "phi": spec}, "tasks": ["bounded_bloch"]})
+    assert str(info.value) == message
+
+
 class TestRunAndEmit:
     def test_headline_verdicts(self, half_scale_report):
         tasks = half_scale_report.results["tasks"]
@@ -123,6 +245,25 @@ class TestRunAndEmit:
         doc["tasks"] = ["compact_bloch"]
         report = run(parse_config(doc))
         assert report.results["tasks"]["compact_bloch"]["error"] == "precondition_unmet"
+
+    @pytest.mark.parametrize("case", ["half-scale", "boundary-touch"])
+    def test_task_entry_key_sets(self, case):
+        doc = dict(CURATED[case]["config"], grid=HALF_SCALE_DOC["grid"])
+        tasks = run(parse_config(doc)).results["tasks"]
+        group = {"overall", "decided", "verdicts"}
+        expected = {
+            "bounded_bloch": group,
+            "compact_bloch": group | {"vacuous"},
+            "bounded_little_bloch": group | {"into_bloch"},
+            "compact_little_bloch": group,
+            "lemma_probes": {"derivative_limit", "composition_limit"},
+            "oracle": {"lower_bound", "compactness_probe", "agreement"},
+        }
+        assert set(tasks) == set(doc["tasks"])
+        for task, entry in tasks.items():
+            assert set(entry) == expected[task], task
+        if "bounded_little_bloch" in tasks:
+            assert set(tasks["bounded_little_bloch"]["into_bloch"]) == group
 
     def test_strict_exit_code_flags_disagreement(self, half_scale_report):
         assert strict_exit_code(half_scale_report) == 0

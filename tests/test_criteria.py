@@ -119,21 +119,21 @@ class TestBoundedness:
     def test_half_scale_bounded(self, a2, grid):
         outcome = classify_bounded_into_bloch(half_scale(), a2, grid)
         assert outcome.overall and outcome.decided
-        assert math.isfinite(outcome.composition.sup_estimate)
+        assert math.isfinite(outcome.verdicts[1].sup_estimate)
 
     def test_identity_unbounded_through_composition_term(self, a2, grid):
         outcome = classify_bounded_into_bloch(identity_sym(), a2, grid)
         assert not outcome.overall and outcome.decided
-        assert outcome.composition.status is Status.FAILS
-        assert math.isinf(outcome.composition.sup_estimate)
-        assert outcome.composition.divergence_slope == pytest.approx(1.0, rel=0.2)
+        assert outcome.verdicts[1].status is Status.FAILS
+        assert math.isinf(outcome.verdicts[1].sup_estimate)
+        assert outcome.verdicts[1].divergence_slope == pytest.approx(1.0, rel=0.2)
 
     def test_zero_operator(self, a2, grid):
         sym = SymbolPair(constant(0), identity_map())
         outcome = classify_bounded_into_bloch(sym, a2, grid)
         assert outcome.overall
-        assert outcome.multiplier.sup_estimate == 0.0
-        assert outcome.composition.sup_estimate == 0.0
+        assert outcome.verdicts[0].sup_estimate == 0.0
+        assert outcome.verdicts[1].sup_estimate == 0.0
 
     def test_verdict_serialization_roundtrip(self, a2, grid):
         entry = classify_bounded_into_bloch(identity_sym(), a2, grid).to_dict()
@@ -146,8 +146,8 @@ class TestBoundedness:
             for c in (2.0, 0.01j, -5.0 + 3.0j):
                 scaled = SymbolPair(Scaled(c, base.u), base.phi)
                 outcome = classify_bounded_into_bloch(scaled, a2, fast_grid)
-                assert outcome.multiplier.status is reference.multiplier.status
-                assert outcome.composition.status is reference.composition.status
+                assert outcome.verdicts[0].status is reference.verdicts[0].status
+                assert outcome.verdicts[1].status is reference.verdicts[1].status
 
 
 class TestCompactness:
@@ -180,8 +180,8 @@ class TestLittleBloch:
     def test_half_scale_bounded_into_little_bloch(self, a2, grid):
         outcome = classify_bounded_into_little_bloch(half_scale(), a2, grid)
         assert outcome.overall
-        assert outcome.multiplier_tail.status is Status.HOLDS
-        assert outcome.product_tail.status is Status.HOLDS
+        assert outcome.verdicts[0].status is Status.HOLDS
+        assert outcome.verdicts[1].status is Status.HOLDS
 
     def test_constant_target_map(self, a2, grid):
         sym = SymbolPair(PowerSeries([0, 1]), Affine(0.0, 0.0))
@@ -190,7 +190,7 @@ class TestLittleBloch:
     def test_polynomial_multiplier_with_boundary_mass(self, a2, grid):
         sym = SymbolPair(truncated_log_series(32), MonomialPower(1, 0.5))
         outcome = classify_bounded_into_little_bloch(sym, a2, grid)
-        assert outcome.multiplier_tail.status is Status.HOLDS
+        assert outcome.verdicts[0].status is Status.HOLDS
 
     def test_half_scale_compact_into_little_bloch(self, a2, grid):
         assert classify_compact_into_little_bloch(half_scale(), a2, grid).overall
@@ -202,7 +202,7 @@ class TestLittleBloch:
     def test_identity_fails_compact_into_little_bloch(self, a2, grid):
         outcome = classify_compact_into_little_bloch(identity_sym(), a2, grid)
         assert not outcome.overall
-        assert outcome.composition.status is Status.FAILS
+        assert outcome.verdicts[1].status is Status.FAILS
 
     def test_operator_images_inherit_vanishing_tails(self, a2, grid):
         # when the little-Bloch boundedness verdict holds, the images of the

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from blochlab import (
+    Affine,
     BlaschkeFactor,
     ComposedWithSelfMap,
     DomainError,
@@ -29,10 +30,12 @@ from blochlab.norms import (
     direct_area_integral,
     pointwise_growth_envelope,
     derivative_growth_envelope,
+    golden_argmax,
+    radial_rule,
     sample_radii,
     unit_norm_mass,
 )
-from blochlab.oracle import boundary_test_function
+from blochlab.oracle import boundary_chase_point, boundary_test_function
 
 small_polys = st.lists(
     st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
@@ -176,6 +179,48 @@ class TestBlochSeminorm:
         for a in (0.4, -0.3 + 0.5j, 0.8j):
             composed = ComposedWithSelfMap(f, BlaschkeFactor(a))
             assert bloch_seminorm(composed, grid) == pytest.approx(base, rel=1e-2)
+
+
+class TestGoldenArgmax:
+    @pytest.mark.parametrize(
+        "fn,lo,hi,peak",
+        [
+            (lambda x: -((x - 0.3) ** 2), 0.0, 1.0, 0.3),
+            # asymmetric: the slope is three times steeper right of the peak
+            (lambda x: -(3.0 * (x - 0.7) if x > 0.7 else 0.7 - x), -1.0, 2.0, 0.7),
+        ],
+    )
+    def test_finds_known_maximizer(self, fn, lo, hi, peak):
+        x, value = golden_argmax(fn, lo, hi, 64)
+        assert abs(x - peak) <= 1e-9
+        assert value == fn(x)
+
+    def test_degenerate_interval_returns_midpoint(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return 2.0 * x
+
+        assert golden_argmax(fn, 0.25, 0.25, 64) == (0.25, 0.5)
+        assert calls == [0.25]
+
+    @pytest.mark.parametrize("depth", range(2, 13))
+    def test_chase_of_touching_affine_map_lands_on_positive_axis(self, depth):
+        # |z/2 + 1/2| on a circle is largest at z > 0
+        z = boundary_chase_point(Affine(0.5, 0.5), depth)
+        assert z.real > 0.0 and abs(z.imag) <= 1e-12
+        assert abs(z) == pytest.approx(1.0 - 0.5**depth, rel=1e-15)
+
+
+class TestRadialRule:
+    @pytest.mark.parametrize("scale", [1.0, np.pi])
+    def test_scaled_rule_integrates_polynomials_on_its_interval(self, scale):
+        x, w, band = radial_rule(10, 8, 1.0, scale)
+        assert np.all((x > 0.0) & (x < scale))
+        assert np.sum(w) == pytest.approx(scale, rel=1e-13)
+        assert np.sum(w * x**3) == pytest.approx(scale**4 / 4.0, rel=1e-13)
+        assert band.max() == 10
 
 
 class TestBoundaryProfiles:
