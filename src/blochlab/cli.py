@@ -17,8 +17,11 @@ directory.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
+import math
+import numbers
 import os
 import sys
 import time
@@ -56,7 +59,7 @@ from .disk_functions import (
     truncated_log_series,
     validate_self_map,
 )
-from .norms import RadialGrid
+from .norms import NonConvergentError, RadialGrid
 from .oracle import compactness_probe, lower_bound_trend
 from .weights import NormalWeight, SpaceSpec, check_normality
 
@@ -98,14 +101,25 @@ class ValidationError(ValueError):
 # config parsing
 
 
+def _real_from(value, where: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValidationError(f"{where}: expected a finite number, got {value!r}")
+    return x
+
+
 def _complex_from(value, where: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, dict) and set(value) <= {"re", "im"}:
-        return complex(float(value.get("re", 0.0)), float(value.get("im", 0.0)))
-    raise ValidationError(f"{where}: expected a number, [re, im] pair, or re/im object")
+        z = complex(value)
+    elif isinstance(value, (list, tuple)) and len(value) == 2:
+        z = complex(float(value[0]), float(value[1]))
+    elif isinstance(value, dict) and set(value) <= {"re", "im"}:
+        z = complex(float(value.get("re", 0.0)), float(value.get("im", 0.0)))
+    else:
+        raise ValidationError(f"{where}: expected a number, [re, im] pair, or re/im object")
+    if not cmath.isfinite(z):
+        raise ValidationError(f"{where}: expected a finite number, got {value!r}")
+    return z
 
 
 def _complex_to(value: complex):
@@ -134,7 +148,7 @@ def _build_variant(table: dict, kind: str, spec, where: str):
         raise
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"{where}.{key}: malformed body ({exc})") from exc
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}.{key}: {exc}") from exc
 
 
@@ -153,7 +167,7 @@ _FUNCTIONS = {
     "log_series": lambda body, where: truncated_log_series(int(body)),
     "fractional_kernel": lambda body, where: FractionalKernel(
         _complex_from(body["base"], f"{where}.base"),
-        float(body["exponent"]),
+        _real_from(body["exponent"], f"{where}.exponent"),
         _complex_from(body.get("scale", 1.0), f"{where}.scale"),
     ),
     "sum": lambda body, where: Sum(tuple(build_function(s, f"{where}.sum[{i}]") for i, s in enumerate(body))),
@@ -206,7 +220,9 @@ def _build_space(spec) -> SpaceSpec:
         if not spec.startswith("bergman:"):
             raise ValidationError(f"space: unknown shorthand {spec!r}")
         try:
-            return SpaceSpec.bergman(float(spec.split(":", 1)[1]))
+            return SpaceSpec.bergman(_real_from(spec.split(":", 1)[1], "space"))
+        except ValidationError:
+            raise
         except ValueError as exc:
             raise ValidationError(f"space: {exc}") from exc
     if not isinstance(spec, dict):
@@ -214,12 +230,14 @@ def _build_space(spec) -> SpaceSpec:
     try:
         wspec = spec["weight"]
         weight = NormalWeight(
-            float(wspec["alpha"]),
-            float(wspec.get("log_exponent", 0.0)),
-            float(wspec["s"]) if "s" in wspec else None,
-            float(wspec["t"]) if "t" in wspec else None,
+            _real_from(wspec["alpha"], "space.weight.alpha"),
+            _real_from(wspec.get("log_exponent", 0.0), "space.weight.log_exponent"),
+            _real_from(wspec["s"], "space.weight.s") if "s" in wspec else None,
+            _real_from(wspec["t"], "space.weight.t") if "t" in wspec else None,
         )
-        return SpaceSpec(float(spec["p"]), weight)
+        return SpaceSpec(_real_from(spec["p"], "space.p"), weight)
+    except ValidationError:
+        raise
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"space: malformed body ({exc})") from exc
     except ValueError as exc:
@@ -292,12 +310,12 @@ def parse_config(text_or_dict) -> RunConfig:
             f"({report.detail})"
         )
     gspec = doc.get("grid", {})
+    if not isinstance(gspec, dict):
+        raise ValidationError("grid: expected an object")
+    sizes = [_grid_int(gspec, key, default)
+             for key, default in (("depth", 16), ("angular_nodes", 512), ("panel_order", 12))]
     try:
-        grid = RadialGrid(
-            int(gspec.get("depth", 16)),
-            int(gspec.get("angular_nodes", 512)),
-            int(gspec.get("panel_order", 12)),
-        )
+        grid = RadialGrid(*sizes)
     except ValueError as exc:
         raise ValidationError(f"grid: {exc}") from exc
     tasks = _schedule(doc.get("tasks", ()))
@@ -319,6 +337,13 @@ def parse_config(text_or_dict) -> RunConfig:
         echo=_echo_config(doc, space, grid, tasks),
     )
     return config
+
+
+def _grid_int(gspec: dict, key: str, default: int) -> int:
+    value = gspec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"grid.{key}: expected an integer, got {value!r}")
+    return int(value)
 
 
 def _echo_config(doc: dict, space: SpaceSpec, grid: RadialGrid, tasks) -> dict:
@@ -404,7 +429,10 @@ def run(config: RunConfig) -> Report:
             entry = {"lower_bound": trend.to_dict(), "compactness_probe": probe.to_dict()}
             entry["agreement"] = _agreement(results["tasks"].get("bounded_bloch"), trend.classification)
             results["tasks"][task] = entry
-            results["constants"] = _empirical_constants(config, results["tasks"].get("bounded_bloch"))
+            try:
+                results["constants"] = _empirical_constants(config, results["tasks"].get("bounded_bloch"))
+            except NonConvergentError as exc:
+                results["constants"] = {"error": "nonconvergent", "detail": str(exc)}
         timings[task] = round(time.perf_counter() - start, 6)
     tool = {"name": "blochlab", "version": __version__}
     return Report(tool, config.echo, results, {"wall_clock_s": timings})

@@ -10,11 +10,11 @@ integrands: a norm whose deepest three band contributions stop decaying is
 reported as nonconvergent instead of being silently truncated.
 
 Suprema over the disk are taken on a standard sample set (dyadic radii
-plus geometric midpoints, equispaced angles) with one local golden-section
-refinement pass for the global Bloch seminorm.  Boundary behaviour is
-recorded as a ``BoundaryProfile``: nested suprema over the regions past an
-increasing sequence of thresholds, together with the per-band suprema that
-divergence detection fits its log-log slope to.
+plus geometric midpoints, equispaced angles) with one local vectorized
+bracket search (``bracket_argmax``) for the global Bloch seminorm.
+Boundary behaviour is recorded as a ``BoundaryProfile``: nested suprema
+over the regions past an increasing sequence of thresholds, together with
+the per-band suprema that divergence detection fits its log-log slope to.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ __all__ = [
     "derivative_form_norm",
     "direct_area_integral",
     "unit_norm_mass",
-    "golden_argmax",
+    "bracket_argmax",
     "bloch_seminorm",
     "little_bloch_profile",
     "is_little_bloch",
@@ -284,64 +284,57 @@ def direct_area_integral(f: DiskFunction, space: SpaceSpec, grid: RadialGrid = D
 # sup searches
 
 
-_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_BRACKET_POINTS = 33
 
 
-def golden_argmax(fn, lo: float, hi: float, iters: int):
-    """Golden-section search for the maximum of ``fn`` on ``[lo, hi]``.
+def bracket_argmax(fn, lo: float, hi: float, rounds: int):
+    """Vectorized bracket search for the maximum of ``fn`` on ``[lo, hi]``.
 
-    Returns ``(x, fn(x))`` for the best bracket point seen, the earliest
-    one on ties; a degenerate interval returns its midpoint.  Tracking
-    starts after the first step: of the two opening probes, the one the
-    step discards is never better than the one it keeps.
+    ``fn`` maps an array of abscissae to an array of values.  Each round
+    evaluates ``fn`` once on ``_BRACKET_POINTS`` equispaced points and
+    shrinks the bracket to the best point's two neighbours, a factor of
+    16 per round.  Returns ``(x, fn(x))`` for the best point seen over
+    all rounds, the earliest one on ties; a degenerate interval returns
+    its midpoint after one call.
     """
     a, b = float(lo), float(hi)
     if not b > a:
         x = 0.5 * (a + b)
-        return x, fn(x)
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    best_x, best = c, -np.inf
-    for _ in range(iters):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = fn(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = fn(c)
-        if fc > best:
-            best_x, best = c, fc
-        if fd > best:
-            best_x, best = d, fd
+        return x, float(fn(np.array([x]))[0])
+    best_x, best = a, -np.inf
+    for _ in range(rounds):
+        xs = np.linspace(a, b, _BRACKET_POINTS)
+        values = fn(xs)
+        i = int(np.argmax(values))
+        if values[i] > best:
+            best_x, best = float(xs[i]), float(values[i])
+        a, b = xs[max(i - 1, 0)], xs[min(i + 1, _BRACKET_POINTS - 1)]
     return best_x, best
 
 
 def bloch_seminorm(f: DiskFunction, grid: RadialGrid = DEFAULT_GRID) -> float:
     """``sup (1-|z|^2) |f'(z)|`` over the sample set, with one local
-    golden-section refinement in radius and then in angle."""
+    bracket search in radius and then in angle."""
     radii, z = sample_points(grid.depth, grid.angular_nodes)
     g = one_minus_sq(radii)[:, None] * np.abs(f.deriv(z))
     i, j = np.unravel_index(int(np.argmax(g)), g.shape)
     grid_best = float(g[i, j])
     theta = 2.0 * np.pi * j / grid.angular_nodes
 
-    def radial(rr: float) -> float:
-        return (1.0 - rr * rr) * abs(f.deriv(rr * np.exp(1j * theta)))
+    def radial(rr: np.ndarray) -> np.ndarray:
+        return (1.0 - rr * rr) * np.abs(f.deriv(rr * np.exp(1j * theta)))
 
     lo = radii[i - 1] if i >= 1 else 0.0
     hi = radii[i + 1] if i + 1 < radii.size else 0.5 * (1.0 + radii[i])
-    best = max(grid_best, golden_argmax(radial, lo, hi, 64)[1])
+    best = max(grid_best, bracket_argmax(radial, lo, hi, 12)[1])
 
     span = 2.0 * np.pi / grid.angular_nodes
     r_best = radii[i]
 
-    def angular(th: float) -> float:
-        return (1.0 - r_best * r_best) * abs(f.deriv(r_best * np.exp(1j * th)))
+    def angular(th: np.ndarray) -> np.ndarray:
+        return (1.0 - r_best * r_best) * np.abs(f.deriv(r_best * np.exp(1j * th)))
 
-    return max(best, golden_argmax(angular, theta - span, theta + span, 64)[1])
+    return max(best, bracket_argmax(angular, theta - span, theta + span, 12)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .norms import (
     RadialGrid,
     bergman_type_norm,
     bloch_seminorm,
-    golden_argmax,
+    bracket_argmax,
     radial_rule,
     weight_power_over_gap,
 )
@@ -156,19 +156,22 @@ def kernel_family_norm(base_modulus: float, space: SpaceSpec, grid: RadialGrid =
 
 def boundary_chase_point(phi, depth: int, angular_nodes: int = 256) -> complex:
     """Point on the circle of radius ``1 - 2**-depth`` where ``|phi|`` is
-    largest (angular grid argmax followed by a golden-section pass)."""
+    largest (angular grid argmax followed by a bracket search).
+
+    The grid point is kept unless the refined ``|phi|`` beats it by more
+    than rounding: on rotation-invariant maps ``|phi|`` is constant on the
+    circle, and rounding noise must not pick another point of it."""
     r = 1.0 - 0.5**depth
     theta = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
     mods = np.abs(phi.eval(r * np.exp(1j * theta)))
     j = int(np.argmax(mods))
 
-    def along(th: float) -> float:
-        return abs(phi.eval(r * np.exp(1j * th)))
+    def along(th: np.ndarray) -> np.ndarray:
+        return np.abs(phi.eval(r * np.exp(1j * th)))
 
     span = 2.0 * np.pi / angular_nodes
-    th, best = golden_argmax(along, theta[j] - span, theta[j] + span, 48)
-    # keep the better of grid and refined
-    return r * np.exp(1j * (th if best > mods[j] else theta[j]))
+    th, best = bracket_argmax(along, theta[j] - span, theta[j] + span, 9)
+    return r * np.exp(1j * (th if best > mods[j] * (1.0 + 1e-14) else theta[j]))
 
 
 @dataclass

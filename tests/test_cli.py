@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from blochlab import RadialGrid
 from blochlab.battery import CURATED
 from blochlab.cli import (
     ParseError,
@@ -204,6 +205,50 @@ def test_self_map_error_location(spec, message):
     assert str(info.value) == message
 
 
+NONFINITE_FIELDS = [
+    ({"symbol": {"u": {"power_series": [1.0, float("nan")]}, "phi": "identity"}},
+     "symbol.u.power_series: expected a finite number, got nan"),
+    ({"symbol": {"u": 1.0, "phi": {"affine": {"a": float("nan"), "b": 0.5}}}},
+     "symbol.phi.a: expected a finite number, got nan"),
+    ({"symbol": {"u": 1.0, "phi": {"blaschke": {"base": [0.4, float("inf")]}}}},
+     "symbol.phi.base: expected a finite number, got [0.4, inf]"),
+    ({"symbol": {"u": 1.0, "phi": "identity"},
+      "space": {"p": 2.0, "weight": {"alpha": float("-inf"), "s": 0.25, "t": 0.75}}},
+     "space.weight.alpha: expected a finite number, got -inf"),
+    ({"symbol": {"u": 1.0, "phi": {"monomial": {"degree": float("inf")}}}},
+     "symbol.phi.monomial: cannot convert float infinity to integer"),
+]
+
+
+@pytest.mark.parametrize("doc,message", NONFINITE_FIELDS,
+                         ids=["u-coefficient", "affine-a", "blaschke-base", "weight-alpha", "monomial-degree"])
+def test_non_finite_number_rejected_at_parse_time(doc, message):
+    # the JSON text form carries NaN/Infinity tokens, which json.loads accepts
+    text = json.dumps(dict(doc, tasks=["bounded_bloch"]))
+    with pytest.raises(ValidationError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("key,value", [("depth", 12.9), ("angular_nodes", 128.0),
+                                       ("panel_order", True), ("depth", "12")])
+def test_non_integer_grid_field_rejected(key, value):
+    doc = dict(HALF_SCALE_DOC, grid=dict(HALF_SCALE_DOC["grid"], **{key: value}))
+    with pytest.raises(ValidationError) as info:
+        parse_config(doc)
+    assert str(info.value) == f"grid.{key}: expected an integer, got {value!r}"
+
+
+def test_grid_must_be_an_object():
+    with pytest.raises(ValidationError, match=r"^grid: expected an object$"):
+        parse_config(dict(HALF_SCALE_DOC, grid=[12, 128, 8]))
+
+
+def test_integer_grid_fields_parse_as_before():
+    assert parse_config(dict(HALF_SCALE_DOC)).grid == RadialGrid(12, 128, 8)
+    assert parse_config({"symbol": HALF_SCALE_DOC["symbol"], "tasks": ["bounded_bloch"]}).grid == RadialGrid()
+
+
 class TestRunAndEmit:
     def test_headline_verdicts(self, half_scale_report):
         tasks = half_scale_report.results["tasks"]
@@ -238,6 +283,25 @@ class TestRunAndEmit:
         a = run(parse_config(dict(HALF_SCALE_DOC))).results_payload()
         b = run(parse_config(dict(HALF_SCALE_DOC))).results_payload()
         assert a == b
+
+    def test_nonconvergent_constants_block_is_recorded(self, tmp_path):
+        # at depth 4 the constants battery's norms do not converge; the
+        # block records the error and the report is still written
+        doc = dict(CURATED["half-scale"]["config"], grid={"depth": 4, "angular_nodes": 64, "panel_order": 8})
+        config = parse_config(doc)
+        assert config.grid == RadialGrid(4, 64, 8)
+        report = run(config)
+        constants = report.results["constants"]
+        assert constants["error"] == "nonconvergent"
+        assert "do not decay" in constants["detail"]
+        assert set(report.results["tasks"]) == set(config.tasks)
+        emit(report, tmp_path, ("json", "csv"))
+
+        def reject(token):
+            raise ValueError(f"non-finite token {token}")
+
+        loaded = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        assert loaded["results"]["constants"] == constants
 
     def test_unbounded_pair_records_precondition_failure(self):
         doc = dict(HALF_SCALE_DOC)

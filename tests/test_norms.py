@@ -10,6 +10,7 @@ from blochlab import (
     ComposedWithSelfMap,
     DomainError,
     FractionalKernel,
+    MonomialPower,
     NonConvergentError,
     NormalWeight,
     PowerSeries,
@@ -20,6 +21,7 @@ from blochlab import (
     boundary_profile,
     constant,
     derivative_form_norm,
+    identity_map,
     integral_mean,
     is_little_bloch,
     little_bloch_profile,
@@ -30,12 +32,16 @@ from blochlab.norms import (
     direct_area_integral,
     pointwise_growth_envelope,
     derivative_growth_envelope,
-    golden_argmax,
+    bracket_argmax,
     radial_rule,
     sample_radii,
     unit_norm_mass,
 )
-from blochlab.oracle import boundary_chase_point, boundary_test_function
+from blochlab.battery import CURATED
+from blochlab.cli import parse_config
+from blochlab.disk_functions import DiskFunction, SelfMap
+from blochlab.oracle import boundary_chase_point, boundary_test_function, operator_apply
+from golden_reference import golden_argmax, golden_bloch_seminorm
 
 small_polys = st.lists(
     st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
@@ -182,6 +188,9 @@ class TestBlochSeminorm:
 
 
 class TestGoldenArgmax:
+    """The golden-section reference search, and the chase on a touching
+    affine map."""
+
     @pytest.mark.parametrize(
         "fn,lo,hi,peak",
         [
@@ -211,6 +220,85 @@ class TestGoldenArgmax:
         z = boundary_chase_point(Affine(0.5, 0.5), depth)
         assert z.real > 0.0 and abs(z.imag) <= 1e-12
         assert abs(z) == pytest.approx(1.0 - 0.5**depth, rel=1e-15)
+
+
+class TestBracketArgmax:
+    @pytest.mark.parametrize(
+        "fn,lo,hi,peak",
+        [
+            (lambda x: -((x - 0.3) ** 2), 0.0, 1.0, 0.3),
+            # asymmetric: the slope is three times steeper right of the peak
+            (lambda x: -np.where(x > 0.7, 3.0 * (x - 0.7), 0.7 - x), -1.0, 2.0, 0.7),
+        ],
+    )
+    def test_finds_known_maximizer(self, fn, lo, hi, peak):
+        x, value = bracket_argmax(fn, lo, hi, 12)
+        assert abs(x - peak) <= 1e-9
+        assert value == fn(np.array([x]))[0]
+
+    def test_degenerate_interval_returns_midpoint(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x.tolist())
+            return 2.0 * x
+
+        assert bracket_argmax(fn, 0.25, 0.25, 12) == (0.25, 0.5)
+        assert calls == [[0.25]]
+
+    @pytest.mark.parametrize("name", ["half-scale", "blaschke-rotor", "boundary-touch"])
+    def test_seminorm_of_oracle_members_matches_golden_section(self, name, a2):
+        # the kernel images the oracle chases for k = 2 .. 12
+        config = parse_config(CURATED[name]["config"])
+        sym, grid = config.symbol, config.grid
+        for k in range(2, 13):
+            w = complex(sym.phi.eval(boundary_chase_point(sym.phi, k, grid.angular_nodes)))
+            member = operator_apply(sym, boundary_test_function(w, a2))
+            reference = golden_bloch_seminorm(member, grid)
+            assert bloch_seminorm(member, grid) == pytest.approx(reference, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("phi", [MonomialPower(2), MonomialPower(4), identity_map()],
+                             ids=["z^2", "z^4", "identity"])
+    def test_chase_keeps_the_grid_point_on_rotation_invariant_maps(self, phi):
+        # |phi| is constant on each circle up to rounding; the refinement
+        # must not move the chase off the grid argmax
+        theta = 2.0 * np.pi * np.arange(128) / 128
+        for k in range(2, 13):
+            r = 1.0 - 0.5**k
+            j = int(np.argmax(np.abs(phi.eval(r * np.exp(1j * theta)))))
+            assert boundary_chase_point(phi, k, 128) == r * np.exp(1j * theta[j])
+
+
+class _CountingEvaluator:
+    """Test double that counts top-level calls of ``owner.attr``."""
+
+    def __init__(self, monkeypatch, owner, attr):
+        original = getattr(owner, attr)
+        self.calls = 0
+        self.scalar_calls = 0
+
+        def counted(obj, z):
+            self.calls += 1
+            self.scalar_calls += np.ndim(z) == 0
+            return original(obj, z)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+
+class TestVectorizedSearchCallCounts:
+    def test_bloch_seminorm_makes_one_grid_call_and_one_call_per_round(self, monkeypatch, a2, grid):
+        f = operator_apply(parse_config(CURATED["half-scale"]["config"]).symbol,
+                           boundary_test_function(0.45, a2))
+        counter = _CountingEvaluator(monkeypatch, DiskFunction, "deriv")
+        bloch_seminorm(f, grid)
+        assert counter.scalar_calls == 0
+        assert 0 < counter.calls <= 1 + 2 * 12
+
+    def test_chase_makes_one_grid_call_and_one_call_per_round(self, monkeypatch):
+        counter = _CountingEvaluator(monkeypatch, SelfMap, "eval")
+        boundary_chase_point(BlaschkeFactor(0.4), 8, 512)
+        assert counter.scalar_calls == 0
+        assert 0 < counter.calls <= 1 + 9
 
 
 class TestRadialRule:
