@@ -30,16 +30,7 @@ from pathlib import Path
 
 from . import __version__
 from .battery import CURATED
-from .criteria import (
-    PreconditionUnmetError,
-    SymbolPair,
-    classify_bounded_into_bloch,
-    classify_bounded_into_little_bloch,
-    classify_compact_into_bloch,
-    classify_compact_into_little_bloch,
-    composition_limit_probe,
-    derivative_limit_probe,
-)
+from .criteria import PreconditionUnmetError, SampleTable, SymbolPair
 from .disk_functions import (
     Affine,
     BlaschkeFactor,
@@ -108,6 +99,15 @@ def _real_from(value, where: str) -> float:
     return x
 
 
+def _int_from(value, where: str) -> int:
+    """An integer field: bools, floats (``2.0`` too) and numeric strings are
+    rejected, not converted; what ``int`` cannot convert raises its own error."""
+    number = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{where}: expected an integer, got {value!r}")
+    return number
+
+
 def _complex_from(value, where: str) -> complex:
     if isinstance(value, (int, float)):
         z = complex(value)
@@ -120,13 +120,6 @@ def _complex_from(value, where: str) -> complex:
     if not cmath.isfinite(z):
         raise ValidationError(f"{where}: expected a finite number, got {value!r}")
     return z
-
-
-def _complex_to(value: complex):
-    value = complex(value)
-    if value.imag == 0.0:
-        return value.real
-    return [value.real, value.imag]
 
 
 def _single_key(spec: dict, where: str) -> str:
@@ -164,7 +157,7 @@ def _product(body, where: str) -> Product:
 _FUNCTIONS = {
     "constant": lambda body, where: PowerSeries([_complex_from(body, where)]),
     "power_series": lambda body, where: PowerSeries([_complex_from(c, f"{where}.power_series") for c in body]),
-    "log_series": lambda body, where: truncated_log_series(int(body)),
+    "log_series": lambda body, where: truncated_log_series(_int_from(body, f"{where}.log_series")),
     "fractional_kernel": lambda body, where: FractionalKernel(
         _complex_from(body["base"], f"{where}.base"),
         _real_from(body["exponent"], f"{where}.exponent"),
@@ -185,7 +178,7 @@ _SELF_MAPS = {
         _complex_from(body["a"], f"{where}.a"), _complex_from(body["b"], f"{where}.b")
     ),
     "monomial": lambda body, where: MonomialPower(
-        int(body["degree"]), _complex_from(body.get("scale", 1.0), f"{where}.scale")
+        _int_from(body["degree"], f"{where}.degree"), _complex_from(body.get("scale", 1.0), f"{where}.scale")
     ),
     "blaschke": lambda body, where: BlaschkeFactor(_complex_from(body["base"], f"{where}.base")),
     "blaschke_product": lambda body, where: FiniteBlaschkeProduct(
@@ -312,8 +305,13 @@ def parse_config(text_or_dict) -> RunConfig:
     gspec = doc.get("grid", {})
     if not isinstance(gspec, dict):
         raise ValidationError("grid: expected an object")
-    sizes = [_grid_int(gspec, key, default)
-             for key, default in (("depth", 16), ("angular_nodes", 512), ("panel_order", 12))]
+    sizes = []
+    for key, default in (("depth", 16), ("angular_nodes", 512), ("panel_order", 12)):
+        value = gspec.get(key, default)
+        try:
+            sizes.append(_int_from(value, f"grid.{key}"))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"grid.{key}: expected an integer, got {value!r}") from exc
     try:
         grid = RadialGrid(*sizes)
     except ValueError as exc:
@@ -337,13 +335,6 @@ def parse_config(text_or_dict) -> RunConfig:
         echo=_echo_config(doc, space, grid, tasks),
     )
     return config
-
-
-def _grid_int(gspec: dict, key: str, default: int) -> int:
-    value = gspec.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"grid.{key}: expected an integer, got {value!r}")
-    return int(value)
 
 
 def _echo_config(doc: dict, space: SpaceSpec, grid: RadialGrid, tasks) -> dict:
@@ -390,42 +381,21 @@ class Report:
 def run(config: RunConfig) -> Report:
     """Execute the scheduled tasks and assemble the report.
 
+    The classifier tasks share one sample table, built by the first of
+    them and released before a final ``oracle`` task, which never reads it.
     Fails verdicts do not raise; computational errors are recorded per
     task with attribution and re-raised only for truly broken state.
     """
     results: dict = {"tasks": {}}
     timings: dict = {}
-    bounded = None
+    table = None
     for task in config.tasks:
         start = time.perf_counter()
-        if task == "bounded_bloch":
-            bounded = classify_bounded_into_bloch(config.symbol, config.space, config.grid)
-            results["tasks"][task] = bounded.to_dict()
-        elif task == "compact_bloch":
-            try:
-                outcome = classify_compact_into_bloch(
-                    config.symbol, config.space, config.grid,
-                    bounded=bounded, force_boundary=config.force_boundary,
-                )
-                results["tasks"][task] = outcome.to_dict()
-            except PreconditionUnmetError as exc:
-                results["tasks"][task] = {"error": "precondition_unmet", "detail": str(exc)}
-        elif task == "bounded_little_bloch":
-            outcome = classify_bounded_into_little_bloch(
-                config.symbol, config.space, config.grid, bounded=bounded
-            )
-            results["tasks"][task] = outcome.to_dict()
-        elif task == "compact_little_bloch":
-            outcome = classify_compact_into_little_bloch(config.symbol, config.space, config.grid)
-            results["tasks"][task] = outcome.to_dict()
-        elif task == "lemma_probes":
-            results["tasks"][task] = {
-                "derivative_limit": derivative_limit_probe(config.symbol, config.space, config.grid).to_dict(),
-                "composition_limit": composition_limit_probe(config.symbol, config.space, config.grid).to_dict(),
-            }
-        elif task == "oracle":
+        if task == "oracle":
+            if config.tasks[-1] == "oracle":
+                table = None  # no later task reads the samples
             trend = lower_bound_trend(config.symbol, config.space, config.grid)
-            probe = compactness_probe(config.symbol, config.space, config.grid)
+            probe = compactness_probe(config.symbol, config.space, config.grid, trend)
             entry = {"lower_bound": trend.to_dict(), "compactness_probe": probe.to_dict()}
             entry["agreement"] = _agreement(results["tasks"].get("bounded_bloch"), trend.classification)
             results["tasks"][task] = entry
@@ -433,9 +403,28 @@ def run(config: RunConfig) -> Report:
                 results["constants"] = _empirical_constants(config, results["tasks"].get("bounded_bloch"))
             except NonConvergentError as exc:
                 results["constants"] = {"error": "nonconvergent", "detail": str(exc)}
+        else:
+            if table is None:
+                table = SampleTable(config.symbol, config.space, config.grid)
+            results["tasks"][task] = _classifier_entry(table, task, config.force_boundary)
         timings[task] = round(time.perf_counter() - start, 6)
     tool = {"name": "blochlab", "version": __version__}
     return Report(tool, config.echo, results, {"wall_clock_s": timings})
+
+
+def _classifier_entry(table: SampleTable, task: str, force_boundary: bool) -> dict:
+    """The report entry of one classifier task, read from the run's table."""
+    if task == "compact_bloch":
+        try:
+            return table.compact_into_bloch(force_boundary).to_dict()
+        except PreconditionUnmetError as exc:
+            return {"error": "precondition_unmet", "detail": str(exc)}
+    if task == "lemma_probes":
+        return {"derivative_limit": table.derivative_limit_probe().to_dict(),
+                "composition_limit": table.composition_limit_probe().to_dict()}
+    groups = {"bounded_bloch": table.bounded_into_bloch, "bounded_little_bloch": table.bounded_into_little_bloch,
+              "compact_little_bloch": table.compact_into_little_bloch}
+    return groups[task]().to_dict()
 
 
 def _empirical_constants(config: RunConfig, bounded_entry) -> dict:

@@ -18,9 +18,9 @@ than guessed.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .norms import (
     bloch_seminorm,
     boundary_profile,
     is_little_bloch,
-    little_bloch_profile,
     one_minus_sq,
     profile_thresholds,
     sample_points,
@@ -50,6 +49,7 @@ __all__ = [
     "COMPOSITION_QUANTITY",
     "multiplier_quotient",
     "composition_quotient",
+    "SampleTable",
     "criterion_profile",
     "VerdictGroup",
     "EquivalenceProbe",
@@ -57,7 +57,6 @@ __all__ = [
     "classify_compact_into_bloch",
     "classify_bounded_into_little_bloch",
     "classify_compact_into_little_bloch",
-    "little_bloch_verdict",
     "derivative_limit_probe",
     "composition_limit_probe",
     "bergman_specialization_ratio",
@@ -72,6 +71,7 @@ LIMIT_ABS = 1e-9
 MULTIPLIER_QUANTITY = "u_prime"
 COMPOSITION_QUANTITY = "u_phi_prime"
 _QUOTIENTS = (MULTIPLIER_QUANTITY, COMPOSITION_QUANTITY)
+_PLAIN_MULTIPLIER = "u_prime_plain"
 _PLAIN_COMPOSITION = "u_phi_prime_plain"
 
 _PHI_CLIP = 1.0 - 1e-16  # guards double rounding of |phi| at extreme radii
@@ -120,78 +120,36 @@ class Verdict:
 # pointwise quantities
 
 
-def _denominator(space: SpaceSpec, phi_mod: np.ndarray, power: float) -> np.ndarray:
-    return space.weight(phi_mod) * one_minus_sq(phi_mod) ** power
+def _quotients(z, omr2, sym: SymbolPair, space: SpaceSpec):
+    """Clipped ``|phi(z)|`` and the criterion samples at ``z``, given
+    ``omr2 = 1-|z|^2``: both quotients and their plain numerators
+    ``(1-|z|^2)|u'|`` and ``(1-|z|^2)|u phi'|``, keyed by quantity name."""
+    pm = np.minimum(np.abs(np.asarray(sym.phi.eval(z))), _PHI_CLIP)
+    plain_mult = omr2 * np.abs(sym.u.deriv(z))
+    plain_comp = omr2 * np.abs(np.asarray(sym.u.eval(z)) * np.asarray(sym.phi.deriv(z)))
+    wgt, gap = space.weight(pm), one_minus_sq(pm)
+    return pm, {
+        MULTIPLIER_QUANTITY: plain_mult / (wgt * gap ** (1.0 / space.p)),
+        COMPOSITION_QUANTITY: plain_comp / (wgt * gap ** (1.0 + 1.0 / space.p)),
+        _PLAIN_MULTIPLIER: plain_mult,
+        _PLAIN_COMPOSITION: plain_comp,
+    }
+
+
+def _quotients_at(z, sym: SymbolPair, space: SpaceSpec):
+    return _quotients(z, one_minus_sq(np.abs(np.asarray(z, dtype=complex))), sym, space)
 
 
 def multiplier_quotient(z, sym: SymbolPair, space: SpaceSpec):
     """``(1-|z|^2)|u'| / (w(|phi|)(1-|phi|^2)**(1/p))`` at ``z``."""
-    du = np.abs(sym.u.deriv(z))
-    pm = np.minimum(np.abs(np.asarray(sym.phi.eval(z))), _PHI_CLIP)
-    num = one_minus_sq(np.abs(np.asarray(z, dtype=complex))) * du
-    out = num / _denominator(space, pm, 1.0 / space.p)
+    out = _quotients_at(z, sym, space)[1][MULTIPLIER_QUANTITY]
     return float(out) if np.ndim(z) == 0 else out
 
 
 def composition_quotient(z, sym: SymbolPair, space: SpaceSpec):
     """``(1-|z|^2)|u phi'| / (w(|phi|)(1-|phi|^2)**(1+1/p))`` at ``z``."""
-    prod = np.abs(np.asarray(sym.u.eval(z)) * np.asarray(sym.phi.deriv(z)))
-    pm = np.minimum(np.abs(np.asarray(sym.phi.eval(z))), _PHI_CLIP)
-    num = one_minus_sq(np.abs(np.asarray(z, dtype=complex))) * prod
-    out = num / _denominator(space, pm, 1.0 + 1.0 / space.p)
+    out = _quotients_at(z, sym, space)[1][COMPOSITION_QUANTITY]
     return float(out) if np.ndim(z) == 0 else out
-
-
-@dataclass
-class _SymbolSamples:
-    """Both quotients and the plain composition numerator over the sample
-    circles, keyed by quantity name."""
-
-    abs_z: np.ndarray
-    abs_phi: np.ndarray
-    quantities: dict
-
-    def profile(self, name: str, trigger: str, depth: int) -> BoundaryProfile:
-        modulus = self.abs_z if trigger == TRIGGER_Z else self.abs_phi
-        return boundary_profile(self.quantities[name], modulus, depth, trigger)
-
-
-def _symbol_samples(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid) -> _SymbolSamples:
-    radii, z = sample_points(grid.depth, grid.angular_nodes)
-    omr2 = one_minus_sq(radii)[:, None]
-    du = np.abs(sym.u.deriv(z))
-    uv = sym.u.eval(z)
-    pv = sym.phi.eval(z)
-    dp = sym.phi.deriv(z)
-    pm = np.minimum(np.abs(pv), _PHI_CLIP)
-    wgt = space.weight(pm)
-    gap = one_minus_sq(pm)
-    plain_mult = omr2 * du
-    plain_comp = omr2 * np.abs(uv * dp)
-    q_mult = plain_mult / (wgt * gap ** (1.0 / space.p))
-    q_comp = plain_comp / (wgt * gap ** (1.0 + 1.0 / space.p))
-    abs_z = np.broadcast_to(radii[:, None], z.shape)
-    return _SymbolSamples(
-        abs_z=abs_z.ravel(),
-        abs_phi=pm.ravel(),
-        quantities={
-            MULTIPLIER_QUANTITY: q_mult.ravel(),
-            COMPOSITION_QUANTITY: q_comp.ravel(),
-            _PLAIN_COMPOSITION: plain_comp.ravel(),  # (1-|z|^2)|u phi'|
-        },
-    )
-
-
-def criterion_profile(
-    quantity: str,
-    sym: SymbolPair,
-    space: SpaceSpec,
-    trigger: str = TRIGGER_Z,
-    grid: RadialGrid = DEFAULT_GRID,
-) -> BoundaryProfile:
-    """Boundary profile of the chosen quotient, triggered by ``|z|`` or
-    ``|phi(z)|``.  Regions the image never reaches come back flagged empty."""
-    return _symbol_samples(sym, space, grid).profile(quantity, trigger, grid.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -232,33 +190,6 @@ def _diverges(profile: BoundaryProfile, slope: float | None) -> bool:
     return bool(profile.band_values[idx[-1]] > profile.band_values[idx[0]])
 
 
-def _sup_type_verdict(name: str, samples: _SymbolSamples, depth: int) -> Verdict:
-    """Finite-sup test over ``|z| -> 1``: fail on a sustained positive
-    log-log slope, hold when the slope is flat-or-negative and the running
-    supremum has stabilized away from the deepest bands."""
-    profile = samples.profile(name, TRIGGER_Z, depth)
-    quantity = samples.quantities[name]
-    global_sup = float(quantity.max(initial=0.0))
-    if global_sup == 0.0:
-        return Verdict(name, Status.HOLDS, 0.0, None, profile, "quantity vanishes identically")
-    slope = _band_slope(profile)
-    inner_cut = profile_thresholds(depth)[depth - 4]
-    inner = quantity[samples.abs_z <= inner_cut]
-    inner_sup = float(inner.max(initial=0.0))
-    stabilized = global_sup <= inner_sup * (1.0 + STABLE_REL)
-    if _diverges(profile, slope):
-        return Verdict(
-            name, Status.FAILS, math.inf, slope, profile,
-            f"band suprema grow with slope {slope:.3f}; sample sup {global_sup:.6g}",
-        )
-    if (slope is None or slope < SLOPE_HOLD) and stabilized:
-        return Verdict(name, Status.HOLDS, global_sup, slope, profile, "")
-    return Verdict(
-        name, Status.INCONCLUSIVE, global_sup, slope, profile,
-        "neither sustained divergence nor stabilized supremum at this depth",
-    )
-
-
 def _limit_type_verdict(name: str, profile: BoundaryProfile) -> Verdict:
     """Limit-to-zero test mirroring the little-Bloch tail rule."""
     vals = profile.nonempty_values
@@ -297,7 +228,7 @@ def _tri(verdicts) -> bool | None:
 
 
 # ---------------------------------------------------------------------------
-# classifiers
+# result types
 
 
 @dataclass
@@ -335,126 +266,6 @@ class VerdictGroup:
         return out
 
 
-def classify_bounded_into_bloch(
-    sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID
-) -> VerdictGroup:
-    """Finite-sup verdicts for both criterion quotients over the disk."""
-    samples = _symbol_samples(sym, space, grid)
-    return VerdictGroup(tuple(_sup_type_verdict(name, samples, grid.depth) for name in _QUOTIENTS))
-
-
-def _phi_limit(
-    sym: SymbolPair,
-    space: SpaceSpec,
-    grid: RadialGrid,
-    names: tuple,
-    samples: _SymbolSamples | None = None,
-    force_boundary: bool = False,
-) -> VerdictGroup:
-    """Limit-to-zero verdicts for the named quantities as ``|phi(z)| -> 1``.
-
-    When the structural bound keeps the image inside a compact sub-disk
-    the limits hold vacuously and nothing is sampled, unless
-    ``force_boundary`` asks for the profile analysis anyway.
-    """
-    vacuous = sym.phi.sup_norm_estimate < 1.0
-    if vacuous and not force_boundary:
-        note = "vacuous: the image stays inside a compact sub-disk"
-        verdicts = [Verdict(name, Status.HOLDS, 0.0, None, _empty_phi_profile(grid), note) for name in names]
-    else:
-        samples = samples or _symbol_samples(sym, space, grid)
-        verdicts = [_limit_type_verdict(name, samples.profile(name, TRIGGER_PHI, grid.depth)) for name in names]
-    return VerdictGroup(tuple(verdicts), vacuous=vacuous)
-
-
-def classify_compact_into_bloch(
-    sym: SymbolPair,
-    space: SpaceSpec,
-    grid: RadialGrid = DEFAULT_GRID,
-    bounded: VerdictGroup | None = None,
-    force_boundary: bool = False,
-) -> VerdictGroup:
-    """Limit-to-zero verdicts triggered by ``|phi(z)| -> 1``.
-
-    Requires a positive boundedness verdict (the characterization assumes
-    it) and short-circuits to a vacuous pass when the structural bound
-    keeps the image inside a compact sub-disk, unless ``force_boundary``
-    asks for the profile analysis anyway.
-    """
-    if bounded is None:
-        bounded = classify_bounded_into_bloch(sym, space, grid)
-    if not bounded.overall:
-        raise PreconditionUnmetError(
-            "compactness classification requires a bounded operator; got "
-            f"multiplier={bounded.verdicts[0].status.value}, "
-            f"composition={bounded.verdicts[1].status.value}"
-        )
-    return _phi_limit(sym, space, grid, _QUOTIENTS, force_boundary=force_boundary)
-
-
-def _empty_phi_profile(grid: RadialGrid) -> BoundaryProfile:
-    depth = grid.depth
-    return BoundaryProfile(
-        TRIGGER_PHI,
-        profile_thresholds(depth).copy(),
-        np.full(depth, np.nan),
-        np.full(depth, np.nan),
-        np.full(depth, np.nan),
-        np.ones(depth, dtype=bool),
-    )
-
-
-def little_bloch_verdict(f: DiskFunction, grid: RadialGrid = DEFAULT_GRID, name: str = "bloch_tail") -> Verdict:
-    """Tri-state little-Bloch classification of a single function."""
-    prof = little_bloch_profile(f, grid)
-    semi = bloch_seminorm(f, grid)
-    slope = _band_slope(prof)
-    vals = prof.nonempty_values
-    tail = float(vals[-1]) if vals.size else 0.0
-    if is_little_bloch(prof, semi):
-        return Verdict(name, Status.HOLDS, tail, slope, prof, f"seminorm {semi:.6g}")
-    if _diverges(prof, slope):
-        return Verdict(name, Status.FAILS, math.inf, slope, prof, "derivative growth accelerates at the boundary")
-    return Verdict(
-        name, Status.INCONCLUSIVE, tail, slope, prof,
-        f"tail {tail:.3g} above threshold at this depth (seminorm {semi:.6g}); may decay further",
-    )
-
-
-def classify_bounded_into_little_bloch(
-    sym: SymbolPair,
-    space: SpaceSpec,
-    grid: RadialGrid = DEFAULT_GRID,
-    bounded: VerdictGroup | None = None,
-) -> VerdictGroup:
-    """Boundedness into the little Bloch space: bounded into Bloch, the
-    multiplier has a vanishing Bloch tail, and ``(1-|z|^2)|u phi'| -> 0``."""
-    if bounded is None:
-        bounded = classify_bounded_into_bloch(sym, space, grid)
-    u_tail = little_bloch_verdict(sym.u, grid, name="u_bloch_tail")
-    prod_tail = _product_tail(_symbol_samples(sym, space, grid), grid.depth)
-    return VerdictGroup((u_tail, prod_tail), into_bloch=bounded)
-
-
-def _product_tail(samples: _SymbolSamples, depth: int) -> Verdict:
-    """``(1-|z|^2)|u phi'| -> 0`` as ``|z| -> 1``."""
-    return _limit_type_verdict(_PLAIN_COMPOSITION, samples.profile(_PLAIN_COMPOSITION, TRIGGER_Z, depth))
-
-
-def classify_compact_into_little_bloch(
-    sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID
-) -> VerdictGroup:
-    """Both criterion quotients must vanish as ``|z| -> 1`` (no boundedness
-    hypothesis enters this characterization)."""
-    samples = _symbol_samples(sym, space, grid)
-    return VerdictGroup(tuple(_limit_type_verdict(name, samples.profile(name, TRIGGER_Z, grid.depth))
-                              for name in _QUOTIENTS))
-
-
-# ---------------------------------------------------------------------------
-# limit-equivalence probes
-
-
 @dataclass
 class EquivalenceProbe:
     name: str
@@ -489,39 +300,204 @@ class EquivalenceProbe:
         }
 
 
-def _limit_probe(
-    name: str,
-    quantity: str,
-    side: Callable[[_SymbolSamples], Verdict],
-    sym: SymbolPair,
-    space: SpaceSpec,
-    grid: RadialGrid,
-) -> EquivalenceProbe:
-    """Dual evaluation of a quotient's limit equivalence: vanishing as
-    ``|z| -> 1`` against vanishing as ``|phi(z)| -> 1`` jointly with the
-    side condition ``side(samples)``."""
-    samples = _symbol_samples(sym, space, grid)
-    lhs = _limit_type_verdict(quantity, samples.profile(quantity, TRIGGER_Z, grid.depth))
-    (rhs,) = _phi_limit(sym, space, grid, (quantity,), samples).verdicts
-    return EquivalenceProbe(name, lhs, (rhs, side(samples)))
+# ---------------------------------------------------------------------------
+# the sample table: every classifier and limit probe reads from it
+
+
+class SampleTable:
+    """The criterion samples of one ``(symbol, space, grid)`` and the
+    verdicts read from them.
+
+    Both quotients and their plain numerators are sampled once over the
+    circles of ``sample_points``.  A boundary profile is built on first use
+    and kept, and so is the multiplier's Bloch-tail verdict.  The methods
+    are the classifiers and the limit probes; the module-level functions
+    of the same names build a table for a single call.
+    """
+
+    def __init__(self, sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID):
+        self.sym, self.grid = sym, grid
+        radii, z = sample_points(grid.depth, grid.angular_nodes)
+        abs_phi, quantities = _quotients(z, one_minus_sq(radii)[:, None], sym, space)
+        self.abs_z = np.broadcast_to(radii[:, None], z.shape).ravel()
+        self.abs_phi = abs_phi.ravel()
+        self.quantities = {name: q.ravel() for name, q in quantities.items()}
+        self._profiles: dict = {}
+
+    def profile(self, name: str, trigger: str = TRIGGER_Z) -> BoundaryProfile:
+        """Boundary profile of a sampled quantity, triggered by ``|z|`` or
+        ``|phi(z)|``.  Regions the image never reaches come back flagged empty."""
+        if (name, trigger) not in self._profiles:
+            modulus = self.abs_z if trigger == TRIGGER_Z else self.abs_phi
+            quantity = self.quantities[name]
+            self._profiles[name, trigger] = boundary_profile(quantity, modulus, self.grid.depth, trigger)
+        return self._profiles[name, trigger]
+
+    def _sup_type_verdict(self, name: str) -> Verdict:
+        """Finite-sup test over ``|z| -> 1``: fail on a sustained positive
+        log-log slope, hold when the slope is flat-or-negative and the running
+        supremum has stabilized away from the deepest bands."""
+        profile = self.profile(name)
+        quantity = self.quantities[name]
+        global_sup = float(quantity.max(initial=0.0))
+        if global_sup == 0.0:
+            return Verdict(name, Status.HOLDS, 0.0, None, profile, "quantity vanishes identically")
+        slope = _band_slope(profile)
+        inner_cut = profile_thresholds(self.grid.depth)[self.grid.depth - 4]
+        inner_sup = float(quantity[self.abs_z <= inner_cut].max(initial=0.0))
+        stabilized = global_sup <= inner_sup * (1.0 + STABLE_REL)
+        if _diverges(profile, slope):
+            return Verdict(
+                name, Status.FAILS, math.inf, slope, profile,
+                f"band suprema grow with slope {slope:.3f}; sample sup {global_sup:.6g}",
+            )
+        if (slope is None or slope < SLOPE_HOLD) and stabilized:
+            return Verdict(name, Status.HOLDS, global_sup, slope, profile, "")
+        return Verdict(
+            name, Status.INCONCLUSIVE, global_sup, slope, profile,
+            "neither sustained divergence nor stabilized supremum at this depth",
+        )
+
+    def _limit_verdict(self, name: str, trigger: str = TRIGGER_Z) -> Verdict:
+        return _limit_type_verdict(name, self.profile(name, trigger))
+
+    @cached_property
+    def u_tail(self) -> Verdict:
+        """Tri-state little-Bloch verdict of the multiplier ``u``, read from
+        the sampled ``(1-|z|^2)|u'|``."""
+        name, prof = "u_bloch_tail", self.profile(_PLAIN_MULTIPLIER)
+        semi = bloch_seminorm(self.sym.u, self.grid)
+        slope = _band_slope(prof)
+        vals = prof.nonempty_values
+        tail = float(vals[-1]) if vals.size else 0.0
+        if is_little_bloch(prof, semi):
+            return Verdict(name, Status.HOLDS, tail, slope, prof, f"seminorm {semi:.6g}")
+        if _diverges(prof, slope):
+            note = "derivative growth accelerates at the boundary"
+            return Verdict(name, Status.FAILS, math.inf, slope, prof, note)
+        return Verdict(
+            name, Status.INCONCLUSIVE, tail, slope, prof,
+            f"tail {tail:.3g} above threshold at this depth (seminorm {semi:.6g}); may decay further",
+        )
+
+    def _phi_limit(self, names: tuple, force_boundary: bool = False) -> VerdictGroup:
+        """Limit-to-zero verdicts for the named quantities as ``|phi(z)| -> 1``.
+
+        When the structural bound keeps the image inside a compact sub-disk
+        the limits hold vacuously and no profile is read, unless
+        ``force_boundary`` asks for the profile analysis anyway.
+        """
+        vacuous = self.sym.phi.misses_boundary
+        if vacuous and not force_boundary:
+            note = "vacuous: the image stays inside a compact sub-disk"
+            empty = boundary_profile((), (), self.grid.depth, TRIGGER_PHI)  # every region flagged empty
+            verdicts = [Verdict(name, Status.HOLDS, 0.0, None, empty, note) for name in names]
+        else:
+            verdicts = [self._limit_verdict(name, TRIGGER_PHI) for name in names]
+        return VerdictGroup(tuple(verdicts), vacuous=vacuous)
+
+    def bounded_into_bloch(self) -> VerdictGroup:
+        """Finite-sup verdicts for both criterion quotients over the disk."""
+        return VerdictGroup(tuple(self._sup_type_verdict(name) for name in _QUOTIENTS))
+
+    def compact_into_bloch(self, force_boundary: bool = False) -> VerdictGroup:
+        """Limit-to-zero verdicts triggered by ``|phi(z)| -> 1``.
+
+        Requires a positive boundedness verdict (the characterization assumes
+        it) and short-circuits to a vacuous pass when the structural bound
+        keeps the image inside a compact sub-disk, unless ``force_boundary``
+        asks for the profile analysis anyway.
+        """
+        bounded = self.bounded_into_bloch()
+        if not bounded.overall:
+            raise PreconditionUnmetError(
+                "compactness classification requires a bounded operator; got "
+                f"multiplier={bounded.verdicts[0].status.value}, "
+                f"composition={bounded.verdicts[1].status.value}"
+            )
+        return self._phi_limit(_QUOTIENTS, force_boundary)
+
+    def bounded_into_little_bloch(self) -> VerdictGroup:
+        """Boundedness into the little Bloch space: bounded into Bloch, the
+        multiplier has a vanishing Bloch tail, and ``(1-|z|^2)|u phi'| -> 0``."""
+        return VerdictGroup((self.u_tail, self._limit_verdict(_PLAIN_COMPOSITION)),
+                            into_bloch=self.bounded_into_bloch())
+
+    def compact_into_little_bloch(self) -> VerdictGroup:
+        """Both criterion quotients must vanish as ``|z| -> 1`` (no boundedness
+        hypothesis enters this characterization)."""
+        return VerdictGroup(tuple(self._limit_verdict(name) for name in _QUOTIENTS))
+
+    def _limit_probe(self, name: str, quantity: str, side: Verdict) -> EquivalenceProbe:
+        """Dual evaluation of a quotient's limit equivalence: vanishing as
+        ``|z| -> 1`` against vanishing as ``|phi(z)| -> 1`` jointly with the
+        side condition ``side``."""
+        (rhs,) = self._phi_limit((quantity,)).verdicts
+        return EquivalenceProbe(name, self._limit_verdict(quantity), (rhs, side))
+
+    def derivative_limit_probe(self) -> EquivalenceProbe:
+        """Multiplier-quotient limit equivalence; the side condition is a
+        vanishing Bloch tail for ``u``."""
+        return self._limit_probe("derivative_limit", MULTIPLIER_QUANTITY, self.u_tail)
+
+    def composition_limit_probe(self) -> EquivalenceProbe:
+        """Composition-quotient limit equivalence; the side condition is
+        ``(1-|z|^2)|u phi'| -> 0``."""
+        side = self._limit_verdict(_PLAIN_COMPOSITION)
+        return self._limit_probe("composition_limit", COMPOSITION_QUANTITY, side)
+
+
+# ---------------------------------------------------------------------------
+# one-call entry points: each builds a table for a single verdict
+
+
+def criterion_profile(
+    quantity: str, sym: SymbolPair, space: SpaceSpec, trigger: str = TRIGGER_Z, grid: RadialGrid = DEFAULT_GRID
+) -> BoundaryProfile:
+    """Boundary profile of the chosen quotient (see ``SampleTable.profile``)."""
+    return SampleTable(sym, space, grid).profile(quantity, trigger)
+
+
+def classify_bounded_into_bloch(
+    sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID
+) -> VerdictGroup:
+    """Boundedness into the Bloch space; see ``SampleTable.bounded_into_bloch``."""
+    return SampleTable(sym, space, grid).bounded_into_bloch()
+
+
+def classify_compact_into_bloch(
+    sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID, force_boundary: bool = False
+) -> VerdictGroup:
+    """Compactness into the Bloch space; see ``SampleTable.compact_into_bloch``."""
+    return SampleTable(sym, space, grid).compact_into_bloch(force_boundary)
+
+
+def classify_bounded_into_little_bloch(
+    sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID
+) -> VerdictGroup:
+    """Boundedness into the little Bloch space; see ``SampleTable.bounded_into_little_bloch``."""
+    return SampleTable(sym, space, grid).bounded_into_little_bloch()
+
+
+def classify_compact_into_little_bloch(
+    sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID
+) -> VerdictGroup:
+    """Compactness into the little Bloch space; see ``SampleTable.compact_into_little_bloch``."""
+    return SampleTable(sym, space, grid).compact_into_little_bloch()
 
 
 def derivative_limit_probe(
     sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID
 ) -> EquivalenceProbe:
-    """Multiplier-quotient limit equivalence; the side condition is a
-    vanishing Bloch tail for ``u``."""
-    return _limit_probe("derivative_limit", MULTIPLIER_QUANTITY,
-                        lambda _: little_bloch_verdict(sym.u, grid, name="u_bloch_tail"), sym, space, grid)
+    """Multiplier-quotient limit equivalence; see ``SampleTable.derivative_limit_probe``."""
+    return SampleTable(sym, space, grid).derivative_limit_probe()
 
 
 def composition_limit_probe(
     sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID
 ) -> EquivalenceProbe:
-    """Composition-quotient limit equivalence; the side condition is
-    ``(1-|z|^2)|u phi'| -> 0``."""
-    return _limit_probe("composition_limit", COMPOSITION_QUANTITY,
-                        lambda samples: _product_tail(samples, grid.depth), sym, space, grid)
+    """Composition-quotient limit equivalence; see ``SampleTable.composition_limit_probe``."""
+    return SampleTable(sym, space, grid).composition_limit_probe()
 
 
 # ---------------------------------------------------------------------------
@@ -535,13 +511,8 @@ def bergman_specialization_ratio(z, sym: SymbolPair, p: float):
     ``(1+|phi(z)|)**(1/p)``; where the shared numerator vanishes the
     analytic value of the ratio is returned.
     """
-    space = SpaceSpec.bergman(p)
-    q2 = composition_quotient(z, sym, space)
-    pm = np.minimum(np.abs(np.asarray(sym.phi.eval(z))), _PHI_CLIP)
-    num = one_minus_sq(np.abs(np.asarray(z, dtype=complex))) * np.abs(
-        np.asarray(sym.u.eval(z)) * np.asarray(sym.phi.deriv(z))
-    )
-    special = num / one_minus_sq(pm) ** (1.0 + 2.0 / p)
+    pm, q = _quotients_at(z, sym, SpaceSpec.bergman(p))
+    special = q[_PLAIN_COMPOSITION] / one_minus_sq(pm) ** (1.0 + 2.0 / p)
     analytic = (1.0 + pm) ** (1.0 / p)
-    out = np.where(special > 0.0, np.asarray(q2) / np.where(special > 0.0, special, 1.0), analytic)
+    out = np.where(special > 0.0, q[COMPOSITION_QUANTITY] / np.where(special > 0.0, special, 1.0), analytic)
     return float(out) if np.ndim(z) == 0 else out

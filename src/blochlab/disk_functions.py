@@ -289,6 +289,13 @@ class SelfMap:
         """Certified upper bound for ``sup_{z in D} |phi(z)|``, in (0, 1]."""
         return min(1.0, self.sup_bound(1.0))
 
+    @property
+    def misses_boundary(self) -> bool:
+        """Whether the structural bound keeps the image inside a compact
+        sub-disk, so that no sequence has ``|phi(z)| -> 1``; the ``|phi|``
+        limit conditions and the boundary chase are then vacuous."""
+        return self.sup_norm_estimate < 1.0
+
 
 class Affine(SelfMap):
     """``phi(z) = a z + b`` with ``|a| + |b| <= 1``."""

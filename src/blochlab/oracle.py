@@ -174,13 +174,24 @@ def boundary_chase_point(phi, depth: int, angular_nodes: int = 256) -> complex:
     return r * np.exp(1j * (th if best > mods[j] * (1.0 + 1e-14) else theta[j]))
 
 
+# the chase circles ``1 - 2**-k`` and the depths at which the trend is read
+CHASE_DEPTHS = tuple(range(2, 13))
+TREND_DEPTHS = (6, 9, 12)
+
+
 @dataclass
 class LowerBoundTrend:
+    """The trend and, per chase depth, its member: the point ``z*``, its image
+    ``w`` and the image Bloch norm, kept for ``compactness_probe``, not emitted."""
+
     depths: tuple
     values: tuple
     classification: str
     chase_depths: tuple = ()
     member_ratios: tuple = ()
+    chase_points: tuple = ()
+    images: tuple = ()
+    image_norms: tuple = ()
 
     def to_dict(self) -> dict:
         return {
@@ -192,35 +203,24 @@ class LowerBoundTrend:
         }
 
 
-def lower_bound_trend(
-    sym: SymbolPair,
-    space: SpaceSpec,
-    grid: RadialGrid = DEFAULT_GRID,
-    depths: tuple = (6, 9, 12),
-) -> LowerBoundTrend:
+def lower_bound_trend(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID) -> LowerBoundTrend:
     """Lower bounds from kernel families chasing the boundary of the image.
 
     Base points are ``phi`` evaluated at per-circle argmax points of
-    ``|phi|``; the family deepens with ``depths`` and the bound either
+    ``|phi|``; the family deepens with the chase and the bound either
     stabilizes (bounded evidence) or keeps climbing (unbounded evidence).
     """
-    depths = tuple(sorted(int(d) for d in depths))
-    max_depth = depths[-1]
-    ks = tuple(range(2, max_depth + 1))
-    ratios = []
-    for k in ks:
+    members = []
+    for k in CHASE_DEPTHS:
         z_star = boundary_chase_point(sym.phi, k, grid.angular_nodes)
         w = complex(sym.phi.eval(z_star))
-        f = boundary_test_function(w, space)
+        norm = _bloch_norm_probed(operator_apply(sym, boundary_test_function(w, space)), grid, z_star)
         denom = kernel_family_norm(abs(w), space, grid)
-        if denom == 0.0:
-            ratios.append(0.0)
-            continue
-        ratios.append(_bloch_norm_probed(operator_apply(sym, f), grid, z_star) / denom)
-    ratios = tuple(ratios)
-    values = tuple(max(ratios[: d - 1], default=0.0) for d in depths)
-    classification = _classify_trend(values)
-    return LowerBoundTrend(depths, values, classification, ks, ratios)
+        members.append((z_star, w, norm, 0.0 if denom == 0.0 else norm / denom))
+    points, images, norms, ratios = zip(*members)
+    values = tuple(max(ratios[: d - 1], default=0.0) for d in TREND_DEPTHS)
+    return LowerBoundTrend(TREND_DEPTHS, values, _classify_trend(values), CHASE_DEPTHS, ratios,
+                           points, images, norms)
 
 
 def _classify_trend(values) -> str:
@@ -267,38 +267,33 @@ def _sequence_trend(values) -> str:
 
 
 def compactness_probe(
-    sym: SymbolPair,
-    space: SpaceSpec,
-    grid: RadialGrid = DEFAULT_GRID,
-    max_depth: int = 12,
+    sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, trend: LowerBoundTrend
 ) -> CompactnessProbe:
     """Apply the operator to boundary-chasing probe sequences and report
     the size trend of the image Bloch norms.
 
-    With no boundary-approaching sequence available (structural sup bound
-    below 1) the probe is vacuous.  A decaying trend corroborates
-    compactness, a trend bounded away from zero corroborates the
-    opposite; both are evidence, not proof.
+    The normalized kernels are the chase members of ``trend`` (computed on
+    the same ``grid``); only the pinned kernels are applied here.  With no
+    boundary-approaching sequence available (structural sup bound below 1)
+    the probe is vacuous.  A decaying trend corroborates compactness, a
+    trend bounded away from zero corroborates the opposite; both are
+    evidence, not proof.
     """
-    if sym.phi.sup_norm_estimate < 1.0:
+    if sym.phi.misses_boundary:
         return CompactnessProbe("vacuous", (), (), (), "vacuous")
-    ks = tuple(range(2, max_depth + 1))
-    f_vals, g_vals = [], []
-    for k in ks:
-        z_star = boundary_chase_point(sym.phi, k, grid.angular_nodes)
-        w = complex(sym.phi.eval(z_star))
-        f_vals.append(_bloch_norm_probed(operator_apply(sym, boundary_test_function(w, space)), grid, z_star))
-        g_vals.append(_bloch_norm_probed(operator_apply(sym, vanishing_test_function(w, space)), grid, z_star))
+    f_vals = trend.image_norms
+    g_vals = tuple(_bloch_norm_probed(operator_apply(sym, vanishing_test_function(w, space)), grid, z_star)
+                   for z_star, w in zip(trend.chase_points, trend.images))
     tf, tg = _sequence_trend(f_vals), _sequence_trend(g_vals)
     if tf == "zero" and tg == "zero":
-        trend = "zero"
+        trend_name = "zero"
     elif "bounded_away" in (tf, tg):
-        trend = "bounded_away"
+        trend_name = "bounded_away"
     elif tf in ("decaying", "zero") and tg in ("decaying", "zero"):
-        trend = "decaying"
+        trend_name = "decaying"
     else:
-        trend = "ambiguous"
-    return CompactnessProbe("probe", ks, tuple(f_vals), tuple(g_vals), trend)
+        trend_name = "ambiguous"
+    return CompactnessProbe("probe", trend.chase_depths, f_vals, g_vals, trend_name)
 
 
 def chain_constant(

@@ -1,10 +1,12 @@
 import json
+import weakref
 
 import pytest
 
-from blochlab import RadialGrid
+from blochlab import RadialGrid, cli, criteria, oracle
 from blochlab.battery import CURATED
 from blochlab.cli import (
+    KNOWN_TASKS,
     ParseError,
     Report,
     ValidationError,
@@ -136,6 +138,13 @@ FUNCTION_ERRORS = [
      'symbol.u: expected an object with exactly one variant key'),
     ('text',
      'symbol.u: expected an object with exactly one variant key'),
+    # integer fields: a float, a bool or a numeric string is not truncated
+    ({'log_series': 3.9},
+     'symbol.u.log_series: expected an integer, got 3.9'),
+    ({'log_series': True},
+     'symbol.u.log_series: expected an integer, got True'),
+    ({'log_series': '2'},
+     "symbol.u.log_series: expected an integer, got '2'"),
 ]
 SELF_MAP_ERRORS = [
     ({'affine': {}},
@@ -188,6 +197,14 @@ SELF_MAP_ERRORS = [
      'symbol.phi: expected an object with exactly one variant key'),
     (5,
      'symbol.phi: expected an object with exactly one variant key'),
+    ({'monomial': {'degree': 2.7}},
+     'symbol.phi.degree: expected an integer, got 2.7'),
+    ({'monomial': {'degree': 2.0}},
+     'symbol.phi.degree: expected an integer, got 2.0'),
+    ({'monomial': {'degree': True}},
+     'symbol.phi.degree: expected an integer, got True'),
+    ({'monomial': {'degree': '2'}},
+     "symbol.phi.degree: expected an integer, got '2'"),
 ]
 
 
@@ -231,7 +248,8 @@ def test_non_finite_number_rejected_at_parse_time(doc, message):
 
 
 @pytest.mark.parametrize("key,value", [("depth", 12.9), ("angular_nodes", 128.0),
-                                       ("panel_order", True), ("depth", "12")])
+                                       ("panel_order", True), ("depth", "12"),
+                                       ("depth", "x"), ("panel_order", None), ("angular_nodes", float("inf"))])
 def test_non_integer_grid_field_rejected(key, value):
     doc = dict(HALF_SCALE_DOC, grid=dict(HALF_SCALE_DOC["grid"], **{key: value}))
     with pytest.raises(ValidationError) as info:
@@ -335,6 +353,73 @@ class TestRunAndEmit:
         doctored["tasks"]["oracle"]["agreement"] = False
         fake = Report(half_scale_report.tool, half_scale_report.config, doctored, {})
         assert strict_exit_code(fake) == 3
+
+
+class TestSharedWork:
+    """A run samples the criterion quotients once and chases the boundary once."""
+
+    def test_one_table_and_one_seminorm_of_u_per_run(self, monkeypatch):
+        config = parse_config(dict(HALF_SCALE_DOC, tasks=list(KNOWN_TASKS)))
+        tables, seminorms = [], []
+        sample_points, bloch_seminorm = criteria.sample_points, criteria.bloch_seminorm
+        monkeypatch.setattr(criteria, "sample_points", lambda *args: tables.append(args) or sample_points(*args))
+        monkeypatch.setattr(criteria, "bloch_seminorm",
+                            lambda f, grid: seminorms.append(f) or bloch_seminorm(f, grid))
+        run(config)
+        assert len(tables) == 1
+        assert len(seminorms) == 1 and seminorms[0] is config.symbol.u
+        run(parse_config(dict(HALF_SCALE_DOC, tasks=["oracle"])))
+        assert len(tables) == 1  # an oracle-only run builds no table
+
+    def test_table_is_released_before_a_final_oracle_task(self, monkeypatch):
+        tables = []
+
+        class Recorded(criteria.SampleTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(weakref.ref(self))
+
+        def trend(*args):
+            assert tables and all(ref() is None for ref in tables)
+            return oracle.lower_bound_trend(*args)
+
+        monkeypatch.setattr(cli, "SampleTable", Recorded)
+        monkeypatch.setattr(cli, "lower_bound_trend", trend)
+        run(parse_config(dict(HALF_SCALE_DOC, tasks=list(KNOWN_TASKS))))
+
+    def test_oracle_chases_each_depth_once(self, monkeypatch):
+        chases = []
+        chase = oracle.boundary_chase_point
+        monkeypatch.setattr(oracle, "boundary_chase_point", lambda *args: chases.append(args) or chase(*args))
+        run(parse_config(dict(CURATED["boundary-touch"]["config"], grid=HALF_SCALE_DOC["grid"])))
+        assert len(chases) == len(oracle.CHASE_DEPTHS) == 11
+
+    @pytest.mark.parametrize("case", sorted(CURATED))
+    def test_run_entries_equal_the_one_call_functions(self, case):
+        config = parse_config(dict(CURATED[case]["config"], grid=HALF_SCALE_DOC["grid"]))
+        args = (config.symbol, config.space, config.grid)
+        tasks = run(config).results["tasks"]
+        trend = oracle.lower_bound_trend(*args)
+
+        def compact_bloch():
+            try:
+                return criteria.classify_compact_into_bloch(*args, config.force_boundary).to_dict()
+            except criteria.PreconditionUnmetError as exc:
+                return {"error": "precondition_unmet", "detail": str(exc)}
+
+        one_call = {
+            "bounded_bloch": lambda: criteria.classify_bounded_into_bloch(*args).to_dict(),
+            "compact_bloch": compact_bloch,
+            "bounded_little_bloch": lambda: criteria.classify_bounded_into_little_bloch(*args).to_dict(),
+            "compact_little_bloch": lambda: criteria.classify_compact_into_little_bloch(*args).to_dict(),
+            "lemma_probes": lambda: {"derivative_limit": criteria.derivative_limit_probe(*args).to_dict(),
+                                     "composition_limit": criteria.composition_limit_probe(*args).to_dict()},
+            "oracle": lambda: {"lower_bound": trend.to_dict(),
+                               "compactness_probe": oracle.compactness_probe(*args, trend).to_dict(),
+                               "agreement": tasks["oracle"]["agreement"]},
+        }
+        for task, entry in tasks.items():
+            assert json.dumps(entry, sort_keys=True) == json.dumps(one_call[task](), sort_keys=True), task
 
 
 class TestMain:

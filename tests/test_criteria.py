@@ -172,7 +172,7 @@ class TestCompactness:
         sym = SymbolPair(PowerSeries([1, 1]), Affine(0.3, 0.4))
         bounded = classify_bounded_into_bloch(sym, a2, grid)
         assert bounded.overall
-        outcome = classify_compact_into_bloch(sym, a2, grid, bounded=bounded)
+        outcome = classify_compact_into_bloch(sym, a2, grid)
         assert outcome.vacuous and outcome.overall
 
 

@@ -128,17 +128,20 @@ class TestLowerBounds:
 
 class TestCompactnessProbe:
     def test_vacuous_for_strict_map(self, a2, fast_grid):
-        probe = compactness_probe(SymbolPair(constant(1), MonomialPower(1, 0.5)), a2, fast_grid)
+        sym = SymbolPair(constant(1), MonomialPower(1, 0.5))
+        probe = compactness_probe(sym, a2, fast_grid, lower_bound_trend(sym, a2, fast_grid))
         assert probe.kind == "vacuous"
         assert probe.trend == "vacuous"
 
     def test_zero_multiplier(self, a2, fast_grid):
-        probe = compactness_probe(SymbolPair(constant(0), identity_map()), a2, fast_grid)
+        sym = SymbolPair(constant(0), identity_map())
+        probe = compactness_probe(sym, a2, fast_grid, lower_bound_trend(sym, a2, fast_grid))
         assert probe.kind == "probe"
         assert probe.trend == "zero"
 
     def test_identity_probe_bounded_away(self, a2, fast_grid):
-        probe = compactness_probe(SymbolPair(constant(1), identity_map()), a2, fast_grid)
+        sym = SymbolPair(constant(1), identity_map())
+        probe = compactness_probe(sym, a2, fast_grid, lower_bound_trend(sym, a2, fast_grid))
         assert probe.trend == "bounded_away"
         assert min(probe.vanishing_values[-3:]) > 0.1 * max(probe.vanishing_values)
 
