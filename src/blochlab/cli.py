@@ -37,6 +37,7 @@ from .disk_functions import (
     ComposedWithSelfMap,
     CompositionMap,
     DiskFunction,
+    DomainError,
     FiniteBlaschkeProduct,
     FractionalKernel,
     MonomialPower,
@@ -51,7 +52,7 @@ from .disk_functions import (
     validate_self_map,
 )
 from .norms import NonConvergentError, RadialGrid
-from .oracle import compactness_probe, lower_bound_trend
+from .oracle import chain_constant, compactness_probe, constants_battery, lower_bound_trend
 from .weights import NormalWeight, SpaceSpec, check_normality
 
 __all__ = [
@@ -403,6 +404,8 @@ def run(config: RunConfig) -> Report:
                 results["constants"] = _empirical_constants(config, results["tasks"].get("bounded_bloch"))
             except NonConvergentError as exc:
                 results["constants"] = {"error": "nonconvergent", "detail": str(exc)}
+            except DomainError as exc:
+                results["constants"] = {"error": "domain", "detail": str(exc)}
         else:
             if table is None:
                 table = SampleTable(config.symbol, config.space, config.grid)
@@ -429,40 +432,17 @@ def _classifier_entry(table: SampleTable, task: str, force_boundary: bool) -> di
 
 def _empirical_constants(config: RunConfig, bounded_entry) -> dict:
     """Measured constants over a small standard battery: growth-envelope
-    ratios, the interval of derivative-form to direct norm ratios, and
-    (for a bounded pair) the chain constant tying the image seminorm to
-    the criterion suprema."""
-    from .norms import (
-        bergman_type_norm,
-        derivative_form_norm,
-        derivative_growth_envelope,
-        pointwise_growth_envelope,
-    )
-    from .oracle import boundary_test_function, chain_constant
-
-    battery = [
-        PowerSeries([1.0]),
-        PowerSeries([0, 1]),
-        PowerSeries([0, 0, 1]),
-        boundary_test_function(0.5, config.space),
-    ]
-    point_env, deriv_env, equiv = [], [], []
-    for f in battery:
-        norm = bergman_type_norm(f, config.space, config.grid)
-        point_env.append(pointwise_growth_envelope(f, config.space, config.grid) / norm)
-        deriv_env.append(derivative_growth_envelope(f, config.space, config.grid) / norm)
-        equiv.append(derivative_form_norm(f, config.space, config.grid) / norm)
-    out = {
-        "pointwise_envelope_ratio_max": max(point_env),
-        "derivative_envelope_ratio_max": max(deriv_env),
-        "norm_equivalence_ratio_interval": [min(equiv), max(equiv)],
-        "chain_constant": None,
-    }
+    ratios, the interval of derivative-form to direct norm ratios (both
+    shared by every run on the same space and grid), and (for a bounded
+    pair) the chain constant tying the image seminorm to the criterion
+    suprema."""
+    battery = constants_battery(config.space, config.grid)
+    out = dict(battery.to_dict(), chain_constant=None)
     if bounded_entry and bounded_entry.get("overall"):
         sups = [v["sup_estimate"] for v in bounded_entry["verdicts"]]
         if all(isinstance(s, (int, float)) for s in sups):
             out["chain_constant"] = chain_constant(
-                config.symbol, config.space, battery, config.grid, sups[0], sups[1]
+                config.symbol, battery.functions, battery.norms, config.grid, sups[0], sups[1]
             )
     return out
 

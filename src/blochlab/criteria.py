@@ -124,9 +124,11 @@ def _quotients(z, omr2, sym: SymbolPair, space: SpaceSpec):
     """Clipped ``|phi(z)|`` and the criterion samples at ``z``, given
     ``omr2 = 1-|z|^2``: both quotients and their plain numerators
     ``(1-|z|^2)|u'|`` and ``(1-|z|^2)|u phi'|``, keyed by quantity name."""
-    pm = np.minimum(np.abs(np.asarray(sym.phi.eval(z))), _PHI_CLIP)
-    plain_mult = omr2 * np.abs(sym.u.deriv(z))
-    plain_comp = omr2 * np.abs(np.asarray(sym.u.eval(z)) * np.asarray(sym.phi.deriv(z)))
+    phi, dphi = sym.phi.jet(z)
+    u, du = sym.u.jet(z)
+    pm = np.minimum(np.abs(np.asarray(phi)), _PHI_CLIP)
+    plain_mult = omr2 * np.abs(du)
+    plain_comp = omr2 * np.abs(np.asarray(u) * np.asarray(dphi))
     wgt, gap = space.weight(pm), one_minus_sq(pm)
     return pm, {
         MULTIPLIER_QUANTITY: plain_mult / (wgt * gap ** (1.0 / space.p)),
@@ -319,6 +321,7 @@ class SampleTable:
         self.sym, self.grid = sym, grid
         radii, z = sample_points(grid.depth, grid.angular_nodes)
         abs_phi, quantities = _quotients(z, one_minus_sq(radii)[:, None], sym, space)
+        self.shape = z.shape
         self.abs_z = np.broadcast_to(radii[:, None], z.shape).ravel()
         self.abs_phi = abs_phi.ravel()
         self.quantities = {name: q.ravel() for name, q in quantities.items()}
@@ -364,9 +367,9 @@ class SampleTable:
     @cached_property
     def u_tail(self) -> Verdict:
         """Tri-state little-Bloch verdict of the multiplier ``u``, read from
-        the sampled ``(1-|z|^2)|u'|``."""
+        the sampled ``(1-|z|^2)|u'|``, which also seeds the seminorm search."""
         name, prof = "u_bloch_tail", self.profile(_PLAIN_MULTIPLIER)
-        semi = bloch_seminorm(self.sym.u, self.grid)
+        semi = bloch_seminorm(self.sym.u, self.grid, self.quantities[_PLAIN_MULTIPLIER].reshape(self.shape))
         slope = _band_slope(prof)
         vals = prof.nonempty_values
         tail = float(vals[-1]) if vals.size else 0.0

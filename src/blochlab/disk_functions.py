@@ -3,17 +3,21 @@
 Two families of immutable value objects:
 
 * ``DiskFunction``: analytic functions assembled from power series,
-  fractional kernels ``scale * (1 - conj(a) z)**(-q)`` and algebraic
-  combinations, each carrying an exact closed-form derivative (never a
-  finite difference).
+  fractional kernels ``scale * (1 - conj(a) z)**(-q)`` (singly or as a
+  ``KernelFamily`` evaluated member by row) and algebraic combinations,
+  each carrying an exact closed-form derivative (never a finite
+  difference).
 * ``SelfMap``: analytic maps of the disk into itself (affine maps,
   monomials, Blaschke factors and products, scalings, compositions),
   each carrying a certified structural bound for ``sup |phi|`` on any
   centered sub-disk.
 
 All evaluators accept scalars or numpy arrays of points and return the
-matching shape.  Disk geometry (pseudo-hyperbolic distance, Bergman
-metric, metric-disk comparability sampling) lives at the bottom.
+matching shape.  Each class computes its value and derivative together
+as one jet, so a composite evaluates every child once per point;
+``eval`` and ``deriv`` are the two halves of ``jet``.  Disk geometry
+(pseudo-hyperbolic distance, Bergman metric, metric-disk comparability
+sampling) lives at the bottom.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ __all__ = [
     "DiskFunction",
     "PowerSeries",
     "FractionalKernel",
+    "KernelFamily",
     "Sum",
     "Product",
     "Scaled",
@@ -48,6 +53,7 @@ __all__ = [
 ]
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+_TOUCH_ULPS = 4
 
 
 class DomainError(ValueError):
@@ -67,22 +73,39 @@ def _match_shape(value, template):
     return value
 
 
+def _jet_at(f, z):
+    """Value and derivative at ``z`` from one evaluation (``|z| < 1`` enforced)."""
+    value, derivative = f._jet(_as_points(z))
+    return _match_shape(value, z), _match_shape(derivative, z)
+
+
+def _scaled_jet(factor, parts: list) -> tuple:
+    """``factor`` times a jet handed over as the only reference to its list.
+
+    Each part is popped into the product, so numpy sees a temporary, as it
+    does in ``factor * f(z)``: past its elision size numpy multiplies a
+    temporary in place with the operands swapped, and complex products
+    round differently in the two orders (fused multiply-add).  Popping
+    keeps the values bit for bit those of the plain expression."""
+    return factor * parts.pop(0), factor * parts.pop(0)
+
+
 class DiskFunction:
     """Analytic function on the unit disk with a closed-form derivative."""
 
-    def _value(self, z: np.ndarray) -> np.ndarray:
+    def _jet(self, z: np.ndarray) -> tuple:
+        """``(f(z), f'(z))`` on an array of disk points."""
         raise NotImplementedError
 
-    def _derivative(self, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    jet = _jet_at
 
     def eval(self, z):
         """Value at ``z`` (``|z| < 1`` enforced)."""
-        return _match_shape(self._value(_as_points(z)), z)
+        return self.jet(z)[0]
 
     def deriv(self, z):
         """Derivative at ``z``, evaluated from the closed form."""
-        return _match_shape(self._derivative(_as_points(z)), z)
+        return self.jet(z)[1]
 
     def __call__(self, z):
         return self.eval(z)
@@ -133,23 +156,31 @@ class PowerSeries(DiskFunction):
         else:
             self._dcoeffs = np.zeros(1, dtype=complex)
 
-    def _value(self, z):
-        return npoly.polyval(z, self.coefficients)
-
-    def _derivative(self, z):
-        return npoly.polyval(z, self._dcoeffs)
+    def _jet(self, z):
+        return npoly.polyval(z, self.coefficients), npoly.polyval(z, self._dcoeffs)
 
     def __repr__(self):
         return f"PowerSeries({self.coefficients.tolist()!r})"
 
 
-class FractionalKernel(DiskFunction):
-    """``scale * (1 - conj(base) z)**(-exponent)`` under the principal branch.
+def _kernel_jet(base, exponent: float, scale, z):
+    """``scale * w**(-exponent)`` and its derivative for ``w = 1 - conj(base) z``,
+    both from the single power ``w**(-exponent-1)``.
 
-    With ``|base| < 1`` the linear factor ``1 - conj(base) z`` has strictly
-    positive real part on the disk, so the principal power never crosses
-    the branch cut; this is asserted on every evaluation.
+    With ``|base| < 1`` the linear factor has strictly positive real part on
+    the disk, so the principal power never crosses the branch cut; this is
+    asserted on every evaluation.
     """
+    w = 1.0 - np.conj(base) * z
+    if not np.all(np.real(w) > 0.0):
+        raise ArithmeticError("kernel argument left the right half-plane")
+    power = w ** (-exponent - 1.0)
+    return scale * (power * w), scale * exponent * np.conj(base) * power
+
+
+class FractionalKernel(DiskFunction):
+    """``scale * (1 - conj(base) z)**(-exponent)`` under the principal branch
+    (see ``_kernel_jet``)."""
 
     def __init__(self, base: complex, exponent: float, scale: complex = 1.0):
         base = complex(base)
@@ -162,21 +193,49 @@ class FractionalKernel(DiskFunction):
         self.exponent = exponent
         self.scale = complex(scale)
 
-    def _linear_factor(self, z):
-        w = 1.0 - np.conj(self.base) * z
-        if not np.all(np.real(w) > 0.0):
-            raise ArithmeticError("kernel argument left the right half-plane")
-        return w
-
-    def _value(self, z):
-        return self.scale * self._linear_factor(z) ** (-self.exponent)
-
-    def _derivative(self, z):
-        w = self._linear_factor(z)
-        return self.scale * self.exponent * np.conj(self.base) * w ** (-self.exponent - 1.0)
+    def _jet(self, z):
+        return _kernel_jet(self.base, self.exponent, self.scale, z)
 
     def __repr__(self):
         return f"FractionalKernel(base={self.base!r}, exponent={self.exponent!r}, scale={self.scale!r})"
+
+
+class KernelFamily(DiskFunction):
+    """Kernels ``scale_m * (1 - conj(base_m) z)**(-exponent)`` on a leading
+    member axis, each times ``(z - base_m)`` when ``pinched``.
+
+    Row ``m`` of an ``(M, n)`` array of points is evaluated with member ``m``;
+    a one-member family (``member``) broadcasts against points of any shape.
+    The pinched product is formed from the factor ``z - base_m``, so it
+    vanishes exactly at the base point however large the kernel is there.
+    """
+
+    def __init__(self, bases, exponent: float, scales, pinched: bool = False):
+        bases = np.asarray(bases, dtype=complex).reshape(-1, 1)
+        scales = np.asarray(scales, dtype=complex).reshape(-1, 1)
+        if bases.shape != scales.shape:
+            raise ValueError("need one scale per kernel base point")
+        if np.any(np.abs(bases) >= 1.0):
+            raise ValueError("kernel base points must satisfy |base| < 1")
+        exponent = float(exponent)
+        if exponent <= 0.0:
+            raise ValueError("kernel exponent must be positive")
+        bases.setflags(write=False)
+        scales.setflags(write=False)
+        self.bases, self.exponent, self.scales, self.pinched = bases, exponent, scales, bool(pinched)
+
+    def __len__(self):
+        return self.bases.shape[0]
+
+    def member(self, m: int) -> "KernelFamily":
+        return KernelFamily(self.bases[m], self.exponent, self.scales[m], self.pinched)
+
+    def _jet(self, z):
+        value, derivative = _kernel_jet(self.bases, self.exponent, self.scales, z)
+        if not self.pinched:
+            return value, derivative
+        factor = z - self.bases
+        return factor * value, value + factor * derivative
 
 
 class Sum(DiskFunction):
@@ -186,17 +245,12 @@ class Sum(DiskFunction):
             raise ValueError("Sum needs at least one term")
         self.terms = terms
 
-    def _value(self, z):
-        out = self.terms[0]._value(z)
+    def _jet(self, z):
+        value, derivative = self.terms[0]._jet(z)
         for term in self.terms[1:]:
-            out = out + term._value(z)
-        return out
-
-    def _derivative(self, z):
-        out = self.terms[0]._derivative(z)
-        for term in self.terms[1:]:
-            out = out + term._derivative(z)
-        return out
+            v, d = term._jet(z)
+            value, derivative = value + v, derivative + d
+        return value, derivative
 
 
 class Product(DiskFunction):
@@ -204,14 +258,10 @@ class Product(DiskFunction):
         self.left = left
         self.right = right
 
-    def _value(self, z):
-        return self.left._value(z) * self.right._value(z)
-
-    def _derivative(self, z):
-        return (
-            self.left._derivative(z) * self.right._value(z)
-            + self.left._value(z) * self.right._derivative(z)
-        )
+    def _jet(self, z):
+        lv, ld = self.left._jet(z)
+        rv, rd = self.right._jet(z)
+        return lv * rv, ld * rv + lv * rd
 
 
 class Scaled(DiskFunction):
@@ -219,11 +269,8 @@ class Scaled(DiskFunction):
         self.factor = complex(factor)
         self.inner = inner
 
-    def _value(self, z):
-        return self.factor * self.inner._value(z)
-
-    def _derivative(self, z):
-        return self.factor * self.inner._derivative(z)
+    def _jet(self, z):
+        return _scaled_jet(self.factor, list(self.inner._jet(z)))
 
 
 class ComposedWithSelfMap(DiskFunction):
@@ -233,11 +280,10 @@ class ComposedWithSelfMap(DiskFunction):
         self.outer = outer
         self.inner = inner
 
-    def _value(self, z):
-        return self.outer._value(self.inner._value(z))
-
-    def _derivative(self, z):
-        return self.outer._derivative(self.inner._value(z)) * self.inner._derivative(z)
+    def _jet(self, z):
+        w, dw = self.inner._jet(z)
+        value, derivative = self.outer._jet(w)
+        return value, derivative * dw
 
 
 def constant(c) -> PowerSeries:
@@ -266,17 +312,17 @@ class SelfMap:
     approaches the boundary.
     """
 
-    def _value(self, z: np.ndarray) -> np.ndarray:
+    def _jet(self, z: np.ndarray) -> tuple:
+        """``(phi(z), phi'(z))`` on an array of disk points."""
         raise NotImplementedError
 
-    def _derivative(self, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    jet = _jet_at
 
     def eval(self, z):
-        return _match_shape(self._value(_as_points(z)), z)
+        return self.jet(z)[0]
 
     def deriv(self, z):
-        return _match_shape(self._derivative(_as_points(z)), z)
+        return self.jet(z)[1]
 
     def __call__(self, z):
         return self.eval(z)
@@ -293,8 +339,11 @@ class SelfMap:
     def misses_boundary(self) -> bool:
         """Whether the structural bound keeps the image inside a compact
         sub-disk, so that no sequence has ``|phi(z)| -> 1``; the ``|phi|``
-        limit conditions and the boundary chase are then vacuous."""
-        return self.sup_norm_estimate < 1.0
+        limit conditions and the boundary chase are then vacuous.
+
+        An estimate within a few ulps of 1 counts as touching: a map with
+        ``|a| + |b| = 1`` can round its estimate to one or two ulps below 1."""
+        return bool(self.sup_norm_estimate < 1.0 - _TOUCH_ULPS * np.finfo(float).eps)
 
 
 class Affine(SelfMap):
@@ -307,11 +356,8 @@ class Affine(SelfMap):
         self.a = a
         self.b = b
 
-    def _value(self, z):
-        return self.a * z + self.b
-
-    def _derivative(self, z):
-        return np.full_like(np.asarray(z, dtype=complex), self.a)
+    def _jet(self, z):
+        return self.a * z + self.b, np.full_like(np.asarray(z, dtype=complex), self.a)
 
     def sup_bound(self, r):
         return min(1.0, abs(self.a) * r + abs(self.b))
@@ -330,13 +376,11 @@ class MonomialPower(SelfMap):
         self.degree = degree
         self.scale = scale
 
-    def _value(self, z):
-        return self.scale * z**self.degree
-
-    def _derivative(self, z):
+    def _jet(self, z):
+        value = self.scale * z**self.degree
         if self.degree == 1:
-            return np.full_like(np.asarray(z, dtype=complex), self.scale)
-        return self.scale * self.degree * z ** (self.degree - 1)
+            return value, np.full_like(np.asarray(z, dtype=complex), self.scale)
+        return value, self.scale * self.degree * z ** (self.degree - 1)
 
     def sup_bound(self, r):
         return min(1.0, abs(self.scale) * r**self.degree)
@@ -359,11 +403,9 @@ class BlaschkeFactor(SelfMap):
             raise ValueError("Blaschke base must satisfy |a| < 1")
         self.base = base
 
-    def _value(self, z):
-        return (self.base - z) / (1.0 - np.conj(self.base) * z)
-
-    def _derivative(self, z):
-        return (abs(self.base) ** 2 - 1.0) / (1.0 - np.conj(self.base) * z) ** 2
+    def _jet(self, z):
+        w = 1.0 - np.conj(self.base) * z
+        return (self.base - z) / w, (abs(self.base) ** 2 - 1.0) / w**2
 
     def sup_bound(self, r):
         # max of |phi| over |z| <= r, attained on the ray through the base
@@ -383,28 +425,26 @@ class FiniteBlaschkeProduct(SelfMap):
         self.factors = factors
         self.unimodular = unimodular
 
-    def _value(self, z):
-        out = self.factors[0]._value(z)
-        for f in self.factors[1:]:
-            out = out * f._value(z)
-        return self.unimodular * out
-
-    def _derivative(self, z):
-        vals = [f._value(z) for f in self.factors]
-        ders = [f._derivative(z) for f in self.factors]
+    def _jet(self, z):
+        vals, ders = map(list, zip(*(f._jet(z) for f in self.factors)))
         n = len(vals)
         # prefix/suffix products avoid dividing through zeros of the factors
         prefix = [np.ones_like(vals[0])]
-        for v in vals[:-1]:
-            prefix.append(prefix[-1] * v)
+        for i in range(n - 1):
+            prefix.append(prefix[-1] * vals[i])
         suffix = [np.ones_like(vals[0])]
-        for v in reversed(vals[1:]):
-            suffix.append(suffix[-1] * v)
+        for i in range(n - 1, 0, -1):
+            suffix.append(suffix[-1] * vals[i])
         suffix.reverse()
         out = ders[0] * suffix[0] if n == 1 else ders[0] * prefix[0] * suffix[0]
         for i in range(1, n):
             out = out + ders[i] * prefix[i] * suffix[i]
-        return self.unimodular * out
+        # each factor value is popped into the product as a temporary, as in
+        # ``f0(z) * f1(z) * ...`` (see ``_scaled_jet``)
+        value = vals.pop(0)
+        while vals:
+            value = value * vals.pop(0)
+        return self.unimodular * value, self.unimodular * out
 
     def sup_bound(self, r):
         bound = 1.0
@@ -421,11 +461,8 @@ class ScaledMap(SelfMap):
         self.factor = factor
         self.inner = inner
 
-    def _value(self, z):
-        return self.factor * self.inner._value(z)
-
-    def _derivative(self, z):
-        return self.factor * self.inner._derivative(z)
+    def _jet(self, z):
+        return _scaled_jet(self.factor, list(self.inner._jet(z)))
 
     def sup_bound(self, r):
         return min(1.0, abs(self.factor) * self.inner.sup_bound(r))
@@ -438,11 +475,10 @@ class CompositionMap(SelfMap):
         self.outer = outer
         self.inner = inner
 
-    def _value(self, z):
-        return self.outer._value(self.inner._value(z))
-
-    def _derivative(self, z):
-        return self.outer._derivative(self.inner._value(z)) * self.inner._derivative(z)
+    def _jet(self, z):
+        w, dw = self.inner._jet(z)
+        value, derivative = self.outer._jet(w)
+        return value, derivative * dw
 
     def sup_bound(self, r):
         return self.outer.sup_bound(min(1.0, self.inner.sup_bound(r)))
@@ -460,11 +496,11 @@ def validate_self_map(phi: SelfMap, depth: int = 16, angular: int = 256) -> None
     for k in range(2, depth + 1):
         r = 1.0 - 0.5**k
         z = r * ring
-        w = phi._value(z)
+        w, dw = phi._jet(z)
         m = np.abs(w)
         if np.any(m > 1.0 + 1e-12):
             raise ValueError(f"self-map property violated: |phi| = {m.max():.15g} at radius {r}")
-        lhs = (1.0 - r * r) * np.abs(phi._derivative(z))
+        lhs = (1.0 - r * r) * np.abs(dw)
         rhs = (1.0 - np.minimum(m, 1.0) ** 2) * (1.0 + 1e-9) + 1e-12
         if np.any(lhs > rhs):
             raise ValueError(f"Schwarz-Pick violated at radius {r}: excess {(lhs - rhs).max():.3g}")

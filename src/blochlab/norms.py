@@ -11,7 +11,8 @@ reported as nonconvergent instead of being silently truncated.
 
 Suprema over the disk are taken on a standard sample set (dyadic radii
 plus geometric midpoints, equispaced angles) with one local vectorized
-bracket search (``bracket_argmax``) for the global Bloch seminorm.
+bracket search (``bracket_argmax``) for the global Bloch seminorm; a
+family of functions evaluated member by row shares those searches.
 Boundary behaviour is recorded as a ``BoundaryProfile``: nested suprema
 over the regions past an increasing sequence of thresholds, together with
 the per-band suprema that divergence detection fits its log-log slope to.
@@ -47,6 +48,7 @@ __all__ = [
     "unit_norm_mass",
     "bracket_argmax",
     "bloch_seminorm",
+    "family_bloch_seminorm",
     "little_bloch_profile",
     "is_little_bloch",
     "sw_integral_check",
@@ -287,7 +289,7 @@ def direct_area_integral(f: DiskFunction, space: SpaceSpec, grid: RadialGrid = D
 _BRACKET_POINTS = 33
 
 
-def bracket_argmax(fn, lo: float, hi: float, rounds: int):
+def bracket_argmax(fn, lo, hi, rounds: int):
     """Vectorized bracket search for the maximum of ``fn`` on ``[lo, hi]``.
 
     ``fn`` maps an array of abscissae to an array of values.  Each round
@@ -296,7 +298,14 @@ def bracket_argmax(fn, lo: float, hi: float, rounds: int):
     16 per round.  Returns ``(x, fn(x))`` for the best point seen over
     all rounds, the earliest one on ties; a degenerate interval returns
     its midpoint after one call.
+
+    With arrays ``lo`` and ``hi`` of shape ``(M,)``, row ``m`` of the
+    ``(M, 33)`` abscissae ``fn`` receives is bracket ``m``'s, every row is
+    searched as a scalar call would search it (``_bracket_rows``), and
+    ``x`` and the value come back as arrays.
     """
+    if np.ndim(lo):
+        return _bracket_rows(fn, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), rounds)
     a, b = float(lo), float(hi)
     if not b > a:
         x = 0.5 * (a + b)
@@ -312,29 +321,82 @@ def bracket_argmax(fn, lo: float, hi: float, rounds: int):
     return best_x, best
 
 
-def bloch_seminorm(f: DiskFunction, grid: RadialGrid = DEFAULT_GRID) -> float:
-    """``sup (1-|z|^2) |f'(z)|`` over the sample set, with one local
-    bracket search in radius and then in angle."""
-    radii, z = sample_points(grid.depth, grid.angular_nodes)
-    g = one_minus_sq(radii)[:, None] * np.abs(f.deriv(z))
-    i, j = np.unravel_index(int(np.argmax(g)), g.shape)
-    grid_best = float(g[i, j])
+def _bracket_rows(fn, a: np.ndarray, b: np.ndarray, rounds: int):
+    """``bracket_argmax`` on the rows of ``(M,)`` brackets at once.  The
+    scalar search stays separate because a single bracket (the boundary
+    chase) pays per numpy call, and this form makes about twice as many."""
+    rows, last = np.arange(a.size), _BRACKET_POINTS - 1
+    best_x, best = a, np.full(a.shape, -np.inf)
+    for _ in range(rounds):
+        xs = np.linspace(a, b, _BRACKET_POINTS, axis=-1)
+        values = fn(xs)
+        i = values.argmax(axis=1)
+        top = values[rows, i]
+        better = top > best
+        best_x, best = np.where(better, xs[rows, i], best_x), np.where(better, top, best)
+        a, b = xs[rows, np.maximum(i - 1, 0)], xs[rows, np.minimum(i + 1, last)]
+    return best_x, best
+
+
+def _larger(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise ``max(a, b)`` as Python's ``max`` takes it: ``a`` unless ``b > a``."""
+    return np.where(b > a, b, a)
+
+
+def _refined_sup(deriv, g_grids, grid: RadialGrid) -> np.ndarray:
+    """Sharpen each sample-grid supremum of ``(1-|z|^2)|f_m'|`` by one
+    bracket search in radius and then in angle around its grid argmax.
+
+    ``g_grids`` yields one ``(radii, angles)`` sample array per member;
+    ``deriv`` maps an ``(M, n)`` array of points, row ``m`` for member ``m``,
+    to the derivatives, so every round serves all members at once."""
+    radii, _ = sample_points(grid.depth, grid.angular_nodes)
+    peaks = []
+    for g in g_grids:
+        i, j = np.unravel_index(int(np.argmax(g)), g.shape)
+        peaks.append((i, j, g[i, j]))
+    i, j, grid_best = (np.array(column) for column in zip(*peaks))
     theta = 2.0 * np.pi * j / grid.angular_nodes
+    ray = np.exp(1j * theta)[:, None]
 
     def radial(rr: np.ndarray) -> np.ndarray:
-        return (1.0 - rr * rr) * np.abs(f.deriv(rr * np.exp(1j * theta)))
+        return (1.0 - rr * rr) * np.abs(deriv(rr * ray))
 
-    lo = radii[i - 1] if i >= 1 else 0.0
-    hi = radii[i + 1] if i + 1 < radii.size else 0.5 * (1.0 + radii[i])
-    best = max(grid_best, bracket_argmax(radial, lo, hi, 12)[1])
+    lo = np.where(i >= 1, radii[i - 1], 0.0)
+    hi = np.where(i + 1 < radii.size, radii[np.minimum(i + 1, radii.size - 1)], 0.5 * (1.0 + radii[i]))
+    best = _larger(grid_best, bracket_argmax(radial, lo, hi, 12)[1])
 
     span = 2.0 * np.pi / grid.angular_nodes
-    r_best = radii[i]
+    r_best = radii[i][:, None]
 
     def angular(th: np.ndarray) -> np.ndarray:
-        return (1.0 - r_best * r_best) * np.abs(f.deriv(r_best * np.exp(1j * th)))
+        return (1.0 - r_best * r_best) * np.abs(deriv(r_best * np.exp(1j * th)))
 
-    return max(best, bracket_argmax(angular, theta - span, theta + span, 12)[1])
+    return _larger(best, bracket_argmax(angular, theta - span, theta + span, 12)[1])
+
+
+def bloch_seminorm(f: DiskFunction, grid: RadialGrid = DEFAULT_GRID, samples=None) -> float:
+    """``sup (1-|z|^2) |f'(z)|`` over the sample set, with one local
+    bracket search in radius and then in angle.
+
+    ``samples``, when given, is ``(1-|z|^2)|f'(z)|`` already evaluated on
+    the circles of ``sample_points``; the search then starts from it."""
+    if samples is None:
+        radii, z = sample_points(grid.depth, grid.angular_nodes)
+        samples = one_minus_sq(radii)[:, None] * np.abs(f.deriv(z))
+    return float(_refined_sup(f.deriv, [samples], grid)[0])
+
+
+def family_bloch_seminorm(members, family: DiskFunction, grid: RadialGrid = DEFAULT_GRID) -> np.ndarray:
+    """``bloch_seminorm`` of each function of a family, as an array.
+
+    ``family`` evaluates all members at once, member ``m`` on row ``m`` of
+    an ``(M, n)`` array of points, and ``members[m]`` is member ``m`` alone.
+    The sample-grid maximum is found one member at a time, which bounds
+    the memory; the bracket rounds evaluate the whole family together."""
+    radii, z = sample_points(grid.depth, grid.angular_nodes)
+    omr2 = one_minus_sq(radii)[:, None]
+    return _refined_sup(family.deriv, (omr2 * np.abs(f.deriv(z)) for f in members), grid)
 
 
 # ---------------------------------------------------------------------------

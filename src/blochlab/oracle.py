@@ -9,11 +9,17 @@ bounds on the operator norm; whether those bounds stabilize or keep
 growing as the family chases the boundary is the oracle's verdict, kept
 deliberately independent of the criterion quotients.  Disagreement with
 the classifier is reported, never auto-resolved.
+
+The members of one boundary chase are evaluated together as a
+``KernelFamily``, and the norms and envelopes of the constants battery,
+which depend only on the space and the grid, are computed once per
+``(space, grid)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,9 +28,9 @@ from .disk_functions import (
     DiskFunction,
     DomainError,
     FractionalKernel,
+    KernelFamily,
     PowerSeries,
     Product,
-    Scaled,
 )
 from .norms import (
     DEFAULT_GRID,
@@ -32,6 +38,10 @@ from .norms import (
     bergman_type_norm,
     bloch_seminorm,
     bracket_argmax,
+    derivative_form_norm,
+    derivative_growth_envelope,
+    family_bloch_seminorm,
+    pointwise_growth_envelope,
     radial_rule,
     weight_power_over_gap,
 )
@@ -47,6 +57,8 @@ __all__ = [
     "lower_bound_trend",
     "CompactnessProbe",
     "compactness_probe",
+    "ConstantsBattery",
+    "constants_battery",
     "chain_constant",
     "boundary_chase_point",
 ]
@@ -54,20 +66,6 @@ __all__ = [
 TREND_STABLE = "stable"
 TREND_DIVERGENT = "divergent"
 TREND_AMBIGUOUS = "ambiguous"
-
-
-def _bloch_norm_probed(g: DiskFunction, grid: RadialGrid, probe_z: complex) -> float:
-    """``|g(0)| + B(g)`` where the seminorm is the sample-grid supremum
-    sharpened by the value at a known probe point.
-
-    ``(1-|z|^2)|g'(z)|`` at any single point is a valid lower bound for
-    the supremum; probing where the chase landed keeps the bound honest
-    when the peak is narrower than the angular resolution.
-    """
-    semi = bloch_seminorm(g, grid)
-    pz = complex(probe_z)
-    semi = max(semi, (1.0 - abs(pz) ** 2) * abs(g.deriv(pz)))
-    return abs(g.eval(0.0)) + semi
 
 
 def boundary_test_function(w: complex, space: SpaceSpec) -> FractionalKernel:
@@ -102,20 +100,45 @@ def vanishing_test_function(image_point: complex, space: SpaceSpec) -> DiskFunct
     q = complex(image_point)
     if abs(q) >= 1.0:
         raise DomainError("image point must lie in the open unit disk")
+    pinch = PowerSeries([-q, 1.0])  # z - q, exactly zero at the base point
+    return Product(pinch, _steep_kernel(q, space))
+
+
+def _steep_kernel(q: complex, space: SpaceSpec) -> FractionalKernel:
+    """The kernel that ``vanishing_test_function(q)`` multiplies by ``z - q``.
+    Its scale is 0 at ``q = 0``, where both kernels of the difference
+    collapse to the same constant and the test function is 0."""
     t = space.weight.t
     gap = 1.0 - (np.conj(q) * q).real
-    wq = space.weight(abs(q))
-    if q == 0.0:
-        # both kernels collapse to the same constant; the difference is 0
-        return Scaled(0.0, FractionalKernel(0.0, 1.0 / space.p + t + 1.0, 1.0 / wq))
-    pinch = PowerSeries([-q, 1.0])  # z - q, exactly zero at the base point
-    steep = FractionalKernel(q, 1.0 / space.p + t + 2.0, np.conj(q) * gap ** (t + 1.0) / wq)
-    return Product(pinch, steep)
+    return FractionalKernel(q, 1.0 / space.p + t + 2.0, np.conj(q) * gap ** (t + 1.0) / space.weight(abs(q)))
+
+
+def _family(kernels, pinched: bool = False) -> KernelFamily:
+    return KernelFamily([k.base for k in kernels], kernels[0].exponent, [k.scale for k in kernels], pinched)
 
 
 def operator_apply(sym: SymbolPair, f: DiskFunction) -> DiskFunction:
     """``u * (f o phi)`` as a disk function with closed-form derivative."""
     return Product(sym.u, ComposedWithSelfMap(f, sym.phi))
+
+
+def _image_norms(sym: SymbolPair, kernels: KernelFamily, grid: RadialGrid, probe_points) -> tuple:
+    """``|g(0)| + B(g)`` for each image ``g = u (K o phi)`` of a kernel
+    family, where the seminorm ``B`` is the sample-grid supremum sharpened
+    by the value at the member's probe point.
+
+    ``(1-|z|^2)|g'(z)|`` at any single point is a valid lower bound for
+    the supremum; probing where the chase landed keeps the bound honest
+    when the peak is narrower than the angular resolution.  The probe and
+    ``g(0)`` come from one evaluation of the whole family.
+    """
+    image = operator_apply(sym, kernels)
+    members = [operator_apply(sym, kernels.member(m)) for m in range(len(kernels))]
+    semi = family_bloch_seminorm(members, image, grid)
+    points = np.stack([np.asarray(probe_points, dtype=complex), np.zeros(len(kernels), dtype=complex)], axis=1)
+    value, derivative = image.jet(points)
+    probe = (1.0 - np.abs(points[:, 0]) ** 2) * np.abs(derivative[:, 0])
+    return tuple(float(v) for v in np.abs(value[:, 1]) + np.where(probe > semi, probe, semi))
 
 
 def kernel_family_norm(base_modulus: float, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID) -> float:
@@ -210,14 +233,11 @@ def lower_bound_trend(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFA
     ``|phi|``; the family deepens with the chase and the bound either
     stabilizes (bounded evidence) or keeps climbing (unbounded evidence).
     """
-    members = []
-    for k in CHASE_DEPTHS:
-        z_star = boundary_chase_point(sym.phi, k, grid.angular_nodes)
-        w = complex(sym.phi.eval(z_star))
-        norm = _bloch_norm_probed(operator_apply(sym, boundary_test_function(w, space)), grid, z_star)
-        denom = kernel_family_norm(abs(w), space, grid)
-        members.append((z_star, w, norm, 0.0 if denom == 0.0 else norm / denom))
-    points, images, norms, ratios = zip(*members)
+    points = tuple(boundary_chase_point(sym.phi, k, grid.angular_nodes) for k in CHASE_DEPTHS)
+    images = tuple(complex(sym.phi.eval(z_star)) for z_star in points)
+    norms = _image_norms(sym, _family([boundary_test_function(w, space) for w in images]), grid, points)
+    denoms = (kernel_family_norm(abs(w), space, grid) for w in images)
+    ratios = tuple(0.0 if denom == 0.0 else norm / denom for norm, denom in zip(norms, denoms))
     values = tuple(max(ratios[: d - 1], default=0.0) for d in TREND_DEPTHS)
     return LowerBoundTrend(TREND_DEPTHS, values, _classify_trend(values), CHASE_DEPTHS, ratios,
                            points, images, norms)
@@ -282,8 +302,8 @@ def compactness_probe(
     if sym.phi.misses_boundary:
         return CompactnessProbe("vacuous", (), (), (), "vacuous")
     f_vals = trend.image_norms
-    g_vals = tuple(_bloch_norm_probed(operator_apply(sym, vanishing_test_function(w, space)), grid, z_star)
-                   for z_star, w in zip(trend.chase_points, trend.images))
+    pinned = _family([_steep_kernel(w, space) for w in trend.images], pinched=True)
+    g_vals = _image_norms(sym, pinned, grid, trend.chase_points)
     tf, tg = _sequence_trend(f_vals), _sequence_trend(g_vals)
     if tf == "zero" and tg == "zero":
         trend_name = "zero"
@@ -296,22 +316,57 @@ def compactness_probe(
     return CompactnessProbe("probe", trend.chase_depths, f_vals, g_vals, trend_name)
 
 
+@dataclass(frozen=True)
+class ConstantsBattery:
+    """The standard battery ``1, z, z^2`` and the normalized kernel at 0.5,
+    with its norms in the space, the largest growth-envelope ratios and the
+    interval of derivative-form to canonical norm ratios."""
+
+    functions: tuple
+    norms: tuple
+    pointwise_envelope_ratio_max: float
+    derivative_envelope_ratio_max: float
+    norm_equivalence_ratio_interval: tuple
+
+    def to_dict(self) -> dict:
+        return {
+            "pointwise_envelope_ratio_max": self.pointwise_envelope_ratio_max,
+            "derivative_envelope_ratio_max": self.derivative_envelope_ratio_max,
+            "norm_equivalence_ratio_interval": list(self.norm_equivalence_ratio_interval),
+        }
+
+
+@lru_cache(maxsize=None)
+def constants_battery(space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID) -> ConstantsBattery:
+    """The battery's constants, a pure function of ``(space, grid)`` and
+    computed once per pair.  Raises what the norm quadrature raises
+    (``NonConvergentError``, or ``DomainError`` when nodes round onto the
+    circle); a failure is not remembered."""
+    functions = (PowerSeries([1.0]), PowerSeries([0, 1]), PowerSeries([0, 0, 1]), boundary_test_function(0.5, space))
+    norms = tuple(bergman_type_norm(f, space, grid) for f in functions)
+    point_env = [pointwise_growth_envelope(f, space, grid) / n for f, n in zip(functions, norms)]
+    deriv_env = [derivative_growth_envelope(f, space, grid) / n for f, n in zip(functions, norms)]
+    equiv = [derivative_form_norm(f, space, grid) / n for f, n in zip(functions, norms)]
+    return ConstantsBattery(functions, norms, max(point_env), max(deriv_env), (min(equiv), max(equiv)))
+
+
 def chain_constant(
     sym: SymbolPair,
-    space: SpaceSpec,
     functions,
+    norms,
     grid: RadialGrid,
     sup_multiplier: float,
     sup_composition: float,
 ) -> float | None:
     """Empirical constant in ``B(u (f o phi)) <= C (S1 + S2) ||f||`` over a
-    battery of functions, given finite criterion suprema ``S1, S2``."""
+    battery of functions with their norms ``||f||``, given finite criterion
+    suprema ``S1, S2``."""
     total = sup_multiplier + sup_composition
     if not np.isfinite(total) or total == 0.0:
         return None
     best = 0.0
-    for f in functions:
-        denom = bergman_type_norm(f, space, grid) * total
+    for f, norm in zip(functions, norms):
+        denom = norm * total
         if denom == 0.0:
             continue
         best = max(best, bloch_seminorm(operator_apply(sym, f), grid) / denom)

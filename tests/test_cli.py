@@ -1,10 +1,13 @@
+import cmath
+import dataclasses
 import json
 import weakref
 
+import numpy as np
 import pytest
 
 from blochlab import RadialGrid, cli, criteria, oracle
-from blochlab.battery import CURATED
+from blochlab.battery import CURATED, random_pairs
 from blochlab.cli import (
     KNOWN_TASKS,
     ParseError,
@@ -321,6 +324,36 @@ class TestRunAndEmit:
         loaded = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
         assert loaded["results"]["constants"] == constants
 
+    def test_constants_block_fails_soft_where_nodes_round_onto_the_circle(self, tmp_path):
+        # at depth 47 the norm quadrature's tail nodes round onto |z| = 1
+        doc = dict(CURATED["half-scale"]["config"], grid={"depth": 47, "angular_nodes": 64, "panel_order": 8})
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        assert main(["run", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-finite token {token}")
+
+        loaded = json.loads((tmp_path / "out" / "report.json").read_text(), parse_constant=reject)
+        assert loaded["results"]["constants"] == {"error": "domain",
+                                                  "detail": "evaluation point outside the open unit disk"}
+        assert set(loaded["results"]["tasks"]) == set(doc["tasks"])
+        assert loaded["results"]["tasks"]["oracle"]["lower_bound"]["classification"] == "stable"
+
+    def test_compact_report_on_a_rounding_touching_map_is_strict_json(self):
+        # |a| + |b| = 1, but the map's sup estimate rounds below 1
+        phi = dict(random_pairs(21))["affine_touching-04"].phi
+        assert phi.sup_bound(1.0) < 1.0
+        contact = cmath.exp(1j * (cmath.phase(phi.b) - cmath.phase(phi.a)))
+        u = np.polynomial.polynomial.polyfromroots([contact] * 3)  # vanishes to third order at the contact
+        doc = dict(HALF_SCALE_DOC, tasks=["bounded_bloch", "compact_bloch"], symbol={
+            "u": {"power_series": [[c.real, c.imag] for c in u]},
+            "phi": {"affine": {"a": [phi.a.real, phi.a.imag], "b": [phi.b.real, phi.b.imag]}}})
+        report = run(parse_config(doc))
+        assert report.results["tasks"]["bounded_bloch"]["overall"] is True
+        assert report.results["tasks"]["compact_bloch"]["vacuous"] is False
+        json.dumps(report.to_dict(), allow_nan=False)
+        report.results_payload()
+
     def test_unbounded_pair_records_precondition_failure(self):
         doc = dict(HALF_SCALE_DOC)
         doc["symbol"] = {"u": {"constant": 1.0}, "phi": "identity"}
@@ -364,7 +397,7 @@ class TestSharedWork:
         sample_points, bloch_seminorm = criteria.sample_points, criteria.bloch_seminorm
         monkeypatch.setattr(criteria, "sample_points", lambda *args: tables.append(args) or sample_points(*args))
         monkeypatch.setattr(criteria, "bloch_seminorm",
-                            lambda f, grid: seminorms.append(f) or bloch_seminorm(f, grid))
+                            lambda f, grid, *samples: seminorms.append(f) or bloch_seminorm(f, grid, *samples))
         run(config)
         assert len(tables) == 1
         assert len(seminorms) == 1 and seminorms[0] is config.symbol.u
@@ -393,6 +426,24 @@ class TestSharedWork:
         monkeypatch.setattr(oracle, "boundary_chase_point", lambda *args: chases.append(args) or chase(*args))
         run(parse_config(dict(CURATED["boundary-touch"]["config"], grid=HALF_SCALE_DOC["grid"])))
         assert len(chases) == len(oracle.CHASE_DEPTHS) == 11
+
+    def test_constants_battery_is_computed_once_per_space_and_grid(self, monkeypatch):
+        norms = []
+        bergman_type_norm = oracle.bergman_type_norm
+        monkeypatch.setattr(oracle, "bergman_type_norm", lambda *args: norms.append(args) or bergman_type_norm(*args))
+        oracle.constants_battery.cache_clear()
+        config = parse_config(dict(HALF_SCALE_DOC))
+        first = run(config).results["constants"]
+        assert first["chain_constant"] is not None
+        first["norm_equivalence_ratio_interval"].append(0.0)  # the caller's copy, not the memo
+        second = run(parse_config(dict(HALF_SCALE_DOC))).results["constants"]
+        assert len(norms) == 4  # the battery's four functions, once; the chain constant reuses them
+        assert len(second["norm_equivalence_ratio_interval"]) == 2
+        battery = oracle.constants_battery(config.space, config.grid)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            battery.norms = ()
+        with pytest.raises(TypeError):
+            battery.norms[0] = 1.0
 
     @pytest.mark.parametrize("case", sorted(CURATED))
     def test_run_entries_equal_the_one_call_functions(self, case):

@@ -33,7 +33,9 @@ from blochlab import (
     rotation,
     truncated_log_series,
 )
-from blochlab.norms import TRIGGER_PHI, TRIGGER_Z, bloch_seminorm
+from blochlab.battery import random_pairs
+from blochlab.criteria import SampleTable
+from blochlab.norms import TRIGGER_PHI, TRIGGER_Z, RadialGrid, bloch_seminorm
 from blochlab.oracle import operator_apply
 
 
@@ -233,6 +235,31 @@ class TestLimitProbes:
         for probe in (derivative_limit_probe(sym, a2, grid),
                       composition_limit_probe(sym, a2, grid)):
             assert probe.decided and probe.agree
+
+
+class TestRoundingTouchingMaps:
+    # |a| + |b| = 1 maps whose sup estimate rounds below 1: the |phi|
+    # side must not be read as vacuous while the |z| side diverges
+    @pytest.mark.parametrize("seed,label", [(21, "affine_touching-04"), (36, "affine_touching-16")])
+    def test_both_limit_probes_agree(self, seed, label, a2):
+        sym = dict(random_pairs(seed))[label]
+        assert sym.phi.sup_bound(1.0) < 1.0  # the estimate does round below 1
+        for probe in (derivative_limit_probe(sym, a2, RadialGrid(16, 128, 8)),
+                      composition_limit_probe(sym, a2, RadialGrid(16, 128, 8))):
+            assert probe.agree is not False
+
+
+class TestSharedSamples:
+    def test_u_tail_refines_from_the_table_samples(self, a2, grid, monkeypatch):
+        u = PowerSeries([0.3, -1.0, 0.5j, 0.25])
+        table = SampleTable(SymbolPair(u, Affine(0.5, 0.5)), a2, grid)
+        sizes = []
+        deriv = PowerSeries.deriv
+        monkeypatch.setattr(PowerSeries, "deriv", lambda self, z: sizes.append(np.size(z)) or deriv(self, z))
+        verdict = table.u_tail
+        assert sizes and max(sizes) <= 33  # bracket rounds only, no second pass over the grid
+        monkeypatch.undo()
+        assert verdict.notes.endswith(f"seminorm {bloch_seminorm(u, grid):.6g}")
 
 
 class TestBergmanSpecialization:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from blochlab import (
     Affine,
@@ -23,6 +24,9 @@ from blochlab import (
     pseudo_hyperbolic,
     validate_self_map,
 )
+from blochlab.battery import random_pairs
+from blochlab.disk_functions import KernelFamily
+from blochlab.norms import sample_points
 
 inner_points = st.builds(
     lambda r, a: r * np.exp(1j * a),
@@ -210,3 +214,172 @@ class TestDiskGeometry:
             metric_disk_comparability(1.0, 0.5)
         with pytest.raises(ValueError):
             metric_disk_comparability(0.0, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# jets: the closed forms below are the separate value and derivative bodies
+# each class had before it computed both as one jet; they are the reference.
+
+
+def closed_form_value(f, z):
+    if isinstance(f, PowerSeries):
+        return npoly.polyval(z, f.coefficients)
+    if isinstance(f, FractionalKernel):
+        return f.scale * (1.0 - np.conj(f.base) * z) ** (-f.exponent)
+    if isinstance(f, Sum):
+        out = closed_form_value(f.terms[0], z)
+        for term in f.terms[1:]:
+            out = out + closed_form_value(term, z)
+        return out
+    if isinstance(f, Product):
+        return closed_form_value(f.left, z) * closed_form_value(f.right, z)
+    if isinstance(f, (Scaled, ScaledMap)):
+        return f.factor * closed_form_value(f.inner, z)
+    if isinstance(f, (ComposedWithSelfMap, CompositionMap)):
+        return closed_form_value(f.outer, closed_form_value(f.inner, z))
+    if isinstance(f, Affine):
+        return f.a * z + f.b
+    if isinstance(f, MonomialPower):
+        return f.scale * z**f.degree
+    if isinstance(f, BlaschkeFactor):
+        return (f.base - z) / (1.0 - np.conj(f.base) * z)
+    if isinstance(f, FiniteBlaschkeProduct):
+        out = closed_form_value(f.factors[0], z)
+        for g in f.factors[1:]:
+            out = out * closed_form_value(g, z)
+        return f.unimodular * out
+    raise TypeError(f)
+
+
+def closed_form_derivative(f, z):
+    if isinstance(f, PowerSeries):
+        return npoly.polyval(z, npoly.polyder(f.coefficients) if f.coefficients.size > 1 else [0j])
+    if isinstance(f, FractionalKernel):
+        w = 1.0 - np.conj(f.base) * z
+        return f.scale * f.exponent * np.conj(f.base) * w ** (-f.exponent - 1.0)
+    if isinstance(f, Sum):
+        out = closed_form_derivative(f.terms[0], z)
+        for term in f.terms[1:]:
+            out = out + closed_form_derivative(term, z)
+        return out
+    if isinstance(f, Product):
+        return (closed_form_derivative(f.left, z) * closed_form_value(f.right, z)
+                + closed_form_value(f.left, z) * closed_form_derivative(f.right, z))
+    if isinstance(f, (Scaled, ScaledMap)):
+        return f.factor * closed_form_derivative(f.inner, z)
+    if isinstance(f, (ComposedWithSelfMap, CompositionMap)):
+        return closed_form_derivative(f.outer, closed_form_value(f.inner, z)) * closed_form_derivative(f.inner, z)
+    if isinstance(f, Affine):
+        return np.full_like(np.asarray(z, dtype=complex), f.a)
+    if isinstance(f, MonomialPower):
+        if f.degree == 1:
+            return np.full_like(np.asarray(z, dtype=complex), f.scale)
+        return f.scale * f.degree * z ** (f.degree - 1)
+    if isinstance(f, BlaschkeFactor):
+        return (abs(f.base) ** 2 - 1.0) / (1.0 - np.conj(f.base) * z) ** 2
+    if isinstance(f, FiniteBlaschkeProduct):
+        vals = [closed_form_value(g, z) for g in f.factors]
+        ders = [closed_form_derivative(g, z) for g in f.factors]
+        n = len(vals)
+        prefix = [np.ones_like(vals[0])]
+        for v in vals[:-1]:
+            prefix.append(prefix[-1] * v)
+        suffix = [np.ones_like(vals[0])]
+        for v in reversed(vals[1:]):
+            suffix.append(suffix[-1] * v)
+        suffix.reverse()
+        out = ders[0] * suffix[0] if n == 1 else ders[0] * prefix[0] * suffix[0]
+        for i in range(1, n):
+            out = out + ders[i] * prefix[i] * suffix[i]
+        return f.unimodular * out
+    raise TypeError(f)
+
+
+def jet_points():
+    # a small set and the default sample grid, which is past the size from
+    # which numpy evaluates products of temporaries in place
+    rng = np.random.default_rng(5)
+    small = 0.97 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+    return [small, sample_points(16, 512)[1], 0.3 - 0.4j]
+
+
+class TestJets:
+    @pytest.mark.parametrize("f", [PowerSeries([0.5, -1.0j, 0.25, 2.0]), PowerSeries([2.0]),
+                                   *representative_maps(), ScaledMap(0.8 - 0.3j, BlaschkeFactor(0.2j)),
+                                   FiniteBlaschkeProduct([0.3, -0.5j, 0.6 + 0.1j], np.exp(1.9j))])
+    @pytest.mark.parametrize("z", jet_points(), ids=["small", "grid", "scalar"])
+    def test_jet_equals_the_closed_forms_exactly(self, f, z):
+        value, derivative = f.jet(z)
+        expected = (closed_form_value(f, np.asarray(z)), closed_form_derivative(f, np.asarray(z)))
+        assert np.array_equal(value, expected[0]) and np.array_equal(derivative, expected[1])
+        assert np.array_equal(f.eval(z), value) and np.array_equal(f.deriv(z), derivative)
+
+    @pytest.mark.parametrize("f", representative_functions())
+    @pytest.mark.parametrize("z", jet_points(), ids=["small", "grid", "scalar"])
+    def test_jet_matches_the_closed_forms(self, f, z):
+        value, derivative = f.jet(z)
+        np.testing.assert_allclose(value, closed_form_value(f, np.asarray(z)), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(derivative, closed_form_derivative(f, np.asarray(z)), rtol=1e-13, atol=0)
+
+    def test_scalar_jet_returns_complex_numbers(self):
+        value, derivative = FractionalKernel(0.5, 1.0).jet(0.5)
+        assert type(value) is complex and type(derivative) is complex
+        assert value == pytest.approx(4.0 / 3.0) and derivative == pytest.approx(0.5 * 16.0 / 9.0)
+
+    def test_jet_checks_the_domain(self):
+        with pytest.raises(DomainError):
+            PowerSeries([0, 1]).jet(1.0)
+        with pytest.raises(DomainError):
+            Affine(0.5, 0.5).jet(np.array([0.0, 1.0j]))
+
+
+class TestKernelFamily:
+    bases = np.array([0.0, 0.5, 0.3 - 0.6j, -0.95j])
+    scales = np.array([1.0, 0.75, 1.5j, 2.0 - 1.0j])
+
+    def test_rows_equal_the_single_kernels(self):
+        family = KernelFamily(self.bases, 2.25, self.scales)
+        z = jet_points()[0][:40].reshape(4, 10)
+        value, derivative = family.jet(z)
+        for m, (b, s) in enumerate(zip(self.bases, self.scales)):
+            assert np.array_equal(value[m], FractionalKernel(b, 2.25, s).eval(z[m]))
+            assert np.array_equal(derivative[m], FractionalKernel(b, 2.25, s).deriv(z[m]))
+
+    def test_pinched_rows_equal_the_factored_products(self):
+        family = KernelFamily(self.bases, 3.0, self.scales, pinched=True)
+        z = jet_points()[0][:40].reshape(4, 10)
+        value, derivative = family.jet(z)
+        for m, (b, s) in enumerate(zip(self.bases, self.scales)):
+            single = Product(PowerSeries([-b, 1.0]), FractionalKernel(b, 3.0, s))
+            assert np.array_equal(value[m], single.eval(z[m]))
+            assert np.array_equal(derivative[m], single.deriv(z[m]))
+        assert np.all(family.eval(self.bases[:, None]) == 0.0)
+
+    def test_member_broadcasts_against_any_shape(self):
+        family = KernelFamily(self.bases, 1.5, self.scales)
+        z = sample_points(6, 64)[1]
+        assert len(family) == 4
+        assert np.array_equal(family.member(2).deriv(z), FractionalKernel(0.3 - 0.6j, 1.5, 1.5j).deriv(z))
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            KernelFamily([0.5, 1.0], 1.0, [1.0, 1.0])
+        with pytest.raises(ValueError):
+            KernelFamily([0.5], 0.0, [1.0])
+        with pytest.raises(ValueError):
+            KernelFamily([0.5, 0.2], 1.0, [1.0])
+
+
+class TestVacuity:
+    def test_touching_affine_maps_of_the_random_battery_are_not_vacuous(self):
+        # |a| + |b| = 1 by construction; the estimate may round one or two ulps below 1
+        touching = [(seed, label) for seed in range(1, 401) for label, sym in random_pairs(seed)
+                    if label.startswith("affine_touching") and sym.phi.misses_boundary]
+        assert touching == []
+
+    def test_strict_map_near_the_circle_stays_vacuous(self):
+        assert Affine(0.5, 0.5 - 1e-9).misses_boundary is True
+
+    @pytest.mark.parametrize("phi", representative_maps())
+    def test_predicate_is_a_python_bool(self, phi):
+        assert type(phi.misses_boundary) is bool

@@ -33,13 +33,15 @@ from blochlab.norms import (
     pointwise_growth_envelope,
     derivative_growth_envelope,
     bracket_argmax,
+    family_bloch_seminorm,
     radial_rule,
+    sample_points,
     sample_radii,
     unit_norm_mass,
 )
 from blochlab.battery import CURATED
 from blochlab.cli import parse_config
-from blochlab.disk_functions import DiskFunction, SelfMap
+from blochlab.disk_functions import DiskFunction, KernelFamily, SelfMap
 from blochlab.oracle import boundary_chase_point, boundary_test_function, operator_apply
 from golden_reference import golden_argmax, golden_bloch_seminorm
 
@@ -246,6 +248,28 @@ class TestBracketArgmax:
         assert bracket_argmax(fn, 0.25, 0.25, 12) == (0.25, 0.5)
         assert calls == [[0.25]]
 
+    def test_rows_are_searched_as_scalar_calls_search_them(self):
+        centers = np.array([0.3, -0.2, 1.7, 0.05])
+        weights = np.array([1.0, 2.5, 0.5, 3.0])
+        lo, hi = np.array([0.0, -1.0, 1.0, 0.0]), np.array([1.0, 0.5, 2.0, 0.05])
+
+        def rows(x):
+            return -np.where(x > centers[:, None], 3.0, 1.0) * weights[:, None] * np.abs(x - centers[:, None])
+
+        xs, values = bracket_argmax(rows, lo, hi, 12)
+        for m in range(centers.size):
+            def one(x, m=m):
+                return -np.where(x > centers[m], 3.0, 1.0) * weights[m] * np.abs(x - centers[m])
+
+            assert (xs[m], values[m]) == bracket_argmax(one, lo[m], hi[m], 12)
+
+    def test_seminorm_from_given_samples(self, grid):
+        f = PowerSeries([0.2, 1.0, -0.5j, 0.3])
+        radii, z = sample_points(grid.depth, grid.angular_nodes)
+        samples = (1.0 - radii**2)[:, None] * np.abs(f.deriv(z))
+        assert bloch_seminorm(f, grid, samples) == bloch_seminorm(f, grid)
+        assert bloch_seminorm(f, grid, np.zeros_like(samples)) <= bloch_seminorm(f, grid)
+
     @pytest.mark.parametrize("name", ["half-scale", "blaschke-rotor", "boundary-touch"])
     def test_seminorm_of_oracle_members_matches_golden_section(self, name, a2):
         # the kernel images the oracle chases for k = 2 .. 12
@@ -293,6 +317,17 @@ class TestVectorizedSearchCallCounts:
         bloch_seminorm(f, grid)
         assert counter.scalar_calls == 0
         assert 0 < counter.calls <= 1 + 2 * 12
+
+    def test_family_seminorm_makes_one_grid_call_per_member_and_one_call_per_round(self, monkeypatch, a2, grid):
+        sym = parse_config(CURATED["boundary-touch"]["config"]).symbol
+        kernels = KernelFamily([0.2, 0.5j, 0.9, -0.99], 2.5, [1.0, 0.5, 0.1, 0.01])
+        members = [operator_apply(sym, kernels.member(m)) for m in range(4)]
+        counter = _CountingEvaluator(monkeypatch, DiskFunction, "deriv")
+        family = family_bloch_seminorm(members, operator_apply(sym, kernels), grid)
+        assert counter.scalar_calls == 0
+        assert 0 < counter.calls <= 4 + 2 * 12
+        monkeypatch.undo()
+        assert family.tolist() == [bloch_seminorm(g, grid) for g in members]
 
     def test_chase_makes_one_grid_call_and_one_call_per_round(self, monkeypatch):
         counter = _CountingEvaluator(monkeypatch, SelfMap, "eval")

@@ -20,6 +20,10 @@ from blochlab import (
     operator_apply,
     vanishing_test_function,
 )
+from blochlab import oracle
+from blochlab.battery import CURATED
+from blochlab.cli import parse_config
+from blochlab.disk_functions import KernelFamily
 from blochlab.norms import sample_points
 from blochlab.oracle import chain_constant, kernel_family_norm
 from blochlab.criteria import classify_bounded_into_bloch
@@ -152,13 +156,52 @@ class TestChainConstant:
         outcome = classify_bounded_into_bloch(sym, a2, fast_grid)
         assert outcome.overall
         functions = [constant(1), PowerSeries([0, 1]), boundary_test_function(0.5, a2)]
+        norms = [bergman_type_norm(f, a2, fast_grid) for f in functions]
         c = chain_constant(
-            sym, a2, functions, fast_grid,
+            sym, functions, norms, fast_grid,
             outcome.verdicts[0].sup_estimate, outcome.verdicts[1].sup_estimate,
         )
         assert c is not None and 0 < c < 50
 
+    def test_takes_the_norms_it_is_given(self, a2, fast_grid, monkeypatch):
+        sym = SymbolPair(PowerSeries([0.5, 1]), MonomialPower(1, 0.5))
+        functions = [constant(1), PowerSeries([0, 1])]
+        norms = [bergman_type_norm(f, a2, fast_grid) for f in functions]
+        expected = chain_constant(sym, functions, norms, fast_grid, 1.0, 2.0)
+
+        def forbidden(*args):
+            raise AssertionError("chain_constant computed a norm")
+
+        monkeypatch.setattr(oracle, "bergman_type_norm", forbidden)
+        assert chain_constant(sym, functions, norms, fast_grid, 1.0, 2.0) == expected
+        assert chain_constant(sym, functions, [2 * n for n in norms], fast_grid, 1.0, 2.0) == 0.5 * expected
+
     def test_skipped_when_sups_divergent(self, a2, fast_grid):
         sym = SymbolPair(constant(1), identity_map())
-        c = chain_constant(sym, a2, [constant(1)], fast_grid, float("inf"), 1.0)
+        c = chain_constant(sym, [constant(1)], [1.0], fast_grid, float("inf"), 1.0)
         assert c is None
+
+
+class TestChaseFamily:
+    """The chase members are refined together; each must read as it would alone."""
+
+    @staticmethod
+    def alone(g, grid, z_star):
+        semi = max(bloch_seminorm(g, grid), (1.0 - abs(z_star) ** 2) * abs(g.deriv(complex(z_star))))
+        return abs(g.eval(0.0)) + semi
+
+    @pytest.mark.parametrize("case", ["half-scale", "blaschke-rotor", "boundary-touch"])
+    def test_family_norms_match_the_members_alone(self, case, grid):
+        config = parse_config(CURATED[case]["config"])
+        sym, space = config.symbol, config.space
+        trend = lower_bound_trend(sym, space, grid)
+        assert len(trend.image_norms) == 11
+        pinned = oracle._image_norms(sym, KernelFamily(
+            trend.images, 1.0 / space.p + space.weight.t + 2.0,
+            [vanishing_test_function(w, space).right.scale for w in trend.images], pinched=True),
+            grid, trend.chase_points)
+        for z_star, w, kernel_norm, pinned_norm in zip(trend.chase_points, trend.images, trend.image_norms, pinned):
+            member = self.alone(operator_apply(sym, boundary_test_function(w, space)), grid, z_star)
+            assert kernel_norm == pytest.approx(member, rel=1e-12, abs=0)
+            member = self.alone(operator_apply(sym, vanishing_test_function(w, space)), grid, z_star)
+            assert pinned_norm == pytest.approx(member, rel=1e-12, abs=0)
