@@ -1,0 +1,172 @@
+#!/usr/bin/env python3
+"""Compare the result payloads of two blochlab source trees.
+
+Each tree is imported in its own subprocess, which dumps:
+
+* the results payload of every curated config, run at its own grid;
+* for each given seed, the payload of every ``random_pairs`` pair: the
+  classifier's ``bounded_bloch`` group and the oracle's lower-bound trend
+  and compactness probe at 12x128x8, and both dual-evaluation limit probes
+  at 16x128x8 (the grids of acceptance criteria 8 and 9).
+
+The payloads are compared section by section (a curated task entry, the
+constants block, one part of a pair payload).  The script prints, per
+section kind, how many sections are byte-identical, the largest relative
+drift of any float with its path, and every verdict change.  Exit status
+is 1 when a verdict changed, 2 when a tree could not be dumped, and 0
+otherwise.
+
+Usage:
+    python scripts/payload_drift.py OLD_SRC NEW_SRC [--seeds 3,7,11] [--count 20]
+
+``OLD_SRC`` and ``NEW_SRC`` are ``src`` directories, or checkouts with one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+# fields whose change is a change of verdict, not of a measured value
+VERDICT_KEYS = frozenset({"overall", "decided", "status", "vacuous", "classification",
+                          "trend", "agreement", "agree", "kind", "error"})
+
+
+def fail(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def source_dir(path: str) -> Path:
+    """The directory holding the ``blochlab`` package: ``path`` or ``path/src``."""
+    for candidate in (Path(path), Path(path) / "src"):
+        if (candidate / "blochlab" / "__init__.py").is_file():
+            return candidate.resolve()
+    fail(f"no blochlab package under {path}")
+
+
+def dump(src: Path, seeds: list, count: int) -> dict:
+    """Every payload of the tree at ``src``, keyed by unit; runs in the child."""
+    sys.path.insert(0, str(src))
+    import blochlab
+    from blochlab import RadialGrid, SpaceSpec, cli, criteria, oracle
+    from blochlab.battery import CURATED, random_pairs
+
+    if Path(blochlab.__file__).resolve().parent != src / "blochlab":
+        fail(f"imported blochlab from {blochlab.__file__}, not from {src}")
+    units = {}
+    for name, entry in CURATED.items():
+        results = cli.run(cli.parse_config(json.loads(json.dumps(entry["config"])))).results
+        units[f"curated/{name}"] = dict({f"tasks.{task}": e for task, e in results["tasks"].items()},
+                                        **{k: v for k, v in results.items() if k != "tasks"})
+    space, mesh, probe_mesh = SpaceSpec.bergman(2), RadialGrid(12, 128, 8), RadialGrid(16, 128, 8)
+    for seed in seeds:
+        for label, sym in random_pairs(seed, count):
+            trend = oracle.lower_bound_trend(sym, space, mesh)
+            units[f"pairs/{seed}/{label}"] = {
+                "bounded_bloch": criteria.classify_bounded_into_bloch(sym, space, mesh).to_dict(),
+                "lower_bound": trend.to_dict(),
+                "compactness_probe": oracle.compactness_probe(sym, space, mesh, trend).to_dict(),
+                "derivative_limit": criteria.derivative_limit_probe(sym, space, probe_mesh).to_dict(),
+                "composition_limit": criteria.composition_limit_probe(sym, space, probe_mesh).to_dict(),
+            }
+    return units
+
+
+def dump_in_subprocess(src: Path, seeds: list, count: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, __file__, "--dump", str(src), "--seeds", ",".join(map(str, seeds)),
+           "--count", str(count)]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        fail(f"dumping {src} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def compare(old, new, path: str, found: dict) -> None:
+    """Walk two payloads together, recording the worst float drift and
+    every other difference under ``found``."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            where = f"{path}.{key}"
+            if key not in old or key not in new:
+                found["changes"].append((key, where, old.get(key), new.get(key)))
+            else:
+                compare(old[key], new[key], where, found)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            compare(a, b, f"{path}[{i}]", found)
+    elif isinstance(old, float) and isinstance(new, float):
+        if old == new or (math.isnan(old) and math.isnan(new)):
+            return
+        scale = max(abs(old), abs(new))
+        drift = abs(old - new) / scale if math.isfinite(scale) else math.inf
+        if drift > found["drift"][0]:
+            found["drift"] = (drift, path, old, new)
+    elif old != new or type(old) is not type(new):
+        found["changes"].append((path.rsplit(".", 1)[-1].split("[")[0], path, old, new))
+
+
+def report(old_units: dict, new_units: dict) -> int:
+    found = {"drift": (0.0, None, None, None), "changes": []}
+    identical, total = defaultdict(int), defaultdict(int)
+    for unit in sorted(set(old_units) | set(new_units)):
+        if unit not in old_units or unit not in new_units:
+            print(f"unit only in one tree: {unit}")
+            found["changes"].append(("unit", unit, unit in old_units, unit in new_units))
+            continue
+        old, new = old_units[unit], new_units[unit]
+        for section in sorted(set(old) | set(new)):
+            kind = f"{unit.split('/')[0]}:{section}"
+            total[kind] += 1
+            a, b = old.get(section), new.get(section)
+            if json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True):
+                identical[kind] += 1
+            else:
+                compare(a, b, f"{unit}/{section}", found)
+    print("byte-identical sections:")
+    width = max(len(kind) for kind in total)
+    for kind in sorted(total):
+        print(f"  {kind:<{width}}  {identical[kind]}/{total[kind]}")
+    drift, where, a, b = found["drift"]
+    if where is None:
+        print("largest relative float drift: 0")
+    else:
+        print(f"largest relative float drift: {drift:.3g} at {where} ({a!r} -> {b!r})")
+    verdicts = [c for c in found["changes"] if c[0] in VERDICT_KEYS or c[0] == "unit"]
+    others = [c for c in found["changes"] if c not in verdicts]
+    for _, where, a, b in others:
+        print(f"changed: {where}: {a!r} -> {b!r}")
+    for _, where, a, b in verdicts:
+        print(f"VERDICT CHANGED: {where}: {a!r} -> {b!r}")
+    print(f"verdict changes: {len(verdicts)}")
+    return 1 if verdicts else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("old_src", nargs="?")
+    parser.add_argument("new_src", nargs="?")
+    parser.add_argument("--seeds", default="3,7,11", help="comma-separated random_pairs seeds")
+    parser.add_argument("--count", type=int, default=20, help="pairs per seed")
+    parser.add_argument("--dump", default=None, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    seeds = [int(s) for s in args.seeds.split(",") if s]
+    if args.dump:
+        json.dump(dump(Path(args.dump), seeds, args.count), sys.stdout)
+        return 0
+    if not (args.old_src and args.new_src):
+        parser.error("OLD_SRC and NEW_SRC are required")
+    old = dump_in_subprocess(source_dir(args.old_src), seeds, args.count)
+    new = dump_in_subprocess(source_dir(args.new_src), seeds, args.count)
+    return report(old, new)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

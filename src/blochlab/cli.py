@@ -52,7 +52,7 @@ from .disk_functions import (
     validate_self_map,
 )
 from .norms import NonConvergentError, RadialGrid
-from .oracle import chain_constant, compactness_probe, constants_battery, lower_bound_trend
+from .oracle import chain_constant, compactness_probe, constants_battery, lower_bound_trend, symbol_samples
 from .weights import NormalWeight, SpaceSpec, check_normality
 
 __all__ = [
@@ -79,6 +79,12 @@ _PREREQUISITE = {
     "bounded_little_bloch": "bounded_bloch",
 }
 ENV_OUT = "BLOCHLAB_OUT"
+# A sample table peaks at 128 bytes per point of the sample set (traced over
+# the classifier tasks of the curated configs at 16x512, 40x2048 and 24x4096);
+# a 256 MiB table bounds the sample set at 2**21 points, 12.5 times the
+# largest grid in use (40x2048, 167,936 points).
+SAMPLE_TABLE_BYTES_PER_POINT = 128
+MAX_SAMPLE_POINTS = 256 * 2**20 // SAMPLE_TABLE_BYTES_PER_POINT
 
 
 class ParseError(ValueError):
@@ -317,6 +323,12 @@ def parse_config(text_or_dict) -> RunConfig:
         grid = RadialGrid(*sizes)
     except ValueError as exc:
         raise ValidationError(f"grid: {exc}") from exc
+    points = 2 * (grid.depth + 1) * grid.angular_nodes  # the circles of sample_points
+    if points > MAX_SAMPLE_POINTS:
+        raise ValidationError(
+            f"grid: the sample set has {points:,} points ({2 * (grid.depth + 1)} circles of "
+            f"{grid.angular_nodes:,}), more than the {MAX_SAMPLE_POINTS:,} a sample table may hold"
+        )
     tasks = _schedule(doc.get("tasks", ()))
     output = doc.get("output", {})
     if not isinstance(output, dict) or not set(output) <= {"dir", "formats"}:
@@ -384,35 +396,62 @@ def run(config: RunConfig) -> Report:
 
     The classifier tasks share one sample table, built by the first of
     them and released before a final ``oracle`` task, which never reads it.
-    Fails verdicts do not raise; computational errors are recorded per
-    task with attribution and re-raised only for truly broken state.
+    Fails verdicts do not raise.  A numerical failure (``DomainError`` or
+    an ``ArithmeticError`` such as ``NonConvergentError``) is recorded as
+    ``{"error", "detail"}`` against the task that hit it, whether in the
+    sample table or in the oracle, and the run goes on; anything else
+    propagates.
     """
     results: dict = {"tasks": {}}
     timings: dict = {}
     table = None
     for task in config.tasks:
         start = time.perf_counter()
-        if task == "oracle":
-            if config.tasks[-1] == "oracle":
-                table = None  # no later task reads the samples
-            trend = lower_bound_trend(config.symbol, config.space, config.grid)
-            probe = compactness_probe(config.symbol, config.space, config.grid, trend)
-            entry = {"lower_bound": trend.to_dict(), "compactness_probe": probe.to_dict()}
-            entry["agreement"] = _agreement(results["tasks"].get("bounded_bloch"), trend.classification)
-            results["tasks"][task] = entry
-            try:
-                results["constants"] = _empirical_constants(config, results["tasks"].get("bounded_bloch"))
-            except NonConvergentError as exc:
-                results["constants"] = {"error": "nonconvergent", "detail": str(exc)}
-            except DomainError as exc:
-                results["constants"] = {"error": "domain", "detail": str(exc)}
-        else:
-            if table is None:
-                table = SampleTable(config.symbol, config.space, config.grid)
-            results["tasks"][task] = _classifier_entry(table, task, config.force_boundary)
+        try:
+            if task == "oracle":
+                if config.tasks[-1] == "oracle":
+                    table = None  # no later task reads the samples
+                results["tasks"][task] = _oracle_entry(config, results)
+            else:
+                if table is None:
+                    table = SampleTable(config.symbol, config.space, config.grid)
+                results["tasks"][task] = _classifier_entry(table, task, config.force_boundary)
+        except (DomainError, ArithmeticError) as exc:
+            results["tasks"][task] = _failure(exc)
         timings[task] = round(time.perf_counter() - start, 6)
     tool = {"name": "blochlab", "version": __version__}
     return Report(tool, config.echo, results, {"wall_clock_s": timings})
+
+
+def _failure(exc: Exception) -> dict:
+    """The report entry of a numerical failure."""
+    if isinstance(exc, DomainError):
+        kind = "domain"
+    elif isinstance(exc, NonConvergentError):
+        kind = "nonconvergent"
+    else:
+        kind = "arithmetic"
+    return {"error": kind, "detail": str(exc)}
+
+
+def _oracle_entry(config: RunConfig, results: dict) -> dict:
+    """The oracle task's entry, from one ``symbol_samples`` set shared by
+    the trend, the compactness probe and the chain constant; also records
+    the constants block, which fails soft on its own."""
+    sym, space, grid = config.symbol, config.space, config.grid
+    bounded_entry = results["tasks"].get("bounded_bloch")
+    try:
+        # first, while no samples are held: the battery's first pass is the task's largest allocation
+        battery = constants_battery(space, grid)
+    except (DomainError, ArithmeticError) as exc:
+        battery, results["constants"] = None, _failure(exc)
+    samples = symbol_samples(sym, grid)
+    trend = lower_bound_trend(sym, space, grid, samples)
+    probe = compactness_probe(sym, space, grid, trend, samples)
+    if battery is not None:
+        results["constants"] = _empirical_constants(config, battery, bounded_entry, samples)
+    return {"lower_bound": trend.to_dict(), "compactness_probe": probe.to_dict(),
+            "agreement": _agreement(bounded_entry, trend.classification)}
 
 
 def _classifier_entry(table: SampleTable, task: str, force_boundary: bool) -> dict:
@@ -430,19 +469,18 @@ def _classifier_entry(table: SampleTable, task: str, force_boundary: bool) -> di
     return groups[task]().to_dict()
 
 
-def _empirical_constants(config: RunConfig, bounded_entry) -> dict:
+def _empirical_constants(config: RunConfig, battery, bounded_entry, samples) -> dict:
     """Measured constants over a small standard battery: growth-envelope
     ratios, the interval of derivative-form to direct norm ratios (both
     shared by every run on the same space and grid), and (for a bounded
     pair) the chain constant tying the image seminorm to the criterion
-    suprema."""
-    battery = constants_battery(config.space, config.grid)
+    suprema, measured from the oracle task's ``symbol_samples``."""
     out = dict(battery.to_dict(), chain_constant=None)
     if bounded_entry and bounded_entry.get("overall"):
         sups = [v["sup_estimate"] for v in bounded_entry["verdicts"]]
         if all(isinstance(s, (int, float)) for s in sups):
             out["chain_constant"] = chain_constant(
-                config.symbol, battery.functions, battery.norms, config.grid, sups[0], sups[1]
+                config.symbol, battery.functions, battery.norms, config.grid, sups[0], sups[1], samples
             )
     return out
 

@@ -4,9 +4,10 @@ Two families of immutable value objects:
 
 * ``DiskFunction``: analytic functions assembled from power series,
   fractional kernels ``scale * (1 - conj(a) z)**(-q)`` (singly or as a
-  ``KernelFamily`` evaluated member by row) and algebraic combinations,
-  each carrying an exact closed-form derivative (never a finite
-  difference).
+  ``KernelFamily`` evaluated member by row, which also gives the modulus
+  of its images' derivatives in real arithmetic) and algebraic
+  combinations, each carrying an exact closed-form derivative (never a
+  finite difference).
 * ``SelfMap``: analytic maps of the disk into itself (affine maps,
   monomials, Blaschke factors and products, scalings, compositions),
   each carrying a certified structural bound for ``sup |phi|`` on any
@@ -236,6 +237,28 @@ class KernelFamily(DiskFunction):
             return value, derivative
         factor = z - self.bases
         return factor * value, value + factor * derivative
+
+    def image_derivative_modulus(self, u, du, phi, dphi):
+        """``|g_m'|`` for the images ``g_m = u (K_m o phi)``, from the jets
+        ``(u, u')`` and ``(phi, phi')`` at the same points.
+
+        With ``W = 1 - conj(b_m) phi`` and ``e`` the exponent,
+        ``|g_m'| = |s_m| |W|**-(e+1) |u' W + e conj(b_m) u phi'|``; pinched,
+        the last factor is ``|(u' (phi - b_m) + u phi') W + e conj(b_m) u (phi - b_m) phi'|``.
+        The only power is the real ``(Re(W)**2 + Im(W)**2)**(-(e+1)/2)``, and
+        the right half-plane check of ``_kernel_jet`` is kept."""
+        conj_base = np.conj(self.bases)
+        w = 1.0 - conj_base * phi
+        if not np.all(w.real > 0.0):
+            raise ArithmeticError("kernel argument left the right half-plane")
+        u_dphi = u * dphi
+        if self.pinched:
+            factor = phi - self.bases
+            inner = (du * factor + u_dphi) * w + (self.exponent * conj_base) * (u_dphi * factor)
+        else:
+            inner = du * w + (self.exponent * conj_base) * u_dphi
+        power = (w.real**2 + w.imag**2) ** (-0.5 * (self.exponent + 1.0))
+        return np.abs(self.scales) * power * np.abs(inner)
 
 
 class Sum(DiskFunction):

@@ -12,7 +12,8 @@ reported as nonconvergent instead of being silently truncated.
 Suprema over the disk are taken on a standard sample set (dyadic radii
 plus geometric midpoints, equispaced angles) with one local vectorized
 bracket search (``bracket_argmax``) for the global Bloch seminorm; a
-family of functions evaluated member by row shares those searches.
+family of functions shares those searches, member by row.  The searches
+read only the modulus ``|f'|``, which a caller may supply in closed form.
 Boundary behaviour is recorded as a ``BoundaryProfile``: nested suprema
 over the regions past an increasing sequence of thresholds, together with
 the per-band suprema that divergence detection fits its log-log slope to.
@@ -321,14 +322,28 @@ def bracket_argmax(fn, lo, hi, rounds: int):
     return best_x, best
 
 
+def _bracket_abscissae(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linspace(a, b, 33, axis=-1)`` bit for bit, without its per-call
+    overhead: ``k * step + a`` with the last point set to ``b``, and, as
+    ``linspace`` does when any step underflows to 0, ``(k / 32) * (b - a) + a``."""
+    last = _BRACKET_POINTS - 1
+    k = np.arange(float(_BRACKET_POINTS))
+    delta = (b - a)[:, None]
+    step = delta / last
+    xs = (k / last) * delta if np.any(step == 0.0) else k * step
+    xs += a[:, None]
+    xs[:, last] = b
+    return xs
+
+
 def _bracket_rows(fn, a: np.ndarray, b: np.ndarray, rounds: int):
     """``bracket_argmax`` on the rows of ``(M,)`` brackets at once.  The
-    scalar search stays separate because a single bracket (the boundary
-    chase) pays per numpy call, and this form makes about twice as many."""
+    scalar search stays separate because a single bracket pays per numpy
+    call, and this form makes about twice as many."""
     rows, last = np.arange(a.size), _BRACKET_POINTS - 1
     best_x, best = a, np.full(a.shape, -np.inf)
     for _ in range(rounds):
-        xs = np.linspace(a, b, _BRACKET_POINTS, axis=-1)
+        xs = _bracket_abscissae(a, b)
         values = fn(xs)
         i = values.argmax(axis=1)
         top = values[rows, i]
@@ -343,16 +358,19 @@ def _larger(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(b > a, b, a)
 
 
-def _refined_sup(deriv, g_grids, grid: RadialGrid) -> np.ndarray:
-    """Sharpen each sample-grid supremum of ``(1-|z|^2)|f_m'|`` by one
-    bracket search in radius and then in angle around its grid argmax.
+def family_bloch_seminorm(modulus, samples, grid: RadialGrid = DEFAULT_GRID) -> np.ndarray:
+    """``bloch_seminorm`` of each function ``f_m`` of a family, as an array.
 
-    ``g_grids`` yields one ``(radii, angles)`` sample array per member;
-    ``deriv`` maps an ``(M, n)`` array of points, row ``m`` for member ``m``,
-    to the derivatives, so every round serves all members at once."""
+    ``samples`` yields, one member at a time, ``(1-|z|^2)|f_m'|`` on the
+    circles of ``sample_points``; each grid supremum is sharpened by one
+    bracket search in radius and then in angle around its grid argmax.
+    ``modulus`` maps an ``(M, n)`` array of points, row ``m`` for member
+    ``m``, to ``|f_m'|`` there, so every round serves all members at once.
+    Only the moduli are read, so a caller may compute them in closed form
+    instead of forming the complex derivatives."""
     radii, _ = sample_points(grid.depth, grid.angular_nodes)
     peaks = []
-    for g in g_grids:
+    for g in samples:
         i, j = np.unravel_index(int(np.argmax(g)), g.shape)
         peaks.append((i, j, g[i, j]))
     i, j, grid_best = (np.array(column) for column in zip(*peaks))
@@ -360,7 +378,7 @@ def _refined_sup(deriv, g_grids, grid: RadialGrid) -> np.ndarray:
     ray = np.exp(1j * theta)[:, None]
 
     def radial(rr: np.ndarray) -> np.ndarray:
-        return (1.0 - rr * rr) * np.abs(deriv(rr * ray))
+        return (1.0 - rr * rr) * modulus(rr * ray)
 
     lo = np.where(i >= 1, radii[i - 1], 0.0)
     hi = np.where(i + 1 < radii.size, radii[np.minimum(i + 1, radii.size - 1)], 0.5 * (1.0 + radii[i]))
@@ -370,7 +388,7 @@ def _refined_sup(deriv, g_grids, grid: RadialGrid) -> np.ndarray:
     r_best = radii[i][:, None]
 
     def angular(th: np.ndarray) -> np.ndarray:
-        return (1.0 - r_best * r_best) * np.abs(deriv(r_best * np.exp(1j * th)))
+        return (1.0 - r_best * r_best) * modulus(r_best * np.exp(1j * th))
 
     return _larger(best, bracket_argmax(angular, theta - span, theta + span, 12)[1])
 
@@ -381,22 +399,14 @@ def bloch_seminorm(f: DiskFunction, grid: RadialGrid = DEFAULT_GRID, samples=Non
 
     ``samples``, when given, is ``(1-|z|^2)|f'(z)|`` already evaluated on
     the circles of ``sample_points``; the search then starts from it."""
+
+    def modulus(z: np.ndarray) -> np.ndarray:
+        return np.abs(f.deriv(z))
+
     if samples is None:
         radii, z = sample_points(grid.depth, grid.angular_nodes)
-        samples = one_minus_sq(radii)[:, None] * np.abs(f.deriv(z))
-    return float(_refined_sup(f.deriv, [samples], grid)[0])
-
-
-def family_bloch_seminorm(members, family: DiskFunction, grid: RadialGrid = DEFAULT_GRID) -> np.ndarray:
-    """``bloch_seminorm`` of each function of a family, as an array.
-
-    ``family`` evaluates all members at once, member ``m`` on row ``m`` of
-    an ``(M, n)`` array of points, and ``members[m]`` is member ``m`` alone.
-    The sample-grid maximum is found one member at a time, which bounds
-    the memory; the bracket rounds evaluate the whole family together."""
-    radii, z = sample_points(grid.depth, grid.angular_nodes)
-    omr2 = one_minus_sq(radii)[:, None]
-    return _refined_sup(family.deriv, (omr2 * np.abs(f.deriv(z)) for f in members), grid)
+        samples = one_minus_sq(radii)[:, None] * modulus(z)
+    return float(family_bloch_seminorm(modulus, [samples], grid)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,14 @@ growing as the family chases the boundary is the oracle's verdict, kept
 deliberately independent of the criterion quotients.  Disagreement with
 the classifier is reported, never auto-resolved.
 
-The members of one boundary chase are evaluated together as a
-``KernelFamily``, and the norms and envelopes of the constants battery,
-which depend only on the space and the grid, are computed once per
-``(space, grid)``.
+One oracle task evaluates ``u``, ``u'``, ``phi`` and ``phi'`` on the
+sample grid once (``symbol_samples``); the kernel images, the pinned
+images and the chain constant all read that one set.  The members of a
+boundary chase form a ``KernelFamily`` whose image seminorms are taken
+from the closed-form moduli ``|g_m'|``, without a complex power, and the
+11 chase circles are searched together.  The norms and envelopes of the
+constants battery, which depend only on the space and the grid, are
+computed once per ``(space, grid)``.
 """
 
 from __future__ import annotations
@@ -41,8 +45,10 @@ from .norms import (
     derivative_form_norm,
     derivative_growth_envelope,
     family_bloch_seminorm,
+    one_minus_sq,
     pointwise_growth_envelope,
     radial_rule,
+    sample_points,
     weight_power_over_gap,
 )
 from .criteria import SymbolPair
@@ -61,6 +67,7 @@ __all__ = [
     "constants_battery",
     "chain_constant",
     "boundary_chase_point",
+    "symbol_samples",
 ]
 
 TREND_STABLE = "stable"
@@ -122,19 +129,38 @@ def operator_apply(sym: SymbolPair, f: DiskFunction) -> DiskFunction:
     return Product(sym.u, ComposedWithSelfMap(f, sym.phi))
 
 
-def _image_norms(sym: SymbolPair, kernels: KernelFamily, grid: RadialGrid, probe_points) -> tuple:
+def symbol_samples(sym: SymbolPair, grid: RadialGrid) -> tuple:
+    """``(u, u', phi, phi')`` on the circles of ``sample_points``, the one
+    evaluation of the symbol on the grid that an oracle task makes."""
+    _, z = sample_points(grid.depth, grid.angular_nodes)
+    return (*sym.u.jet(z), *sym.phi.jet(z))
+
+
+def _image_norms(sym: SymbolPair, kernels: KernelFamily, grid: RadialGrid, probe_points, samples=None) -> tuple:
     """``|g(0)| + B(g)`` for each image ``g = u (K o phi)`` of a kernel
     family, where the seminorm ``B`` is the sample-grid supremum sharpened
     by the value at the member's probe point.
 
+    The seminorms read the closed-form moduli ``|g'|``: on the grid from
+    ``samples`` (``symbol_samples``, computed when not given), one member
+    at a time, and in the bracket rounds from the symbol's jets there.
     ``(1-|z|^2)|g'(z)|`` at any single point is a valid lower bound for
     the supremum; probing where the chase landed keeps the bound honest
     when the peak is narrower than the angular resolution.  The probe and
-    ``g(0)`` come from one evaluation of the whole family.
+    ``g(0)``, two points per member, come from one complex evaluation of
+    the whole family.
     """
+    if samples is None:
+        samples = symbol_samples(sym, grid)
+    radii, _ = sample_points(grid.depth, grid.angular_nodes)
+    omr2 = one_minus_sq(radii)[:, None]
+
+    def modulus(z: np.ndarray) -> np.ndarray:
+        return kernels.image_derivative_modulus(*sym.u.jet(z), *sym.phi.jet(z))
+
+    grids = (omr2 * kernels.member(m).image_derivative_modulus(*samples) for m in range(len(kernels)))
+    semi = family_bloch_seminorm(modulus, grids, grid)
     image = operator_apply(sym, kernels)
-    members = [operator_apply(sym, kernels.member(m)) for m in range(len(kernels))]
-    semi = family_bloch_seminorm(members, image, grid)
     points = np.stack([np.asarray(probe_points, dtype=complex), np.zeros(len(kernels), dtype=complex)], axis=1)
     value, derivative = image.jet(points)
     probe = (1.0 - np.abs(points[:, 0]) ** 2) * np.abs(derivative[:, 0])
@@ -177,24 +203,31 @@ def kernel_family_norm(base_modulus: float, space: SpaceSpec, grid: RadialGrid =
     return float(scale * np.sum(w * F) ** (1.0 / space.p))
 
 
-def boundary_chase_point(phi, depth: int, angular_nodes: int = 256) -> complex:
+def boundary_chase_point(phi, depth, angular_nodes: int = 256):
     """Point on the circle of radius ``1 - 2**-depth`` where ``|phi|`` is
     largest (angular grid argmax followed by a bracket search).
 
-    The grid point is kept unless the refined ``|phi|`` beats it by more
-    than rounding: on rotation-invariant maps ``|phi|`` is constant on the
-    circle, and rounding noise must not pick another point of it."""
-    r = 1.0 - 0.5**depth
+    A sequence of depths is chased in one evaluation, one circle per row
+    of an ``(depths, angular_nodes)`` array and one row bracket search, and
+    an array of points comes back; each row finds what a single depth
+    finds.  The grid point is kept unless the refined ``|phi|`` beats it
+    by more than rounding: on rotation-invariant maps ``|phi|`` is
+    constant on the circle, and rounding noise must not pick another
+    point of it."""
+    depths = np.atleast_1d(np.asarray(depth, dtype=float))
+    r = (1.0 - 0.5**depths)[:, None]
     theta = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
     mods = np.abs(phi.eval(r * np.exp(1j * theta)))
-    j = int(np.argmax(mods))
+    j = mods.argmax(axis=1)
 
     def along(th: np.ndarray) -> np.ndarray:
         return np.abs(phi.eval(r * np.exp(1j * th)))
 
     span = 2.0 * np.pi / angular_nodes
     th, best = bracket_argmax(along, theta[j] - span, theta[j] + span, 9)
-    return r * np.exp(1j * (th if best > mods[j] * (1.0 + 1e-14) else theta[j]))
+    grid_best = mods[np.arange(depths.size), j]
+    points = r[:, 0] * np.exp(1j * np.where(best > grid_best * (1.0 + 1e-14), th, theta[j]))
+    return points if np.ndim(depth) else complex(points[0])
 
 
 # the chase circles ``1 - 2**-k`` and the depths at which the trend is read
@@ -226,16 +259,21 @@ class LowerBoundTrend:
         }
 
 
-def lower_bound_trend(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID) -> LowerBoundTrend:
+def lower_bound_trend(
+    sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID, samples=None
+) -> LowerBoundTrend:
     """Lower bounds from kernel families chasing the boundary of the image.
 
     Base points are ``phi`` evaluated at per-circle argmax points of
-    ``|phi|``; the family deepens with the chase and the bound either
-    stabilizes (bounded evidence) or keeps climbing (unbounded evidence).
+    ``|phi|``, all circles chased at once; the family deepens with the
+    chase and the bound either stabilizes (bounded evidence) or keeps
+    climbing (unbounded evidence).  ``samples`` are the task's
+    ``symbol_samples``, computed when not given.
     """
-    points = tuple(boundary_chase_point(sym.phi, k, grid.angular_nodes) for k in CHASE_DEPTHS)
+    points = tuple(boundary_chase_point(sym.phi, CHASE_DEPTHS, grid.angular_nodes))
     images = tuple(complex(sym.phi.eval(z_star)) for z_star in points)
-    norms = _image_norms(sym, _family([boundary_test_function(w, space) for w in images]), grid, points)
+    kernels = _family([boundary_test_function(w, space) for w in images])
+    norms = _image_norms(sym, kernels, grid, points, samples)
     denoms = (kernel_family_norm(abs(w), space, grid) for w in images)
     ratios = tuple(0.0 if denom == 0.0 else norm / denom for norm, denom in zip(norms, denoms))
     values = tuple(max(ratios[: d - 1], default=0.0) for d in TREND_DEPTHS)
@@ -287,13 +325,14 @@ def _sequence_trend(values) -> str:
 
 
 def compactness_probe(
-    sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, trend: LowerBoundTrend
+    sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, trend: LowerBoundTrend, samples=None
 ) -> CompactnessProbe:
     """Apply the operator to boundary-chasing probe sequences and report
     the size trend of the image Bloch norms.
 
     The normalized kernels are the chase members of ``trend`` (computed on
-    the same ``grid``); only the pinned kernels are applied here.  With no
+    the same ``grid``); only the pinned kernels are applied here, reading
+    the task's ``symbol_samples`` (computed when not given).  With no
     boundary-approaching sequence available (structural sup bound below 1)
     the probe is vacuous.  A decaying trend corroborates compactness, a
     trend bounded away from zero corroborates the opposite; both are
@@ -303,7 +342,7 @@ def compactness_probe(
         return CompactnessProbe("vacuous", (), (), (), "vacuous")
     f_vals = trend.image_norms
     pinned = _family([_steep_kernel(w, space) for w in trend.images], pinched=True)
-    g_vals = _image_norms(sym, pinned, grid, trend.chase_points)
+    g_vals = _image_norms(sym, pinned, grid, trend.chase_points, samples)
     tf, tg = _sequence_trend(f_vals), _sequence_trend(g_vals)
     if tf == "zero" and tg == "zero":
         trend_name = "zero"
@@ -357,17 +396,31 @@ def chain_constant(
     grid: RadialGrid,
     sup_multiplier: float,
     sup_composition: float,
+    samples=None,
 ) -> float | None:
     """Empirical constant in ``B(u (f o phi)) <= C (S1 + S2) ||f||`` over a
     battery of functions with their norms ``||f||``, given finite criterion
-    suprema ``S1, S2``."""
+    suprema ``S1, S2``.
+
+    The seminorm searches start from ``(u (f o phi))'`` formed on the grid
+    from the task's ``symbol_samples`` (computed when not given) and
+    ``f``'s jet at ``phi``, in the operation order of the composite's own
+    jet, so the values are those of ``bloch_seminorm`` of the composite."""
     total = sup_multiplier + sup_composition
     if not np.isfinite(total) or total == 0.0:
         return None
+    if samples is None:
+        samples = symbol_samples(sym, grid)
+    u, du, phi, dphi = samples
+    radii, _ = sample_points(grid.depth, grid.angular_nodes)
+    omr2 = one_minus_sq(radii)[:, None]
     best = 0.0
     for f, norm in zip(functions, norms):
         denom = norm * total
         if denom == 0.0:
             continue
-        best = max(best, bloch_seminorm(operator_apply(sym, f), grid) / denom)
+        value, derivative = f.jet(phi)
+        chain = derivative * dphi  # a named operand: numpy must not reuse it in place
+        image_derivative = du * value + u * chain
+        best = max(best, bloch_seminorm(operator_apply(sym, f), grid, omr2 * np.abs(image_derivative)) / denom)
     return best

@@ -265,6 +265,25 @@ def test_grid_must_be_an_object():
         parse_config(dict(HALF_SCALE_DOC, grid=[12, 128, 8]))
 
 
+@pytest.mark.parametrize("grid", [(40, 2048), (16, 32768), (24, 32768), (16, 512), (4, 64)])
+def test_grids_in_use_are_under_the_sample_set_cap(grid):
+    doc = dict(HALF_SCALE_DOC, grid={"depth": grid[0], "angular_nodes": grid[1], "panel_order": 8})
+    assert parse_config(doc).grid == RadialGrid(grid[0], grid[1], 8)
+
+
+def test_sample_set_cap_is_derived_from_the_table_memory():
+    assert cli.MAX_SAMPLE_POINTS == 256 * 2**20 // cli.SAMPLE_TABLE_BYTES_PER_POINT == 2**21
+
+
+@pytest.mark.parametrize("depth,nodes", [(16, 65536), (1024, 1024), (10**12, 64), (4, 2**40)])
+def test_grid_over_the_sample_set_cap_is_rejected(depth, nodes):
+    doc = dict(HALF_SCALE_DOC, grid={"depth": depth, "angular_nodes": nodes, "panel_order": 8})
+    with pytest.raises(ValidationError, match=r"^grid: the sample set has [\d,]+ points") as info:
+        parse_config(doc)
+    assert f"{2 * (depth + 1) * nodes:,} points" in str(info.value)
+    assert f"more than the {cli.MAX_SAMPLE_POINTS:,}" in str(info.value)
+
+
 def test_integer_grid_fields_parse_as_before():
     assert parse_config(dict(HALF_SCALE_DOC)).grid == RadialGrid(12, 128, 8)
     assert parse_config({"symbol": HALF_SCALE_DOC["symbol"], "tasks": ["bounded_bloch"]}).grid == RadialGrid()
@@ -338,6 +357,49 @@ class TestRunAndEmit:
                                                   "detail": "evaluation point outside the open unit disk"}
         assert set(loaded["results"]["tasks"]) == set(doc["tasks"])
         assert loaded["results"]["tasks"]["oracle"]["lower_bound"]["classification"] == "stable"
+
+    def test_every_task_fails_soft_on_a_deep_grid(self, tmp_path, capsys):
+        # at depth 52 the sample points round onto |z| = 1: the sample table
+        # and the oracle both fail, each recorded against its task
+        path = tmp_path / "half_scale.json"
+        path.write_text(json.dumps(CURATED["half-scale"]["config"]))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--grid", "52,64,8", "--out", str(out), "--format", "json,csv"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-finite token {token}")
+
+        loaded = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        tasks = loaded["results"]["tasks"]
+        assert sorted(tasks) == sorted(CURATED["half-scale"]["config"]["tasks"]) and len(tasks) == 6
+        for task, entry in tasks.items():
+            assert entry == {"error": "domain", "detail": "evaluation point outside the open unit disk"}, task
+        assert (out / "verdicts.csv").read_text().splitlines() == ["task,quantity,status,sup_estimate,slope"]
+        assert "oracle: domain" in capsys.readouterr().out
+
+    def test_oracle_failure_is_recorded_and_other_errors_propagate(self, monkeypatch):
+        from blochlab.norms import NonConvergentError
+
+        def nonconvergent(*args):
+            raise NonConvergentError("radial bands do not decay")
+
+        monkeypatch.setattr(cli, "lower_bound_trend", nonconvergent)
+        tasks = run(parse_config(dict(HALF_SCALE_DOC))).results["tasks"]
+        assert tasks["bounded_bloch"]["overall"] is True
+        assert tasks["oracle"] == {"error": "nonconvergent", "detail": "radial bands do not decay"}
+
+        def arithmetic(*args):
+            raise ArithmeticError("kernel argument left the right half-plane")
+
+        monkeypatch.setattr(cli, "lower_bound_trend", arithmetic)
+        assert run(parse_config(dict(HALF_SCALE_DOC))).results["tasks"]["oracle"]["error"] == "arithmetic"
+
+        def broken(*args):
+            raise RuntimeError("not a numerical failure")
+
+        monkeypatch.setattr(cli, "SampleTable", broken)
+        with pytest.raises(RuntimeError):
+            run(parse_config(dict(HALF_SCALE_DOC)))
 
     def test_compact_report_on_a_rounding_touching_map_is_strict_json(self):
         # |a| + |b| = 1, but the map's sup estimate rounds below 1
@@ -425,7 +487,9 @@ class TestSharedWork:
         chase = oracle.boundary_chase_point
         monkeypatch.setattr(oracle, "boundary_chase_point", lambda *args: chases.append(args) or chase(*args))
         run(parse_config(dict(CURATED["boundary-touch"]["config"], grid=HALF_SCALE_DOC["grid"])))
-        assert len(chases) == len(oracle.CHASE_DEPTHS) == 11
+        depths = [int(k) for args in chases for k in np.atleast_1d(args[1])]
+        assert sorted(depths) == list(oracle.CHASE_DEPTHS) and len(oracle.CHASE_DEPTHS) == 11
+        assert len(chases) == 1  # the 11 circles are chased together
 
     def test_constants_battery_is_computed_once_per_space_and_grid(self, monkeypatch):
         norms = []
@@ -506,6 +570,20 @@ class TestMain:
         assert code == 0
         loaded = json.loads((out / "report.json").read_text())
         assert loaded["config"]["grid"]["depth"] == 10
+
+    def test_grid_over_the_cap_is_rejected_from_a_config_file(self, tmp_path, capsys):
+        doc = dict(HALF_SCALE_DOC, grid={"depth": 16, "angular_nodes": 65536, "panel_order": 8})
+        out = tmp_path / "out"
+        assert main(["run", self._write(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: grid: the sample set has 2,228,224 points")
+        assert not out.exists()
+        assert main(["validate", self._write(tmp_path, doc)]) == 2
+
+    def test_grid_over_the_cap_is_rejected_from_the_grid_flag(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", self._write(tmp_path, HALF_SCALE_DOC), "--out", str(out), "--grid", "1024,1024,8"]) == 2
+        assert capsys.readouterr().err.startswith("error: grid: the sample set has 2,099,200 points")
+        assert not out.exists()
 
     def test_missing_config_is_a_parse_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2

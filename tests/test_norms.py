@@ -32,8 +32,10 @@ from blochlab.norms import (
     direct_area_integral,
     pointwise_growth_envelope,
     derivative_growth_envelope,
+    _bracket_abscissae,
     bracket_argmax,
     family_bloch_seminorm,
+    one_minus_sq,
     radial_rule,
     sample_points,
     sample_radii,
@@ -41,7 +43,7 @@ from blochlab.norms import (
 )
 from blochlab.battery import CURATED
 from blochlab.cli import parse_config
-from blochlab.disk_functions import DiskFunction, KernelFamily, SelfMap
+from blochlab.disk_functions import DiskFunction, FiniteBlaschkeProduct, KernelFamily, SelfMap
 from blochlab.oracle import boundary_chase_point, boundary_test_function, operator_apply
 from golden_reference import golden_argmax, golden_bloch_seminorm
 
@@ -263,6 +265,33 @@ class TestBracketArgmax:
 
             assert (xs[m], values[m]) == bracket_argmax(one, lo[m], hi[m], 12)
 
+    def test_row_abscissae_equal_linspace_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        lo = rng.uniform(-4.0, 4.0, 64)
+        hi = lo + rng.uniform(0.0, 2.0, 64) * 10.0 ** rng.integers(-12, 2, 64)
+        # degenerate rows, and a row whose step underflows to 0, which switches
+        # linspace to another rounding for the whole batch
+        flat_lo, flat_hi = np.array([0.3, -1.5, 0.0]), np.array([0.3, -1.5, 5e-324])
+        assert np.any((flat_hi - flat_lo) / 32 == 0.0) and np.all((hi - lo) / 32 > 0.0)
+        cases = [(lo, hi), (flat_lo, flat_hi), (np.concatenate([lo, flat_lo]), np.concatenate([hi, flat_hi])),
+                 (np.array([0.25]), np.array([0.25]))]
+        for a, b in cases:
+            got, want = _bracket_abscissae(a, b), np.linspace(a, b, 33, axis=-1)
+            assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_every_round_searches_linspace_abscissae(self):
+        seen = []
+
+        def fn(x):
+            seen.append(x.copy())
+            return -np.abs(x - np.array([0.3, -0.2, 0.7])[:, None])
+
+        bracket_argmax(fn, np.array([0.0, -1.0, 0.7]), np.array([1.0, 0.5, 0.7]), 12)
+        assert len(seen) == 12
+        for xs in seen:
+            want = np.linspace(xs[:, 0], xs[:, -1], 33, axis=-1)
+            assert np.array_equal(xs.view(np.uint64), want.view(np.uint64))
+
     def test_seminorm_from_given_samples(self, grid):
         f = PowerSeries([0.2, 1.0, -0.5j, 0.3])
         radii, z = sample_points(grid.depth, grid.angular_nodes)
@@ -291,6 +320,47 @@ class TestBracketArgmax:
             r = 1.0 - 0.5**k
             j = int(np.argmax(np.abs(phi.eval(r * np.exp(1j * theta)))))
             assert boundary_chase_point(phi, k, 128) == r * np.exp(1j * theta[j])
+
+
+def _scalar_chase(phi, depth, angular_nodes):
+    """The boundary chase one depth at a time, with the scalar bracket search."""
+    r = 1.0 - 0.5**depth
+    theta = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
+    mods = np.abs(phi.eval(r * np.exp(1j * theta)))
+    j = int(np.argmax(mods))
+    span = 2.0 * np.pi / angular_nodes
+    th, best = bracket_argmax(lambda t: np.abs(phi.eval(r * np.exp(1j * t))), theta[j] - span, theta[j] + span, 9)
+    return r * np.exp(1j * (th if best > mods[j] * (1.0 + 1e-14) else theta[j]))
+
+
+class TestBatchedChase:
+    MAPS = {name: entry["config"]["symbol"]["phi"] for name, entry in sorted(CURATED.items())}
+
+    @pytest.mark.parametrize("phi", [parse_config({"symbol": {"u": 1.0, "phi": spec}, "tasks": ["oracle"]}).symbol.phi
+                                     for spec in MAPS.values()]
+                             + [FiniteBlaschkeProduct([0.3 + 0.2j, -0.5j], 1j), MonomialPower(2),
+                                MonomialPower(4), identity_map()],
+                             ids=list(MAPS) + ["blaschke-product", "z^2", "z^4", "identity"])
+    @pytest.mark.parametrize("nodes", [128, 512])
+    def test_equals_the_scalar_chases_exactly(self, phi, nodes):
+        depths = tuple(range(2, 13))
+        batched = boundary_chase_point(phi, depths, nodes)
+        assert batched.shape == (11,)
+        for k, z in zip(depths, batched):
+            assert z == boundary_chase_point(phi, k, nodes) == _scalar_chase(phi, k, nodes)
+
+    def test_rotation_invariant_maps_keep_the_grid_points(self):
+        theta = 2.0 * np.pi * np.arange(128) / 128
+        for phi in (MonomialPower(2), MonomialPower(4), identity_map()):
+            for k, z in zip(range(2, 13), boundary_chase_point(phi, range(2, 13), 128)):
+                r = 1.0 - 0.5**k
+                assert z == r * np.exp(1j * theta[int(np.argmax(np.abs(phi.eval(r * np.exp(1j * theta)))))])
+
+    def test_one_grid_call_and_one_call_per_round_for_all_depths(self, monkeypatch):
+        counter = _CountingEvaluator(monkeypatch, SelfMap, "eval")
+        boundary_chase_point(BlaschkeFactor(0.4), range(2, 13), 512)
+        assert counter.scalar_calls == 0
+        assert 0 < counter.calls <= 1 + 9
 
 
 class _CountingEvaluator:
@@ -322,8 +392,11 @@ class TestVectorizedSearchCallCounts:
         sym = parse_config(CURATED["boundary-touch"]["config"]).symbol
         kernels = KernelFamily([0.2, 0.5j, 0.9, -0.99], 2.5, [1.0, 0.5, 0.1, 0.01])
         members = [operator_apply(sym, kernels.member(m)) for m in range(4)]
+        image = operator_apply(sym, kernels)
+        radii, z = sample_points(grid.depth, grid.angular_nodes)
         counter = _CountingEvaluator(monkeypatch, DiskFunction, "deriv")
-        family = family_bloch_seminorm(members, operator_apply(sym, kernels), grid)
+        samples = (one_minus_sq(radii)[:, None] * np.abs(g.deriv(z)) for g in members)
+        family = family_bloch_seminorm(lambda points: np.abs(image.deriv(points)), samples, grid)
         assert counter.scalar_calls == 0
         assert 0 < counter.calls <= 4 + 2 * 12
         monkeypatch.undo()

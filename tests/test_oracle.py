@@ -22,10 +22,10 @@ from blochlab import (
 )
 from blochlab import oracle
 from blochlab.battery import CURATED
-from blochlab.cli import parse_config
-from blochlab.disk_functions import KernelFamily
+from blochlab.cli import parse_config, run as cli_run
+from blochlab.disk_functions import DiskFunction, FiniteBlaschkeProduct, KernelFamily, SelfMap
 from blochlab.norms import sample_points
-from blochlab.oracle import chain_constant, kernel_family_norm
+from blochlab.oracle import chain_constant, kernel_family_norm, symbol_samples
 from blochlab.criteria import classify_bounded_into_bloch
 
 
@@ -180,6 +180,101 @@ class TestChainConstant:
         sym = SymbolPair(constant(1), identity_map())
         c = chain_constant(sym, [constant(1)], [1.0], fast_grid, float("inf"), 1.0)
         assert c is None
+
+
+class TestChainConstantSamples:
+    """The chain constant reads the oracle task's samples and must give the
+    bytes of one ``bloch_seminorm`` per battery function."""
+
+    @pytest.mark.parametrize("case", sorted(CURATED))
+    def test_equals_the_seminorms_of_the_composites(self, case):
+        config = parse_config(CURATED[case]["config"])
+        sym, space, grid = config.symbol, config.space, config.grid
+        battery = oracle.constants_battery(space, grid)
+        s1, s2 = 1.25, 0.5
+        expected = max(bloch_seminorm(operator_apply(sym, f), grid) / (n * (s1 + s2))
+                       for f, n in zip(battery.functions, battery.norms))
+        assert chain_constant(sym, battery.functions, battery.norms, grid, s1, s2) == expected
+        samples = symbol_samples(sym, grid)
+        assert chain_constant(sym, battery.functions, battery.norms, grid, s1, s2, samples) == expected
+
+    def test_an_oracle_task_evaluates_u_and_phi_on_the_grid_once(self, monkeypatch):
+        config = parse_config(dict(CURATED["boundary-touch"]["config"], tasks=["bounded_bloch", "oracle"]))
+        sym, grid = config.symbol, config.grid
+        _, z = sample_points(grid.depth, grid.angular_nodes)
+        on_grid = []
+        for owner in (DiskFunction, SelfMap):
+            def counted(obj, points, jet=owner.jet):
+                if np.shape(points) == z.shape:
+                    on_grid.append(obj)
+                return jet(obj, points)
+
+            monkeypatch.setattr(owner, "jet", counted)
+        report = cli_run(config)
+        assert report.results["constants"]["chain_constant"] is not None
+        # one evaluation each for the classifier's sample table and one for the oracle task
+        assert on_grid.count(sym.u) == 2 and on_grid.count(sym.phi) == 2
+
+
+class TestImageModulus:
+    """``KernelFamily.image_derivative_modulus`` against the modulus of the
+    complex derivative of ``u (K o phi)``."""
+
+    CASES = {name: (config.symbol, config.space) for name, config in
+             ((name, parse_config(entry["config"])) for name, entry in sorted(CURATED.items()))}
+    CASES["blaschke-product"] = (SymbolPair(PowerSeries([0.5, -0.3j, 0.2]),
+                                            FiniteBlaschkeProduct([0.3 + 0.2j, -0.5j], 1j)), SpaceSpec.bergman(2))
+
+    @staticmethod
+    def term_scale(family, u, du, phi, dphi):
+        """The sum of the moduli of the terms of ``|g'|``: the scale of its rounding."""
+        conj_base, q = np.conj(family.bases), family.exponent
+        w = 1.0 - conj_base * phi
+        if family.pinched:
+            factor = phi - family.bases
+            terms = np.abs(du * factor * w) + np.abs(u * dphi * w) + np.abs(q * conj_base * u * factor * dphi)
+        else:
+            terms = np.abs(du * w) + np.abs(q * conj_base * u * dphi)
+        return np.abs(family.scales) * np.abs(w) ** (-q - 1.0) * terms
+
+    def check(self, got, ref, scale):
+        # everywhere within rounding of the terms; relative where they do not cancel
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+        clear = ref >= 1e-2 * scale
+        assert np.all(np.abs(got - ref)[clear] <= 1e-13 * ref[clear])
+
+    @pytest.mark.parametrize("pinched", [False, True], ids=["plain", "pinned"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_complex_derivative(self, case, pinched, grid):
+        sym, space = self.CASES[case]
+        trend = lower_bound_trend(sym, space, grid)
+        if pinched:
+            scales = [vanishing_test_function(w, space).right.scale for w in trend.images]
+            family = KernelFamily(trend.images, 1.0 / space.p + space.weight.t + 2.0, scales, pinched=True)
+        else:
+            scales = [boundary_test_function(w, space).scale for w in trend.images]
+            family = KernelFamily(trend.images, 1.0 / space.p + space.weight.t + 1.0, scales)
+        # the 17,408-point sample grid, one member at a time
+        _, z = sample_points(grid.depth, grid.angular_nodes)
+        assert z.size == 17408
+        samples = symbol_samples(sym, grid)
+        for m in range(len(family)):
+            member = family.member(m)
+            ref = np.abs(operator_apply(sym, member).deriv(z))
+            self.check(member.image_derivative_modulus(*samples), ref, self.term_scale(member, *samples))
+        # (M, 33) bracket arrays around the chase points, member m on row m
+        span = 2.0 * np.pi / grid.angular_nodes
+        points = (np.asarray(trend.chase_points)[:, None] * np.linspace(0.9, 1.0, 33)
+                  * np.exp(1j * np.linspace(-span, span, 33)))
+        jets = (*sym.u.jet(points), *sym.phi.jet(points))
+        ref = np.abs(operator_apply(sym, family).deriv(points))
+        assert ref.shape == (11, 33)
+        self.check(family.image_derivative_modulus(*jets), ref, self.term_scale(family, *jets))
+
+    def test_keeps_the_right_half_plane_check(self):
+        family = KernelFamily([0.999], 2.0, [1.0])
+        with pytest.raises(ArithmeticError, match="right half-plane"):
+            family.image_derivative_modulus(np.ones(1), np.ones(1), np.array([1.5 + 0j]), np.ones(1))
 
 
 class TestChaseFamily:
