@@ -7,7 +7,11 @@ Each tree is imported in its own subprocess, which dumps:
 * for each given seed, the payload of every ``random_pairs`` pair: the
   classifier's ``bounded_bloch`` group and the oracle's lower-bound trend
   and compactness probe at 12x128x8, and both dual-evaluation limit probes
-  at 16x128x8 (the grids of acceptance criteria 8 and 9).
+  at 16x128x8 (the grids of acceptance criteria 8 and 9);
+* with ``--deep``, for each given seed, the results payload of every config
+  of the tree's own ``bench/workloads.deep_config_texts(seed)`` (the
+  ``deep-classify`` benchmark units), with the SHA-256 of its canonical
+  bytes.  This needs both trees to be checkouts; ``bench/`` is only read.
 
 The payloads are compared section by section (a curated task entry, the
 constants block, one part of a pair payload).  The script prints, per
@@ -17,7 +21,7 @@ is 1 when a verdict changed, 2 when a tree could not be dumped, and 0
 otherwise.
 
 Usage:
-    python scripts/payload_drift.py OLD_SRC NEW_SRC [--seeds 3,7,11] [--count 20]
+    python scripts/payload_drift.py OLD_SRC NEW_SRC [--seeds 3,7,11] [--count 20] [--deep 1,2,3]
 
 ``OLD_SRC`` and ``NEW_SRC`` are ``src`` directories, or checkouts with one.
 """
@@ -25,6 +29,8 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -51,7 +57,15 @@ def source_dir(path: str) -> Path:
     fail(f"no blochlab package under {path}")
 
 
-def dump(src: Path, seeds: list, count: int) -> dict:
+def workloads_file(path: str) -> Path:
+    """The ``bench/workloads.py`` of the checkout at ``path``."""
+    found = Path(path) / "bench" / "workloads.py"
+    if not (found.is_file() and (Path(path) / "src" / "blochlab" / "__init__.py").is_file()):
+        fail(f"--deep needs checkouts; no bench/workloads.py and src/blochlab under {path}")
+    return found.resolve()
+
+
+def dump(src: Path, seeds: list, count: int, deep_seeds: list, workloads) -> dict:
     """Every payload of the tree at ``src``, keyed by unit; runs in the child."""
     sys.path.insert(0, str(src))
     import blochlab
@@ -76,13 +90,27 @@ def dump(src: Path, seeds: list, count: int) -> dict:
                 "derivative_limit": criteria.derivative_limit_probe(sym, space, probe_mesh).to_dict(),
                 "composition_limit": criteria.composition_limit_probe(sym, space, probe_mesh).to_dict(),
             }
+    if deep_seeds:
+        spec = importlib.util.spec_from_file_location("bench_workloads", workloads)
+        bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+        spec.loader.exec_module(bench)
+        for seed in deep_seeds:
+            for label, text in bench.deep_config_texts(seed):
+                report = cli.run(cli.parse_config(text))
+                units[f"deep/{seed}/{label}"] = dict(
+                    {f"tasks.{task}": e for task, e in report.results["tasks"].items()},
+                    payload_sha256=hashlib.sha256(report.results_payload()).hexdigest(),
+                    **{k: v for k, v in report.results.items() if k != "tasks"})
     return units
 
 
-def dump_in_subprocess(src: Path, seeds: list, count: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
+def dump_in_subprocess(src: Path, seeds: list, count: int, deep_seeds: list = (), workloads=None) -> dict:
+    # no bytecode: the child imports bench/workloads.py and must leave bench/ as it found it
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, __file__, "--dump", str(src), "--seeds", ",".join(map(str, seeds)),
            "--count", str(count)]
+    if deep_seeds:
+        cmd += ["--deep", ",".join(map(str, deep_seeds)), "--workloads", str(workloads)]
     done = subprocess.run(cmd, env=env, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         fail(f"dumping {src} failed:\n{done.stderr}")
@@ -155,16 +183,20 @@ def main() -> int:
     parser.add_argument("new_src", nargs="?")
     parser.add_argument("--seeds", default="3,7,11", help="comma-separated random_pairs seeds")
     parser.add_argument("--count", type=int, default=20, help="pairs per seed")
+    parser.add_argument("--deep", default="", help="comma-separated deep_config_texts seeds (checkouts only)")
     parser.add_argument("--dump", default=None, help=argparse.SUPPRESS)
+    parser.add_argument("--workloads", default=None, help=argparse.SUPPRESS)
     args = parser.parse_args()
     seeds = [int(s) for s in args.seeds.split(",") if s]
+    deep_seeds = [int(s) for s in args.deep.split(",") if s]
     if args.dump:
-        json.dump(dump(Path(args.dump), seeds, args.count), sys.stdout)
+        json.dump(dump(Path(args.dump), seeds, args.count, deep_seeds, args.workloads), sys.stdout)
         return 0
     if not (args.old_src and args.new_src):
         parser.error("OLD_SRC and NEW_SRC are required")
-    old = dump_in_subprocess(source_dir(args.old_src), seeds, args.count)
-    new = dump_in_subprocess(source_dir(args.new_src), seeds, args.count)
+    trees = [(source_dir(path), workloads_file(path) if deep_seeds else None)
+             for path in (args.old_src, args.new_src)]
+    old, new = (dump_in_subprocess(src, seeds, args.count, deep_seeds, workloads) for src, workloads in trees)
     return report(old, new)
 
 

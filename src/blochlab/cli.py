@@ -85,6 +85,16 @@ ENV_OUT = "BLOCHLAB_OUT"
 # largest grid in use (40x2048, 167,936 points).
 SAMPLE_TABLE_BYTES_PER_POINT = 128
 MAX_SAMPLE_POINTS = 256 * 2**20 // SAMPLE_TABLE_BYTES_PER_POINT
+# Gauss-Legendre nodes per radial band.  leggauss(n) diagonalizes an n x n
+# companion matrix, O(n^2) memory and O(n^3) time: order 32 takes 4 ms and
+# 10 KiB, order 10**6 would need 8 TB.  The largest order in use is 16; the
+# oracle's kernel norms grow as order^2 (13.6 MiB at 40x2048x32, 2.0 at 12).
+MAX_PANEL_ORDER = 32
+# The norm quadrature evaluates (depth+1)*order*angular_nodes points and peaks
+# at about 84 bytes per point (traced constants battery at 16x512x12 to
+# 24x32768x8).  2**23 points (about 700 MiB) admit the largest grids in use,
+# 16x32768x12 (6,684,672 points, 527 MiB traced) and 24x32768x8 (6,553,600).
+MAX_QUADRATURE_POINTS = 2**23
 
 
 class ParseError(ValueError):
@@ -328,6 +338,14 @@ def parse_config(text_or_dict) -> RunConfig:
         raise ValidationError(
             f"grid: the sample set has {points:,} points ({2 * (grid.depth + 1)} circles of "
             f"{grid.angular_nodes:,}), more than the {MAX_SAMPLE_POINTS:,} a sample table may hold"
+        )
+    if grid.panel_order > MAX_PANEL_ORDER:
+        raise ValidationError(f"grid.panel_order: {grid.panel_order} is above the maximum {MAX_PANEL_ORDER}")
+    nodes = (grid.depth + 1) * grid.panel_order * grid.angular_nodes  # the norm quadrature's node set
+    if nodes > MAX_QUADRATURE_POINTS:
+        raise ValidationError(
+            f"grid: the quadrature node set has {nodes:,} points ({grid.depth + 1} bands of "
+            f"{grid.panel_order} radii x {grid.angular_nodes:,} angles), more than the {MAX_QUADRATURE_POINTS:,} allowed"
         )
     tasks = _schedule(doc.get("tasks", ()))
     output = doc.get("output", {})

@@ -29,10 +29,12 @@ from .norms import (
     DEFAULT_GRID,
     TRIGGER_PHI,
     TRIGGER_Z,
+    BandPartition,
     BoundaryProfile,
     RadialGrid,
     bloch_seminorm,
     boundary_profile,
+    circle_maxima,
     is_little_bloch,
     one_minus_sq,
     profile_thresholds,
@@ -312,28 +314,38 @@ class SampleTable:
 
     Both quotients and their plain numerators are sampled once over the
     circles of ``sample_points``.  A boundary profile is built on first use
-    and kept, and so is the multiplier's Bloch-tail verdict.  The methods
-    are the classifiers and the limit probes; the module-level functions
-    of the same names build a table for a single call.
+    and kept, and so is the multiplier's Bloch-tail verdict.  A ``|z|``
+    profile reads a quantity's per-circle maxima over the radii, and the
+    profiles of each trigger share one band partition of its modulus.  The
+    methods are the classifiers and the limit probes; the module-level
+    functions of the same names build a table for a single call.
     """
 
     def __init__(self, sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID):
         self.sym, self.grid = sym, grid
-        radii, z = sample_points(grid.depth, grid.angular_nodes)
-        abs_phi, quantities = _quotients(z, one_minus_sq(radii)[:, None], sym, space)
-        self.shape = z.shape
-        self.abs_z = np.broadcast_to(radii[:, None], z.shape).ravel()
-        self.abs_phi = abs_phi.ravel()
-        self.quantities = {name: q.ravel() for name, q in quantities.items()}
+        self.radii, z = sample_points(grid.depth, grid.angular_nodes)
+        abs_phi, self.quantities = _quotients(z, one_minus_sq(self.radii)[:, None], sym, space)
+        self.z_bands = BandPartition(self.radii, grid.depth)
+        self.phi_bands = BandPartition(abs_phi, grid.depth)
+        self._maxima: dict = {}
         self._profiles: dict = {}
+
+    def maxima(self, name: str) -> np.ndarray:
+        """``circle_maxima`` of a sampled quantity: all that a ``|z|``-triggered
+        profile or supremum reads."""
+        if name not in self._maxima:
+            self._maxima[name] = circle_maxima(self.quantities[name])
+        return self._maxima[name]
 
     def profile(self, name: str, trigger: str = TRIGGER_Z) -> BoundaryProfile:
         """Boundary profile of a sampled quantity, triggered by ``|z|`` or
         ``|phi(z)|``.  Regions the image never reaches come back flagged empty."""
         if (name, trigger) not in self._profiles:
-            modulus = self.abs_z if trigger == TRIGGER_Z else self.abs_phi
-            quantity = self.quantities[name]
-            self._profiles[name, trigger] = boundary_profile(quantity, modulus, self.grid.depth, trigger)
+            if trigger == TRIGGER_Z:
+                quantity, bands = self.maxima(name), self.z_bands
+            else:
+                quantity, bands = self.quantities[name], self.phi_bands
+            self._profiles[name, trigger] = boundary_profile(quantity, bands.modulus, self.grid.depth, trigger, bands)
         return self._profiles[name, trigger]
 
     def _sup_type_verdict(self, name: str) -> Verdict:
@@ -341,13 +353,13 @@ class SampleTable:
         log-log slope, hold when the slope is flat-or-negative and the running
         supremum has stabilized away from the deepest bands."""
         profile = self.profile(name)
-        quantity = self.quantities[name]
-        global_sup = float(quantity.max(initial=0.0))
+        maxima = self.maxima(name)
+        global_sup = float(maxima.max(initial=0.0))
         if global_sup == 0.0:
             return Verdict(name, Status.HOLDS, 0.0, None, profile, "quantity vanishes identically")
         slope = _band_slope(profile)
         inner_cut = profile_thresholds(self.grid.depth)[self.grid.depth - 4]
-        inner_sup = float(quantity[self.abs_z <= inner_cut].max(initial=0.0))
+        inner_sup = float(maxima[self.radii <= inner_cut].max(initial=0.0))
         stabilized = global_sup <= inner_sup * (1.0 + STABLE_REL)
         if _diverges(profile, slope):
             return Verdict(
@@ -369,7 +381,7 @@ class SampleTable:
         """Tri-state little-Bloch verdict of the multiplier ``u``, read from
         the sampled ``(1-|z|^2)|u'|``, which also seeds the seminorm search."""
         name, prof = "u_bloch_tail", self.profile(_PLAIN_MULTIPLIER)
-        semi = bloch_seminorm(self.sym.u, self.grid, self.quantities[_PLAIN_MULTIPLIER].reshape(self.shape))
+        semi = bloch_seminorm(self.sym.u, self.grid, self.quantities[_PLAIN_MULTIPLIER])
         slope = _band_slope(prof)
         vals = prof.nonempty_values
         tail = float(vals[-1]) if vals.size else 0.0

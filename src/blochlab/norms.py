@@ -17,12 +17,14 @@ read only the modulus ``|f'|``, which a caller may supply in closed form.
 Boundary behaviour is recorded as a ``BoundaryProfile``: nested suprema
 over the regions past an increasing sequence of thresholds, together with
 the per-band suprema that divergence detection fits its log-log slope to.
+A ``|z|`` profile is read from one maximum per sample circle, and the
+profiles of one trigger modulus share its ``BandPartition``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,9 +36,11 @@ __all__ = [
     "DEFAULT_GRID",
     "NonConvergentError",
     "BoundaryProfile",
+    "BandPartition",
     "TRIGGER_Z",
     "TRIGGER_PHI",
     "boundary_profile",
+    "circle_maxima",
     "sample_radii",
     "sample_points",
     "profile_thresholds",
@@ -458,23 +462,51 @@ class BoundaryProfile:
         }
 
 
+class BandPartition:
+    """The flat indices of one trigger modulus sorted into the bands of
+    ``profile_thresholds(depth)``: ``bands[k]`` holds, ascending, the
+    indices whose modulus lies in ``(thresholds[k], thresholds[k+1]]`` (the
+    last band is open above and takes NaN).  The bands are found on first
+    use, inside the first profile that reads them, and every later profile
+    of the same modulus reuses them."""
+
+    def __init__(self, trigger_modulus, depth: int):
+        self.modulus = np.asarray(trigger_modulus, dtype=float).ravel()
+        self.depth = depth
+
+    @cached_property
+    def bands(self) -> tuple:
+        slot = np.searchsorted(profile_thresholds(self.depth), self.modulus, side="left")  # 1 + band index
+        # sorted in the narrowest integer type, where numpy's stable sort is a radix sort
+        order = np.argsort(slot.astype(np.min_scalar_type(self.depth)), kind="stable")
+        ends = np.cumsum(np.bincount(slot, minlength=self.depth + 1))
+        return tuple(np.split(order, ends[:-1])[1:])  # piece 0 lies below the first threshold
+
+
 def boundary_profile(
     quantity: np.ndarray,
     trigger_modulus: np.ndarray,
     depth: int,
     trigger: str = TRIGGER_Z,
+    partition: BandPartition | None = None,
 ) -> BoundaryProfile:
-    """Build the nested-suprema record from flat sample arrays."""
+    """Build the nested-suprema record from flat sample arrays.
+
+    Each band keeps its first maximum in flat order (its first NaN, if it
+    holds one).  ``partition``, when given, is the ``BandPartition`` of
+    ``trigger_modulus`` at this depth, shared by the profiles of one modulus.
+    """
     q = np.asarray(quantity, dtype=float).ravel()
     mod = np.asarray(trigger_modulus, dtype=float).ravel()
     if q.shape != mod.shape:
         raise ValueError("quantity and trigger modulus must align")
-    delta = profile_thresholds(depth)
-    band_idx = np.searchsorted(delta, mod, side="left") - 1
+    if partition is None:
+        partition = BandPartition(mod, depth)
+    elif partition.depth != depth or partition.modulus.shape != mod.shape:
+        raise ValueError("partition must belong to the trigger modulus at this depth")
     band_vals = np.full(depth, np.nan)
     band_mods = np.full(depth, np.nan)
-    for k in range(depth):
-        sel = np.nonzero(band_idx == k)[0]
+    for k, sel in enumerate(partition.bands):
         if sel.size:
             j = sel[np.argmax(q[sel])]
             band_vals[k] = q[j]
@@ -489,15 +521,22 @@ def boundary_profile(
         if np.isfinite(running):
             values[k] = running
             empty[k] = False
-    return BoundaryProfile(trigger, delta.copy(), values, band_vals, band_mods, empty)
+    return BoundaryProfile(trigger, profile_thresholds(depth).copy(), values, band_vals, band_mods, empty)
+
+
+def circle_maxima(values: np.ndarray) -> np.ndarray:
+    """The first maximum (the first NaN, if any) of each row of a
+    ``(circles, nodes)`` sample array.  ``|z|`` is constant on a sample
+    circle, so the ``|z|``-triggered profile of these values over the radii
+    equals that of the flat samples, read from one value per circle."""
+    return np.take_along_axis(values, values.argmax(axis=1)[:, None], axis=1)[:, 0]
 
 
 def little_bloch_profile(f: DiskFunction, grid: RadialGrid = DEFAULT_GRID) -> BoundaryProfile:
     """Boundary profile of ``(1-|z|^2)|f'(z)|``, the little-Bloch tail."""
     radii, z = sample_points(grid.depth, grid.angular_nodes)
     g = one_minus_sq(radii)[:, None] * np.abs(f.deriv(z))
-    mod = np.broadcast_to(radii[:, None], g.shape)
-    return boundary_profile(g, mod, grid.depth, TRIGGER_Z)
+    return boundary_profile(circle_maxima(g), radii, grid.depth, TRIGGER_Z)
 
 
 LITTLE_BLOCH_REL = 1e-3

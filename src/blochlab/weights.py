@@ -138,5 +138,8 @@ class SpaceSpec:
 
         Default witnesses are ``s = 1/(2p)`` and ``t = 3/(2p)``.
         """
-        alpha = 1.0 / float(p)
-        return cls(float(p), NormalWeight(alpha, 0.0, alpha / 2.0, 1.5 * alpha))
+        p = float(p)
+        if not p > 0.0:  # the weight exponent 1/p needs it before the space checks it
+            raise ValueError("p must be finite and positive")
+        alpha = 1.0 / p
+        return cls(p, NormalWeight(alpha, 0.0, alpha / 2.0, 1.5 * alpha))

@@ -1,14 +1,17 @@
-"""Golden-section references for the sup searches in ``blochlab.norms``.
+"""References for the sup searches and boundary profiles in ``blochlab.norms``.
 
 ``golden_argmax`` is a scalar golden-section search, and
 ``golden_bloch_seminorm`` is the Bloch seminorm with its radial and
 angular refinement done by that search.  Tests compare the vectorized
 ``bracket_argmax`` and ``bloch_seminorm`` against them.
+``reference_boundary_profile`` builds a profile with one full scan of the
+flat samples per band; tests compare ``boundary_profile`` and the sample
+table's reduced profiles against it with ``assert_same_profile``.
 """
 
 import numpy as np
 
-from blochlab.norms import one_minus_sq, sample_points
+from blochlab.norms import TRIGGER_Z, BoundaryProfile, one_minus_sq, profile_thresholds, sample_points
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -67,3 +70,43 @@ def golden_bloch_seminorm(f, grid) -> float:
         return (1.0 - r_best * r_best) * abs(f.deriv(r_best * np.exp(1j * th)))
 
     return max(best, golden_argmax(angular, theta - span, theta + span, 64)[1])
+
+
+def reference_boundary_profile(quantity, trigger_modulus, depth: int, trigger: str = TRIGGER_Z) -> BoundaryProfile:
+    """The nested-suprema record from flat sample arrays, one mask and one
+    ``nonzero`` per band over every sample."""
+    q = np.asarray(quantity, dtype=float).ravel()
+    mod = np.asarray(trigger_modulus, dtype=float).ravel()
+    if q.shape != mod.shape:
+        raise ValueError("quantity and trigger modulus must align")
+    delta = profile_thresholds(depth)
+    band_idx = np.searchsorted(delta, mod, side="left") - 1
+    band_vals = np.full(depth, np.nan)
+    band_mods = np.full(depth, np.nan)
+    for k in range(depth):
+        sel = np.nonzero(band_idx == k)[0]
+        if sel.size:
+            j = sel[np.argmax(q[sel])]
+            band_vals[k] = q[j]
+            band_mods[k] = mod[j]
+
+    values = np.full(depth, np.nan)
+    empty = np.ones(depth, dtype=bool)
+    running = -np.inf
+    for k in range(depth - 1, -1, -1):
+        if np.isfinite(band_vals[k]):
+            running = max(running, band_vals[k])
+        if np.isfinite(running):
+            values[k] = running
+            empty[k] = False
+    return BoundaryProfile(trigger, delta.copy(), values, band_vals, band_mods, empty)
+
+
+def assert_same_profile(got: BoundaryProfile, want: BoundaryProfile):
+    """Every field equal, NaN where NaN, bit for bit (signed zeros included)."""
+    assert got.trigger == want.trigger
+    for field in ("thresholds", "values", "band_values", "band_moduli", "empty"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), field
+        assert a.tobytes() == b.tobytes(), field

@@ -1,12 +1,14 @@
 import cmath
 import dataclasses
+import functools
 import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blochlab import RadialGrid, cli, criteria, oracle
+from blochlab import RadialGrid, cli, criteria, norms, oracle
 from blochlab.battery import CURATED, random_pairs
 from blochlab.cli import (
     KNOWN_TASKS,
@@ -284,6 +286,37 @@ def test_grid_over_the_sample_set_cap_is_rejected(depth, nodes):
     assert f"more than the {cli.MAX_SAMPLE_POINTS:,}" in str(info.value)
 
 
+@pytest.mark.parametrize("order", [33, 1000, 10**6])
+def test_panel_order_above_the_maximum_is_rejected(order):
+    doc = dict(HALF_SCALE_DOC, grid={"depth": 16, "angular_nodes": 512, "panel_order": order})
+    with pytest.raises(ValidationError) as info:
+        parse_config(doc)
+    assert str(info.value) == f"grid.panel_order: {order} is above the maximum {cli.MAX_PANEL_ORDER}"
+
+
+@pytest.mark.parametrize("grid", [(24, 32768, 12), (28, 16384, 24), (16, 16384, 32)])
+def test_quadrature_node_set_over_the_cap_is_rejected(grid):
+    depth, nodes, order = grid
+    doc = dict(HALF_SCALE_DOC, grid={"depth": depth, "angular_nodes": nodes, "panel_order": order})
+    with pytest.raises(ValidationError, match=r"^grid: the quadrature node set has [\d,]+ points") as info:
+        parse_config(doc)
+    assert f"{(depth + 1) * order * nodes:,} points" in str(info.value)
+    assert f"more than the {cli.MAX_QUADRATURE_POINTS:,}" in str(info.value)
+
+
+def test_grids_in_use_are_under_the_panel_order_and_quadrature_caps():
+    # the config files, the acceptance and unit tests, and the benchmark workloads
+    grids = [(16, 512, 12), (12, 128, 8), (16, 128, 8), (40, 2048, 12), (16, 32768, 12), (24, 32768, 8),
+             (24, 256, 16), (16, 64, 32), (8, 64, 8), (4, 64, 8)]
+    for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")):
+        grid = json.loads(path.read_text())["grid"]
+        grids.append((grid["depth"], grid["angular_nodes"], grid["panel_order"]))
+    for depth, nodes, order in grids:
+        doc = dict(HALF_SCALE_DOC, grid={"depth": depth, "angular_nodes": nodes, "panel_order": order})
+        assert parse_config(doc).grid == RadialGrid(depth, nodes, order)
+    assert cli.MAX_QUADRATURE_POINTS >= 17 * 12 * 32768
+
+
 def test_integer_grid_fields_parse_as_before():
     assert parse_config(dict(HALF_SCALE_DOC)).grid == RadialGrid(12, 128, 8)
     assert parse_config({"symbol": HALF_SCALE_DOC["symbol"], "tasks": ["bounded_bloch"]}).grid == RadialGrid()
@@ -466,6 +499,35 @@ class TestSharedWork:
         run(parse_config(dict(HALF_SCALE_DOC, tasks=["oracle"])))
         assert len(tables) == 1  # an oracle-only run builds no table
 
+    def test_profiles_share_one_partition_per_trigger_and_read_circle_maxima(self, monkeypatch):
+        classifier_tasks = [task for task in KNOWN_TASKS if task != "oracle"]
+        config = parse_config(dict(CURATED["boundary-touch"]["config"], tasks=classifier_tasks, force_boundary=True))
+        radii, z = norms.sample_points(config.grid.depth, config.grid.angular_nodes)
+        tables, built, calls = [], [], []
+
+        class Recorded(criteria.SampleTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        bands = norms.BandPartition.bands
+        counted = functools.cached_property(lambda part: built.append(part) or bands.func(part))
+        counted.__set_name__(norms.BandPartition, "bands")
+        profile = criteria.boundary_profile
+        monkeypatch.setattr(norms.BandPartition, "bands", counted)
+        monkeypatch.setattr(criteria, "boundary_profile", lambda *args: calls.append(args) or profile(*args))
+        monkeypatch.setattr(cli, "SampleTable", Recorded)
+        run(config)
+        (table,) = tables
+        z_calls = [args for args in calls if args[3] == norms.TRIGGER_Z]
+        phi_calls = [args for args in calls if args[3] == norms.TRIGGER_PHI]
+        assert len(z_calls) == 4 and len(phi_calls) == 2
+        assert all(np.size(args[0]) == np.size(args[1]) == radii.size for args in z_calls)
+        assert all(args[4] is table.z_bands for args in z_calls)
+        assert all(args[4] is table.phi_bands for args in phi_calls)
+        assert built == [table.z_bands, table.phi_bands]  # each partition is built once
+        assert table.phi_bands.modulus.size == z.size
+
     def test_table_is_released_before_a_final_oracle_task(self, monkeypatch):
         tables = []
 
@@ -583,6 +645,18 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["run", self._write(tmp_path, HALF_SCALE_DOC), "--out", str(out), "--grid", "1024,1024,8"]) == 2
         assert capsys.readouterr().err.startswith("error: grid: the sample set has 2,099,200 points")
+        assert not out.exists()
+
+    def test_panel_order_over_the_maximum_is_rejected_from_a_config_file_and_the_grid_flag(self, tmp_path, capsys):
+        doc = dict(HALF_SCALE_DOC, grid={"depth": 16, "angular_nodes": 512, "panel_order": 1000000})
+        out = tmp_path / "out"
+        message = f"error: grid.panel_order: 1000000 is above the maximum {cli.MAX_PANEL_ORDER}"
+        assert main(["run", self._write(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert main(["validate", self._write(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.startswith(message.replace("error:", "invalid:"))
+        assert main(["run", self._write(tmp_path, HALF_SCALE_DOC), "--out", str(out), "--grid", "16,512,1000000"]) == 2
+        assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
     def test_missing_config_is_a_parse_error(self, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -33,10 +34,12 @@ from blochlab import (
     rotation,
     truncated_log_series,
 )
-from blochlab.battery import random_pairs
+from blochlab.battery import CURATED, random_pairs
+from blochlab.cli import parse_config
 from blochlab.criteria import SampleTable
-from blochlab.norms import TRIGGER_PHI, TRIGGER_Z, RadialGrid, bloch_seminorm
+from blochlab.norms import TRIGGER_PHI, TRIGGER_Z, RadialGrid, bloch_seminorm, boundary_profile
 from blochlab.oracle import operator_apply
+from golden_reference import assert_same_profile, reference_boundary_profile
 
 
 def half_scale():
@@ -260,6 +263,95 @@ class TestSharedSamples:
         assert sizes and max(sizes) <= 33  # bracket rounds only, no second pass over the grid
         monkeypatch.undo()
         assert verdict.notes.endswith(f"seminorm {bloch_seminorm(u, grid):.6g}")
+
+
+class FlatTable(SampleTable):
+    """A sample table that reads every profile and supremum from the flat
+    ``circles x nodes`` samples: no per-circle reduction, no shared partition."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.radii = np.broadcast_to(self.radii[:, None], self.quantities["u_prime"].shape).ravel()  # flat |z|
+
+    def maxima(self, name):
+        return self.quantities[name].ravel()
+
+    def profile(self, name, trigger=TRIGGER_Z):
+        if (name, trigger) not in self._profiles:
+            mod = self.radii if trigger == TRIGGER_Z else self.phi_bands.modulus
+            self._profiles[name, trigger] = boundary_profile(self.quantities[name], mod, self.grid.depth, trigger)
+        return self._profiles[name, trigger]
+
+
+def _all_verdicts(table: SampleTable) -> str:
+    def compact():
+        try:
+            return table.compact_into_bloch(force_boundary=True).to_dict()
+        except PreconditionUnmetError as exc:
+            return str(exc)
+
+    return json.dumps({
+        "bounded_bloch": table.bounded_into_bloch().to_dict(),
+        "compact_bloch": compact(),
+        "bounded_little_bloch": table.bounded_into_little_bloch().to_dict(),
+        "compact_little_bloch": table.compact_into_little_bloch().to_dict(),
+        "derivative_limit": table.derivative_limit_probe().to_dict(),
+        "composition_limit": table.composition_limit_probe().to_dict(),
+    }, sort_keys=True)
+
+
+def _deep_docs(seed: int = 11, depth: int = 40, nodes: int = 2048) -> list:
+    """Depth-40 configs in the style of the deep classification workload:
+    the six self-map families, multipliers of degree 0 to 3."""
+    rng = np.random.default_rng(seed)
+
+    def point(r):
+        z = r * np.sqrt(rng.uniform(0.05, 1.0)) * np.exp(2j * np.pi * rng.uniform())
+        return [float(z.real), float(z.imag)]
+
+    def unimodular():
+        z = np.exp(2j * np.pi * rng.uniform())
+        return [float(z.real), float(z.imag)]
+
+    frac = float(rng.uniform(0.3, 0.7))
+    pa, pb = unimodular(), unimodular()
+    maps = [
+        {"affine": {"a": point(0.6), "b": point(0.2)}},
+        {"affine": {"a": [frac * pa[0], frac * pa[1]], "b": [(1 - frac) * pb[0], (1 - frac) * pb[1]]}},
+        {"blaschke": {"base": point(0.7)}},
+        {"blaschke_product": {"bases": [point(0.6), point(0.6)], "unimodular": unimodular()}},
+        {"scaled": {"factor": float(rng.uniform(0.5, 0.9)), "inner": {"blaschke": {"base": point(0.6)}}}},
+        {"monomial": {"degree": int(rng.integers(2, 5)), "scale": 1.0}},
+    ]
+    docs = []
+    for i, phi in enumerate(maps):
+        coeffs = rng.uniform(-1, 1, i % 4 + 1) + 1j * rng.uniform(-1, 1, i % 4 + 1)
+        coeffs[0] += 0.5
+        u = {"power_series": [[float(c.real), float(c.imag)] for c in coeffs]}
+        docs.append({"symbol": {"u": u, "phi": phi}, "space": "bergman:2", "tasks": ["bounded_bloch"],
+                     "grid": {"depth": depth, "angular_nodes": nodes, "panel_order": 12}})
+    return docs
+
+
+_REDUCED_CASES = [pytest.param(CURATED[name]["config"], id=name) for name in sorted(CURATED)] + [
+    pytest.param(doc, id=f"deep-{i}") for i, doc in enumerate(_deep_docs())]
+
+
+class TestReducedProfiles:
+    """The table's reduced profiles (per-circle maxima, one shared ``|phi|``
+    partition) and every verdict read from them equal those of the flat samples."""
+
+    @pytest.mark.parametrize("doc", _REDUCED_CASES)
+    def test_profiles_and_verdicts_equal_the_flat_samples(self, doc):
+        config = parse_config(dict(doc, tasks=["bounded_bloch"]))
+        args = (config.symbol, config.space, config.grid)
+        table, flat = SampleTable(*args), FlatTable(*args)
+        assert _all_verdicts(table) == _all_verdicts(flat)
+        assert set(table._profiles) == set(flat._profiles)
+        for (name, trigger), prof in table._profiles.items():
+            assert_same_profile(prof, flat._profiles[name, trigger])
+            mod = flat.radii if trigger == TRIGGER_Z else flat.phi_bands.modulus
+            assert_same_profile(prof, reference_boundary_profile(flat.quantities[name], mod, config.grid.depth, trigger))
 
 
 class TestBergmanSpecialization:

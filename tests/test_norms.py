@@ -29,6 +29,10 @@ from blochlab import (
     truncated_log_series,
 )
 from blochlab.norms import (
+    TRIGGER_PHI,
+    TRIGGER_Z,
+    BandPartition,
+    circle_maxima,
     direct_area_integral,
     pointwise_growth_envelope,
     derivative_growth_envelope,
@@ -36,6 +40,7 @@ from blochlab.norms import (
     bracket_argmax,
     family_bloch_seminorm,
     one_minus_sq,
+    profile_thresholds,
     radial_rule,
     sample_points,
     sample_radii,
@@ -45,7 +50,7 @@ from blochlab.battery import CURATED
 from blochlab.cli import parse_config
 from blochlab.disk_functions import DiskFunction, FiniteBlaschkeProduct, KernelFamily, SelfMap
 from blochlab.oracle import boundary_chase_point, boundary_test_function, operator_apply
-from golden_reference import golden_argmax, golden_bloch_seminorm
+from golden_reference import assert_same_profile, golden_argmax, golden_bloch_seminorm, reference_boundary_profile
 
 small_polys = st.lists(
     st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
@@ -463,6 +468,114 @@ class TestBoundaryProfiles:
         deep = RadialGrid(20, 256, 8)
         assert not is_little_bloch(little_bloch_profile(f, shallow), bloch_seminorm(f, shallow))
         assert is_little_bloch(little_bloch_profile(f, deep), bloch_seminorm(f, deep))
+
+
+_NODES = 24  # samples per circle in the synthetic tables
+
+
+def _samples(kind: str, shape, rng) -> np.ndarray:
+    """Synthetic quantity samples of one kind, ``shape = (circles, nodes)``."""
+    q = rng.uniform(0.0, 5.0, shape)
+    if kind == "ties":  # few distinct values, signed zeros among them
+        q = rng.choice(np.array([-0.0, 0.0, 1.0, 2.0]), shape)
+    elif kind == "zeros":
+        q = np.zeros(shape)
+    elif kind == "rounded":
+        q = np.round(q, 1)
+    elif kind == "nan":
+        q[rng.uniform(size=shape) < 0.05] = np.nan
+    elif kind == "inf":
+        q[rng.uniform(size=shape) < 0.03] = np.inf
+        q[rng.uniform(size=shape) < 0.03] = -np.inf
+    elif kind == "all_nan_circles":
+        q[rng.uniform(size=shape[0]) < 0.3] = np.nan
+    return q
+
+
+def _phi_modulus(depth: int, size: int, rng, reach: float) -> np.ndarray:
+    """Moduli spread over the bands up to about ``reach * depth`` (deeper
+    bands stay empty), with exact thresholds, values below the first one,
+    1.0 and NaN among them."""
+    gaps = 2.0 ** -rng.uniform(0.0, reach * (depth + 2), size)
+    mod = 1.0 - gaps
+    delta = profile_thresholds(depth)
+    picks = rng.integers(0, size, 6 * depth)
+    mod[picks[: 2 * depth]] = delta[rng.integers(0, int(reach * depth) or 1, 2 * depth)]
+    mod[picks[2 * depth: 3 * depth]] = rng.uniform(0.0, 0.5, depth)
+    if reach >= 1.0:
+        mod[picks[3 * depth]] = 1.0
+        mod[picks[3 * depth + 1]] = np.nan
+    return mod
+
+
+DATA_KINDS = ("random", "ties", "zeros", "rounded", "nan", "inf", "all_nan_circles")
+
+
+class TestBoundaryProfileReference:
+    """``boundary_profile``, with or without a shared partition, and the
+    per-circle reduction reproduce the one-scan-per-band reference exactly."""
+
+    @pytest.mark.parametrize("depth", [4, 5, 13, 40, 48])
+    @pytest.mark.parametrize("kind", DATA_KINDS)
+    def test_z_trigger_from_flat_samples_and_from_circle_maxima(self, depth, kind):
+        rng = np.random.default_rng([depth, DATA_KINDS.index(kind)])
+        radii = sample_radii(depth)
+        q = _samples(kind, (radii.size, _NODES), rng)
+        flat_z = np.broadcast_to(radii[:, None], q.shape).ravel()
+        want = reference_boundary_profile(q, flat_z, depth, TRIGGER_Z)
+        assert_same_profile(boundary_profile(q, flat_z, depth, TRIGGER_Z), want)
+        assert_same_profile(boundary_profile(circle_maxima(q), radii, depth, TRIGGER_Z), want)
+
+    @pytest.mark.parametrize("depth", [4, 5, 13, 40, 48])
+    @pytest.mark.parametrize("kind", DATA_KINDS)
+    @pytest.mark.parametrize("reach", [1.0, 0.5])
+    def test_phi_trigger_with_and_without_a_shared_partition(self, depth, kind, reach):
+        rng = np.random.default_rng([depth, DATA_KINDS.index(kind), int(4 * reach)])
+        shape = (2 * (depth + 1), _NODES)
+        mod = _phi_modulus(depth, shape[0] * shape[1], rng, reach)
+        partition = BandPartition(mod, depth)
+        for _ in range(2):  # two quantities over one modulus
+            q = _samples(kind, shape, rng).ravel()
+            want = reference_boundary_profile(q, mod, depth, TRIGGER_PHI)
+            assert_same_profile(boundary_profile(q, mod, depth, TRIGGER_PHI), want)
+            assert_same_profile(boundary_profile(q, mod, depth, TRIGGER_PHI, partition), want)
+        if reach < 1.0:
+            assert want.empty[-1]
+
+    @pytest.mark.parametrize("trigger", [TRIGGER_Z, TRIGGER_PHI])
+    def test_no_samples(self, trigger):
+        assert_same_profile(boundary_profile((), (), 8, trigger), reference_boundary_profile((), (), 8, trigger))
+        assert boundary_profile((), (), 8, trigger).empty.all()
+
+    def test_partition_bands_hold_the_band_members_in_flat_order(self):
+        rng = np.random.default_rng(5)
+        depth = 12
+        mod = _phi_modulus(depth, 5000, rng, 1.0)
+        band_idx = np.searchsorted(profile_thresholds(depth), mod, side="left") - 1
+        bands = BandPartition(mod, depth).bands
+        assert len(bands) == depth
+        for k, sel in enumerate(bands):
+            assert np.array_equal(sel, np.nonzero(band_idx == k)[0])
+
+    def test_a_partition_of_another_modulus_is_refused(self):
+        mod = np.linspace(0.0, 0.999, 100)
+        with pytest.raises(ValueError, match="partition"):
+            boundary_profile(np.ones(100), mod, 8, TRIGGER_PHI, BandPartition(mod, 9))
+        with pytest.raises(ValueError, match="partition"):
+            boundary_profile(np.ones(100), mod, 8, TRIGGER_PHI, BandPartition(mod[:50], 8))
+
+    @pytest.mark.parametrize("f", [PowerSeries([0, 1]), truncated_log_series(32), FractionalKernel(0.9, 1.0)],
+                             ids=["identity", "log_series", "kernel"])
+    def test_little_bloch_profile(self, f, grid):
+        radii, z = sample_points(grid.depth, grid.angular_nodes)
+        g = one_minus_sq(radii)[:, None] * np.abs(f.deriv(z))
+        flat_z = np.broadcast_to(radii[:, None], g.shape)
+        assert_same_profile(little_bloch_profile(f, grid), reference_boundary_profile(g, flat_z, grid.depth))
+
+    def test_circle_maxima_keep_the_first_maximum_of_each_circle(self):
+        q = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0], [1.0, np.nan, np.nan], [2.0, 3.0, 3.0]])
+        got = circle_maxima(q)
+        assert got.tobytes() == np.array([0.0, -0.0, np.nan, 3.0]).tobytes()
 
 
 class TestIntegralInequality:
