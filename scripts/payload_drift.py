@@ -82,11 +82,12 @@ def dump(src: Path, seeds: list, count: int, deep_seeds: list, workloads) -> dic
     space, mesh, probe_mesh = SpaceSpec.bergman(2), RadialGrid(12, 128, 8), RadialGrid(16, 128, 8)
     for seed in seeds:
         for label, sym in random_pairs(seed, count):
-            trend = oracle.lower_bound_trend(sym, space, mesh)
+            samples = oracle.symbol_samples(sym, mesh)
+            trend = oracle.lower_bound_trend(sym, space, mesh, samples)
             units[f"pairs/{seed}/{label}"] = {
                 "bounded_bloch": criteria.classify_bounded_into_bloch(sym, space, mesh).to_dict(),
                 "lower_bound": trend.to_dict(),
-                "compactness_probe": oracle.compactness_probe(sym, space, mesh, trend).to_dict(),
+                "compactness_probe": oracle.compactness_probe(sym, space, mesh, trend, samples).to_dict(),
                 "derivative_limit": criteria.derivative_limit_probe(sym, space, probe_mesh).to_dict(),
                 "composition_limit": criteria.composition_limit_probe(sym, space, probe_mesh).to_dict(),
             }

@@ -27,6 +27,8 @@ import numpy as np
 from .disk_functions import DiskFunction, SelfMap
 from .norms import (
     DEFAULT_GRID,
+    LITTLE_BLOCH_ABS,
+    LITTLE_BLOCH_REL,
     TRIGGER_PHI,
     TRIGGER_Z,
     BandPartition,
@@ -67,8 +69,6 @@ __all__ = [
 SLOPE_FAIL = 0.05
 SLOPE_HOLD = 0.01
 STABLE_REL = 0.02
-LIMIT_REL = 1e-3
-LIMIT_ABS = 1e-9
 
 MULTIPLIER_QUANTITY = "u_prime"
 COMPOSITION_QUANTITY = "u_phi_prime"
@@ -210,7 +210,7 @@ def _limit_type_verdict(name: str, profile: BoundaryProfile) -> Verdict:
     notes = ""
     if bool(profile.empty[-1]):
         notes = "deepest regions unsampled at this resolution"
-    if tail_ok and vk < max(LIMIT_REL * v0, LIMIT_ABS):
+    if tail_ok and vk < max(LITTLE_BLOCH_REL * v0, LITTLE_BLOCH_ABS):
         return Verdict(name, Status.HOLDS, vk, slope, profile, notes)
     if _diverges(profile, slope):
         return Verdict(

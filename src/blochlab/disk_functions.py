@@ -4,8 +4,8 @@ Two families of immutable value objects:
 
 * ``DiskFunction``: analytic functions assembled from power series,
   fractional kernels ``scale * (1 - conj(a) z)**(-q)`` (singly or as a
-  ``KernelFamily`` evaluated member by row, which also gives the modulus
-  of its images' derivatives in real arithmetic) and algebraic
+  family evaluated member by row, which also gives the modulus of its
+  images' derivatives in real arithmetic) and algebraic
   combinations, each carrying an exact closed-form derivative (never a
   finite difference).
 * ``SelfMap``: analytic maps of the disk into itself (affine maps,
@@ -23,6 +23,8 @@ sampling) lives at the bottom.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -31,7 +33,6 @@ __all__ = [
     "DiskFunction",
     "PowerSeries",
     "FractionalKernel",
-    "KernelFamily",
     "Sum",
     "Product",
     "Scaled",
@@ -164,78 +165,59 @@ class PowerSeries(DiskFunction):
         return f"PowerSeries({self.coefficients.tolist()!r})"
 
 
-def _kernel_jet(base, exponent: float, scale, z):
-    """``scale * w**(-exponent)`` and its derivative for ``w = 1 - conj(base) z``,
-    both from the single power ``w**(-exponent-1)``.
-
-    With ``|base| < 1`` the linear factor has strictly positive real part on
-    the disk, so the principal power never crosses the branch cut; this is
-    asserted on every evaluation.
-    """
-    w = 1.0 - np.conj(base) * z
-    if not np.all(np.real(w) > 0.0):
-        raise ArithmeticError("kernel argument left the right half-plane")
-    power = w ** (-exponent - 1.0)
-    return scale * (power * w), scale * exponent * np.conj(base) * power
-
-
 class FractionalKernel(DiskFunction):
-    """``scale * (1 - conj(base) z)**(-exponent)`` under the principal branch
-    (see ``_kernel_jet``)."""
+    """``scale * (1 - conj(base) z)**(-exponent)`` under the principal branch,
+    times ``z - base`` when ``pinched``.
 
-    def __init__(self, base: complex, exponent: float, scale: complex = 1.0):
-        base = complex(base)
-        if abs(base) >= 1.0:
+    A sequence of bases, with one scale each, is a family on a leading
+    member axis: row ``m`` of an ``(M, n)`` array of points is evaluated
+    with member ``m``, and ``member(m)`` is a one-row family that
+    broadcasts against points of any shape.  The pinched product is formed
+    from the factor ``z - base``, so it vanishes exactly at the base point
+    however large the kernel is there.  Value and derivative come from the
+    single power ``w**(-exponent-1)`` of ``w = 1 - conj(base) z``; with
+    ``|base| < 1``, ``w`` has strictly positive real part on the disk, so
+    the principal power never crosses the branch cut, which is asserted on
+    every evaluation.
+    """
+
+    def __init__(self, base, exponent: float, scale=1.0, pinched: bool = False):
+        if np.isscalar(base):
+            base, scale = complex(base), complex(scale)
+            outside = abs(base) >= 1.0
+        else:
+            base = np.asarray(base, dtype=complex).reshape(-1, 1)
+            scale = np.asarray(scale, dtype=complex).reshape(-1, 1)
+            if base.shape != scale.shape:
+                raise ValueError("need one scale per kernel base point")
+            outside = np.any(np.abs(base) >= 1.0)
+            base.setflags(write=False)
+            scale.setflags(write=False)
+        if outside:
             raise ValueError("kernel base point must satisfy |base| < 1")
         exponent = float(exponent)
         if exponent <= 0.0:
             raise ValueError("kernel exponent must be positive")
-        self.base = base
-        self.exponent = exponent
-        self.scale = complex(scale)
-
-    def _jet(self, z):
-        return _kernel_jet(self.base, self.exponent, self.scale, z)
-
-    def __repr__(self):
-        return f"FractionalKernel(base={self.base!r}, exponent={self.exponent!r}, scale={self.scale!r})"
-
-
-class KernelFamily(DiskFunction):
-    """Kernels ``scale_m * (1 - conj(base_m) z)**(-exponent)`` on a leading
-    member axis, each times ``(z - base_m)`` when ``pinched``.
-
-    Row ``m`` of an ``(M, n)`` array of points is evaluated with member ``m``;
-    a one-member family (``member``) broadcasts against points of any shape.
-    The pinched product is formed from the factor ``z - base_m``, so it
-    vanishes exactly at the base point however large the kernel is there.
-    """
-
-    def __init__(self, bases, exponent: float, scales, pinched: bool = False):
-        bases = np.asarray(bases, dtype=complex).reshape(-1, 1)
-        scales = np.asarray(scales, dtype=complex).reshape(-1, 1)
-        if bases.shape != scales.shape:
-            raise ValueError("need one scale per kernel base point")
-        if np.any(np.abs(bases) >= 1.0):
-            raise ValueError("kernel base points must satisfy |base| < 1")
-        exponent = float(exponent)
-        if exponent <= 0.0:
-            raise ValueError("kernel exponent must be positive")
-        bases.setflags(write=False)
-        scales.setflags(write=False)
-        self.bases, self.exponent, self.scales, self.pinched = bases, exponent, scales, bool(pinched)
+        self.base, self.exponent, self.scale, self.pinched = base, exponent, scale, bool(pinched)
 
     def __len__(self):
-        return self.bases.shape[0]
+        return np.size(self.base)
 
-    def member(self, m: int) -> "KernelFamily":
-        return KernelFamily(self.bases[m], self.exponent, self.scales[m], self.pinched)
+    def member(self, m: int) -> "FractionalKernel":
+        one = copy.copy(self)
+        one.base, one.scale = self.base[m : m + 1], self.scale[m : m + 1]
+        return one
 
     def _jet(self, z):
-        value, derivative = _kernel_jet(self.bases, self.exponent, self.scales, z)
+        conj_base = np.conj(self.base)
+        w = 1.0 - conj_base * z
+        if not np.all(np.real(w) > 0.0):
+            raise ArithmeticError("kernel argument left the right half-plane")
+        power = w ** (-self.exponent - 1.0)
+        value, derivative = self.scale * (power * w), self.scale * self.exponent * conj_base * power
         if not self.pinched:
             return value, derivative
-        factor = z - self.bases
+        factor = z - self.base
         return factor * value, value + factor * derivative
 
     def image_derivative_modulus(self, u, du, phi, dphi):
@@ -246,19 +228,23 @@ class KernelFamily(DiskFunction):
         ``|g_m'| = |s_m| |W|**-(e+1) |u' W + e conj(b_m) u phi'|``; pinched,
         the last factor is ``|(u' (phi - b_m) + u phi') W + e conj(b_m) u (phi - b_m) phi'|``.
         The only power is the real ``(Re(W)**2 + Im(W)**2)**(-(e+1)/2)``, and
-        the right half-plane check of ``_kernel_jet`` is kept."""
-        conj_base = np.conj(self.bases)
+        the right half-plane check of the jet is kept."""
+        conj_base = np.conj(self.base)
         w = 1.0 - conj_base * phi
         if not np.all(w.real > 0.0):
             raise ArithmeticError("kernel argument left the right half-plane")
         u_dphi = u * dphi
         if self.pinched:
-            factor = phi - self.bases
+            factor = phi - self.base
             inner = (du * factor + u_dphi) * w + (self.exponent * conj_base) * (u_dphi * factor)
         else:
             inner = du * w + (self.exponent * conj_base) * u_dphi
         power = (w.real**2 + w.imag**2) ** (-0.5 * (self.exponent + 1.0))
-        return np.abs(self.scales) * power * np.abs(inner)
+        return np.abs(self.scale) * power * np.abs(inner)
+
+    def __repr__(self):
+        pinched = ", pinched=True" if self.pinched else ""
+        return f"FractionalKernel(base={self.base!r}, exponent={self.exponent!r}, scale={self.scale!r}{pinched})"
 
 
 class Sum(DiskFunction):

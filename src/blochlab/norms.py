@@ -49,7 +49,6 @@ __all__ = [
     "integral_mean",
     "bergman_type_norm",
     "derivative_form_norm",
-    "direct_area_integral",
     "unit_norm_mass",
     "bracket_argmax",
     "bloch_seminorm",
@@ -271,22 +270,6 @@ def derivative_form_norm(f: DiskFunction, space: SpaceSpec, grid: RadialGrid = D
     return float((head + total) ** (1.0 / space.p))
 
 
-def direct_area_integral(f: DiskFunction, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID) -> float:
-    """``int_D |f|^p w(|z|)^p / (1-|z|) dA`` with normalized area measure.
-
-    For radial data this equals twice the p-th power of the canonical
-    norm; the factor is asserted in the test suite.
-    """
-    gamma = space.weight.alpha * space.p
-    x, w, band = radial_rule(grid.depth, grid.panel_order, gamma)
-    r = 1.0 - x
-    z = r[:, None] * _unit_circle(grid.angular_nodes)[None, :]
-    mpp = _angular_power_mean(f.eval(z), space.p)
-    F = mpp * weight_power_over_gap(space, x) * 2.0 * r
-    total, _ = _decay_checked_total(F, w, band, grid.depth, "direct_area_integral")
-    return float(total)
-
-
 # ---------------------------------------------------------------------------
 # sup searches
 
@@ -294,35 +277,27 @@ def direct_area_integral(f: DiskFunction, space: SpaceSpec, grid: RadialGrid = D
 _BRACKET_POINTS = 33
 
 
-def bracket_argmax(fn, lo, hi, rounds: int):
-    """Vectorized bracket search for the maximum of ``fn`` on ``[lo, hi]``.
+def bracket_argmax(fn, lo: np.ndarray, hi: np.ndarray, rounds: int):
+    """Vectorized bracket search for the maxima of ``fn`` on the rows of
+    ``(M,)`` brackets ``[lo, hi]``.
 
-    ``fn`` maps an array of abscissae to an array of values.  Each round
-    evaluates ``fn`` once on ``_BRACKET_POINTS`` equispaced points and
-    shrinks the bracket to the best point's two neighbours, a factor of
-    16 per round.  Returns ``(x, fn(x))`` for the best point seen over
-    all rounds, the earliest one on ties; a degenerate interval returns
-    its midpoint after one call.
-
-    With arrays ``lo`` and ``hi`` of shape ``(M,)``, row ``m`` of the
-    ``(M, 33)`` abscissae ``fn`` receives is bracket ``m``'s, every row is
-    searched as a scalar call would search it (``_bracket_rows``), and
-    ``x`` and the value come back as arrays.
+    ``fn`` maps an ``(M, 33)`` array of abscissae, row ``m`` in bracket
+    ``m``, to an array of values.  Each round evaluates ``fn`` once on
+    ``_BRACKET_POINTS`` equispaced points per row and shrinks each bracket
+    to its best point's two neighbours, a factor of 16 per round.  Returns
+    arrays ``(x, fn(x))`` of the best point of each row over all rounds,
+    the earliest one on ties; a degenerate bracket keeps its one point.
     """
-    if np.ndim(lo):
-        return _bracket_rows(fn, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), rounds)
-    a, b = float(lo), float(hi)
-    if not b > a:
-        x = 0.5 * (a + b)
-        return x, float(fn(np.array([x]))[0])
-    best_x, best = a, -np.inf
+    rows, last = np.arange(lo.size), _BRACKET_POINTS - 1
+    best_x, best = lo, np.full(lo.shape, -np.inf)
     for _ in range(rounds):
-        xs = np.linspace(a, b, _BRACKET_POINTS)
+        xs = _bracket_abscissae(lo, hi)
         values = fn(xs)
-        i = int(np.argmax(values))
-        if values[i] > best:
-            best_x, best = float(xs[i]), float(values[i])
-        a, b = xs[max(i - 1, 0)], xs[min(i + 1, _BRACKET_POINTS - 1)]
+        i = values.argmax(axis=1)
+        top = values[rows, i]
+        better = top > best
+        best_x, best = np.where(better, xs[rows, i], best_x), np.where(better, top, best)
+        lo, hi = xs[rows, np.maximum(i - 1, 0)], xs[rows, np.minimum(i + 1, last)]
     return best_x, best
 
 
@@ -338,23 +313,6 @@ def _bracket_abscissae(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     xs += a[:, None]
     xs[:, last] = b
     return xs
-
-
-def _bracket_rows(fn, a: np.ndarray, b: np.ndarray, rounds: int):
-    """``bracket_argmax`` on the rows of ``(M,)`` brackets at once.  The
-    scalar search stays separate because a single bracket pays per numpy
-    call, and this form makes about twice as many."""
-    rows, last = np.arange(a.size), _BRACKET_POINTS - 1
-    best_x, best = a, np.full(a.shape, -np.inf)
-    for _ in range(rounds):
-        xs = _bracket_abscissae(a, b)
-        values = fn(xs)
-        i = values.argmax(axis=1)
-        top = values[rows, i]
-        better = top > best
-        best_x, best = np.where(better, xs[rows, i], best_x), np.where(better, top, best)
-        a, b = xs[rows, np.maximum(i - 1, 0)], xs[rows, np.minimum(i + 1, last)]
-    return best_x, best
 
 
 def _larger(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -13,9 +13,9 @@ the classifier is reported, never auto-resolved.
 One oracle task evaluates ``u``, ``u'``, ``phi`` and ``phi'`` on the
 sample grid once (``symbol_samples``); the kernel images, the pinned
 images and the chain constant all read that one set.  The members of a
-boundary chase form a ``KernelFamily`` whose image seminorms are taken
-from the closed-form moduli ``|g_m'|``, without a complex power, and the
-11 chase circles are searched together.  The norms and envelopes of the
+boundary chase form one ``FractionalKernel`` family whose image
+seminorms are taken from the closed-form moduli ``|g_m'|``, without a
+complex power, and the 11 chase circles are searched together.  The norms and envelopes of the
 constants battery, which depend only on the space and the grid, are
 computed once per ``(space, grid)``.
 """
@@ -27,15 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .disk_functions import (
-    ComposedWithSelfMap,
-    DiskFunction,
-    DomainError,
-    FractionalKernel,
-    KernelFamily,
-    PowerSeries,
-    Product,
-)
+from .disk_functions import ComposedWithSelfMap, DiskFunction, DomainError, FractionalKernel, PowerSeries, Product
 from .norms import (
     DEFAULT_GRID,
     RadialGrid,
@@ -87,41 +79,45 @@ def boundary_test_function(w: complex, space: SpaceSpec) -> FractionalKernel:
     w = complex(w)
     if abs(w) >= 1.0:
         raise DomainError("base point must lie in the open unit disk")
-    t = space.weight.t
-    gap = 1.0 - abs(w) ** 2
-    scale = gap ** (t + 1.0) / space.weight(abs(w))
-    return FractionalKernel(w, 1.0 / space.p + t + 1.0, scale)
+    return FractionalKernel(w, *_kernel_terms(w, space))
 
 
-def vanishing_test_function(image_point: complex, space: SpaceSpec) -> DiskFunction:
+def vanishing_test_function(image_point: complex, space: SpaceSpec) -> FractionalKernel:
     """Kernel difference that vanishes at ``image_point`` while its
     derivative there equals
     ``conj(q) / (w(|q|) (1-|q|^2)**(1 + 1/p))`` for ``q = image_point``.
 
     Algebraically the difference of the two kernels with exponents
     ``1/p+t+2`` and ``1/p+t+1`` factors as ``s (conj(q) z - |q|^2)``
-    times the steeper kernel; the factored form is used so the vanishing
-    at the base point survives floating point even when the kernel terms
-    themselves are huge.
+    times the steeper kernel; the pinched kernel keeps that factored form
+    (``z - q`` times the steeper kernel), so the vanishing at the base
+    point survives floating point even when the kernel terms themselves
+    are huge.
     """
     q = complex(image_point)
     if abs(q) >= 1.0:
         raise DomainError("image point must lie in the open unit disk")
-    pinch = PowerSeries([-q, 1.0])  # z - q, exactly zero at the base point
-    return Product(pinch, _steep_kernel(q, space))
+    return FractionalKernel(q, *_kernel_terms(q, space, pinched=True), pinched=True)
 
 
-def _steep_kernel(q: complex, space: SpaceSpec) -> FractionalKernel:
-    """The kernel that ``vanishing_test_function(q)`` multiplies by ``z - q``.
-    Its scale is 0 at ``q = 0``, where both kernels of the difference
+def _kernel_terms(w: complex, space: SpaceSpec, pinched: bool = False) -> tuple:
+    """Exponent and scale of the kernel at ``w`` of ``boundary_test_function``,
+    or, pinched, of the steeper kernel of ``vanishing_test_function``.  The
+    steeper scale is 0 at ``w = 0``, where both kernels of the difference
     collapse to the same constant and the test function is 0."""
     t = space.weight.t
-    gap = 1.0 - (np.conj(q) * q).real
-    return FractionalKernel(q, 1.0 / space.p + t + 2.0, np.conj(q) * gap ** (t + 1.0) / space.weight(abs(q)))
+    if pinched:
+        gap = 1.0 - (np.conj(w) * w).real
+        return 1.0 / space.p + t + 2.0, np.conj(w) * gap ** (t + 1.0) / space.weight(abs(w))
+    gap = 1.0 - abs(w) ** 2
+    return 1.0 / space.p + t + 1.0, gap ** (t + 1.0) / space.weight(abs(w))
 
 
-def _family(kernels, pinched: bool = False) -> KernelFamily:
-    return KernelFamily([k.base for k in kernels], kernels[0].exponent, [k.scale for k in kernels], pinched)
+def _family(images, space: SpaceSpec, pinched: bool = False) -> FractionalKernel:
+    """The chase family at the image points: the kernels of
+    ``boundary_test_function``, or, pinched, those of ``vanishing_test_function``."""
+    terms = [_kernel_terms(w, space, pinched) for w in images]
+    return FractionalKernel(images, terms[0][0], [scale for _, scale in terms], pinched)
 
 
 def operator_apply(sym: SymbolPair, f: DiskFunction) -> DiskFunction:
@@ -136,22 +132,20 @@ def symbol_samples(sym: SymbolPair, grid: RadialGrid) -> tuple:
     return (*sym.u.jet(z), *sym.phi.jet(z))
 
 
-def _image_norms(sym: SymbolPair, kernels: KernelFamily, grid: RadialGrid, probe_points, samples=None) -> tuple:
+def _image_norms(sym: SymbolPair, kernels: FractionalKernel, grid: RadialGrid, probe_points, samples) -> tuple:
     """``|g(0)| + B(g)`` for each image ``g = u (K o phi)`` of a kernel
     family, where the seminorm ``B`` is the sample-grid supremum sharpened
     by the value at the member's probe point.
 
     The seminorms read the closed-form moduli ``|g'|``: on the grid from
-    ``samples`` (``symbol_samples``, computed when not given), one member
-    at a time, and in the bracket rounds from the symbol's jets there.
+    ``samples`` (``symbol_samples``), one member at a time, and in the
+    bracket rounds from the symbol's jets there.
     ``(1-|z|^2)|g'(z)|`` at any single point is a valid lower bound for
     the supremum; probing where the chase landed keeps the bound honest
     when the peak is narrower than the angular resolution.  The probe and
     ``g(0)``, two points per member, come from one complex evaluation of
     the whole family.
     """
-    if samples is None:
-        samples = symbol_samples(sym, grid)
     radii, _ = sample_points(grid.depth, grid.angular_nodes)
     omr2 = one_minus_sq(radii)[:, None]
 
@@ -203,18 +197,17 @@ def kernel_family_norm(base_modulus: float, space: SpaceSpec, grid: RadialGrid =
     return float(scale * np.sum(w * F) ** (1.0 / space.p))
 
 
-def boundary_chase_point(phi, depth, angular_nodes: int = 256):
-    """Point on the circle of radius ``1 - 2**-depth`` where ``|phi|`` is
-    largest (angular grid argmax followed by a bracket search).
+def boundary_chase_point(phi, depths, angular_nodes: int = 256) -> np.ndarray:
+    """The points on the circles of radii ``1 - 2**-k``, ``k`` in ``depths``,
+    where ``|phi|`` is largest (angular grid argmax followed by a bracket
+    search), as an array.
 
-    A sequence of depths is chased in one evaluation, one circle per row
-    of an ``(depths, angular_nodes)`` array and one row bracket search, and
-    an array of points comes back; each row finds what a single depth
-    finds.  The grid point is kept unless the refined ``|phi|`` beats it
-    by more than rounding: on rotation-invariant maps ``|phi|`` is
-    constant on the circle, and rounding noise must not pick another
-    point of it."""
-    depths = np.atleast_1d(np.asarray(depth, dtype=float))
+    The circles are chased in one evaluation, one circle per row of an
+    ``(depths, angular_nodes)`` array, and one row bracket search.  The
+    grid point is kept unless the refined ``|phi|`` beats it by more than
+    rounding: on rotation-invariant maps ``|phi|`` is constant on the
+    circle, and rounding noise must not pick another point of it."""
+    depths = np.asarray(depths, dtype=float)
     r = (1.0 - 0.5**depths)[:, None]
     theta = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
     mods = np.abs(phi.eval(r * np.exp(1j * theta)))
@@ -226,8 +219,7 @@ def boundary_chase_point(phi, depth, angular_nodes: int = 256):
     span = 2.0 * np.pi / angular_nodes
     th, best = bracket_argmax(along, theta[j] - span, theta[j] + span, 9)
     grid_best = mods[np.arange(depths.size), j]
-    points = r[:, 0] * np.exp(1j * np.where(best > grid_best * (1.0 + 1e-14), th, theta[j]))
-    return points if np.ndim(depth) else complex(points[0])
+    return r[:, 0] * np.exp(1j * np.where(best > grid_best * (1.0 + 1e-14), th, theta[j]))
 
 
 # the chase circles ``1 - 2**-k`` and the depths at which the trend is read
@@ -272,8 +264,9 @@ def lower_bound_trend(
     """
     points = tuple(boundary_chase_point(sym.phi, CHASE_DEPTHS, grid.angular_nodes))
     images = tuple(complex(sym.phi.eval(z_star)) for z_star in points)
-    kernels = _family([boundary_test_function(w, space) for w in images])
-    norms = _image_norms(sym, kernels, grid, points, samples)
+    # samples made here are a temporary, freed before the kernel norms below allocate theirs
+    norms = _image_norms(sym, _family(images, space), grid, points,
+                         symbol_samples(sym, grid) if samples is None else samples)
     denoms = (kernel_family_norm(abs(w), space, grid) for w in images)
     ratios = tuple(0.0 if denom == 0.0 else norm / denom for norm, denom in zip(norms, denoms))
     values = tuple(max(ratios[: d - 1], default=0.0) for d in TREND_DEPTHS)
@@ -325,24 +318,22 @@ def _sequence_trend(values) -> str:
 
 
 def compactness_probe(
-    sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, trend: LowerBoundTrend, samples=None
+    sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, trend: LowerBoundTrend, samples
 ) -> CompactnessProbe:
     """Apply the operator to boundary-chasing probe sequences and report
     the size trend of the image Bloch norms.
 
     The normalized kernels are the chase members of ``trend`` (computed on
     the same ``grid``); only the pinned kernels are applied here, reading
-    the task's ``symbol_samples`` (computed when not given).  With no
-    boundary-approaching sequence available (structural sup bound below 1)
-    the probe is vacuous.  A decaying trend corroborates compactness, a
+    the task's ``symbol_samples``.  With no boundary-approaching sequence
+    available (structural sup bound below 1) the probe is vacuous.  A decaying trend corroborates compactness, a
     trend bounded away from zero corroborates the opposite; both are
     evidence, not proof.
     """
     if sym.phi.misses_boundary:
         return CompactnessProbe("vacuous", (), (), (), "vacuous")
     f_vals = trend.image_norms
-    pinned = _family([_steep_kernel(w, space) for w in trend.images], pinched=True)
-    g_vals = _image_norms(sym, pinned, grid, trend.chase_points, samples)
+    g_vals = _image_norms(sym, _family(trend.images, space, pinched=True), grid, trend.chase_points, samples)
     tf, tg = _sequence_trend(f_vals), _sequence_trend(g_vals)
     if tf == "zero" and tg == "zero":
         trend_name = "zero"
@@ -396,21 +387,19 @@ def chain_constant(
     grid: RadialGrid,
     sup_multiplier: float,
     sup_composition: float,
-    samples=None,
+    samples,
 ) -> float | None:
     """Empirical constant in ``B(u (f o phi)) <= C (S1 + S2) ||f||`` over a
     battery of functions with their norms ``||f||``, given finite criterion
     suprema ``S1, S2``.
 
     The seminorm searches start from ``(u (f o phi))'`` formed on the grid
-    from the task's ``symbol_samples`` (computed when not given) and
-    ``f``'s jet at ``phi``, in the operation order of the composite's own
-    jet, so the values are those of ``bloch_seminorm`` of the composite."""
+    from the task's ``symbol_samples`` and ``f``'s jet at ``phi``, in the
+    operation order of the composite's own jet, so the values are those of
+    ``bloch_seminorm`` of the composite."""
     total = sup_multiplier + sup_composition
     if not np.isfinite(total) or total == 0.0:
         return None
-    if samples is None:
-        samples = symbol_samples(sym, grid)
     u, du, phi, dphi = samples
     radii, _ = sample_points(grid.depth, grid.angular_nodes)
     omr2 = one_minus_sq(radii)[:, None]

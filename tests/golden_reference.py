@@ -1,9 +1,13 @@
-"""References for the sup searches and boundary profiles in ``blochlab.norms``.
+"""References for the sup searches and boundary profiles in ``blochlab.norms``
+and the boundary chase in ``blochlab.oracle``.
 
 ``golden_argmax`` is a scalar golden-section search, and
 ``golden_bloch_seminorm`` is the Bloch seminorm with its radial and
 angular refinement done by that search.  Tests compare the vectorized
 ``bracket_argmax`` and ``bloch_seminorm`` against them.
+``scalar_bracket_argmax`` searches one bracket as each row of
+``bracket_argmax`` is searched, and ``scalar_chase`` chases one circle with
+it; tests compare the row search and the batched chase against them.
 ``reference_boundary_profile`` builds a profile with one full scan of the
 flat samples per band; tests compare ``boundary_profile`` and the sample
 table's reduced profiles against it with ``assert_same_profile``.
@@ -46,6 +50,39 @@ def golden_argmax(fn, lo: float, hi: float, iters: int):
         if fd > best:
             best_x, best = d, fd
     return best_x, best
+
+
+def scalar_bracket_argmax(fn, lo: float, hi: float, rounds: int):
+    """The bracket search on one interval: ``fn`` maps an array of abscissae
+    to an array, each round evaluates it on 33 ``linspace`` points and
+    shrinks the bracket to the best point's two neighbours.  Returns
+    ``(x, fn(x))`` for the best point over all rounds, the earliest on ties;
+    a degenerate interval returns its midpoint after one call."""
+    a, b = float(lo), float(hi)
+    if not b > a:
+        x = 0.5 * (a + b)
+        return x, float(fn(np.array([x]))[0])
+    best_x, best = a, -np.inf
+    for _ in range(rounds):
+        xs = np.linspace(a, b, 33)
+        values = fn(xs)
+        i = int(np.argmax(values))
+        if values[i] > best:
+            best_x, best = float(xs[i]), float(values[i])
+        a, b = xs[max(i - 1, 0)], xs[min(i + 1, 32)]
+    return best_x, best
+
+
+def scalar_chase(phi, depth, angular_nodes):
+    """The boundary chase of one circle, with the scalar bracket search."""
+    r = 1.0 - 0.5**depth
+    theta = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
+    mods = np.abs(phi.eval(r * np.exp(1j * theta)))
+    j = int(np.argmax(mods))
+    span = 2.0 * np.pi / angular_nodes
+    th, best = scalar_bracket_argmax(lambda t: np.abs(phi.eval(r * np.exp(1j * t))),
+                                     theta[j] - span, theta[j] + span, 9)
+    return r * np.exp(1j * (th if best > mods[j] * (1.0 + 1e-14) else theta[j]))
 
 
 def golden_bloch_seminorm(f, grid) -> float:

@@ -264,6 +264,20 @@ class TestSharedSamples:
         monkeypatch.undo()
         assert verdict.notes.endswith(f"seminorm {bloch_seminorm(u, grid):.6g}")
 
+    def test_a_supremum_on_the_inner_cut_circle_is_inner(self, a2, fast_grid):
+        # the inner supremum reads the circles up to and including the inner
+        # cut 1 - 2**-(depth-3), itself a sample radius; a quantity peaking
+        # there and decaying beyond has stabilized
+        table = SampleTable(half_scale(), a2, fast_grid)
+        cut = 1.0 - 0.5 ** (fast_grid.depth - 3)
+        radii = table.radii
+        assert np.count_nonzero(radii == cut) == 1
+        peak = np.where(radii == cut, 1.0, np.where(radii < cut, 0.5, 0.5 * (1.0 - radii)))
+        table.quantities["u_prime"] = np.repeat(peak[:, None], fast_grid.angular_nodes, axis=1)
+        verdict = table.bounded_into_bloch().verdicts[0]
+        assert verdict.quantity == "u_prime"
+        assert verdict.status is Status.HOLDS and verdict.sup_estimate == 1.0
+
 
 class FlatTable(SampleTable):
     """A sample table that reads every profile and supremum from the flat

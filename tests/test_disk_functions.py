@@ -25,7 +25,6 @@ from blochlab import (
     validate_self_map,
 )
 from blochlab.battery import random_pairs
-from blochlab.disk_functions import KernelFamily
 from blochlab.norms import sample_points
 
 inner_points = st.builds(
@@ -338,7 +337,7 @@ class TestKernelFamily:
     scales = np.array([1.0, 0.75, 1.5j, 2.0 - 1.0j])
 
     def test_rows_equal_the_single_kernels(self):
-        family = KernelFamily(self.bases, 2.25, self.scales)
+        family = FractionalKernel(self.bases, 2.25, self.scales)
         z = jet_points()[0][:40].reshape(4, 10)
         value, derivative = family.jet(z)
         for m, (b, s) in enumerate(zip(self.bases, self.scales)):
@@ -346,28 +345,29 @@ class TestKernelFamily:
             assert np.array_equal(derivative[m], FractionalKernel(b, 2.25, s).deriv(z[m]))
 
     def test_pinched_rows_equal_the_factored_products(self):
-        family = KernelFamily(self.bases, 3.0, self.scales, pinched=True)
+        family = FractionalKernel(self.bases, 3.0, self.scales, pinched=True)
         z = jet_points()[0][:40].reshape(4, 10)
         value, derivative = family.jet(z)
         for m, (b, s) in enumerate(zip(self.bases, self.scales)):
-            single = Product(PowerSeries([-b, 1.0]), FractionalKernel(b, 3.0, s))
-            assert np.array_equal(value[m], single.eval(z[m]))
-            assert np.array_equal(derivative[m], single.deriv(z[m]))
+            for single in (Product(PowerSeries([-b, 1.0]), FractionalKernel(b, 3.0, s)),
+                           FractionalKernel(b, 3.0, s, pinched=True)):
+                assert np.array_equal(value[m], single.eval(z[m]))
+                assert np.array_equal(derivative[m], single.deriv(z[m]))
         assert np.all(family.eval(self.bases[:, None]) == 0.0)
 
     def test_member_broadcasts_against_any_shape(self):
-        family = KernelFamily(self.bases, 1.5, self.scales)
+        family = FractionalKernel(self.bases, 1.5, self.scales)
         z = sample_points(6, 64)[1]
         assert len(family) == 4
         assert np.array_equal(family.member(2).deriv(z), FractionalKernel(0.3 - 0.6j, 1.5, 1.5j).deriv(z))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            KernelFamily([0.5, 1.0], 1.0, [1.0, 1.0])
+            FractionalKernel([0.5, 1.0], 1.0, [1.0, 1.0])
         with pytest.raises(ValueError):
-            KernelFamily([0.5], 0.0, [1.0])
+            FractionalKernel([0.5], 0.0, [1.0])
         with pytest.raises(ValueError):
-            KernelFamily([0.5, 0.2], 1.0, [1.0])
+            FractionalKernel([0.5, 0.2], 1.0, [1.0])
 
 
 class TestVacuity:

@@ -7,6 +7,7 @@ from blochlab import (
     FractionalKernel,
     MonomialPower,
     PowerSeries,
+    Product,
     RadialGrid,
     SpaceSpec,
     SymbolPair,
@@ -23,7 +24,7 @@ from blochlab import (
 from blochlab import oracle
 from blochlab.battery import CURATED
 from blochlab.cli import parse_config, run as cli_run
-from blochlab.disk_functions import DiskFunction, FiniteBlaschkeProduct, KernelFamily, SelfMap
+from blochlab.disk_functions import DiskFunction, FiniteBlaschkeProduct, SelfMap
 from blochlab.norms import sample_points
 from blochlab.oracle import chain_constant, kernel_family_norm, symbol_samples
 from blochlab.criteria import classify_bounded_into_bloch
@@ -133,19 +134,22 @@ class TestLowerBounds:
 class TestCompactnessProbe:
     def test_vacuous_for_strict_map(self, a2, fast_grid):
         sym = SymbolPair(constant(1), MonomialPower(1, 0.5))
-        probe = compactness_probe(sym, a2, fast_grid, lower_bound_trend(sym, a2, fast_grid))
+        probe = compactness_probe(sym, a2, fast_grid, lower_bound_trend(sym, a2, fast_grid),
+                                  symbol_samples(sym, fast_grid))
         assert probe.kind == "vacuous"
         assert probe.trend == "vacuous"
 
     def test_zero_multiplier(self, a2, fast_grid):
         sym = SymbolPair(constant(0), identity_map())
-        probe = compactness_probe(sym, a2, fast_grid, lower_bound_trend(sym, a2, fast_grid))
+        probe = compactness_probe(sym, a2, fast_grid, lower_bound_trend(sym, a2, fast_grid),
+                                  symbol_samples(sym, fast_grid))
         assert probe.kind == "probe"
         assert probe.trend == "zero"
 
     def test_identity_probe_bounded_away(self, a2, fast_grid):
         sym = SymbolPair(constant(1), identity_map())
-        probe = compactness_probe(sym, a2, fast_grid, lower_bound_trend(sym, a2, fast_grid))
+        probe = compactness_probe(sym, a2, fast_grid, lower_bound_trend(sym, a2, fast_grid),
+                                  symbol_samples(sym, fast_grid))
         assert probe.trend == "bounded_away"
         assert min(probe.vanishing_values[-3:]) > 0.1 * max(probe.vanishing_values)
 
@@ -159,7 +163,7 @@ class TestChainConstant:
         norms = [bergman_type_norm(f, a2, fast_grid) for f in functions]
         c = chain_constant(
             sym, functions, norms, fast_grid,
-            outcome.verdicts[0].sup_estimate, outcome.verdicts[1].sup_estimate,
+            outcome.verdicts[0].sup_estimate, outcome.verdicts[1].sup_estimate, symbol_samples(sym, fast_grid),
         )
         assert c is not None and 0 < c < 50
 
@@ -167,18 +171,19 @@ class TestChainConstant:
         sym = SymbolPair(PowerSeries([0.5, 1]), MonomialPower(1, 0.5))
         functions = [constant(1), PowerSeries([0, 1])]
         norms = [bergman_type_norm(f, a2, fast_grid) for f in functions]
-        expected = chain_constant(sym, functions, norms, fast_grid, 1.0, 2.0)
+        samples = symbol_samples(sym, fast_grid)
+        expected = chain_constant(sym, functions, norms, fast_grid, 1.0, 2.0, samples)
 
         def forbidden(*args):
             raise AssertionError("chain_constant computed a norm")
 
         monkeypatch.setattr(oracle, "bergman_type_norm", forbidden)
-        assert chain_constant(sym, functions, norms, fast_grid, 1.0, 2.0) == expected
-        assert chain_constant(sym, functions, [2 * n for n in norms], fast_grid, 1.0, 2.0) == 0.5 * expected
+        assert chain_constant(sym, functions, norms, fast_grid, 1.0, 2.0, samples) == expected
+        assert chain_constant(sym, functions, [2 * n for n in norms], fast_grid, 1.0, 2.0, samples) == 0.5 * expected
 
     def test_skipped_when_sups_divergent(self, a2, fast_grid):
         sym = SymbolPair(constant(1), identity_map())
-        c = chain_constant(sym, [constant(1)], [1.0], fast_grid, float("inf"), 1.0)
+        c = chain_constant(sym, [constant(1)], [1.0], fast_grid, float("inf"), 1.0, symbol_samples(sym, fast_grid))
         assert c is None
 
 
@@ -194,7 +199,6 @@ class TestChainConstantSamples:
         s1, s2 = 1.25, 0.5
         expected = max(bloch_seminorm(operator_apply(sym, f), grid) / (n * (s1 + s2))
                        for f, n in zip(battery.functions, battery.norms))
-        assert chain_constant(sym, battery.functions, battery.norms, grid, s1, s2) == expected
         samples = symbol_samples(sym, grid)
         assert chain_constant(sym, battery.functions, battery.norms, grid, s1, s2, samples) == expected
 
@@ -217,7 +221,7 @@ class TestChainConstantSamples:
 
 
 class TestImageModulus:
-    """``KernelFamily.image_derivative_modulus`` against the modulus of the
+    """``FractionalKernel.image_derivative_modulus`` against the modulus of the
     complex derivative of ``u (K o phi)``."""
 
     CASES = {name: (config.symbol, config.space) for name, config in
@@ -228,14 +232,14 @@ class TestImageModulus:
     @staticmethod
     def term_scale(family, u, du, phi, dphi):
         """The sum of the moduli of the terms of ``|g'|``: the scale of its rounding."""
-        conj_base, q = np.conj(family.bases), family.exponent
+        conj_base, q = np.conj(family.base), family.exponent
         w = 1.0 - conj_base * phi
         if family.pinched:
-            factor = phi - family.bases
+            factor = phi - family.base
             terms = np.abs(du * factor * w) + np.abs(u * dphi * w) + np.abs(q * conj_base * u * factor * dphi)
         else:
             terms = np.abs(du * w) + np.abs(q * conj_base * u * dphi)
-        return np.abs(family.scales) * np.abs(w) ** (-q - 1.0) * terms
+        return np.abs(family.scale) * np.abs(w) ** (-q - 1.0) * terms
 
     def check(self, got, ref, scale):
         # everywhere within rounding of the terms; relative where they do not cancel
@@ -249,11 +253,11 @@ class TestImageModulus:
         sym, space = self.CASES[case]
         trend = lower_bound_trend(sym, space, grid)
         if pinched:
-            scales = [vanishing_test_function(w, space).right.scale for w in trend.images]
-            family = KernelFamily(trend.images, 1.0 / space.p + space.weight.t + 2.0, scales, pinched=True)
+            scales = [vanishing_test_function(w, space).scale for w in trend.images]
+            family = FractionalKernel(trend.images, 1.0 / space.p + space.weight.t + 2.0, scales, pinched=True)
         else:
             scales = [boundary_test_function(w, space).scale for w in trend.images]
-            family = KernelFamily(trend.images, 1.0 / space.p + space.weight.t + 1.0, scales)
+            family = FractionalKernel(trend.images, 1.0 / space.p + space.weight.t + 1.0, scales)
         # the 17,408-point sample grid, one member at a time
         _, z = sample_points(grid.depth, grid.angular_nodes)
         assert z.size == 17408
@@ -272,7 +276,7 @@ class TestImageModulus:
         self.check(family.image_derivative_modulus(*jets), ref, self.term_scale(family, *jets))
 
     def test_keeps_the_right_half_plane_check(self):
-        family = KernelFamily([0.999], 2.0, [1.0])
+        family = FractionalKernel([0.999], 2.0, [1.0])
         with pytest.raises(ArithmeticError, match="right half-plane"):
             family.image_derivative_modulus(np.ones(1), np.ones(1), np.array([1.5 + 0j]), np.ones(1))
 
@@ -291,12 +295,64 @@ class TestChaseFamily:
         sym, space = config.symbol, config.space
         trend = lower_bound_trend(sym, space, grid)
         assert len(trend.image_norms) == 11
-        pinned = oracle._image_norms(sym, KernelFamily(
+        pinned = oracle._image_norms(sym, FractionalKernel(
             trend.images, 1.0 / space.p + space.weight.t + 2.0,
-            [vanishing_test_function(w, space).right.scale for w in trend.images], pinched=True),
-            grid, trend.chase_points)
+            [vanishing_test_function(w, space).scale for w in trend.images], pinched=True),
+            grid, trend.chase_points, symbol_samples(sym, grid))
         for z_star, w, kernel_norm, pinned_norm in zip(trend.chase_points, trend.images, trend.image_norms, pinned):
             member = self.alone(operator_apply(sym, boundary_test_function(w, space)), grid, z_star)
             assert kernel_norm == pytest.approx(member, rel=1e-12, abs=0)
             member = self.alone(operator_apply(sym, vanishing_test_function(w, space)), grid, z_star)
             assert pinned_norm == pytest.approx(member, rel=1e-12, abs=0)
+
+
+class TestKernelForms:
+    """The pinned kernel and the chase families, built directly, against the
+    forms they replace: ``z - q`` times the steeper kernel, and one kernel
+    per image point."""
+
+    CASES = ["half-scale", "blaschke-rotor", "boundary-touch"]
+
+    @staticmethod
+    def chase(case, grid):
+        config = parse_config(CURATED[case]["config"])
+        return config.space, lower_bound_trend(config.symbol, config.space, grid)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_vanishing_function_equals_the_factored_product(self, case, grid):
+        space, trend = self.chase(case, grid)
+        _, z = sample_points(grid.depth, grid.angular_nodes)
+        assert z.size == 17408
+        t = space.weight.t
+        for q in trend.images:
+            gap = 1.0 - (np.conj(q) * q).real
+            steep = FractionalKernel(q, 1.0 / space.p + t + 2.0, np.conj(q) * gap ** (t + 1.0) / space.weight(abs(q)))
+            got, want = vanishing_test_function(q, space).jet(z), Product(PowerSeries([-q, 1.0]), steep).jet(z)
+            for a, b in zip(got, want):
+                # bit for bit, except the sign of a zero on the circle of radius 0
+                assert np.array_equal(a, b) and a[1:].tobytes() == b[1:].tobytes()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_family_rows_equal_the_single_kernels(self, case, grid):
+        space, trend = self.chase(case, grid)
+        # (M, 33) points, member m on row m, as the bracket rounds evaluate them
+        points = np.asarray(trend.chase_points)[:, None] * np.linspace(0.5, 1.0, 33)
+        for pinched, single in ((False, boundary_test_function), (True, vanishing_test_function)):
+            family = oracle._family(trend.images, space, pinched)
+            assert len(family) == len(trend.images) == 11 and family.pinched is pinched
+            value, derivative = family.jet(points)
+            for m, w in enumerate(trend.images):
+                kernel = single(w, space)
+                assert (family.base[m, 0], family.exponent, family.scale[m, 0]) == (kernel.base, kernel.exponent,
+                                                                                     kernel.scale)
+                row = points[m : m + 1]
+                got, want = family.member(m).jet(row), kernel.jet(row)
+                assert np.array_equal(got, (value[m : m + 1], derivative[m : m + 1]))
+                assert got[0].tobytes() == value[m].tobytes() and got[1].tobytes() == derivative[m].tobytes()
+                if pinched:
+                    # a complex scale times the exponent and conj(base) is a
+                    # scalar product for one kernel and an array product in a
+                    # family, and the two may round differently
+                    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+                else:
+                    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
