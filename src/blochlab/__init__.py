@@ -5,6 +5,7 @@ classification, and independent brute-force oracles."""
 
 __version__ = "0.1.0"
 
+from . import heap  # fixes glibc's heap thresholds for the process; see its docstring
 from .disk_functions import (
     Affine,
     BlaschkeFactor,

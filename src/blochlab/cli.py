@@ -28,6 +28,11 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from . import __version__
 from .battery import CURATED
 from .criteria import PreconditionUnmetError, SampleTable, SymbolPair
@@ -52,7 +57,7 @@ from .disk_functions import (
     validate_self_map,
 )
 from .norms import NonConvergentError, RadialGrid
-from .oracle import chain_constant, compactness_probe, constants_battery, lower_bound_trend, symbol_samples
+from .oracle import constants_battery, oracle_task, symbol_samples
 from .weights import NormalWeight, SpaceSpec, check_normality
 
 __all__ = [
@@ -418,13 +423,15 @@ def run(config: RunConfig) -> Report:
     an ``ArithmeticError`` such as ``NonConvergentError``) is recorded as
     ``{"error", "detail"}`` against the task that hit it, whether in the
     sample table or in the oracle, and the run goes on; anything else
-    propagates.
+    propagates.  ``meta`` holds each task's wall-clock seconds and, where
+    the ``resource`` module exists, its minor page faults.
     """
     results: dict = {"tasks": {}}
     timings: dict = {}
+    faults: dict = {}
     table = None
     for task in config.tasks:
-        start = time.perf_counter()
+        start, start_faults = time.perf_counter(), _minor_faults()
         try:
             if task == "oracle":
                 if config.tasks[-1] == "oracle":
@@ -437,8 +444,16 @@ def run(config: RunConfig) -> Report:
         except (DomainError, ArithmeticError) as exc:
             results["tasks"][task] = _failure(exc)
         timings[task] = round(time.perf_counter() - start, 6)
+        if resource is not None:
+            faults[task] = _minor_faults() - start_faults
     tool = {"name": "blochlab", "version": __version__}
-    return Report(tool, config.echo, results, {"wall_clock_s": timings})
+    meta = {"wall_clock_s": timings, "minor_faults": faults} if resource is not None else {"wall_clock_s": timings}
+    return Report(tool, config.echo, results, meta)
+
+
+def _minor_faults():
+    """The process's minor page faults so far; None without ``resource``."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def _failure(exc: Exception) -> dict:
@@ -453,9 +468,10 @@ def _failure(exc: Exception) -> dict:
 
 
 def _oracle_entry(config: RunConfig, results: dict) -> dict:
-    """The oracle task's entry, from one ``symbol_samples`` set shared by
-    the trend, the compactness probe and the chain constant; also records
-    the constants block, which fails soft on its own."""
+    """The oracle task's entry: the trend, the compactness probe and, for a
+    bounded pair, the chain constant, refined together by ``oracle_task``
+    from one ``symbol_samples`` set; also records the constants block,
+    whose battery fails soft on its own."""
     sym, space, grid = config.symbol, config.space, config.grid
     bounded_entry = results["tasks"].get("bounded_bloch")
     try:
@@ -464,10 +480,12 @@ def _oracle_entry(config: RunConfig, results: dict) -> dict:
     except (DomainError, ArithmeticError) as exc:
         battery, results["constants"] = None, _failure(exc)
     samples = symbol_samples(sym, grid)
-    trend = lower_bound_trend(sym, space, grid, samples)
-    probe = compactness_probe(sym, space, grid, trend, samples)
+    trend, probe, constant = oracle_task(sym, space, grid, samples, _chain_inputs(battery, bounded_entry))
     if battery is not None:
-        results["constants"] = _empirical_constants(config, battery, bounded_entry, samples)
+        # measured constants over a small standard battery: growth-envelope ratios and the interval of
+        # derivative-form to direct norm ratios (shared by every run on the same space and grid), and
+        # for a bounded pair the chain constant tying the image seminorm to the criterion suprema
+        results["constants"] = dict(battery.to_dict(), chain_constant=constant)
     return {"lower_bound": trend.to_dict(), "compactness_probe": probe.to_dict(),
             "agreement": _agreement(bounded_entry, trend.classification)}
 
@@ -487,20 +505,16 @@ def _classifier_entry(table: SampleTable, task: str, force_boundary: bool) -> di
     return groups[task]().to_dict()
 
 
-def _empirical_constants(config: RunConfig, battery, bounded_entry, samples) -> dict:
-    """Measured constants over a small standard battery: growth-envelope
-    ratios, the interval of derivative-form to direct norm ratios (both
-    shared by every run on the same space and grid), and (for a bounded
-    pair) the chain constant tying the image seminorm to the criterion
-    suprema, measured from the oracle task's ``symbol_samples``."""
-    out = dict(battery.to_dict(), chain_constant=None)
-    if bounded_entry and bounded_entry.get("overall"):
-        sups = [v["sup_estimate"] for v in bounded_entry["verdicts"]]
-        if all(isinstance(s, (int, float)) for s in sups):
-            out["chain_constant"] = chain_constant(
-                config.symbol, battery.functions, battery.norms, config.grid, sups[0], sups[1], samples
-            )
-    return out
+def _chain_inputs(battery, bounded_entry):
+    """``(functions, norms, S1, S2)`` for the chain constant when the
+    battery is available and the classifier says bounded with finite
+    suprema; None otherwise."""
+    if battery is None or not (bounded_entry and bounded_entry.get("overall")):
+        return None
+    sups = [v["sup_estimate"] for v in bounded_entry["verdicts"]]
+    if not all(isinstance(s, (int, float)) for s in sups):
+        return None
+    return battery.functions, battery.norms, sups[0], sups[1]
 
 
 def _agreement(bounded_entry, trend_classification: str):

@@ -324,40 +324,43 @@ def family_bloch_seminorm(modulus, samples, grid: RadialGrid = DEFAULT_GRID) -> 
     """``bloch_seminorm`` of each function ``f_m`` of a family, as an array.
 
     ``samples`` yields, one member at a time, ``(1-|z|^2)|f_m'|`` on the
-    circles of ``sample_points``; each grid supremum is sharpened by one
-    bracket search in radius and then in angle around its grid argmax.
-    ``modulus`` maps an ``(M, n)`` array of points, row ``m`` for member
-    ``m``, to ``|f_m'|`` there, so every round serves all members at once.
-    Only the moduli are read, so a caller may compute them in closed form
-    instead of forming the complex derivatives."""
+    circles of ``sample_points``; each grid supremum is sharpened by a
+    bracket search in radius and one in angle, both around its grid argmax
+    and independent of each other, and all ``2M`` brackets are searched as
+    one ``bracket_argmax``.  ``modulus`` maps an ``(M, n)`` array of
+    points, row ``m`` for member ``m``, to ``|f_m'|`` there; in each round
+    row ``m`` holds the member's 33 radial points and then its 33 angular
+    points, so every round is one call for all members and both
+    directions.  Only the moduli are read, so a caller may compute them in
+    closed form instead of forming the complex derivatives."""
     radii, _ = sample_points(grid.depth, grid.angular_nodes)
     peaks = []
     for g in samples:
         i, j = np.unravel_index(int(np.argmax(g)), g.shape)
         peaks.append((i, j, g[i, j]))
     i, j, grid_best = (np.array(column) for column in zip(*peaks))
+    members = grid_best.size
     theta = 2.0 * np.pi * j / grid.angular_nodes
     ray = np.exp(1j * theta)[:, None]
-
-    def radial(rr: np.ndarray) -> np.ndarray:
-        return (1.0 - rr * rr) * modulus(rr * ray)
-
-    lo = np.where(i >= 1, radii[i - 1], 0.0)
-    hi = np.where(i + 1 < radii.size, radii[np.minimum(i + 1, radii.size - 1)], 0.5 * (1.0 + radii[i]))
-    best = _larger(grid_best, bracket_argmax(radial, lo, hi, 12)[1])
-
+    r_grid = radii[i][:, None]
     span = 2.0 * np.pi / grid.angular_nodes
-    r_best = radii[i][:, None]
 
-    def angular(th: np.ndarray) -> np.ndarray:
-        return (1.0 - r_best * r_best) * modulus(r_best * np.exp(1j * th))
+    def radial_then_angular(xs: np.ndarray) -> np.ndarray:
+        rr, th = xs[:members], xs[members:]
+        mod = modulus(np.concatenate([rr * ray, r_grid * np.exp(1j * th)], axis=1))
+        return np.concatenate([(1.0 - rr * rr) * mod[:, :_BRACKET_POINTS],
+                               (1.0 - r_grid * r_grid) * mod[:, _BRACKET_POINTS:]])
 
-    return _larger(best, bracket_argmax(angular, theta - span, theta + span, 12)[1])
+    lo = np.concatenate([np.where(i >= 1, radii[i - 1], 0.0), theta - span])
+    hi = np.concatenate([np.where(i + 1 < radii.size, radii[np.minimum(i + 1, radii.size - 1)],
+                                  0.5 * (1.0 + radii[i])), theta + span])
+    top = bracket_argmax(radial_then_angular, lo, hi, 12)[1]
+    return _larger(_larger(grid_best, top[:members]), top[members:])
 
 
 def bloch_seminorm(f: DiskFunction, grid: RadialGrid = DEFAULT_GRID, samples=None) -> float:
-    """``sup (1-|z|^2) |f'(z)|`` over the sample set, with one local
-    bracket search in radius and then in angle.
+    """``sup (1-|z|^2) |f'(z)|`` over the sample set, sharpened by local
+    bracket searches in radius and in angle (``family_bloch_seminorm``).
 
     ``samples``, when given, is ``(1-|z|^2)|f'(z)|`` already evaluated on
     the circles of ``sample_points``; the search then starts from it."""

@@ -10,18 +10,25 @@ growing as the family chases the boundary is the oracle's verdict, kept
 deliberately independent of the criterion quotients.  Disagreement with
 the classifier is reported, never auto-resolved.
 
-One oracle task evaluates ``u``, ``u'``, ``phi`` and ``phi'`` on the
-sample grid once (``symbol_samples``); the kernel images, the pinned
-images and the chain constant all read that one set.  The members of a
-boundary chase form one ``FractionalKernel`` family whose image
-seminorms are taken from the closed-form moduli ``|g_m'|``, without a
-complex power, and the 11 chase circles are searched together.  The norms and envelopes of the
+One oracle task (``oracle_task``) evaluates ``u``, ``u'``, ``phi`` and
+``phi'`` on the sample grid once (``symbol_samples``), chases the 11
+boundary circles together, and refines every seminorm it needs in one
+search: the kernel images, the pinned images (unless the probe is
+vacuous) and, for a bounded pair, the chain constant's battery are row
+groups of one ``family_bloch_seminorm``, whose rounds evaluate the jets of
+``u`` and ``phi`` once for all rows.  The kernel and pinned images are
+read from the closed-form moduli ``|g_m'|``, without a complex power, and
+on the grid a member's two images share ``W = 1 - conj(b_m) phi``.
+``lower_bound_trend``, ``compactness_probe`` and ``chain_constant`` are
+the same search with one group each.  The norms and envelopes of the
 constants battery, which depend only on the space and the grid, are
 computed once per ``(space, grid)``.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,7 +39,7 @@ from .norms import (
     DEFAULT_GRID,
     RadialGrid,
     bergman_type_norm,
-    bloch_seminorm,
+    bloch_seminorm,  # no longer called here; bench/test_bench.py checks this module's binding of it
     bracket_argmax,
     derivative_form_norm,
     derivative_growth_envelope,
@@ -58,6 +65,7 @@ __all__ = [
     "ConstantsBattery",
     "constants_battery",
     "chain_constant",
+    "oracle_task",
     "boundary_chase_point",
     "symbol_samples",
 ]
@@ -132,28 +140,77 @@ def symbol_samples(sym: SymbolPair, grid: RadialGrid) -> tuple:
     return (*sym.u.jet(z), *sym.phi.jet(z))
 
 
-def _image_norms(sym: SymbolPair, kernels: FractionalKernel, grid: RadialGrid, probe_points, samples) -> tuple:
-    """``|g(0)| + B(g)`` for each image ``g = u (K o phi)`` of a kernel
-    family, where the seminorm ``B`` is the sample-grid supremum sharpened
-    by the value at the member's probe point.
+@dataclass
+class _Rows:
+    """One group of rows of an oracle task's refinement search: ``size``
+    functions ``g``, their sample-grid values ``(1-|z|^2)|g'|`` yielded one
+    at a time by ``grids``, and ``modulus``, which maps the jets
+    ``(u, u', phi, phi')`` at a ``(size, n)`` array of points to ``|g'|``
+    there, row for function."""
 
-    The seminorms read the closed-form moduli ``|g'|``: on the grid from
-    ``samples`` (``symbol_samples``), one member at a time, and in the
-    bracket rounds from the symbol's jets there.
+    size: int
+    grids: Iterator
+    modulus: Callable
+
+
+def _refine(sym: SymbolPair, grid: RadialGrid, groups) -> list:
+    """The Bloch seminorms of the functions of every group, as one array per
+    group, from one ``family_bloch_seminorm`` over all their rows.  Each
+    round evaluates ``u`` and ``phi`` once for every row, and each group
+    reads the jets of its own rows."""
+    ends = np.cumsum([group.size for group in groups])
+    if ends[-1] == 0:
+        return [np.empty(0) for _ in groups]
+
+    def modulus(z: np.ndarray) -> np.ndarray:
+        jets = (*sym.u.jet(z), *sym.phi.jet(z))
+        return np.concatenate([group.modulus(*(part[end - group.size : end] for part in jets))
+                               for group, end in zip(groups, ends)])
+
+    grids = itertools.chain.from_iterable(group.grids for group in groups)
+    return np.split(family_bloch_seminorm(modulus, grids, grid), ends[:-1])
+
+
+def _chase_rows(families, samples, grid: RadialGrid) -> _Rows:
+    """The images ``u (K o phi)`` of the chase kernels under one or more
+    families over the same bases, member-major: row ``F m + f`` is member
+    ``m`` of family ``f``.  The grids read the task's ``symbol_samples``; a
+    member's grids share ``W``, its half-plane check and ``|W|^2``, and
+    ``u phi'`` is formed once, so at most two member grids are alive."""
+    count = len(families)
+    radii, _ = sample_points(grid.depth, grid.angular_nodes)
+    omr2 = one_minus_sq(radii)[:, None]
+
+    def grids():
+        u, du, phi, dphi = samples
+        u_dphi = u * dphi
+        for m in range(len(families[0])):
+            members = [family.member(m) for family in families]
+            shared = (*members[0].image_terms(phi), u_dphi)
+            for member in members:
+                yield omr2 * member.image_derivative_modulus(u, du, phi, dphi, shared)
+
+    def modulus(u, du, phi, dphi):
+        out = np.empty(phi.shape)
+        for f, family in enumerate(families):
+            rows = slice(f, None, count)
+            out[rows] = family.image_derivative_modulus(u[rows], du[rows], phi[rows], dphi[rows])
+        return out
+
+    return _Rows(count * len(families[0]), grids(), modulus)
+
+
+def _image_norms(sym: SymbolPair, kernels: FractionalKernel, probe_points, semi: np.ndarray) -> tuple:
+    """``|g(0)| + B(g)`` for each image ``g = u (K o phi)`` of a kernel
+    family, where ``B`` is the refined seminorm ``semi`` sharpened by the
+    value at the member's probe point.
+
     ``(1-|z|^2)|g'(z)|`` at any single point is a valid lower bound for
     the supremum; probing where the chase landed keeps the bound honest
     when the peak is narrower than the angular resolution.  The probe and
     ``g(0)``, two points per member, come from one complex evaluation of
     the whole family.
     """
-    radii, _ = sample_points(grid.depth, grid.angular_nodes)
-    omr2 = one_minus_sq(radii)[:, None]
-
-    def modulus(z: np.ndarray) -> np.ndarray:
-        return kernels.image_derivative_modulus(*sym.u.jet(z), *sym.phi.jet(z))
-
-    grids = (omr2 * kernels.member(m).image_derivative_modulus(*samples) for m in range(len(kernels)))
-    semi = family_bloch_seminorm(modulus, grids, grid)
     image = operator_apply(sym, kernels)
     points = np.stack([np.asarray(probe_points, dtype=complex), np.zeros(len(kernels), dtype=complex)], axis=1)
     value, derivative = image.jet(points)
@@ -262,11 +319,22 @@ def lower_bound_trend(
     climbing (unbounded evidence).  ``samples`` are the task's
     ``symbol_samples``, computed when not given.
     """
-    points = tuple(boundary_chase_point(sym.phi, CHASE_DEPTHS, grid.angular_nodes))
-    images = tuple(complex(sym.phi.eval(z_star)) for z_star in points)
+    points, images = _chase(sym, grid)
+    family = _family(images, space)
     # samples made here are a temporary, freed before the kernel norms below allocate theirs
-    norms = _image_norms(sym, _family(images, space), grid, points,
-                         symbol_samples(sym, grid) if samples is None else samples)
+    (semi,) = _refine(sym, grid, [_chase_rows([family], symbol_samples(sym, grid) if samples is None else samples,
+                                              grid)])
+    return _trend(space, grid, points, images, _image_norms(sym, family, points, semi))
+
+
+def _chase(sym: SymbolPair, grid: RadialGrid) -> tuple:
+    """The chase points ``z*`` on the circles of ``CHASE_DEPTHS`` and their images ``phi(z*)``."""
+    points = tuple(boundary_chase_point(sym.phi, CHASE_DEPTHS, grid.angular_nodes))
+    return points, tuple(complex(sym.phi.eval(z_star)) for z_star in points)
+
+
+def _trend(space: SpaceSpec, grid: RadialGrid, points, images, norms) -> LowerBoundTrend:
+    """The trend of the image norms ``norms`` of the chase members over the norms of their kernels."""
     denoms = (kernel_family_norm(abs(w), space, grid) for w in images)
     ratios = tuple(0.0 if denom == 0.0 else norm / denom for norm, denom in zip(norms, denoms))
     values = tuple(max(ratios[: d - 1], default=0.0) for d in TREND_DEPTHS)
@@ -332,8 +400,14 @@ def compactness_probe(
     """
     if sym.phi.misses_boundary:
         return CompactnessProbe("vacuous", (), (), (), "vacuous")
+    pinned = _family(trend.images, space, pinched=True)
+    (semi,) = _refine(sym, grid, [_chase_rows([pinned], samples, grid)])
+    return _probe(trend, _image_norms(sym, pinned, trend.chase_points, semi))
+
+
+def _probe(trend: LowerBoundTrend, g_vals) -> CompactnessProbe:
+    """The probe from the trend's kernel image norms and the pinned ones, ``g_vals``."""
     f_vals = trend.image_norms
-    g_vals = _image_norms(sym, _family(trend.images, space, pinched=True), grid, trend.chase_points, samples)
     tf, tg = _sequence_trend(f_vals), _sequence_trend(g_vals)
     if tf == "zero" and tg == "zero":
         trend_name = "zero"
@@ -397,19 +471,70 @@ def chain_constant(
     from the task's ``symbol_samples`` and ``f``'s jet at ``phi``, in the
     operation order of the composite's own jet, so the values are those of
     ``bloch_seminorm`` of the composite."""
+    rows = _chain_rows(functions, norms, sup_multiplier, sup_composition, samples, grid)
+    if rows is None:
+        return None
+    group, denoms = rows
+    (semi,) = _refine(sym, grid, [group])
+    return _chain_best(semi, denoms)
+
+
+def _chain_rows(functions, norms, sup_multiplier: float, sup_composition: float, samples, grid: RadialGrid):
+    """The chain constant's rows, one per battery function with a nonzero
+    ``||f|| (S1 + S2)``, and those denominators; None when ``S1 + S2`` is
+    not finite or is 0."""
     total = sup_multiplier + sup_composition
     if not np.isfinite(total) or total == 0.0:
         return None
-    u, du, phi, dphi = samples
+    kept = [(f, norm * total) for f, norm in zip(functions, norms) if norm * total != 0.0]
     radii, _ = sample_points(grid.depth, grid.angular_nodes)
     omr2 = one_minus_sq(radii)[:, None]
-    best = 0.0
-    for f, norm in zip(functions, norms):
-        denom = norm * total
-        if denom == 0.0:
-            continue
-        value, derivative = f.jet(phi)
-        chain = derivative * dphi  # a named operand: numpy must not reuse it in place
-        image_derivative = du * value + u * chain
-        best = max(best, bloch_seminorm(operator_apply(sym, f), grid, omr2 * np.abs(image_derivative)) / denom)
-    return best
+
+    def grids():
+        u, du, phi, dphi = samples
+        for f, _ in kept:
+            yield omr2 * np.abs(_image_derivative(f, u, du, phi, dphi))
+
+    def modulus(u, du, phi, dphi):
+        return np.concatenate([np.abs(_image_derivative(f, u[k : k + 1], du[k : k + 1], phi[k : k + 1],
+                                                        dphi[k : k + 1])) for k, (f, _) in enumerate(kept)])
+
+    return _Rows(len(kept), grids(), modulus), [denom for _, denom in kept]
+
+
+def _image_derivative(f: DiskFunction, u, du, phi, dphi) -> np.ndarray:
+    """``(u (f o phi))'`` from the jets of ``u`` and ``phi``, in the operation
+    order of the jet of ``operator_apply(sym, f)``."""
+    value, derivative = f.jet(phi)
+    chain = derivative * dphi  # a named operand: numpy must not reuse it in place
+    return du * value + u * chain
+
+
+def _chain_best(semi, denoms) -> float:
+    """The largest ``B(u (f o phi)) / (||f|| (S1 + S2))``, the first on ties, or 0 without rows."""
+    return max([0.0] + [float(value) / denom for value, denom in zip(semi, denoms)])
+
+
+def oracle_task(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, samples, chain=None) -> tuple:
+    """The oracle task in one refinement search: ``(trend, probe, constant)``,
+    equal to ``lower_bound_trend``, ``compactness_probe`` and, given
+    ``chain = (functions, norms, S1, S2)``, ``chain_constant`` called
+    separately (``constant`` is None without ``chain``).
+
+    The chase kernels, their pinned differences (unless the probe is
+    vacuous) and the chain battery are refined as row groups of one
+    search, reading the task's ``symbol_samples``."""
+    points, images = _chase(sym, grid)
+    families = [_family(images, space)]
+    if not sym.phi.misses_boundary:
+        families.append(_family(images, space, pinched=True))
+    groups = [_chase_rows(families, samples, grid)]
+    rows = None if chain is None else _chain_rows(*chain, samples, grid)
+    if rows is not None:
+        groups.append(rows[0])
+    semis = _refine(sym, grid, groups)
+    kernel_semi = semis[0].reshape(-1, len(families))
+    norms = [_image_norms(sym, family, points, kernel_semi[:, f]) for f, family in enumerate(families)]
+    trend = _trend(space, grid, points, images, norms[0])
+    probe = _probe(trend, norms[1]) if len(families) == 2 else CompactnessProbe("vacuous", (), (), (), "vacuous")
+    return trend, probe, None if rows is None else _chain_best(semis[1], rows[1])

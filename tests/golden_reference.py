@@ -8,6 +8,9 @@ angular refinement done by that search.  Tests compare the vectorized
 ``scalar_bracket_argmax`` searches one bracket as each row of
 ``bracket_argmax`` is searched, and ``scalar_chase`` chases one circle with
 it; tests compare the row search and the batched chase against them.
+``two_pass_family_bloch_seminorm`` is the family seminorm with the radial
+searches of all members as one ``bracket_argmax`` and then the angular
+ones as a second; tests pin the one merged search to it bit for bit.
 ``reference_boundary_profile`` builds a profile with one full scan of the
 flat samples per band; tests compare ``boundary_profile`` and the sample
 table's reduced profiles against it with ``assert_same_profile``.
@@ -15,7 +18,14 @@ table's reduced profiles against it with ``assert_same_profile``.
 
 import numpy as np
 
-from blochlab.norms import TRIGGER_Z, BoundaryProfile, one_minus_sq, profile_thresholds, sample_points
+from blochlab.norms import (
+    TRIGGER_Z,
+    BoundaryProfile,
+    bracket_argmax,
+    one_minus_sq,
+    profile_thresholds,
+    sample_points,
+)
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -107,6 +117,38 @@ def golden_bloch_seminorm(f, grid) -> float:
         return (1.0 - r_best * r_best) * abs(f.deriv(r_best * np.exp(1j * th)))
 
     return max(best, golden_argmax(angular, theta - span, theta + span, 64)[1])
+
+
+def two_pass_family_bloch_seminorm(modulus, samples, grid) -> np.ndarray:
+    """``family_bloch_seminorm`` with two searches: every member's radial
+    bracket around its grid argmax, then every member's angular bracket at
+    the grid radius, each direction one ``bracket_argmax`` over the ``M``
+    rows, ``modulus`` called on ``(M, 33)`` points per round."""
+    radii, _ = sample_points(grid.depth, grid.angular_nodes)
+    peaks = []
+    for g in samples:
+        i, j = np.unravel_index(int(np.argmax(g)), g.shape)
+        peaks.append((i, j, g[i, j]))
+    i, j, grid_best = (np.array(column) for column in zip(*peaks))
+    theta = 2.0 * np.pi * j / grid.angular_nodes
+    ray = np.exp(1j * theta)[:, None]
+
+    def radial(rr):
+        return (1.0 - rr * rr) * modulus(rr * ray)
+
+    lo = np.where(i >= 1, radii[i - 1], 0.0)
+    hi = np.where(i + 1 < radii.size, radii[np.minimum(i + 1, radii.size - 1)], 0.5 * (1.0 + radii[i]))
+    top = bracket_argmax(radial, lo, hi, 12)[1]
+    best = np.where(top > grid_best, top, grid_best)
+
+    span = 2.0 * np.pi / grid.angular_nodes
+    r_best = radii[i][:, None]
+
+    def angular(th):
+        return (1.0 - r_best * r_best) * modulus(r_best * np.exp(1j * th))
+
+    top = bracket_argmax(angular, theta - span, theta + span, 12)[1]
+    return np.where(top > best, top, best)
 
 
 def reference_boundary_profile(quantity, trigger_modulus, depth: int, trigger: str = TRIGGER_Z) -> BoundaryProfile:

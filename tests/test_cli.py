@@ -416,7 +416,7 @@ class TestRunAndEmit:
         def nonconvergent(*args):
             raise NonConvergentError("radial bands do not decay")
 
-        monkeypatch.setattr(cli, "lower_bound_trend", nonconvergent)
+        monkeypatch.setattr(cli, "oracle_task", nonconvergent)
         tasks = run(parse_config(dict(HALF_SCALE_DOC))).results["tasks"]
         assert tasks["bounded_bloch"]["overall"] is True
         assert tasks["oracle"] == {"error": "nonconvergent", "detail": "radial bands do not decay"}
@@ -424,7 +424,7 @@ class TestRunAndEmit:
         def arithmetic(*args):
             raise ArithmeticError("kernel argument left the right half-plane")
 
-        monkeypatch.setattr(cli, "lower_bound_trend", arithmetic)
+        monkeypatch.setattr(cli, "oracle_task", arithmetic)
         assert run(parse_config(dict(HALF_SCALE_DOC))).results["tasks"]["oracle"]["error"] == "arithmetic"
 
         def broken(*args):
@@ -536,12 +536,12 @@ class TestSharedWork:
                 super().__init__(*args)
                 tables.append(weakref.ref(self))
 
-        def trend(*args):
+        def task(*args):
             assert tables and all(ref() is None for ref in tables)
-            return oracle.lower_bound_trend(*args)
+            return oracle.oracle_task(*args)
 
         monkeypatch.setattr(cli, "SampleTable", Recorded)
-        monkeypatch.setattr(cli, "lower_bound_trend", trend)
+        monkeypatch.setattr(cli, "oracle_task", task)
         run(parse_config(dict(HALF_SCALE_DOC, tasks=list(KNOWN_TASKS))))
 
     def test_oracle_chases_each_depth_once(self, monkeypatch):

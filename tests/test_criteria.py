@@ -260,7 +260,7 @@ class TestSharedSamples:
         deriv = PowerSeries.deriv
         monkeypatch.setattr(PowerSeries, "deriv", lambda self, z: sizes.append(np.size(z)) or deriv(self, z))
         verdict = table.u_tail
-        assert sizes and max(sizes) <= 33  # bracket rounds only, no second pass over the grid
+        assert sizes and max(sizes) <= 66  # bracket rounds only (33 radial and 33 angular points), no grid pass
         monkeypatch.undo()
         assert verdict.notes.endswith(f"seminorm {bloch_seminorm(u, grid):.6g}")
 

@@ -48,6 +48,7 @@ from blochlab.norms import (
 from blochlab.battery import CURATED
 from blochlab.cli import parse_config
 from blochlab.disk_functions import DiskFunction, FiniteBlaschkeProduct, SelfMap
+from blochlab import oracle
 from blochlab.oracle import boundary_chase_point, boundary_test_function, operator_apply
 from golden_reference import (
     assert_same_profile,
@@ -56,6 +57,7 @@ from golden_reference import (
     reference_boundary_profile,
     scalar_bracket_argmax,
     scalar_chase,
+    two_pass_family_bloch_seminorm,
 )
 
 small_polys = st.lists(
@@ -359,6 +361,67 @@ class TestBatchedChase:
         assert 0 < counter.calls <= 1 + 9
 
 
+class TestMergedSearch:
+    """``family_bloch_seminorm`` searches every member's radial and angular
+    brackets as one ``bracket_argmax``; it must give the bytes of the
+    two-pass search (radial, then angular) it replaced."""
+
+    @staticmethod
+    def families(case):
+        """The oracle task's families on a curated config at its own grid:
+        the chase kernels, their pinned differences and the composites of
+        the constants battery, each as ``(modulus, members)``."""
+        config = parse_config(CURATED[case]["config"])
+        sym, space, grid = config.symbol, config.space, config.grid
+        images = [complex(sym.phi.eval(z)) for z in boundary_chase_point(sym.phi, range(2, 13), grid.angular_nodes)]
+        families = []
+        for pinched in (False, True):
+            kernels = oracle._family(images, space, pinched)
+            families.append((lambda z, k=kernels: k.image_derivative_modulus(*sym.u.jet(z), *sym.phi.jet(z)),
+                             [operator_apply(sym, kernels.member(m)) for m in range(len(kernels))]))
+        for f in oracle.constants_battery(space, grid).functions:
+            g = operator_apply(sym, f)
+            families.append((lambda z, g=g: np.abs(g.deriv(z)), [g]))
+        return grid, families
+
+    @staticmethod
+    def both(modulus, members, grid):
+        radii, z = sample_points(grid.depth, grid.angular_nodes)
+        samples = [one_minus_sq(radii)[:, None] * np.abs(g.deriv(z)) for g in members]
+        return (family_bloch_seminorm(modulus, iter(samples), grid),
+                two_pass_family_bloch_seminorm(modulus, iter(samples), grid))
+
+    @pytest.mark.parametrize("case", sorted(CURATED))
+    def test_curated_families_equal_the_two_pass_search(self, case):
+        grid, families = self.families(case)
+        for modulus, members in families:
+            merged, two_pass = self.both(modulus, members, grid)
+            assert merged.shape == (len(members),)
+            assert merged.tobytes() == two_pass.tobytes()
+
+    def test_degenerate_brackets_equal_the_two_pass_search(self, grid):
+        # grid argmax on the first circle (radius 0, whose radial bracket
+        # starts at 0) and on the outermost circle (whose bracket ends
+        # halfway to the boundary), next to interior ones
+        kernels = FractionalKernel([0.0, 0.5, 1.0 - 2.0**-20, -(1.0 - 2.0**-24), 0.3j], 2.0, [1.0] * 5)
+        members = [PowerSeries([0.0, 1.0])] + [kernels.member(m) for m in range(len(kernels))]
+        radii, z = sample_points(grid.depth, grid.angular_nodes)
+        rows = [np.unravel_index(int(np.argmax(one_minus_sq(radii)[:, None] * np.abs(g.deriv(z)))), z.shape)[0]
+                for g in members]
+        assert rows[0] == 0 and rows[3] == rows[4] == radii.size - 1
+
+        shapes = []
+
+        def modulus(points):
+            shapes.append(points.shape)
+            return np.stack([np.abs(g.deriv(row)).reshape(row.shape) for g, row in zip(members, points)])
+
+        merged, two_pass = self.both(modulus, members, grid)
+        assert merged.tobytes() == two_pass.tobytes()
+        # 12 merged rounds of 33 radial and 33 angular points per member, then the reference's 2 x 12
+        assert shapes == [(6, 66)] * 12 + [(6, 33)] * 24
+
+
 class _CountingEvaluator:
     """Test double that counts top-level calls of ``owner.attr``."""
 
@@ -382,7 +445,7 @@ class TestVectorizedSearchCallCounts:
         counter = _CountingEvaluator(monkeypatch, DiskFunction, "deriv")
         bloch_seminorm(f, grid)
         assert counter.scalar_calls == 0
-        assert 0 < counter.calls <= 1 + 2 * 12
+        assert counter.calls == 1 + 12  # the grid, then one call per round for both directions
 
     def test_family_seminorm_makes_one_grid_call_per_member_and_one_call_per_round(self, monkeypatch, a2, grid):
         sym = parse_config(CURATED["boundary-touch"]["config"]).symbol
@@ -394,7 +457,7 @@ class TestVectorizedSearchCallCounts:
         samples = (one_minus_sq(radii)[:, None] * np.abs(g.deriv(z)) for g in members)
         family = family_bloch_seminorm(lambda points: np.abs(image.deriv(points)), samples, grid)
         assert counter.scalar_calls == 0
-        assert 0 < counter.calls <= 4 + 2 * 12
+        assert counter.calls == 4 + 12
         monkeypatch.undo()
         assert family.tolist() == [bloch_seminorm(g, grid) for g in members]
 

@@ -21,7 +21,7 @@ from blochlab import (
     operator_apply,
     vanishing_test_function,
 )
-from blochlab import oracle
+from blochlab import norms, oracle
 from blochlab.battery import CURATED
 from blochlab.cli import parse_config, run as cli_run
 from blochlab.disk_functions import DiskFunction, FiniteBlaschkeProduct, SelfMap
@@ -220,6 +220,53 @@ class TestChainConstantSamples:
         assert on_grid.count(sym.u) == 2 and on_grid.count(sym.phi) == 2
 
 
+class TestOneSearch:
+    """An oracle task refines its trend, probe and chain constant in one
+    search; each must read as the separate call gives it."""
+
+    @pytest.mark.parametrize("case", sorted(CURATED))
+    def test_entry_and_chain_constant_equal_the_separate_calls(self, case):
+        config = parse_config(CURATED[case]["config"])
+        sym, space, grid = config.symbol, config.space, config.grid
+        report = cli_run(config)
+        samples = symbol_samples(sym, grid)
+        trend = lower_bound_trend(sym, space, grid, samples)
+        probe = compactness_probe(sym, space, grid, trend, samples)
+        entry = report.results["tasks"]["oracle"]
+        # repr is exact for floats, signed zeros included
+        assert repr(entry["lower_bound"]) == repr(trend.to_dict())
+        assert repr(entry["compactness_probe"]) == repr(probe.to_dict())
+        bounded = report.results["tasks"]["bounded_bloch"]
+        battery = oracle.constants_battery(space, grid)
+        if bounded["overall"]:
+            s1, s2 = (v["sup_estimate"] for v in bounded["verdicts"])
+            expected = chain_constant(sym, battery.functions, battery.norms, grid, s1, s2, samples)
+        else:
+            expected = None
+        assert repr(report.results["constants"]["chain_constant"]) == repr(expected)
+        chain = None if expected is None else (battery.functions, battery.norms, s1, s2)
+        assert repr(oracle.oracle_task(sym, space, grid, samples, chain)) == repr((trend, probe, expected))
+
+    @pytest.mark.parametrize("case, rows", [("boundary-touch", 11 + 11 + 4), ("blaschke-rotor", 11 + 11),
+                                            ("zero-multiplier", 11)])
+    def test_a_task_makes_one_refinement_search_besides_the_chase(self, case, rows, monkeypatch):
+        config = parse_config(dict(CURATED[case]["config"], tasks=["bounded_bloch", "oracle"]))
+        searches = []
+        search = norms.bracket_argmax
+
+        def counted(fn, lo, hi, rounds):
+            searches.append((lo.size, rounds))
+            return search(fn, lo, hi, rounds)
+
+        monkeypatch.setattr(norms, "bracket_argmax", counted)
+        monkeypatch.setattr(oracle, "bracket_argmax", counted)
+        cli_run(config)
+        # the chase (11 circles, 9 rounds), then one search of every row's
+        # radial and angular brackets: kernels, pinned kernels unless the
+        # probe is vacuous, and the chain battery for a bounded pair
+        assert searches == [(11, 9), (2 * rows, 12)]
+
+
 class TestImageModulus:
     """``FractionalKernel.image_derivative_modulus`` against the modulus of the
     complex derivative of ``u (K o phi)``."""
@@ -295,10 +342,7 @@ class TestChaseFamily:
         sym, space = config.symbol, config.space
         trend = lower_bound_trend(sym, space, grid)
         assert len(trend.image_norms) == 11
-        pinned = oracle._image_norms(sym, FractionalKernel(
-            trend.images, 1.0 / space.p + space.weight.t + 2.0,
-            [vanishing_test_function(w, space).scale for w in trend.images], pinched=True),
-            grid, trend.chase_points, symbol_samples(sym, grid))
+        pinned = compactness_probe(sym, space, grid, trend, symbol_samples(sym, grid)).vanishing_values
         for z_star, w, kernel_norm, pinned_norm in zip(trend.chase_points, trend.images, trend.image_norms, pinned):
             member = self.alone(operator_apply(sym, boundary_test_function(w, space)), grid, z_star)
             assert kernel_norm == pytest.approx(member, rel=1e-12, abs=0)
