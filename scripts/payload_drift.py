@@ -18,7 +18,8 @@ constants block, one part of a pair payload).  The script prints, per
 section kind, how many sections are byte-identical, the largest relative
 drift of any float with its path, and every verdict change.  Exit status
 is 1 when a verdict changed, 2 when a tree could not be dumped, and 0
-otherwise.
+otherwise.  Last, it prints the ``wc -l`` line count of each tree's
+``blochlab/*.py`` files and their totals.
 
 Usage:
     python scripts/payload_drift.py OLD_SRC NEW_SRC [--seeds 3,7,11] [--count 20] [--deep 1,2,3]
@@ -142,6 +143,23 @@ def compare(old, new, path: str, found: dict) -> None:
         found["changes"].append((path.rsplit(".", 1)[-1].split("[")[0], path, old, new))
 
 
+def line_counts(src: Path) -> dict:
+    """``wc -l`` of each ``blochlab/*.py`` under ``src``: its newline count."""
+    return {path.name: path.read_bytes().count(b"\n") for path in sorted((src / "blochlab").glob("*.py"))}
+
+
+def print_line_counts(old_src: Path, new_src: Path) -> None:
+    old, new = line_counts(old_src), line_counts(new_src)
+    names = sorted(set(old) | set(new))
+    width = max(len(name) for name in names + ["total"])
+    print("lines (wc -l blochlab/*.py):")
+    print(f"  {'':<{width}}  {'old':>6}  {'new':>6}  {'delta':>6}")
+    rows = [(name, old.get(name, 0), new.get(name, 0)) for name in names]
+    rows.append(("total", sum(old.values()), sum(new.values())))
+    for name, a, b in rows:
+        print(f"  {name:<{width}}  {a:>6}  {b:>6}  {b - a:>+6}")
+
+
 def report(old_units: dict, new_units: dict) -> int:
     found = {"drift": (0.0, None, None, None), "changes": []}
     identical, total = defaultdict(int), defaultdict(int)
@@ -198,7 +216,9 @@ def main() -> int:
     trees = [(source_dir(path), workloads_file(path) if deep_seeds else None)
              for path in (args.old_src, args.new_src)]
     old, new = (dump_in_subprocess(src, seeds, args.count, deep_seeds, workloads) for src, workloads in trees)
-    return report(old, new)
+    status = report(old, new)
+    print_line_counts(trees[0][0], trees[1][0])
+    return status
 
 
 if __name__ == "__main__":

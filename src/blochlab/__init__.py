@@ -22,12 +22,10 @@ from .disk_functions import (
     ScaledMap,
     SelfMap,
     Sum,
-    bergman_metric,
     constant,
     identity_map,
     metric_disk_comparability,
     pseudo_hyperbolic,
-    rotation,
     truncated_log_series,
     validate_self_map,
 )
@@ -41,8 +39,6 @@ from .norms import (
     bloch_seminorm,
     boundary_profile,
     derivative_form_norm,
-    integral_mean,
-    is_little_bloch,
     little_bloch_profile,
     sw_integral_check,
 )
@@ -60,7 +56,6 @@ from .criteria import (
     classify_compact_into_little_bloch,
     composition_limit_probe,
     composition_quotient,
-    criterion_profile,
     derivative_limit_probe,
     multiplier_quotient,
 )

@@ -130,6 +130,21 @@ def _int_from(value, where: str) -> int:
     return number
 
 
+def _flag_from(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
+def _formats_from(value, where: str) -> tuple:
+    """A nonempty list of output format names, each ``json`` or ``csv``."""
+    if not isinstance(value, (list, tuple)) or not value or not all(isinstance(f, str) for f in value):
+        raise ValidationError(f"{where}: expected a nonempty list of format names, got {value!r}")
+    if not set(value) <= {"json", "csv"}:
+        raise ValidationError(f"{where}: unknown formats in {tuple(value)!r}")
+    return tuple(value)
+
+
 def _complex_from(value, where: str) -> complex:
     if isinstance(value, (int, float)):
         z = complex(value)
@@ -356,18 +371,17 @@ def parse_config(text_or_dict) -> RunConfig:
     output = doc.get("output", {})
     if not isinstance(output, dict) or not set(output) <= {"dir", "formats"}:
         raise ValidationError("output: expected an object with optional dir/formats")
-    formats = tuple(output.get("formats", ("json",)))
-    if not set(formats) <= {"json", "csv"}:
-        raise ValidationError(f"output.formats: unknown formats in {formats!r}")
+    if not isinstance(output.get("dir", ""), str):
+        raise ValidationError(f"output.dir: expected a path string, got {output['dir']!r}")
     config = RunConfig(
         symbol=SymbolPair(u, phi),
         space=space,
         grid=grid,
         tasks=tasks,
-        strict=bool(doc.get("strict", False)),
-        force_boundary=bool(doc.get("force_boundary", False)),
+        strict=_flag_from(doc.get("strict", False), "strict"),
+        force_boundary=_flag_from(doc.get("force_boundary", False), "force_boundary"),
         output_dir=output.get("dir"),
-        formats=formats,
+        formats=_formats_from(output.get("formats", ["json"]), "output.formats"),
         echo=_echo_config(doc, space, grid, tasks),
     )
     return config
@@ -654,11 +668,11 @@ def _cmd_run(args) -> int:
     try:
         doc = _apply_overrides(_load_doc(args.config), args)
         config = parse_config(doc)
+        formats = _formats_from(args.format.split(","), "--format") if args.format else config.formats
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = run(config)
-    formats = tuple(args.format.split(",")) if args.format else config.formats
     out_dir = args.out or config.output_dir or _default_out()
     paths = emit(report, out_dir, formats)
     for path in paths:
@@ -689,12 +703,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_battery(args) -> int:
-    worst = 0
+    worst, formats = 0, _formats_from(args.format.split(","), "--format")
     for name, entry in CURATED.items():
         doc = _apply_overrides(dict(entry["config"]), args)
         config = parse_config(doc)
         report = run(config)
-        emit(report, Path(args.out) / name, tuple(args.format.split(",")))
+        emit(report, Path(args.out) / name, formats)
         expect = entry.get("expect", {})
         for task, task_entry in report.results["tasks"].items():
             if not isinstance(task_entry, dict) or "overall" not in task_entry:

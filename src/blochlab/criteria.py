@@ -27,8 +27,6 @@ import numpy as np
 from .disk_functions import DiskFunction, SelfMap
 from .norms import (
     DEFAULT_GRID,
-    LITTLE_BLOCH_ABS,
-    LITTLE_BLOCH_REL,
     TRIGGER_PHI,
     TRIGGER_Z,
     BandPartition,
@@ -37,7 +35,6 @@ from .norms import (
     bloch_seminorm,
     boundary_profile,
     circle_maxima,
-    is_little_bloch,
     one_minus_sq,
     profile_thresholds,
     sample_points,
@@ -54,7 +51,6 @@ __all__ = [
     "multiplier_quotient",
     "composition_quotient",
     "SampleTable",
-    "criterion_profile",
     "VerdictGroup",
     "EquivalenceProbe",
     "classify_bounded_into_bloch",
@@ -160,42 +156,46 @@ def composition_quotient(z, sym: SymbolPair, space: SpaceSpec):
 # verdict rules
 
 
-def _band_slope(profile: BoundaryProfile) -> float | None:
-    """Log-log slope of the deepest band suprema against ``1/(1-modulus)``,
-    the modulus being the one at which each band supremum was attained.
+LITTLE_BLOCH_REL = 1e-3
+LITTLE_BLOCH_ABS = 1e-9
 
-    Uses up to the last four bands with finite positive values; at least
-    three are required for a trustworthy fit.
+
+def _tail_holds(vals: np.ndarray, reference: float) -> bool:
+    """The tail test: the last three nested values do not increase and the
+    last lies below ``LITTLE_BLOCH_REL`` relative to ``reference``."""
+    return bool(vals.size >= 3 and vals[-3] >= vals[-2] >= vals[-1]
+                and vals[-1] < max(LITTLE_BLOCH_REL * reference, LITTLE_BLOCH_ABS))
+
+
+def _verdict(name: str, profile: BoundaryProfile, value: float, holds, notes: tuple) -> Verdict:
+    """The verdict rule every classifier reads.
+
+    The slope is the log-log fit of the deepest band suprema against
+    ``1/(1-modulus)``, the modulus being the one at which each band
+    supremum was attained, over the last four or fewer bands with a finite
+    positive supremum attained below modulus 1; fewer than three bands, or
+    bands at one modulus, give no slope.  The verdict Holds when
+    ``holds(slope)`` does, Fails when the slope exceeds ``SLOPE_FAIL`` while
+    the deepest of those band suprema still climb, and is Inconclusive
+    otherwise.  ``notes`` are the Holds, Fails (formatted with ``slope``)
+    and Inconclusive notes.
     """
-    finite = np.nonzero(
-        np.isfinite(profile.band_values)
-        & (profile.band_values > 0.0)
-        & (profile.band_moduli < 1.0)
-    )[0]
-    if finite.size < 3:
-        return None
-    idx = finite[-4:]
-    x = np.log(1.0 / (1.0 - profile.band_moduli[idx]))
-    y = np.log(profile.band_values[idx])
-    if np.ptp(x) < 1e-9:
-        return None
-    return float(np.polyfit(x, y, 1)[0])
-
-
-def _diverges(profile: BoundaryProfile, slope: float | None) -> bool:
-    """Sustained divergence: a steep log-log slope while the deepest band
-    suprema are still climbing."""
-    if slope is None or not slope > SLOPE_FAIL:
-        return False
-    finite = np.nonzero(np.isfinite(profile.band_values) & (profile.band_values > 0.0))[0]
-    if finite.size < 3:
-        return False
-    idx = finite[-4:]
-    return bool(profile.band_values[idx[-1]] > profile.band_values[idx[0]])
+    vals, mods = profile.band_values, profile.band_moduli
+    idx = np.nonzero(np.isfinite(vals) & (vals > 0.0) & (mods < 1.0))[0][-4:]
+    slope = None
+    if idx.size >= 3:
+        x = np.log(1.0 / (1.0 - mods[idx]))
+        if np.ptp(x) >= 1e-9:
+            slope = float(np.polyfit(x, np.log(vals[idx]), 1)[0])
+    if holds(slope):
+        return Verdict(name, Status.HOLDS, value, slope, profile, notes[0])
+    if slope is not None and slope > SLOPE_FAIL and vals[idx[-1]] > vals[idx[0]]:
+        return Verdict(name, Status.FAILS, math.inf, slope, profile, notes[1].format(slope=slope))
+    return Verdict(name, Status.INCONCLUSIVE, value, slope, profile, notes[2])
 
 
 def _limit_type_verdict(name: str, profile: BoundaryProfile) -> Verdict:
-    """Limit-to-zero test mirroring the little-Bloch tail rule."""
+    """Limit-to-zero test: the tail test against the first nested value."""
     vals = profile.nonempty_values
     if vals.size == 0:
         return Verdict(
@@ -204,23 +204,11 @@ def _limit_type_verdict(name: str, profile: BoundaryProfile) -> Verdict:
         )
     if np.all(vals == 0.0):
         return Verdict(name, Status.HOLDS, 0.0, None, profile, "quantity vanishes on the region")
-    v0, vk = float(vals[0]), float(vals[-1])
-    tail_ok = vals.size >= 3 and vals[-3] >= vals[-2] >= vals[-1]
-    slope = _band_slope(profile)
-    notes = ""
-    if bool(profile.empty[-1]):
-        notes = "deepest regions unsampled at this resolution"
-    if tail_ok and vk < max(LITTLE_BLOCH_REL * v0, LITTLE_BLOCH_ABS):
-        return Verdict(name, Status.HOLDS, vk, slope, profile, notes)
-    if _diverges(profile, slope):
-        return Verdict(
-            name, Status.FAILS, math.inf, slope, profile,
-            f"band suprema grow with slope {slope:.3f}; limit cannot be zero",
-        )
-    return Verdict(
-        name, Status.INCONCLUSIVE, vk, slope, profile,
-        (notes + "; " if notes else "") + "tail neither decays below threshold nor diverges",
-    )
+    notes = "deepest regions unsampled at this resolution" if profile.empty[-1] else ""
+    return _verdict(
+        name, profile, float(vals[-1]), lambda slope: _tail_holds(vals, vals[0]),
+        (notes, "band suprema grow with slope {slope:.3f}; limit cannot be zero",
+         (notes + "; " if notes else "") + "tail neither decays below threshold nor diverges"))
 
 
 def _tri(verdicts) -> bool | None:
@@ -349,51 +337,38 @@ class SampleTable:
         return self._profiles[name, trigger]
 
     def _sup_type_verdict(self, name: str) -> Verdict:
-        """Finite-sup test over ``|z| -> 1``: fail on a sustained positive
-        log-log slope, hold when the slope is flat-or-negative and the running
-        supremum has stabilized away from the deepest bands."""
+        """Finite-sup test over ``|z| -> 1``: hold when the slope is
+        flat-or-negative and the running supremum has stabilized away from
+        the deepest bands."""
         profile = self.profile(name)
         maxima = self.maxima(name)
         global_sup = float(maxima.max(initial=0.0))
         if global_sup == 0.0:
             return Verdict(name, Status.HOLDS, 0.0, None, profile, "quantity vanishes identically")
-        slope = _band_slope(profile)
         inner_cut = profile_thresholds(self.grid.depth)[self.grid.depth - 4]
         inner_sup = float(maxima[self.radii <= inner_cut].max(initial=0.0))
         stabilized = global_sup <= inner_sup * (1.0 + STABLE_REL)
-        if _diverges(profile, slope):
-            return Verdict(
-                name, Status.FAILS, math.inf, slope, profile,
-                f"band suprema grow with slope {slope:.3f}; sample sup {global_sup:.6g}",
-            )
-        if (slope is None or slope < SLOPE_HOLD) and stabilized:
-            return Verdict(name, Status.HOLDS, global_sup, slope, profile, "")
-        return Verdict(
-            name, Status.INCONCLUSIVE, global_sup, slope, profile,
-            "neither sustained divergence nor stabilized supremum at this depth",
-        )
+        return _verdict(
+            name, profile, global_sup, lambda slope: (slope is None or slope < SLOPE_HOLD) and stabilized,
+            ("", f"band suprema grow with slope {{slope:.3f}}; sample sup {global_sup:.6g}",
+             "neither sustained divergence nor stabilized supremum at this depth"))
 
     def _limit_verdict(self, name: str, trigger: str = TRIGGER_Z) -> Verdict:
         return _limit_type_verdict(name, self.profile(name, trigger))
 
     @cached_property
     def u_tail(self) -> Verdict:
-        """Tri-state little-Bloch verdict of the multiplier ``u``, read from
-        the sampled ``(1-|z|^2)|u'|``, which also seeds the seminorm search."""
-        name, prof = "u_bloch_tail", self.profile(_PLAIN_MULTIPLIER)
+        """Tri-state little-Bloch verdict of the multiplier ``u``: the tail
+        test on the sampled ``(1-|z|^2)|u'|`` against the Bloch seminorm,
+        whose search starts from the same samples."""
+        prof = self.profile(_PLAIN_MULTIPLIER)
         semi = bloch_seminorm(self.sym.u, self.grid, self.quantities[_PLAIN_MULTIPLIER])
-        slope = _band_slope(prof)
         vals = prof.nonempty_values
-        tail = float(vals[-1]) if vals.size else 0.0
-        if is_little_bloch(prof, semi):
-            return Verdict(name, Status.HOLDS, tail, slope, prof, f"seminorm {semi:.6g}")
-        if _diverges(prof, slope):
-            note = "derivative growth accelerates at the boundary"
-            return Verdict(name, Status.FAILS, math.inf, slope, prof, note)
-        return Verdict(
-            name, Status.INCONCLUSIVE, tail, slope, prof,
-            f"tail {tail:.3g} above threshold at this depth (seminorm {semi:.6g}); may decay further",
-        )
+        tail = float(vals[-1])
+        return _verdict(
+            "u_bloch_tail", prof, tail, lambda slope: _tail_holds(vals, semi),
+            (f"seminorm {semi:.6g}", "derivative growth accelerates at the boundary",
+             f"tail {tail:.3g} above threshold at this depth (seminorm {semi:.6g}); may decay further"))
 
     def _phi_limit(self, names: tuple, force_boundary: bool = False) -> VerdictGroup:
         """Limit-to-zero verdicts for the named quantities as ``|phi(z)| -> 1``.
@@ -464,13 +439,6 @@ class SampleTable:
 
 # ---------------------------------------------------------------------------
 # one-call entry points: each builds a table for a single verdict
-
-
-def criterion_profile(
-    quantity: str, sym: SymbolPair, space: SpaceSpec, trigger: str = TRIGGER_Z, grid: RadialGrid = DEFAULT_GRID
-) -> BoundaryProfile:
-    """Boundary profile of the chosen quotient (see ``SampleTable.profile``)."""
-    return SampleTable(sym, space, grid).profile(quantity, trigger)
 
 
 def classify_bounded_into_bloch(

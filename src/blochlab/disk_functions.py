@@ -46,10 +46,8 @@ __all__ = [
     "CompositionMap",
     "constant",
     "identity_map",
-    "rotation",
     "truncated_log_series",
     "pseudo_hyperbolic",
-    "bergman_metric",
     "metric_disk_comparability",
     "validate_self_map",
 ]
@@ -409,10 +407,6 @@ def identity_map() -> MonomialPower:
     return MonomialPower(1, 1.0)
 
 
-def rotation(theta: float) -> MonomialPower:
-    return MonomialPower(1, np.exp(1j * float(theta)))
-
-
 class BlaschkeFactor(SelfMap):
     """Disk automorphism ``phi(z) = (a - z) / (1 - conj(a) z)``, ``|a| < 1``."""
 
@@ -534,11 +528,6 @@ def pseudo_hyperbolic(z, w):
     za = _as_points(z)
     wa = _as_points(w)
     return np.abs((za - wa) / (1.0 - np.conj(za) * wa))
-
-
-def bergman_metric(z, w):
-    """Bergman metric ``arctanh`` of the pseudo-hyperbolic distance."""
-    return np.arctanh(pseudo_hyperbolic(z, w))
 
 
 def metric_disk_comparability(a: complex, r: float, samples: int = 4096) -> float:

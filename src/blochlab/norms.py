@@ -1,4 +1,4 @@
-"""Integral means, weighted-space norms, Bloch seminorms, boundary profiles.
+"""Weighted-space norms, Bloch seminorms, boundary profiles.
 
 Radial integrals are taken in the gap variable ``x = 1 - r`` on dyadic
 bands ``[2**-(k+1), 2**-k]`` with Gauss-Legendre nodes inside each band,
@@ -46,7 +46,6 @@ __all__ = [
     "profile_thresholds",
     "radial_rule",
     "weight_power_over_gap",
-    "integral_mean",
     "bergman_type_norm",
     "derivative_form_norm",
     "unit_norm_mass",
@@ -54,7 +53,6 @@ __all__ = [
     "bloch_seminorm",
     "family_bloch_seminorm",
     "little_bloch_profile",
-    "is_little_bloch",
     "sw_integral_check",
     "pointwise_growth_envelope",
     "derivative_growth_envelope",
@@ -180,21 +178,7 @@ def one_minus_sq(r: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# integral means and norms
-
-
-def integral_mean(f: DiskFunction, p: float, radius: float, angular_nodes: int = 512) -> float:
-    """p-th integral mean of ``f`` on the circle of the given radius.
-
-    The trapezoid rule on equispaced angles is spectrally accurate for
-    these smooth periodic integrands.
-    """
-    if not 0.0 <= radius < 1.0:
-        raise DomainError("radius must lie in [0, 1)")
-    if p <= 0.0:
-        raise ValueError("p must be positive")
-    z = radius * _unit_circle(angular_nodes)
-    return float(np.mean(np.abs(f.eval(z)) ** p) ** (1.0 / p))
+# norms
 
 
 def _decay_checked_total(F: np.ndarray, w: np.ndarray, band: np.ndarray, depth: int, label: str):
@@ -498,22 +482,6 @@ def little_bloch_profile(f: DiskFunction, grid: RadialGrid = DEFAULT_GRID) -> Bo
     radii, z = sample_points(grid.depth, grid.angular_nodes)
     g = one_minus_sq(radii)[:, None] * np.abs(f.deriv(z))
     return boundary_profile(circle_maxima(g), radii, grid.depth, TRIGGER_Z)
-
-
-LITTLE_BLOCH_REL = 1e-3
-LITTLE_BLOCH_ABS = 1e-9
-
-
-def is_little_bloch(profile: BoundaryProfile, seminorm: float) -> bool:
-    """Tail rule: the deepest nested value sits below a relative threshold
-    and the last three values do not increase."""
-    vals = profile.nonempty_values
-    if vals.size == 0:
-        return True
-    if vals.size < 3:
-        return bool(vals[-1] < max(LITTLE_BLOCH_REL * seminorm, LITTLE_BLOCH_ABS))
-    tail_ok = vals[-3] >= vals[-2] >= vals[-1]
-    return bool(tail_ok and vals[-1] < max(LITTLE_BLOCH_REL * seminorm, LITTLE_BLOCH_ABS))
 
 
 # ---------------------------------------------------------------------------

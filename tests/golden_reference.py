@@ -1,5 +1,6 @@
-"""References for the sup searches and boundary profiles in ``blochlab.norms``
-and the boundary chase in ``blochlab.oracle``.
+"""References for the sup searches and boundary profiles in ``blochlab.norms``,
+the boundary chase in ``blochlab.oracle`` and the verdict rules in
+``blochlab.criteria``.
 
 ``golden_argmax`` is a scalar golden-section search, and
 ``golden_bloch_seminorm`` is the Bloch seminorm with its radial and
@@ -14,13 +15,22 @@ ones as a second; tests pin the one merged search to it bit for bit.
 ``reference_boundary_profile`` builds a profile with one full scan of the
 flat samples per band; tests compare ``boundary_profile`` and the sample
 table's reduced profiles against it with ``assert_same_profile``.
+``reference_sup_verdict``, ``reference_limit_verdict`` and
+``reference_u_tail`` are the classifier's verdict rules as three separate
+bodies, each with its own slope and divergence band selection, and
+``reference_is_little_bloch`` is the stand-alone little-Bloch tail rule;
+tests pin the one verdict rule of ``blochlab.criteria`` to them.
 """
+
+import math
 
 import numpy as np
 
+from blochlab.criteria import SLOPE_FAIL, SLOPE_HOLD, STABLE_REL, Status, Verdict
 from blochlab.norms import (
     TRIGGER_Z,
     BoundaryProfile,
+    bloch_seminorm,
     bracket_argmax,
     one_minus_sq,
     profile_thresholds,
@@ -189,3 +199,124 @@ def assert_same_profile(got: BoundaryProfile, want: BoundaryProfile):
         assert a.dtype == b.dtype and a.shape == b.shape, field
         assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), field
         assert a.tobytes() == b.tobytes(), field
+
+
+LITTLE_BLOCH_REL = 1e-3
+LITTLE_BLOCH_ABS = 1e-9
+
+
+def _band_slope(profile: BoundaryProfile) -> float | None:
+    """Log-log slope of the last four or fewer bands with finite positive
+    suprema attained below modulus 1; None for fewer than three bands or
+    bands at one modulus."""
+    finite = np.nonzero(
+        np.isfinite(profile.band_values)
+        & (profile.band_values > 0.0)
+        & (profile.band_moduli < 1.0)
+    )[0]
+    if finite.size < 3:
+        return None
+    idx = finite[-4:]
+    x = np.log(1.0 / (1.0 - profile.band_moduli[idx]))
+    y = np.log(profile.band_values[idx])
+    if np.ptp(x) < 1e-9:
+        return None
+    return float(np.polyfit(x, y, 1)[0])
+
+
+def _diverges(profile: BoundaryProfile, slope: float | None) -> bool:
+    """A slope above ``SLOPE_FAIL`` while the deepest of the last four or
+    fewer finite positive band suprema (at any modulus) still climb."""
+    if slope is None or not slope > SLOPE_FAIL:
+        return False
+    finite = np.nonzero(np.isfinite(profile.band_values) & (profile.band_values > 0.0))[0]
+    if finite.size < 3:
+        return False
+    idx = finite[-4:]
+    return bool(profile.band_values[idx[-1]] > profile.band_values[idx[0]])
+
+
+def reference_is_little_bloch(profile: BoundaryProfile, seminorm: float) -> bool:
+    """Tail rule: the deepest nested value sits below a relative threshold
+    and the last three values do not increase."""
+    vals = profile.nonempty_values
+    if vals.size == 0:
+        return True
+    if vals.size < 3:
+        return bool(vals[-1] < max(LITTLE_BLOCH_REL * seminorm, LITTLE_BLOCH_ABS))
+    tail_ok = vals[-3] >= vals[-2] >= vals[-1]
+    return bool(tail_ok and vals[-1] < max(LITTLE_BLOCH_REL * seminorm, LITTLE_BLOCH_ABS))
+
+
+def reference_limit_verdict(name: str, profile: BoundaryProfile) -> Verdict:
+    """Limit-to-zero verdict: the tail rule against the first nested value,
+    tested before divergence."""
+    vals = profile.nonempty_values
+    if vals.size == 0:
+        return Verdict(
+            name, Status.HOLDS, 0.0, None, profile,
+            "no samples past the first threshold; condition vacuous at this resolution",
+        )
+    if np.all(vals == 0.0):
+        return Verdict(name, Status.HOLDS, 0.0, None, profile, "quantity vanishes on the region")
+    v0, vk = float(vals[0]), float(vals[-1])
+    tail_ok = vals.size >= 3 and vals[-3] >= vals[-2] >= vals[-1]
+    slope = _band_slope(profile)
+    notes = ""
+    if bool(profile.empty[-1]):
+        notes = "deepest regions unsampled at this resolution"
+    if tail_ok and vk < max(LITTLE_BLOCH_REL * v0, LITTLE_BLOCH_ABS):
+        return Verdict(name, Status.HOLDS, vk, slope, profile, notes)
+    if _diverges(profile, slope):
+        return Verdict(
+            name, Status.FAILS, math.inf, slope, profile,
+            f"band suprema grow with slope {slope:.3f}; limit cannot be zero",
+        )
+    return Verdict(
+        name, Status.INCONCLUSIVE, vk, slope, profile,
+        (notes + "; " if notes else "") + "tail neither decays below threshold nor diverges",
+    )
+
+
+def reference_sup_verdict(table, name: str) -> Verdict:
+    """Finite-sup verdict over ``|z| -> 1`` read from a ``SampleTable``:
+    divergence tested before the flat-slope, stabilized-supremum hold."""
+    profile = table.profile(name)
+    maxima = table.maxima(name)
+    global_sup = float(maxima.max(initial=0.0))
+    if global_sup == 0.0:
+        return Verdict(name, Status.HOLDS, 0.0, None, profile, "quantity vanishes identically")
+    slope = _band_slope(profile)
+    inner_cut = profile_thresholds(table.grid.depth)[table.grid.depth - 4]
+    inner_sup = float(maxima[table.radii <= inner_cut].max(initial=0.0))
+    stabilized = global_sup <= inner_sup * (1.0 + STABLE_REL)
+    if _diverges(profile, slope):
+        return Verdict(
+            name, Status.FAILS, math.inf, slope, profile,
+            f"band suprema grow with slope {slope:.3f}; sample sup {global_sup:.6g}",
+        )
+    if (slope is None or slope < SLOPE_HOLD) and stabilized:
+        return Verdict(name, Status.HOLDS, global_sup, slope, profile, "")
+    return Verdict(
+        name, Status.INCONCLUSIVE, global_sup, slope, profile,
+        "neither sustained divergence nor stabilized supremum at this depth",
+    )
+
+
+def reference_u_tail(table) -> Verdict:
+    """The multiplier's little-Bloch verdict read from a ``SampleTable``:
+    ``reference_is_little_bloch`` against the seminorm, then divergence."""
+    name, prof = "u_bloch_tail", table.profile("u_prime_plain")
+    semi = bloch_seminorm(table.sym.u, table.grid, table.quantities["u_prime_plain"])
+    slope = _band_slope(prof)
+    vals = prof.nonempty_values
+    tail = float(vals[-1]) if vals.size else 0.0
+    if reference_is_little_bloch(prof, semi):
+        return Verdict(name, Status.HOLDS, tail, slope, prof, f"seminorm {semi:.6g}")
+    if _diverges(prof, slope):
+        note = "derivative growth accelerates at the boundary"
+        return Verdict(name, Status.FAILS, math.inf, slope, prof, note)
+    return Verdict(
+        name, Status.INCONCLUSIVE, tail, slope, prof,
+        f"tail {tail:.3g} above threshold at this depth (seminorm {semi:.6g}); may decay further",
+    )

@@ -252,6 +252,25 @@ def test_non_finite_number_rejected_at_parse_time(doc, message):
     assert str(info.value) == message
 
 
+# Top-level flags and output fields that used to convert instead of failing:
+# bool("false") is True, tuple("json") is its letters, and a non-string dir
+# passed validation only to fail after the run.
+FLAG_AND_OUTPUT_ERRORS = [
+    ({"strict": "false"}, "strict: expected true or false, got 'false'"),
+    ({"force_boundary": "no"}, "force_boundary: expected true or false, got 'no'"),
+    ({"output": {"formats": "json"}}, "output.formats: expected a nonempty list of format names, got 'json'"),
+    ({"output": {"dir": 5}}, "output.dir: expected a path string, got 5"),
+]
+
+
+@pytest.mark.parametrize("fields,message", FLAG_AND_OUTPUT_ERRORS,
+                         ids=["strict-string", "force-boundary-string", "formats-string", "dir-number"])
+def test_flag_and_output_field_rejected_at_parse_time(fields, message):
+    with pytest.raises(ValidationError) as info:
+        parse_config(dict(HALF_SCALE_DOC, **fields))
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("key,value", [("depth", 12.9), ("angular_nodes", 128.0),
                                        ("panel_order", True), ("depth", "12"),
                                        ("depth", "x"), ("panel_order", None), ("angular_nodes", float("inf"))])
@@ -659,6 +678,19 @@ class TestMain:
         assert main(["run", self._write(tmp_path, HALF_SCALE_DOC), "--out", str(out), "--grid", "16,512,1000000"]) == 2
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,fmt", [("run", "xml"), ("battery", "jsn")])
+    def test_unknown_format_flag_is_rejected_before_any_work(self, tmp_path, capsys, command, fmt):
+        out = tmp_path / "out"
+        args = [command, self._write(tmp_path, HALF_SCALE_DOC)] if command == "run" else [command]
+        assert main(args + ["--out", str(out), "--format", fmt]) == 2
+        assert capsys.readouterr().err == f"error: --format: unknown formats in ('{fmt}',)\n"
+        assert not out.exists()
+
+    def test_validate_rejects_a_non_string_output_dir(self, tmp_path, capsys):
+        doc = dict(HALF_SCALE_DOC, output={"dir": 5})
+        assert main(["validate", self._write(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == "invalid: output.dir: expected a path string, got 5\n"
 
     def test_missing_config_is_a_parse_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2

@@ -25,13 +25,9 @@ from blochlab import (
     composition_limit_probe,
     composition_quotient,
     constant,
-    criterion_profile,
     derivative_limit_probe,
     identity_map,
-    little_bloch_profile,
-    is_little_bloch,
     multiplier_quotient,
-    rotation,
     truncated_log_series,
 )
 from blochlab.battery import CURATED, random_pairs
@@ -91,18 +87,18 @@ class TestQuotients:
 
 class TestProfiles:
     def test_vacuously_empty_regions_for_strict_map(self, a2, fast_grid):
-        prof = criterion_profile("u_phi_prime", half_scale(), a2, TRIGGER_PHI, fast_grid)
+        prof = SampleTable(half_scale(), a2, fast_grid).profile("u_phi_prime", TRIGGER_PHI)
         assert prof.empty.all()
 
     def test_divergence_shows_in_band_values(self, a2, grid):
-        prof = criterion_profile("u_phi_prime", identity_sym(), a2, TRIGGER_Z, grid)
+        prof = SampleTable(identity_sym(), a2, grid).profile("u_phi_prime", TRIGGER_Z)
         bands = prof.band_values[np.isfinite(prof.band_values)]
         assert np.all(np.diff(bands[-6:]) > 0)
         vals = prof.nonempty_values
         assert np.all(np.diff(vals) <= 0)
 
     def test_decay_for_strict_map(self, a2, grid):
-        prof = criterion_profile("u_phi_prime", half_scale(), a2, TRIGGER_Z, grid)
+        prof = SampleTable(half_scale(), a2, grid).profile("u_phi_prime", TRIGGER_Z)
         vals = prof.nonempty_values
         assert vals[-1] < 1e-3 * vals[0]
 
@@ -111,11 +107,12 @@ class TestProfiles:
         u = PowerSeries([0.5, 1.0, 0.25j])
         phi = BlaschkeFactor(0.45)
         base = SymbolPair(u, phi)
-        conj_phi = CompositionMap(rotation(-theta), CompositionMap(phi, rotation(theta)))
-        conj = SymbolPair(ComposedWithSelfMap(u, rotation(theta)), conj_phi)
+        rotate, unrotate = MonomialPower(1, np.exp(1j * theta)), MonomialPower(1, np.exp(-1j * theta))
+        conj_phi = CompositionMap(unrotate, CompositionMap(phi, rotate))
+        conj = SymbolPair(ComposedWithSelfMap(u, rotate), conj_phi)
         for name in ("u_prime", "u_phi_prime"):
-            p0 = criterion_profile(name, base, a2, TRIGGER_Z, grid)
-            p1 = criterion_profile(name, conj, a2, TRIGGER_Z, grid)
+            p0 = SampleTable(base, a2, grid).profile(name, TRIGGER_Z)
+            p1 = SampleTable(conj, a2, grid).profile(name, TRIGGER_Z)
             v0, v1 = p0.nonempty_values, p1.nonempty_values
             assert v1 == pytest.approx(v0, rel=1e-2)
 
@@ -217,8 +214,8 @@ class TestLittleBloch:
             assert outcome.overall
             for f in (constant(1), PowerSeries([0, 1])):
                 image = operator_apply(sym, f)
-                prof = little_bloch_profile(image, grid)
-                assert is_little_bloch(prof, bloch_seminorm(image, grid))
+                tail = SampleTable(SymbolPair(image, identity_map()), a2, grid).u_tail
+                assert tail.status is Status.HOLDS
 
 
 class TestLimitProbes:

@@ -18,7 +18,6 @@ from blochlab import (
     Scaled,
     ScaledMap,
     Sum,
-    bergman_metric,
     identity_map,
     metric_disk_comparability,
     pseudo_hyperbolic,
@@ -173,25 +172,19 @@ class TestSelfMaps:
 
 
 class TestDiskGeometry:
-    def test_metric_at_coincident_points(self):
-        assert bergman_metric(0.0, 0.0) == 0.0
-
-    def test_metric_closed_form(self):
-        assert bergman_metric(0.0, 0.5) == pytest.approx(0.5 * np.log(3.0))
-
     @given(z=inner_points, w=inner_points)
     @settings(max_examples=60, deadline=None)
-    def test_metric_symmetry(self, z, w):
-        assert bergman_metric(z, w) == pytest.approx(bergman_metric(w, z), abs=1e-13)
+    def test_pseudo_hyperbolic_symmetry(self, z, w):
+        assert pseudo_hyperbolic(z, w) == pytest.approx(pseudo_hyperbolic(w, z), abs=1e-13)
 
     @given(z=inner_points, w=inner_points, v=inner_points)
     @settings(max_examples=60, deadline=None)
-    def test_triangle_inequality(self, z, w, v):
-        assert bergman_metric(z, w) <= bergman_metric(z, v) + bergman_metric(v, w) + 1e-12
+    def test_pseudo_hyperbolic_triangle_inequality(self, z, w, v):
+        assert pseudo_hyperbolic(z, w) <= pseudo_hyperbolic(z, v) + pseudo_hyperbolic(v, w) + 1e-12
 
-    def test_metric_domain_error(self):
+    def test_pseudo_hyperbolic_domain_error(self):
         with pytest.raises(DomainError):
-            bergman_metric(1.0, 0.0)
+            pseudo_hyperbolic(1.0, 0.0)
 
     def test_pseudo_hyperbolic_range(self):
         assert pseudo_hyperbolic(0.2, 0.9j) < 1.0

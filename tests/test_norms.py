@@ -16,14 +16,14 @@ from blochlab import (
     PowerSeries,
     RadialGrid,
     SpaceSpec,
+    Status,
+    SymbolPair,
     bergman_type_norm,
     bloch_seminorm,
     boundary_profile,
     constant,
     derivative_form_norm,
     identity_map,
-    integral_mean,
-    is_little_bloch,
     little_bloch_profile,
     sw_integral_check,
     truncated_log_series,
@@ -47,6 +47,7 @@ from blochlab.norms import (
 )
 from blochlab.battery import CURATED
 from blochlab.cli import parse_config
+from blochlab.criteria import SampleTable
 from blochlab.disk_functions import DiskFunction, FiniteBlaschkeProduct, SelfMap
 from blochlab import oracle
 from blochlab.oracle import boundary_chase_point, boundary_test_function, operator_apply
@@ -67,6 +68,11 @@ small_polys = st.lists(
 ).map(PowerSeries)
 
 
+def u_tail_status(f, space, grid):
+    """The little-Bloch tail verdict of ``f``, read as the multiplier's tail."""
+    return SampleTable(SymbolPair(f, identity_map()), space, grid).u_tail.status
+
+
 class TestRadialGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -77,22 +83,6 @@ class TestRadialGrid:
             RadialGrid(8, 32, 8)
         with pytest.raises(ValueError):
             RadialGrid(8, 128, 4)
-
-
-class TestIntegralMean:
-    def test_constant(self):
-        assert integral_mean(constant(1), 2.7, 0.4) == pytest.approx(1.0)
-
-    def test_monomial(self):
-        assert integral_mean(PowerSeries([0, 1]), 2.0, 0.5) == pytest.approx(0.5)
-
-    def test_parseval_for_one_plus_z(self):
-        # M_2^2 = sum of squared Taylor coefficients against even powers
-        assert integral_mean(PowerSeries([1, 1]), 2.0, 0.6) == pytest.approx(np.sqrt(1.36))
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            integral_mean(constant(1), 2.0, 1.0)
 
 
 class TestBergmanTypeNorm:
@@ -496,7 +486,7 @@ class TestBoundaryProfiles:
         assert not prof.empty[0]
         assert prof.empty[2:].all()
 
-    def test_little_bloch_for_identity(self, grid):
+    def test_little_bloch_for_identity(self, a2, grid):
         f = PowerSeries([0, 1])
         prof = little_bloch_profile(f, grid)
         radii = sample_radii(grid.depth)
@@ -504,24 +494,22 @@ class TestBoundaryProfiles:
         for k, delta in enumerate(prof.thresholds):
             r_first = radii[radii > delta][0]
             assert prof.values[k] == pytest.approx(1 - r_first**2, rel=1e-12)
-        assert is_little_bloch(prof, bloch_seminorm(f, grid))
+        assert u_tail_status(f, a2, grid) is Status.HOLDS
 
-    def test_truncated_log_series_is_little_bloch(self, grid):
-        f = truncated_log_series(32)
-        assert is_little_bloch(little_bloch_profile(f, grid), bloch_seminorm(f, grid))
+    def test_truncated_log_series_is_little_bloch(self, a2, grid):
+        assert u_tail_status(truncated_log_series(32), a2, grid) is Status.HOLDS
 
-    def test_constant_is_little_bloch(self, grid):
-        f = constant(2.0)
-        assert is_little_bloch(little_bloch_profile(f, grid), bloch_seminorm(f, grid))
+    def test_constant_is_little_bloch(self, a2, grid):
+        assert u_tail_status(constant(2.0), a2, grid) is Status.HOLDS
 
-    def test_concentrated_kernel_needs_depth(self):
+    def test_concentrated_kernel_needs_depth(self, a2):
         # the derivative peak of this kernel sits at gap about 0.1; shallow
         # grids still see the plateau, K >= 20 resolves the decay
         f = FractionalKernel(0.9, 1.0)
         shallow = RadialGrid(14, 256, 8)
         deep = RadialGrid(20, 256, 8)
-        assert not is_little_bloch(little_bloch_profile(f, shallow), bloch_seminorm(f, shallow))
-        assert is_little_bloch(little_bloch_profile(f, deep), bloch_seminorm(f, deep))
+        assert u_tail_status(f, a2, shallow) is not Status.HOLDS
+        assert u_tail_status(f, a2, deep) is Status.HOLDS
 
 
 _NODES = 24  # samples per circle in the synthetic tables
