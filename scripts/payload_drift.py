@@ -11,12 +11,15 @@ Each tree is imported in its own subprocess, which dumps:
 * with ``--deep``, for each given seed, the results payload of every config
   of the tree's own ``bench/workloads.deep_config_texts(seed)`` (the
   ``deep-classify`` benchmark units), with the SHA-256 of its canonical
-  bytes.  This needs both trees to be checkouts; ``bench/`` is only read.
+  bytes.  This needs both trees to be checkouts; ``bench/`` is only read;
+* the SHA-256 of every file ``emit`` writes (JSON and CSV, ``meta``
+  blanked) for each curated and each ``--deep`` config.
 
 The payloads are compared section by section (a curated task entry, the
 constants block, one part of a pair payload).  The script prints, per
 section kind, how many sections are byte-identical, the largest relative
-drift of any float with its path, and every verdict change.  Exit status
+drift of any float with its path, and every verdict change; then how many
+emitted files are byte-identical, naming each that is not.  Exit status
 is 1 when a verdict changed, 2 when a tree could not be dumped, and 0
 otherwise.  Last, it prints the ``wc -l`` line count of each tree's
 ``blochlab/*.py`` files and their totals.
@@ -37,6 +40,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from collections import defaultdict
 from pathlib import Path
 
@@ -66,8 +70,18 @@ def workloads_file(path: str) -> Path:
     return found.resolve()
 
 
+def emitted_hashes(cli, report) -> dict:
+    """SHA-256 of each file ``emit`` writes for ``report`` as JSON and CSV,
+    keyed by file name, with ``meta`` (wall clock, page faults) blanked."""
+    report.meta = {}
+    with tempfile.TemporaryDirectory() as out:
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in cli.emit(report, out, ("json", "csv"))}
+
+
 def dump(src: Path, seeds: list, count: int, deep_seeds: list, workloads) -> dict:
-    """Every payload of the tree at ``src``, keyed by unit; runs in the child."""
+    """Every payload of the tree at ``src``, keyed by unit, and the hash of
+    every emitted file, keyed by unit and file name; runs in the child."""
     sys.path.insert(0, str(src))
     import blochlab
     from blochlab import RadialGrid, SpaceSpec, cli, criteria, oracle
@@ -75,11 +89,13 @@ def dump(src: Path, seeds: list, count: int, deep_seeds: list, workloads) -> dic
 
     if Path(blochlab.__file__).resolve().parent != src / "blochlab":
         fail(f"imported blochlab from {blochlab.__file__}, not from {src}")
-    units = {}
+    units, files = {}, {}
     for name, entry in CURATED.items():
-        results = cli.run(cli.parse_config(json.loads(json.dumps(entry["config"])))).results
+        report = cli.run(cli.parse_config(json.loads(json.dumps(entry["config"]))))
+        results = report.results
         units[f"curated/{name}"] = dict({f"tasks.{task}": e for task, e in results["tasks"].items()},
                                         **{k: v for k, v in results.items() if k != "tasks"})
+        files.update({f"curated/{name}/{file}": h for file, h in emitted_hashes(cli, report).items()})
     space, mesh, probe_mesh = SpaceSpec.bergman(2), RadialGrid(12, 128, 8), RadialGrid(16, 128, 8)
     for seed in seeds:
         for label, sym in random_pairs(seed, count):
@@ -103,7 +119,8 @@ def dump(src: Path, seeds: list, count: int, deep_seeds: list, workloads) -> dic
                     {f"tasks.{task}": e for task, e in report.results["tasks"].items()},
                     payload_sha256=hashlib.sha256(report.results_payload()).hexdigest(),
                     **{k: v for k, v in report.results.items() if k != "tasks"})
-    return units
+                files.update({f"deep/{seed}/{label}/{file}": h for file, h in emitted_hashes(cli, report).items()})
+    return {"units": units, "files": files}
 
 
 def dump_in_subprocess(src: Path, seeds: list, count: int, deep_seeds: list = (), workloads=None) -> dict:
@@ -158,6 +175,14 @@ def print_line_counts(old_src: Path, new_src: Path) -> None:
     rows.append(("total", sum(old.values()), sum(new.values())))
     for name, a, b in rows:
         print(f"  {name:<{width}}  {a:>6}  {b:>6}  {b - a:>+6}")
+
+
+def report_files(old_files: dict, new_files: dict) -> None:
+    names = sorted(set(old_files) | set(new_files))
+    differ = [name for name in names if old_files.get(name) != new_files.get(name)]
+    print(f"byte-identical emitted files: {len(names) - len(differ)}/{len(names)}")
+    for name in differ:
+        print(f"emitted file differs: {name}")
 
 
 def report(old_units: dict, new_units: dict) -> int:
@@ -216,7 +241,8 @@ def main() -> int:
     trees = [(source_dir(path), workloads_file(path) if deep_seeds else None)
              for path in (args.old_src, args.new_src)]
     old, new = (dump_in_subprocess(src, seeds, args.count, deep_seeds, workloads) for src, workloads in trees)
-    status = report(old, new)
+    status = report(old["units"], new["units"])
+    report_files(old["files"], new["files"])
     print_line_counts(trees[0][0], trees[1][0])
     return status
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import io
 import json
 import math
 import numbers
@@ -26,6 +27,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 try:
@@ -424,8 +426,9 @@ class Report:
         return {"tool": self.tool, "config": self.config, "results": self.results, "meta": self.meta}
 
     def results_payload(self) -> bytes:
-        """Canonical bytes of the verdict payload (excludes wall-clock)."""
-        return json.dumps(self.results, sort_keys=True, indent=2, allow_nan=False).encode()
+        """Canonical bytes of the verdict payload (excludes wall-clock): the
+        ``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)`` text."""
+        return _render_json(self.results).encode()
 
 
 def run(config: RunConfig) -> Report:
@@ -558,20 +561,69 @@ def emit(report: Report, out_dir, formats=("json",)) -> list:
     """Write the report files and return their paths.
 
     JSON carries the full nested report.  CSV output is one file per
-    profile with (delta, value) rows plus a flat verdict summary.
+    profile with (delta, value) rows plus a flat verdict summary.  Each
+    file is built in memory and written at once; the JSON text is that of
+    ``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)``, and the
+    CSV text that of ``csv.writer``, byte for byte.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     if "json" in formats:
         path = out / "report.json"
-        path.write_text(
-            json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
-        )
+        path.write_text(_render_json(report.to_dict()) + "\n")
         written.append(path)
     if "csv" in formats:
         written.extend(_emit_csv(report, out))
     return written
+
+
+# CPython's C encoder, with json.dumps's key order, key separator, float text and
+# refusal of NaN and infinities, and one item per line: the text of a list of
+# scalars needs only its indentation to be json.dumps's with indent=2.  None on
+# an interpreter without the C accelerator, where json.dumps itself renders.
+_C_MAKE_ENCODER = getattr(json.encoder, "c_make_encoder", None)
+_ENCODE_LINES = None if _C_MAKE_ENCODER is None else _C_MAKE_ENCODER(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", ",\n", True, False, False)
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _render_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, byte for
+    byte, for a tree whose dict keys are strings (a report's are).
+
+    Dicts and lists of containers are walked here; each list of scalars is
+    one call of the C encoder, indented with ``str.replace`` (JSON strings
+    hold no raw newline).  A container met twice, such as a profile dict a
+    report holds under two tasks, is rendered once and re-indented."""
+    if _ENCODE_LINES is None:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    return _render(obj, "\n", {})
+
+
+def _render(o, nl: str, memo: dict) -> str:
+    """The text of ``o`` whose lines after the first start with ``nl``, a
+    newline and ``o``'s indentation; ``memo`` maps the id of each container
+    rendered so far to its ``nl`` and text.  (A module-level function, not a
+    closure: a recursive closure is a reference cycle, which would keep each
+    call's memo alive until the cyclic collector runs.)"""
+    if not isinstance(o, (dict, list, tuple)):
+        return "".join(_ENCODE_LINES(o, 0))
+    seen = memo.get(id(o))
+    if seen is not None:
+        return seen[1] if seen[0] == nl else seen[1].replace(seen[0], nl)
+    inner = nl + "  "
+    if not o:
+        text = "{}" if isinstance(o, dict) else "[]"
+    elif isinstance(o, dict):
+        text = "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + _render(v, inner, memo) for k, v in sorted(o.items())) + nl + "}"
+    elif set(map(type, o)) <= _SCALARS:
+        text = "[" + inner + "".join(_ENCODE_LINES(o, 0))[1:-1].replace("\n", inner) + nl + "]"
+    else:
+        text = "[" + inner + ("," + inner).join(_render(v, inner, memo) for v in o) + nl + "]"
+    memo[id(o)] = nl, text
+    return text
 
 
 def _iter_verdicts(results: dict):
@@ -593,33 +645,25 @@ def _iter_verdicts(results: dict):
 
 
 def _emit_csv(report: Report, out: Path) -> list:
-    written = []
-    summary = out / "verdicts.csv"
-    with summary.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task", "quantity", "status", "sup_estimate", "slope"])
-        for task, verdict in _iter_verdicts(report.results):
-            writer.writerow(
-                [
-                    task,
-                    verdict["quantity"],
-                    verdict["status"],
-                    verdict["sup_estimate"],
-                    "" if verdict["divergence_slope"] is None else verdict["divergence_slope"],
-                ]
-            )
-    written.append(summary)
+    summary, buffer = out / "verdicts.csv", io.StringIO()
+    csv.writer(buffer).writerows(  # a None slope is written as an empty field
+        [("task", "quantity", "status", "sup_estimate", "slope")]
+        + [(task, v["quantity"], v["status"], v["sup_estimate"], v["divergence_slope"])
+           for task, v in _iter_verdicts(report.results)])
+    summary.write_text(buffer.getvalue(), newline="")
+    written = [summary]
+    texts: dict = {}  # id of a profile dict -> its file's text, built once per distinct profile
     for task, verdict in _iter_verdicts(report.results):
         profile = verdict.get("profile")
         if not profile:
             continue
-        stem = f"{task}.{verdict['quantity']}.profile.csv".replace("/", "_")
-        path = out / stem
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["delta", "value"])
-            for delta, value in zip(profile["thresholds"], profile["values"]):
-                writer.writerow([delta, "" if value is None else value])
+        if id(profile) not in texts:
+            # the cells are floats or None, which csv.writer writes as repr and as an empty field
+            texts[id(profile)] = "delta,value\r\n" + "".join(
+                [f"{delta!r},{'' if value is None else repr(value)}\r\n"
+                 for delta, value in zip(profile["thresholds"], profile["values"])])
+        path = out / f"{task}.{verdict['quantity']}.profile.csv".replace("/", "_")
+        path.write_text(texts[id(profile)], newline="")
         written.append(path)
     return written
 

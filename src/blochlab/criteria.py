@@ -161,10 +161,11 @@ LITTLE_BLOCH_ABS = 1e-9
 
 
 def _tail_holds(vals: np.ndarray, reference: float) -> bool:
-    """The tail test: the last three nested values do not increase and the
-    last lies below ``LITTLE_BLOCH_REL`` relative to ``reference``."""
-    return bool(vals.size >= 3 and vals[-3] >= vals[-2] >= vals[-1]
-                and vals[-1] < max(LITTLE_BLOCH_REL * reference, LITTLE_BLOCH_ABS))
+    """The tail test on a profile's nonempty nested values: there are at
+    least three, and the last lies below ``LITTLE_BLOCH_REL`` relative to
+    ``reference``.  (Nested values never increase; ``BoundaryProfile``
+    rejects a profile whose values do.)"""
+    return bool(vals.size >= 3 and vals[-1] < max(LITTLE_BLOCH_REL * reference, LITTLE_BLOCH_ABS))
 
 
 def _verdict(name: str, profile: BoundaryProfile, value: float, holds, notes: tuple) -> Verdict:

@@ -394,17 +394,32 @@ class BoundaryProfile:
         return self.values[~self.empty]
 
     def to_dict(self) -> dict:
-        def cell(v):
-            return None if not np.isfinite(v) else float(v)
+        """The profile as JSON-ready lists, ``None`` for a non-finite cell.
 
+        The dict is built on the first call and that same dict is returned
+        on every later one.  A report holding the dict shares it, so it is
+        read-only."""
+        return self._dict
+
+    @cached_property
+    def _dict(self) -> dict:
         return {
             "trigger": self.trigger,
-            "thresholds": [float(d) for d in self.thresholds],
-            "values": [cell(v) for v in self.values],
-            "band_values": [cell(v) for v in self.band_values],
-            "band_moduli": [cell(v) for v in self.band_moduli],
-            "empty": [bool(e) for e in self.empty],
+            "thresholds": _cells(self.thresholds),
+            "values": _cells(self.values),
+            "band_values": _cells(self.band_values),
+            "band_moduli": _cells(self.band_moduli),
+            "empty": np.asarray(self.empty, dtype=bool).tolist(),
         }
+
+
+def _cells(a) -> list:
+    """``a`` as a list of floats, with ``None`` for each non-finite cell."""
+    a = np.asarray(a, dtype=float)
+    cells = a.tolist()
+    for i in np.flatnonzero(~np.isfinite(a)).tolist():
+        cells[i] = None
+    return cells
 
 
 class BandPartition:
@@ -421,7 +436,14 @@ class BandPartition:
 
     @cached_property
     def bands(self) -> tuple:
-        slot = np.searchsorted(profile_thresholds(self.depth), self.modulus, side="left")  # 1 + band index
+        # 1 + band index: the number of thresholds 1 - 2**-k below the modulus m, which
+        # searchsorted(thresholds, m) counts.  For m < 1 it is read from the exponent e of
+        # the gap 1 - m = f * 2**e, 1/2 <= f < 1: 2**-k > 1 - m exactly when k <= -e (the
+        # gap is exact for m >= 1/2, and below 1/2 every count is 0).  The few moduli
+        # m >= 1, +inf or NaN are counted by searchsorted itself.
+        thresholds, above = profile_thresholds(self.depth), ~(self.modulus < 1.0)
+        slot = np.clip(-np.frexp(1.0 - self.modulus)[1], 0, self.depth)
+        slot[above] = np.searchsorted(thresholds, self.modulus[above], side="left")
         # sorted in the narrowest integer type, where numpy's stable sort is a radix sort
         order = np.argsort(slot.astype(np.min_scalar_type(self.depth)), kind="stable")
         ends = np.cumsum(np.bincount(slot, minlength=self.depth + 1))

@@ -43,13 +43,18 @@ class NormalWeight:
             raise ValueError("witnesses must satisfy 0 < s < t strictly")
 
     def __call__(self, r):
+        if isinstance(r, float) or np.ndim(r) == 0:
+            # one radius: plain comparisons, which NaN passes as it passes the array
+            # test, and a one-element array, so that the value is the array path's to
+            # the last bit (numpy's array power and its scalar power can differ there)
+            r = float(r)
+            if r < 0.0 or r >= 1.0:
+                raise DomainError("weight argument must lie in [0, 1)")
+            return float(self.value_from_gap(np.array([1.0 - r]))[0])
         arr = np.asarray(r, dtype=float)
         if np.any(arr < 0.0) or np.any(arr >= 1.0):
             raise DomainError("weight argument must lie in [0, 1)")
-        value = self.value_from_gap(1.0 - arr)
-        if np.ndim(r) == 0:
-            return float(value)
-        return value
+        return self.value_from_gap(1.0 - arr)
 
     def value_from_gap(self, x):
         """Weight value expressed through the gap ``x = 1 - r``.

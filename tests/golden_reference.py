@@ -20,12 +20,18 @@ table's reduced profiles against it with ``assert_same_profile``.
 bodies, each with its own slope and divergence band selection, and
 ``reference_is_little_bloch`` is the stand-alone little-Bloch tail rule;
 tests pin the one verdict rule of ``blochlab.criteria`` to them.
+``reference_emit`` writes a report's files with ``json.dumps`` and one
+``csv.writer`` row at a time; tests pin ``blochlab.cli.emit`` to its bytes.
 """
 
+import csv
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
+from blochlab.cli import _iter_verdicts
 from blochlab.criteria import SLOPE_FAIL, SLOPE_HOLD, STABLE_REL, Status, Verdict
 from blochlab.norms import (
     TRIGGER_Z,
@@ -320,3 +326,51 @@ def reference_u_tail(table) -> Verdict:
         name, Status.INCONCLUSIVE, tail, slope, prof,
         f"tail {tail:.3g} above threshold at this depth (seminorm {semi:.6g}); may decay further",
     )
+
+
+def reference_emit(report, out_dir, formats=("json",)) -> list:
+    """``emit``'s files written with ``json.dumps`` and ``csv.writer`` rows."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    if "json" in formats:
+        path = out / "report.json"
+        path.write_text(
+            json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        )
+        written.append(path)
+    if "csv" in formats:
+        written.extend(_reference_emit_csv(report, out))
+    return written
+
+
+def _reference_emit_csv(report, out: Path) -> list:
+    written = []
+    summary = out / "verdicts.csv"
+    with summary.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["task", "quantity", "status", "sup_estimate", "slope"])
+        for task, verdict in _iter_verdicts(report.results):
+            writer.writerow(
+                [
+                    task,
+                    verdict["quantity"],
+                    verdict["status"],
+                    verdict["sup_estimate"],
+                    "" if verdict["divergence_slope"] is None else verdict["divergence_slope"],
+                ]
+            )
+    written.append(summary)
+    for task, verdict in _iter_verdicts(report.results):
+        profile = verdict.get("profile")
+        if not profile:
+            continue
+        stem = f"{task}.{verdict['quantity']}.profile.csv".replace("/", "_")
+        path = out / stem
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["delta", "value"])
+            for delta, value in zip(profile["thresholds"], profile["values"]):
+                writer.writerow([delta, "" if value is None else value])
+        written.append(path)
+    return written

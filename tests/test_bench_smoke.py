@@ -4,24 +4,14 @@
 signatures; a signature change must fail here rather than in a benchmark
 run."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+from bench_module import bench_workloads
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it was
-        spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-        module = importlib.util.module_from_spec(spec)
-        patch.setitem(sys.modules, spec.name, module)  # dataclasses look the module up
-        spec.loader.exec_module(module)
-    return module
+    return bench_workloads()
 
 
 @pytest.mark.parametrize("name", ["curated", "random-agreement", "deep-classify"])

@@ -2,30 +2,21 @@
 
 import ctypes
 import importlib
-import importlib.util
 import os
-import sys
-from pathlib import Path
 
 import pytest
 
 from blochlab import cli, heap
 from blochlab.battery import CURATED
+from bench_module import bench_workloads
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 on_glibc = pytest.mark.skipif(not heap.glibc_version(), reason="the thresholds are set on glibc only")
 
 
 @pytest.fixture
 def deep_config():
     """The first ``deep-classify`` benchmark config: 40x2048x12, classifier tasks only."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it was
-        spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-        module = importlib.util.module_from_spec(spec)
-        patch.setitem(sys.modules, spec.name, module)  # dataclasses look the module up
-        spec.loader.exec_module(module)
-        _, text = module.deep_config_texts(1)[0]
+    _, text = bench_workloads().deep_config_texts(1)[0]
     return cli.parse_config(text)
 
 

@@ -599,6 +599,52 @@ class TestBoundaryProfileReference:
         for k, sel in enumerate(bands):
             assert np.array_equal(sel, np.nonzero(band_idx == k)[0])
 
+    @pytest.mark.parametrize("depth", range(1, 53))
+    def test_partition_bands_equal_searchsorted_at_every_depth(self, depth):
+        # the band index is read from the gap's exponent; searchsorted is the reference
+        delta = profile_thresholds(depth)
+        special = [0.0, -0.0, 0.5, 1.0, 2.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, np.nextafter(1.0, 0.0)]
+        rng = np.random.default_rng(depth)
+        mod = np.concatenate([delta, np.nextafter(delta, np.inf), np.nextafter(delta, -np.inf), special,
+                              rng.uniform(-0.5, 1.5, 500), 1.0 - 2.0 ** -rng.uniform(0.0, 60.0, 500)])
+        slot = np.searchsorted(delta, mod, side="left")
+        bands = BandPartition(mod, depth).bands
+        assert len(bands) == depth
+        for k, sel in enumerate(bands):
+            assert np.array_equal(sel, np.nonzero(slot == k + 1)[0])
+
+
+class TestProfileDict:
+    """``BoundaryProfile.to_dict``: built once per profile, and equal to the
+    cell-by-cell conversion."""
+
+    def test_cells_equal_the_cell_by_cell_conversion(self):
+        rng = np.random.default_rng(3)
+        q = _samples("inf", (2 * 41, _NODES), rng).ravel()
+        prof = boundary_profile(q, _phi_modulus(40, q.size, rng, 0.5), 40, TRIGGER_PHI)
+        prof.band_values[:3] = [np.nan, np.inf, -np.inf]
+
+        def cell(v):
+            return None if not np.isfinite(v) else float(v)
+
+        want = {
+            "trigger": TRIGGER_PHI,
+            "thresholds": [float(d) for d in prof.thresholds],
+            "values": [cell(v) for v in prof.values],
+            "band_values": [cell(v) for v in prof.band_values],
+            "band_moduli": [cell(v) for v in prof.band_moduli],
+            "empty": [bool(e) for e in prof.empty],
+        }
+        got = prof.to_dict()
+        assert repr(got) == repr(want)
+        assert None in got["values"] and got["band_values"][:3] == [None, None, None]
+
+    def test_one_dict_per_profile(self):
+        mod = np.linspace(0.0, 0.999, 300)
+        a, b = boundary_profile(mod, mod, 12, TRIGGER_PHI), boundary_profile(mod, mod, 12, TRIGGER_PHI)
+        assert a.to_dict() is a.to_dict()
+        assert a.to_dict() == b.to_dict() and a.to_dict()["thresholds"] is not b.to_dict()["thresholds"]
+
     def test_a_partition_of_another_modulus_is_refused(self):
         mod = np.linspace(0.0, 0.999, 100)
         with pytest.raises(ValueError, match="partition"):

@@ -13,10 +13,7 @@ to 1.
 """
 
 import functools
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +25,7 @@ from blochlab.battery import CURATED, random_pairs
 from blochlab.cli import parse_config
 from blochlab.criteria import SampleTable, _limit_type_verdict, _tail_holds
 from blochlab.norms import TRIGGER_PHI, TRIGGER_Z, boundary_profile
+from bench_module import bench_workloads
 from golden_reference import (
     reference_is_little_bloch,
     reference_limit_verdict,
@@ -35,7 +33,6 @@ from golden_reference import (
     reference_u_tail,
 )
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 QUOTIENTS = ("u_prime", "u_phi_prime")
 QUANTITIES = QUOTIENTS + ("u_prime_plain", "u_phi_prime_plain")
 # the grids at which the random battery's pairs are classified and probed
@@ -48,13 +45,7 @@ CASES = ([f"curated/{name}" for name in sorted(CURATED)]
 
 def _deep_configs(seed: int) -> list:
     """The ``deep-classify`` benchmark configs of ``seed``: 40x2048x12."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it was
-        spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-        module = importlib.util.module_from_spec(spec)
-        patch.setitem(sys.modules, spec.name, module)  # dataclasses look the module up
-        spec.loader.exec_module(module)
-        texts = module.deep_config_texts(seed)
+    texts = bench_workloads().deep_config_texts(seed)
     return [(label, parse_config(text)) for label, text in texts]
 
 

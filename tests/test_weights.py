@@ -32,6 +32,26 @@ class TestWeightEval:
         out = w(np.array([0.0, 0.75]))
         assert out == pytest.approx([1.0, 0.5])
 
+    @pytest.mark.parametrize("alpha", [1 / 3, 0.5, 1.0])
+    @pytest.mark.parametrize("log_exponent", [0.0, 0.7])
+    def test_scalar_calls_equal_the_array_call_bit_for_bit(self, alpha, log_exponent):
+        # numpy's array power and its scalar power differ in the last bit on
+        # some arguments; a scalar radius must get the array path's value
+        w = NormalWeight(alpha, log_exponent, alpha / 2.0, 1.5 * alpha + log_exponent)
+        radii = np.random.default_rng([int(3 * alpha), int(10 * log_exponent)]).uniform(0.0, 1.0, 20_000)
+        want = w(radii).view(np.int64)
+        for one in (float, np.float64, np.array):  # a Python float, a numpy scalar, a 0-d array
+            scalar = np.array([w(one(r)) for r in radii.tolist()])
+            assert all(type(w(one(r))) is float for r in radii[:10].tolist())
+            assert np.array_equal(scalar.view(np.int64), want)
+
+    def test_scalar_nan_passes_the_range_check_as_in_the_array_path(self):
+        w = NormalWeight(0.5)
+        assert np.isnan(w(float("nan"))) and np.isnan(w(np.array([np.nan]))[0])
+        for r in (1.0, -0.1, float("inf"), float("-inf")):
+            with pytest.raises(DomainError):
+                w(r)
+
 
 class TestNormality:
     def test_standard_witnesses_pass(self):
