@@ -565,6 +565,11 @@ def emit(report: Report, out_dir, formats=("json",)) -> list:
     file is built in memory and written at once; the JSON text is that of
     ``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)``, and the
     CSV text that of ``csv.writer``, byte for byte.
+
+    A file that exists already is truncated and rewritten
+    (``Path.write_text``), never overwritten in place: ext4 (with its
+    default ``auto_da_alloc``) starts writing such a file back when it is
+    closed, so a crash does not leave old bytes in a rewritten report.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -424,18 +424,20 @@ def _cells(a) -> list:
 
 class BandPartition:
     """The flat indices of one trigger modulus sorted into the bands of
-    ``profile_thresholds(depth)``: ``bands[k]`` holds, ascending, the
-    indices whose modulus lies in ``(thresholds[k], thresholds[k+1]]`` (the
-    last band is open above and takes NaN).  The bands are found on first
-    use, inside the first profile that reads them, and every later profile
-    of the same modulus reuses them."""
+    ``profile_thresholds(depth)``, band ``k`` holding the indices whose
+    modulus lies in ``(thresholds[k], thresholds[k+1]]`` (the last band is
+    open above and takes NaN).  ``layout`` is ``(order, starts, counts)``:
+    ``order`` holds the flat indices stably sorted by band, so band ``k``
+    is ``order[starts[k]:starts[k] + counts[k]]``, ascending.  The layout is
+    found on first use, inside the first profile that reads it, and every
+    later profile of the same modulus reuses it."""
 
     def __init__(self, trigger_modulus, depth: int):
         self.modulus = np.asarray(trigger_modulus, dtype=float).ravel()
         self.depth = depth
 
     @cached_property
-    def bands(self) -> tuple:
+    def layout(self) -> tuple:
         # 1 + band index: the number of thresholds 1 - 2**-k below the modulus m, which
         # searchsorted(thresholds, m) counts.  For m < 1 it is read from the exponent e of
         # the gap 1 - m = f * 2**e, 1/2 <= f < 1: 2**-k > 1 - m exactly when k <= -e (the
@@ -446,8 +448,9 @@ class BandPartition:
         slot[above] = np.searchsorted(thresholds, self.modulus[above], side="left")
         # sorted in the narrowest integer type, where numpy's stable sort is a radix sort
         order = np.argsort(slot.astype(np.min_scalar_type(self.depth)), kind="stable")
-        ends = np.cumsum(np.bincount(slot, minlength=self.depth + 1))
-        return tuple(np.split(order, ends[:-1])[1:])  # piece 0 lies below the first threshold
+        counts = np.bincount(slot, minlength=self.depth + 1)
+        starts = np.cumsum(counts) - counts  # slot 0 lies below the first threshold
+        return order, starts[1:].tolist(), counts[1:].tolist()
 
 
 def boundary_profile(
@@ -471,23 +474,24 @@ def boundary_profile(
         partition = BandPartition(mod, depth)
     elif partition.depth != depth or partition.modulus.shape != mod.shape:
         raise ValueError("partition must belong to the trigger modulus at this depth")
+    order, starts, counts = partition.layout
+    qs = q[order]  # each band a contiguous run, in flat order
+    filled = [k for k in range(depth) if counts[k]]
+    firsts = order[[starts[k] + qs[starts[k]:starts[k] + counts[k]].argmax() for k in filled]]
     band_vals = np.full(depth, np.nan)
     band_mods = np.full(depth, np.nan)
-    for k, sel in enumerate(partition.bands):
-        if sel.size:
-            j = sel[np.argmax(q[sel])]
-            band_vals[k] = q[j]
-            band_mods[k] = mod[j]
+    band_vals[filled] = q[firsts]
+    band_mods[filled] = mod[firsts]
 
-    values = np.full(depth, np.nan)
-    empty = np.ones(depth, dtype=bool)
-    running = -np.inf
-    for k in range(depth - 1, -1, -1):
-        if np.isfinite(band_vals[k]):
-            running = max(running, band_vals[k])
-        if np.isfinite(running):
-            values[k] = running
-            empty[k] = False
+    # the nested supremum at k is the largest finite band value at or beyond k; equal
+    # suprema differ only as signed zeros, where the deepest is kept (numpy's maximum
+    # keeps neither one reliably)
+    deepest_first = np.where(np.isfinite(band_vals), band_vals, -np.inf)[::-1]
+    running = np.maximum.accumulate(deepest_first)
+    running[running == 0.0] = deepest_first[np.argmax(deepest_first == 0.0)]
+    running = running[::-1]
+    empty = running == -np.inf
+    values = np.where(empty, np.nan, running)
     return BoundaryProfile(trigger, profile_thresholds(depth).copy(), values, band_vals, band_mods, empty)
 
 

@@ -529,11 +529,11 @@ class TestSharedWork:
                 super().__init__(*args)
                 tables.append(self)
 
-        bands = norms.BandPartition.bands
-        counted = functools.cached_property(lambda part: built.append(part) or bands.func(part))
-        counted.__set_name__(norms.BandPartition, "bands")
+        layout = norms.BandPartition.layout
+        counted = functools.cached_property(lambda part: built.append(part) or layout.func(part))
+        counted.__set_name__(norms.BandPartition, "layout")
         profile = criteria.boundary_profile
-        monkeypatch.setattr(norms.BandPartition, "bands", counted)
+        monkeypatch.setattr(norms.BandPartition, "layout", counted)
         monkeypatch.setattr(criteria, "boundary_profile", lambda *args: calls.append(args) or profile(*args))
         monkeypatch.setattr(cli, "SampleTable", Recorded)
         run(config)

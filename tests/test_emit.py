@@ -1,5 +1,6 @@
 """``emit`` and ``Report.results_payload`` write the bytes that ``json.dumps``
-and ``csv.writer`` write: every emitted file equals ``reference_emit``'s, and
+and ``csv.writer`` write: every emitted file equals ``reference_emit``'s,
+also when emitted again over stale files of the same names, and
 the JSON renderer equals ``json.dumps(..., sort_keys=True, indent=2,
 allow_nan=False)`` on arbitrary trees."""
 
@@ -22,6 +23,13 @@ def assert_emits_reference_bytes(report, tmp_path: Path):
     got = emit(report, tmp_path / "got", ("json", "csv"))
     want = reference_emit(report, tmp_path / "want", ("json", "csv"))
     assert [p.name for p in got] == [p.name for p in want]
+    for a, b in zip(got, want):
+        assert a.read_bytes() == b.read_bytes(), a.name
+    # emitted again over the same files, each first made longer or shorter
+    for i, path in enumerate(got):
+        data = path.read_bytes()
+        path.write_bytes(data + b"stale,1.0\r\n" * 100 if i % 2 == 0 else data[: len(data) // 3])
+    assert emit(report, tmp_path / "got", ("json", "csv")) == got
     for a, b in zip(got, want):
         assert a.read_bytes() == b.read_bytes(), a.name
     assert report.results_payload() == json.dumps(report.results, sort_keys=True, indent=2, allow_nan=False).encode()

@@ -553,6 +553,12 @@ def _phi_modulus(depth: int, size: int, rng, reach: float) -> np.ndarray:
 DATA_KINDS = ("random", "ties", "zeros", "rounded", "nan", "inf", "all_nan_circles")
 
 
+def _bands(partition: BandPartition) -> list:
+    """Each band's flat indices, read from the partition's layout."""
+    order, starts, counts = partition.layout
+    return [order[a:a + c] for a, c in zip(starts, counts)]
+
+
 class TestBoundaryProfileReference:
     """``boundary_profile``, with or without a shared partition, and the
     per-circle reduction reproduce the one-scan-per-band reference exactly."""
@@ -594,7 +600,7 @@ class TestBoundaryProfileReference:
         depth = 12
         mod = _phi_modulus(depth, 5000, rng, 1.0)
         band_idx = np.searchsorted(profile_thresholds(depth), mod, side="left") - 1
-        bands = BandPartition(mod, depth).bands
+        bands = _bands(BandPartition(mod, depth))
         assert len(bands) == depth
         for k, sel in enumerate(bands):
             assert np.array_equal(sel, np.nonzero(band_idx == k)[0])
@@ -608,10 +614,20 @@ class TestBoundaryProfileReference:
         mod = np.concatenate([delta, np.nextafter(delta, np.inf), np.nextafter(delta, -np.inf), special,
                               rng.uniform(-0.5, 1.5, 500), 1.0 - 2.0 ** -rng.uniform(0.0, 60.0, 500)])
         slot = np.searchsorted(delta, mod, side="left")
-        bands = BandPartition(mod, depth).bands
+        bands = _bands(BandPartition(mod, depth))
         assert len(bands) == depth
         for k, sel in enumerate(bands):
             assert np.array_equal(sel, np.nonzero(slot == k + 1)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([-0.0, 0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]), min_size=1, max_size=12))
+def test_nested_values_keep_the_deepest_of_equal_signed_zeros(band_values):
+    # one sample per band, so each band's value is the sample itself
+    depth = len(band_values)
+    mod = np.nextafter(profile_thresholds(depth), np.inf)
+    want = reference_boundary_profile(band_values, mod, depth, TRIGGER_PHI)
+    assert_same_profile(boundary_profile(band_values, mod, depth, TRIGGER_PHI), want)
 
 
 class TestProfileDict:
