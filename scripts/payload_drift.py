@@ -5,9 +5,10 @@ Each tree is imported in its own subprocess, which dumps:
 
 * the results payload of every curated config, run at its own grid;
 * for each given seed, the payload of every ``random_pairs`` pair: the
-  classifier's ``bounded_bloch`` group and the oracle's lower-bound trend
-  and compactness probe at 12x128x8, and both dual-evaluation limit probes
-  at 16x128x8 (the grids of acceptance criteria 8 and 9);
+  classifier's ``bounded_bloch`` group, the lower-bound trend and
+  compactness probe of ``oracle_task`` and the trend of
+  ``lower_bound_trend`` alone at 12x128x8, and both dual-evaluation limit
+  probes at 16x128x8 (the grids of acceptance criteria 8 and 9);
 * with ``--deep``, for each given seed, the results payload of every config
   of the tree's own ``bench/workloads.deep_config_texts(seed)`` (the
   ``deep-classify`` benchmark units), with the SHA-256 of its canonical
@@ -99,12 +100,12 @@ def dump(src: Path, seeds: list, count: int, deep_seeds: list, workloads) -> dic
     space, mesh, probe_mesh = SpaceSpec.bergman(2), RadialGrid(12, 128, 8), RadialGrid(16, 128, 8)
     for seed in seeds:
         for label, sym in random_pairs(seed, count):
-            samples = oracle.symbol_samples(sym, mesh)
-            trend = oracle.lower_bound_trend(sym, space, mesh, samples)
+            trend, probe, _ = oracle.oracle_task(sym, space, mesh, oracle.symbol_samples(sym, mesh))
             units[f"pairs/{seed}/{label}"] = {
                 "bounded_bloch": criteria.classify_bounded_into_bloch(sym, space, mesh).to_dict(),
                 "lower_bound": trend.to_dict(),
-                "compactness_probe": oracle.compactness_probe(sym, space, mesh, trend, samples).to_dict(),
+                "lower_bound_alone": oracle.lower_bound_trend(sym, space, mesh).to_dict(),
+                "compactness_probe": probe.to_dict(),
                 "derivative_limit": criteria.derivative_limit_probe(sym, space, probe_mesh).to_dict(),
                 "composition_limit": criteria.composition_limit_probe(sym, space, probe_mesh).to_dict(),
             }

@@ -116,7 +116,14 @@ class ValidationError(ValueError):
 # config parsing
 
 
+def _is_number(value) -> bool:
+    """A JSON number: a real that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _real_from(value, where: str) -> float:
+    if not _is_number(value):
+        raise ValidationError(f"{where}: expected a number, got {value!r}")
     x = float(value)
     if not math.isfinite(x):
         raise ValidationError(f"{where}: expected a finite number, got {value!r}")
@@ -148,17 +155,27 @@ def _formats_from(value, where: str) -> tuple:
 
 
 def _complex_from(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        z = complex(value)
-    elif isinstance(value, (list, tuple)) and len(value) == 2:
-        z = complex(float(value[0]), float(value[1]))
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        parts = value
     elif isinstance(value, dict) and set(value) <= {"re", "im"}:
-        z = complex(float(value.get("re", 0.0)), float(value.get("im", 0.0)))
+        parts = value.get("re", 0.0), value.get("im", 0.0)
     else:
+        parts = value, 0.0
+    if not all(map(_is_number, parts)):
         raise ValidationError(f"{where}: expected a number, [re, im] pair, or re/im object")
+    z = complex(float(parts[0]), float(parts[1]))
     if not cmath.isfinite(z):
         raise ValidationError(f"{where}: expected a finite number, got {value!r}")
     return z
+
+
+def _object_from(spec, keys, where: str) -> dict:
+    """An object whose keys are among ``keys``."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{where}: expected an object, got {spec!r}")
+    if not set(spec) <= set(keys):
+        raise ValidationError(f"{where}: unknown keys {sorted(set(spec) - set(keys))}")
+    return spec
 
 
 def _single_key(spec: dict, where: str) -> str:
@@ -235,8 +252,8 @@ _SELF_MAPS = {
 
 def build_function(spec, where: str = "u") -> DiskFunction:
     """Build a disk function from its config form."""
-    if isinstance(spec, (int, float)):
-        return PowerSeries([complex(spec)])
+    if _is_number(spec):
+        return PowerSeries([_complex_from(spec, where)])
     return _build_variant(_FUNCTIONS, "function", spec, where)
 
 
@@ -252,15 +269,16 @@ def _build_space(spec) -> SpaceSpec:
         if not spec.startswith("bergman:"):
             raise ValidationError(f"space: unknown shorthand {spec!r}")
         try:
-            return SpaceSpec.bergman(_real_from(spec.split(":", 1)[1], "space"))
+            return SpaceSpec.bergman(_real_from(float(spec.split(":", 1)[1]), "space"))
         except ValidationError:
             raise
         except ValueError as exc:
             raise ValidationError(f"space: {exc}") from exc
     if not isinstance(spec, dict):
         raise ValidationError("space: expected 'bergman:p' or an object")
+    _object_from(spec, ("p", "weight"), "space")
     try:
-        wspec = spec["weight"]
+        wspec = _object_from(spec["weight"], ("alpha", "log_exponent", "s", "t"), "space.weight")
         weight = NormalWeight(
             _real_from(wspec["alpha"], "space.weight.alpha"),
             _real_from(wspec.get("log_exponent", 0.0), "space.weight.log_exponent"),
@@ -272,11 +290,13 @@ def _build_space(spec) -> SpaceSpec:
         raise
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"space: malformed body ({exc})") from exc
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValidationError(f"space: {exc}") from exc
 
 
 def _schedule(tasks) -> tuple:
+    if not isinstance(tasks, (list, tuple)):
+        raise ValidationError(f"tasks: expected a list of task names, got {tasks!r}")
     if not tasks:
         raise ValidationError("tasks: at least one task is required")
     ordered: list[str] = []
@@ -325,7 +345,7 @@ def parse_config(text_or_dict) -> RunConfig:
     if unknown:
         raise ValidationError(f"unknown top-level keys: {sorted(unknown)}")
     try:
-        symbol_spec = doc["symbol"]
+        symbol_spec = _object_from(doc["symbol"], ("u", "phi"), "symbol")
         u = build_function(symbol_spec["u"], "symbol.u")
         phi = build_self_map(symbol_spec["phi"], "symbol.phi")
     except KeyError as exc:
@@ -384,12 +404,13 @@ def parse_config(text_or_dict) -> RunConfig:
         force_boundary=_flag_from(doc.get("force_boundary", False), "force_boundary"),
         output_dir=output.get("dir"),
         formats=_formats_from(output.get("formats", ["json"]), "output.formats"),
-        echo=_echo_config(doc, space, grid, tasks),
     )
+    config.echo = _echo_config(doc, config)
     return config
 
 
-def _echo_config(doc: dict, space: SpaceSpec, grid: RadialGrid, tasks) -> dict:
+def _echo_config(doc: dict, config: RunConfig) -> dict:
+    space, grid = config.space, config.grid
     echo = {
         "symbol": doc["symbol"],
         "space": {
@@ -402,9 +423,9 @@ def _echo_config(doc: dict, space: SpaceSpec, grid: RadialGrid, tasks) -> dict:
             },
         },
         "grid": {"depth": grid.depth, "angular_nodes": grid.angular_nodes, "panel_order": grid.panel_order},
-        "tasks": list(tasks),
-        "strict": bool(doc.get("strict", False)),
-        "force_boundary": bool(doc.get("force_boundary", False)),
+        "tasks": list(config.tasks),
+        "strict": config.strict,
+        "force_boundary": config.force_boundary,
     }
     if "output" in doc:
         echo["output"] = doc["output"]
@@ -535,12 +556,8 @@ def _chain_inputs(battery, bounded_entry):
 
 
 def _agreement(bounded_entry, trend_classification: str):
-    """Classifier versus oracle-trend agreement; None when undecided."""
-    if bounded_entry is None or "overall" not in bounded_entry:
-        return None
-    if not bounded_entry.get("decided", False):
-        return None
-    if trend_classification == "ambiguous":
+    """Classifier versus oracle-trend agreement; None when either is undecided."""
+    if not (bounded_entry or {}).get("decided", False) or trend_classification == "ambiguous":
         return None
     return bool(bounded_entry["overall"] == (trend_classification == "stable"))
 
@@ -705,31 +722,22 @@ def _apply_overrides(doc: dict, args) -> dict:
         doc["grid"] = args.grid
     if getattr(args, "strict", False):
         doc["strict"] = True
-        tasks = list(doc.get("tasks", []))
-        for needed in ("bounded_bloch", "oracle"):
-            if needed not in tasks:
-                tasks.append(needed)
-        doc["tasks"] = tasks
+        tasks = doc.get("tasks", [])
+        if isinstance(tasks, (list, tuple)):  # any other value is left for parse_config to reject
+            doc["tasks"] = list(tasks) + [needed for needed in ("bounded_bloch", "oracle") if needed not in tasks]
     return doc
 
 
 def _cmd_run(args) -> int:
-    try:
-        doc = _apply_overrides(_load_doc(args.config), args)
-        config = parse_config(doc)
-        formats = _formats_from(args.format.split(","), "--format") if args.format else config.formats
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = parse_config(_apply_overrides(_load_doc(args.config), args))
+    formats = _formats_from(args.format.split(","), "--format") if args.format else config.formats
     report = run(config)
     out_dir = args.out or config.output_dir or _default_out()
     paths = emit(report, out_dir, formats)
     for path in paths:
         print(path)
     _print_headline(report)
-    if config.strict or args.strict:
-        return strict_exit_code(report)
-    return 0
+    return strict_exit_code(report) if config.strict else 0
 
 
 def _print_headline(report: Report) -> None:

@@ -447,10 +447,10 @@ class BandPartition:
         slot = np.clip(-np.frexp(1.0 - self.modulus)[1], 0, self.depth)
         slot[above] = np.searchsorted(thresholds, self.modulus[above], side="left")
         # sorted in the narrowest integer type, where numpy's stable sort is a radix sort
-        order = np.argsort(slot.astype(np.min_scalar_type(self.depth)), kind="stable")
-        counts = np.bincount(slot, minlength=self.depth + 1)
-        starts = np.cumsum(counts) - counts  # slot 0 lies below the first threshold
-        return order, starts[1:].tolist(), counts[1:].tolist()
+        narrow = slot.astype(np.min_scalar_type(self.depth))
+        order = np.argsort(narrow, kind="stable")
+        edges = np.searchsorted(narrow[order], np.arange(self.depth + 2))  # slot 0 lies below the first threshold
+        return order, edges[1:-1].tolist(), np.diff(edges[1:]).tolist()
 
 
 def boundary_profile(

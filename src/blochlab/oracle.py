@@ -13,16 +13,16 @@ the classifier is reported, never auto-resolved.
 One oracle task (``oracle_task``) evaluates ``u``, ``u'``, ``phi`` and
 ``phi'`` on the sample grid once (``symbol_samples``), chases the 11
 boundary circles together, and refines every seminorm it needs in one
-search: the kernel images, the pinned images (unless the probe is
-vacuous) and, for a bounded pair, the chain constant's battery are row
-groups of one ``family_bloch_seminorm``, whose rounds evaluate the jets of
-``u`` and ``phi`` once for all rows.  The kernel and pinned images are
+search (``_search``): the kernel images, the pinned images (unless the
+probe is vacuous) and, for a bounded pair, the chain constant's battery are
+row groups of one ``family_bloch_seminorm``, whose rounds evaluate the jets
+of ``u`` and ``phi`` once for all rows.  The kernel and pinned images are
 read from the closed-form moduli ``|g_m'|``, without a complex power, and
 on the grid a member's two images share ``W = 1 - conj(b_m) phi``.
 ``lower_bound_trend``, ``compactness_probe`` and ``chain_constant`` are
-the same search with one group each.  The norms and envelopes of the
-constants battery, which depend only on the space and the grid, are
-computed once per ``(space, grid)``.
+views of that one search; the trend's search leaves out the pinned rows.
+The norms and envelopes of the constants battery, which depend only on
+the space and the grid, are computed once per ``(space, grid)``.
 """
 
 from __future__ import annotations
@@ -286,17 +286,13 @@ TREND_DEPTHS = (6, 9, 12)
 
 @dataclass
 class LowerBoundTrend:
-    """The trend and, per chase depth, its member: the point ``z*``, its image
-    ``w`` and the image Bloch norm, kept for ``compactness_probe``, not emitted."""
+    """The trend, read at ``depths``, and the ratio of each chase member."""
 
     depths: tuple
     values: tuple
     classification: str
     chase_depths: tuple = ()
     member_ratios: tuple = ()
-    chase_points: tuple = ()
-    images: tuple = ()
-    image_norms: tuple = ()
 
     def to_dict(self) -> dict:
         return {
@@ -308,38 +304,18 @@ class LowerBoundTrend:
         }
 
 
-def lower_bound_trend(
-    sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID, samples=None
-) -> LowerBoundTrend:
+def lower_bound_trend(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID,
+                      samples=None) -> LowerBoundTrend:
     """Lower bounds from kernel families chasing the boundary of the image.
 
     Base points are ``phi`` evaluated at per-circle argmax points of
     ``|phi|``, all circles chased at once; the family deepens with the
     chase and the bound either stabilizes (bounded evidence) or keeps
     climbing (unbounded evidence).  ``samples`` are the task's
-    ``symbol_samples``, computed when not given.
+    ``symbol_samples``, computed when not given.  This is ``oracle_task``'s
+    trend, from a search without the pinned rows.
     """
-    points, images = _chase(sym, grid)
-    family = _family(images, space)
-    # samples made here are a temporary, freed before the kernel norms below allocate theirs
-    (semi,) = _refine(sym, grid, [_chase_rows([family], symbol_samples(sym, grid) if samples is None else samples,
-                                              grid)])
-    return _trend(space, grid, points, images, _image_norms(sym, family, points, semi))
-
-
-def _chase(sym: SymbolPair, grid: RadialGrid) -> tuple:
-    """The chase points ``z*`` on the circles of ``CHASE_DEPTHS`` and their images ``phi(z*)``."""
-    points = tuple(boundary_chase_point(sym.phi, CHASE_DEPTHS, grid.angular_nodes))
-    return points, tuple(complex(sym.phi.eval(z_star)) for z_star in points)
-
-
-def _trend(space: SpaceSpec, grid: RadialGrid, points, images, norms) -> LowerBoundTrend:
-    """The trend of the image norms ``norms`` of the chase members over the norms of their kernels."""
-    denoms = (kernel_family_norm(abs(w), space, grid) for w in images)
-    ratios = tuple(0.0 if denom == 0.0 else norm / denom for norm, denom in zip(norms, denoms))
-    values = tuple(max(ratios[: d - 1], default=0.0) for d in TREND_DEPTHS)
-    return LowerBoundTrend(TREND_DEPTHS, values, _classify_trend(values), CHASE_DEPTHS, ratios,
-                           points, images, norms)
+    return _search(sym, space, grid, samples, pinned=False)[0]
 
 
 def _classify_trend(values) -> str:
@@ -385,39 +361,17 @@ def _sequence_trend(values) -> str:
     return "ambiguous"
 
 
-def compactness_probe(
-    sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, trend: LowerBoundTrend, samples
-) -> CompactnessProbe:
+def compactness_probe(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, samples) -> CompactnessProbe:
     """Apply the operator to boundary-chasing probe sequences and report
-    the size trend of the image Bloch norms.
+    the size trend of the image Bloch norms: ``oracle_task``'s probe.
 
-    The normalized kernels are the chase members of ``trend`` (computed on
-    the same ``grid``); only the pinned kernels are applied here, reading
-    the task's ``symbol_samples``.  With no boundary-approaching sequence
-    available (structural sup bound below 1) the probe is vacuous.  A decaying trend corroborates compactness, a
-    trend bounded away from zero corroborates the opposite; both are
-    evidence, not proof.
+    The sequences are the chase's kernels and their pinned differences,
+    read from the task's ``symbol_samples``.  With no boundary-approaching
+    sequence available (structural sup bound below 1) the probe is vacuous.
+    A decaying trend corroborates compactness, a trend bounded away from
+    zero corroborates the opposite; both are evidence, not proof.
     """
-    if sym.phi.misses_boundary:
-        return CompactnessProbe("vacuous", (), (), (), "vacuous")
-    pinned = _family(trend.images, space, pinched=True)
-    (semi,) = _refine(sym, grid, [_chase_rows([pinned], samples, grid)])
-    return _probe(trend, _image_norms(sym, pinned, trend.chase_points, semi))
-
-
-def _probe(trend: LowerBoundTrend, g_vals) -> CompactnessProbe:
-    """The probe from the trend's kernel image norms and the pinned ones, ``g_vals``."""
-    f_vals = trend.image_norms
-    tf, tg = _sequence_trend(f_vals), _sequence_trend(g_vals)
-    if tf == "zero" and tg == "zero":
-        trend_name = "zero"
-    elif "bounded_away" in (tf, tg):
-        trend_name = "bounded_away"
-    elif tf in ("decaying", "zero") and tg in ("decaying", "zero"):
-        trend_name = "decaying"
-    else:
-        trend_name = "ambiguous"
-    return CompactnessProbe("probe", trend.chase_depths, f_vals, g_vals, trend_name)
+    return _search(sym, space, grid, samples)[1]
 
 
 @dataclass(frozen=True)
@@ -454,29 +408,17 @@ def constants_battery(space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID) -> Cons
     return ConstantsBattery(functions, norms, max(point_env), max(deriv_env), (min(equiv), max(equiv)))
 
 
-def chain_constant(
-    sym: SymbolPair,
-    functions,
-    norms,
-    grid: RadialGrid,
-    sup_multiplier: float,
-    sup_composition: float,
-    samples,
-) -> float | None:
+def chain_constant(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, samples, chain) -> float | None:
     """Empirical constant in ``B(u (f o phi)) <= C (S1 + S2) ||f||`` over a
     battery of functions with their norms ``||f||``, given finite criterion
-    suprema ``S1, S2``.
+    suprema ``S1, S2`` as ``chain = (functions, norms, S1, S2)``:
+    ``oracle_task``'s constant.
 
     The seminorm searches start from ``(u (f o phi))'`` formed on the grid
     from the task's ``symbol_samples`` and ``f``'s jet at ``phi``, in the
     operation order of the composite's own jet, so the values are those of
     ``bloch_seminorm`` of the composite."""
-    rows = _chain_rows(functions, norms, sup_multiplier, sup_composition, samples, grid)
-    if rows is None:
-        return None
-    group, denoms = rows
-    (semi,) = _refine(sym, grid, [group])
-    return _chain_best(semi, denoms)
+    return _search(sym, space, grid, samples, chain)[2]
 
 
 def _chain_rows(functions, norms, sup_multiplier: float, sup_composition: float, samples, grid: RadialGrid):
@@ -510,31 +452,42 @@ def _image_derivative(f: DiskFunction, u, du, phi, dphi) -> np.ndarray:
     return du * value + u * chain
 
 
-def _chain_best(semi, denoms) -> float:
-    """The largest ``B(u (f o phi)) / (||f|| (S1 + S2))``, the first on ties, or 0 without rows."""
-    return max([0.0] + [float(value) / denom for value, denom in zip(semi, denoms)])
-
-
 def oracle_task(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, samples, chain=None) -> tuple:
     """The oracle task in one refinement search: ``(trend, probe, constant)``,
-    equal to ``lower_bound_trend``, ``compactness_probe`` and, given
-    ``chain = (functions, norms, S1, S2)``, ``chain_constant`` called
-    separately (``constant`` is None without ``chain``).
+    the views ``lower_bound_trend``, ``compactness_probe`` and, given
+    ``chain = (functions, norms, S1, S2)``, ``chain_constant`` (``constant``
+    is None without ``chain``)."""
+    return _search(sym, space, grid, samples, chain)
 
-    The chase kernels, their pinned differences (unless the probe is
-    vacuous) and the chain battery are refined as row groups of one
-    search, reading the task's ``symbol_samples``."""
-    points, images = _chase(sym, grid)
+
+def _search(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, samples, chain=None, pinned=True) -> tuple:
+    """``(trend, probe, constant)`` from one refinement search.
+
+    The kernels at the images ``phi(z*)`` of the chase points, their pinned
+    differences (when ``pinned`` and the map touches the boundary; the probe
+    is vacuous otherwise) and the chain battery (given ``chain``) are row
+    groups of one ``_refine`` reading ``samples`` (computed when None).  The
+    constant is the largest ``B(u (f o phi)) / (||f|| (S1 + S2))``, the
+    first on ties, or 0 without rows."""
+    points = boundary_chase_point(sym.phi, CHASE_DEPTHS, grid.angular_nodes)
+    images = [complex(sym.phi.eval(z_star)) for z_star in points]
     families = [_family(images, space)]
-    if not sym.phi.misses_boundary:
+    if pinned and not sym.phi.misses_boundary:
         families.append(_family(images, space, pinched=True))
-    groups = [_chase_rows(families, samples, grid)]
+    samples = symbol_samples(sym, grid) if samples is None else samples
     rows = None if chain is None else _chain_rows(*chain, samples, grid)
-    if rows is not None:
-        groups.append(rows[0])
-    semis = _refine(sym, grid, groups)
+    semis = _refine(sym, grid, [_chase_rows(families, samples, grid)] + ([] if rows is None else [rows[0]]))
     kernel_semi = semis[0].reshape(-1, len(families))
     norms = [_image_norms(sym, family, points, kernel_semi[:, f]) for f, family in enumerate(families)]
-    trend = _trend(space, grid, points, images, norms[0])
-    probe = _probe(trend, norms[1]) if len(families) == 2 else CompactnessProbe("vacuous", (), (), (), "vacuous")
-    return trend, probe, None if rows is None else _chain_best(semis[1], rows[1])
+    denoms = (kernel_family_norm(abs(w), space, grid) for w in images)
+    ratios = tuple(0.0 if denom == 0.0 else norm / denom for norm, denom in zip(norms[0], denoms))
+    values = tuple(max(ratios[: d - 1], default=0.0) for d in TREND_DEPTHS)
+    trend = LowerBoundTrend(TREND_DEPTHS, values, _classify_trend(values), CHASE_DEPTHS, ratios)
+    probe = CompactnessProbe("vacuous", (), (), (), "vacuous")
+    if len(norms) == 2:
+        tf, tg = map(_sequence_trend, norms)
+        name = ("zero" if tf == tg == "zero" else "bounded_away" if "bounded_away" in (tf, tg)
+                else "decaying" if {tf, tg} <= {"decaying", "zero"} else "ambiguous")
+        probe = CompactnessProbe("probe", CHASE_DEPTHS, *norms, name)
+    constant = None if rows is None else max([0.0] + [float(v) / d for v, d in zip(semis[1], rows[1])])
+    return trend, probe, constant

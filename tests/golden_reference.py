@@ -22,6 +22,9 @@ bodies, each with its own slope and divergence band selection, and
 tests pin the one verdict rule of ``blochlab.criteria`` to them.
 ``reference_emit`` writes a report's files with ``json.dumps`` and one
 ``csv.writer`` row at a time; tests pin ``blochlab.cli.emit`` to its bytes.
+``reference_oracle_task`` refines the oracle's kernel rows, pinned rows and
+chain battery each in a search of its own; tests pin the one search of
+``blochlab.oracle.oracle_task`` and its views to it bit for bit.
 """
 
 import csv
@@ -32,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from blochlab.cli import _iter_verdicts
+from blochlab import oracle
 from blochlab.criteria import SLOPE_FAIL, SLOPE_HOLD, STABLE_REL, Status, Verdict
 from blochlab.norms import (
     TRIGGER_Z,
@@ -374,3 +378,44 @@ def _reference_emit_csv(report, out: Path) -> list:
                 writer.writerow([delta, "" if value is None else value])
         written.append(path)
     return written
+
+
+def reference_oracle_task(sym, space, grid, samples, chain=None) -> tuple:
+    """``(trend, probe, constant)`` of ``oracle_task`` with the kernel rows,
+    the pinned rows and the chain battery's rows each refined alone."""
+    points = tuple(oracle.boundary_chase_point(sym.phi, oracle.CHASE_DEPTHS, grid.angular_nodes))
+    images = tuple(complex(sym.phi.eval(z_star)) for z_star in points)
+
+    def image_norms(pinched):
+        family = oracle._family(images, space, pinched)
+        (semi,) = oracle._refine(sym, grid, [oracle._chase_rows([family], samples, grid)])
+        return oracle._image_norms(sym, family, points, semi)
+
+    f_vals = image_norms(False)
+    ratios = []
+    for norm, w in zip(f_vals, images):
+        denom = oracle.kernel_family_norm(abs(w), space, grid)
+        ratios.append(0.0 if denom == 0.0 else norm / denom)
+    values = tuple(max(ratios[: d - 1], default=0.0) for d in oracle.TREND_DEPTHS)
+    trend = oracle.LowerBoundTrend(oracle.TREND_DEPTHS, values, oracle._classify_trend(values),
+                                   oracle.CHASE_DEPTHS, tuple(ratios))
+    if sym.phi.misses_boundary:
+        probe = oracle.CompactnessProbe("vacuous", (), (), (), "vacuous")
+    else:
+        g_vals = image_norms(True)
+        tf, tg = oracle._sequence_trend(f_vals), oracle._sequence_trend(g_vals)
+        if tf == "zero" and tg == "zero":
+            name = "zero"
+        elif "bounded_away" in (tf, tg):
+            name = "bounded_away"
+        elif tf in ("decaying", "zero") and tg in ("decaying", "zero"):
+            name = "decaying"
+        else:
+            name = "ambiguous"
+        probe = oracle.CompactnessProbe("probe", oracle.CHASE_DEPTHS, f_vals, g_vals, name)
+    rows = None if chain is None else oracle._chain_rows(*chain, samples, grid)
+    constant = None
+    if rows is not None:
+        (semi,) = oracle._refine(sym, grid, [rows[0]])
+        constant = max([0.0] + [float(value) / denom for value, denom in zip(semi, rows[1])])
+    return trend, probe, constant

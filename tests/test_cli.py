@@ -150,6 +150,19 @@ FUNCTION_ERRORS = [
      'symbol.u.log_series: expected an integer, got True'),
     ({'log_series': '2'},
      "symbol.u.log_series: expected an integer, got '2'"),
+    # number fields: a bool or a numeric string is not a number
+    (True,
+     'symbol.u: expected an object with exactly one variant key'),
+    ({'constant': False},
+     'symbol.u: expected a number, [re, im] pair, or re/im object'),
+    ({'constant': [1, '0']},
+     'symbol.u: expected a number, [re, im] pair, or re/im object'),
+    ({'constant': {'re': '1'}},
+     'symbol.u: expected a number, [re, im] pair, or re/im object'),
+    ({'fractional_kernel': {'base': 0.5, 'exponent': '2'}},
+     "symbol.u.exponent: expected a number, got '2'"),
+    ({'fractional_kernel': {'base': 0.5, 'exponent': True}},
+     'symbol.u.exponent: expected a number, got True'),
 ]
 SELF_MAP_ERRORS = [
     ({'affine': {}},
@@ -210,6 +223,12 @@ SELF_MAP_ERRORS = [
      'symbol.phi.degree: expected an integer, got True'),
     ({'monomial': {'degree': '2'}},
      "symbol.phi.degree: expected an integer, got '2'"),
+    ({'affine': {'a': True, 'b': 0}},
+     'symbol.phi.a: expected a number, [re, im] pair, or re/im object'),
+    ({'blaschke': {'base': ['0.5', '0']}},
+     'symbol.phi.base: expected a number, [re, im] pair, or re/im object'),
+    ({'blaschke': {'base': {'re': 0.5, 'im': False}}},
+     'symbol.phi.base: expected a number, [re, im] pair, or re/im object'),
 ]
 
 
@@ -269,6 +288,43 @@ def test_flag_and_output_field_rejected_at_parse_time(fields, message):
     with pytest.raises(ValidationError) as info:
         parse_config(dict(HALF_SCALE_DOC, **fields))
     assert str(info.value) == message
+
+
+# Document fields of the wrong shape, which used to raise a bare TypeError
+# (tasks: 5, symbol: "x") or OverflowError (an integer p beyond the floats),
+# be read as their letters or keys (tasks: "oracle"), be ignored (unknown
+# keys) or convert to a number (p: true).
+DOCUMENT_ERRORS = [
+    ({"tasks": 5}, "tasks: expected a list of task names, got 5"),
+    ({"tasks": True}, "tasks: expected a list of task names, got True"),
+    ({"tasks": "oracle"}, "tasks: expected a list of task names, got 'oracle'"),
+    ({"tasks": {"oracle": 1, "bounded_bloch": 2}},
+     "tasks: expected a list of task names, got {'oracle': 1, 'bounded_bloch': 2}"),
+    ({"symbol": "x"}, "symbol: expected an object, got 'x'"),
+    ({"symbol": None}, "symbol: expected an object, got None"),
+    ({"symbol": {"u": 1.0, "phi": "identity", "uu": 2}}, "symbol: unknown keys ['uu']"),
+    ({"space": {"p": 2.0, "weight": {"alpha": 0.5}, "extra": 1}}, "space: unknown keys ['extra']"),
+    ({"space": {"p": 2.0, "weight": {"alpha": 0.5, "log_exponnet": 1.0}}},
+     "space.weight: unknown keys ['log_exponnet']"),
+    ({"space": {"p": 2.0, "weight": 5}}, "space.weight: expected an object, got 5"),
+    ({"space": {"p": True, "weight": {"alpha": 0.5}}}, "space.p: expected a number, got True"),
+    ({"space": {"p": "2", "weight": {"alpha": 0.5}}}, "space.p: expected a number, got '2'"),
+    ({"space": {"p": 2.0, "weight": {"alpha": 0.5, "log_exponent": False}}},
+     "space.weight.log_exponent: expected a number, got False"),
+    ({"space": {"p": 10**400, "weight": {"alpha": 0.5}}}, "space: int too large to convert to float"),
+]
+
+
+@pytest.mark.parametrize("fields,message", DOCUMENT_ERRORS)
+def test_malformed_document_field_rejected_with_its_location(fields, message):
+    with pytest.raises(ValidationError) as info:
+        parse_config(dict(HALF_SCALE_DOC, **fields))
+    assert str(info.value) == message
+
+
+def test_the_bergman_shorthand_reads_its_number_from_the_string():
+    assert parse_config(dict(HALF_SCALE_DOC, space="bergman:4")).space == parse_config(
+        dict(HALF_SCALE_DOC, space={"p": 4.0, "weight": {"alpha": 0.25}})).space
 
 
 @pytest.mark.parametrize("key,value", [("depth", 12.9), ("angular_nodes", 128.0),
@@ -612,7 +668,7 @@ class TestSharedWork:
                                      "composition_limit": criteria.composition_limit_probe(*args).to_dict()},
             "oracle": lambda: {"lower_bound": trend.to_dict(),
                                "compactness_probe": oracle.compactness_probe(
-                                   *args, trend, oracle.symbol_samples(config.symbol, config.grid)).to_dict(),
+                                   *args, oracle.symbol_samples(config.symbol, config.grid)).to_dict(),
                                "agreement": tasks["oracle"]["agreement"]},
         }
         for task, entry in tasks.items():
@@ -686,6 +742,17 @@ class TestMain:
         assert main(args + ["--out", str(out), "--format", fmt]) == 2
         assert capsys.readouterr().err == f"error: --format: unknown formats in ('{fmt}',)\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("tasks", [5, "oracle"])
+    def test_malformed_tasks_exit_2_with_their_location(self, tmp_path, capsys, tasks):
+        config, out = self._write(tmp_path, dict(HALF_SCALE_DOC, tasks=tasks)), str(tmp_path / "out")
+        message = f"tasks: expected a list of task names, got {tasks!r}\n"
+        assert main(["validate", config]) == 2
+        assert capsys.readouterr().err == "invalid: " + message
+        for strict in ([], ["--strict"]):
+            assert main(["run", config, "--out", out] + strict) == 2
+            assert capsys.readouterr().err == "error: " + message
+        assert not (tmp_path / "out").exists()
 
     def test_validate_rejects_a_non_string_output_dir(self, tmp_path, capsys):
         doc = dict(HALF_SCALE_DOC, output={"dir": 5})

@@ -79,6 +79,21 @@ DEFECTS = [
     (("grid", "panel_order"), 33),
     (("tasks",), []),
     (("tasks",), ["bogus"]),
+    (("tasks",), 5),
+    (("tasks",), True),
+    (("tasks",), "oracle"),
+    (("tasks",), {"oracle": 1, "bounded_bloch": 2}),
+    (("symbol",), "x"),
+    (("symbol",), None),
+    (("symbol", "uu"), {"constant": 1.0}),
+    (("space",), {"p": 2.0, "weight": {"alpha": 0.5}, "extra": 1}),
+    (("space",), {"p": 2.0, "weight": {"alpha": 0.5, "log_exponnet": 1.0}}),
+    (("space",), {"p": True, "weight": {"alpha": 0.5}}),
+    (("space",), {"p": 10**400, "weight": {"alpha": 0.5}}),
+    (("symbol", "u"), True),
+    (("symbol", "u"), {"fractional_kernel": {"base": 0.5, "exponent": "2"}}),
+    (("symbol", "phi"), {"affine": {"a": True, "b": 0}}),
+    (("symbol", "phi"), {"blaschke": {"base": ["0.5", "0"]}}),
 ]
 
 

@@ -22,12 +22,19 @@ from blochlab import (
     vanishing_test_function,
 )
 from blochlab import norms, oracle
-from blochlab.battery import CURATED
+from blochlab.battery import CURATED, random_pairs
 from blochlab.cli import parse_config, run as cli_run
 from blochlab.disk_functions import DiskFunction, FiniteBlaschkeProduct, SelfMap
 from blochlab.norms import sample_points
 from blochlab.oracle import chain_constant, kernel_family_norm, symbol_samples
 from blochlab.criteria import classify_bounded_into_bloch
+from golden_reference import reference_oracle_task
+
+
+def chase_members(sym, grid):
+    """The chase points ``z*`` of an oracle task on ``grid`` and their images ``phi(z*)``."""
+    points = oracle.boundary_chase_point(sym.phi, oracle.CHASE_DEPTHS, grid.angular_nodes)
+    return points, [complex(sym.phi.eval(z_star)) for z_star in points]
 
 
 class TestBoundaryKernels:
@@ -134,22 +141,19 @@ class TestLowerBounds:
 class TestCompactnessProbe:
     def test_vacuous_for_strict_map(self, a2, fast_grid):
         sym = SymbolPair(constant(1), MonomialPower(1, 0.5))
-        probe = compactness_probe(sym, a2, fast_grid, lower_bound_trend(sym, a2, fast_grid),
-                                  symbol_samples(sym, fast_grid))
+        probe = compactness_probe(sym, a2, fast_grid, symbol_samples(sym, fast_grid))
         assert probe.kind == "vacuous"
         assert probe.trend == "vacuous"
 
     def test_zero_multiplier(self, a2, fast_grid):
         sym = SymbolPair(constant(0), identity_map())
-        probe = compactness_probe(sym, a2, fast_grid, lower_bound_trend(sym, a2, fast_grid),
-                                  symbol_samples(sym, fast_grid))
+        probe = compactness_probe(sym, a2, fast_grid, symbol_samples(sym, fast_grid))
         assert probe.kind == "probe"
         assert probe.trend == "zero"
 
     def test_identity_probe_bounded_away(self, a2, fast_grid):
         sym = SymbolPair(constant(1), identity_map())
-        probe = compactness_probe(sym, a2, fast_grid, lower_bound_trend(sym, a2, fast_grid),
-                                  symbol_samples(sym, fast_grid))
+        probe = compactness_probe(sym, a2, fast_grid, symbol_samples(sym, fast_grid))
         assert probe.trend == "bounded_away"
         assert min(probe.vanishing_values[-3:]) > 0.1 * max(probe.vanishing_values)
 
@@ -161,10 +165,8 @@ class TestChainConstant:
         assert outcome.overall
         functions = [constant(1), PowerSeries([0, 1]), boundary_test_function(0.5, a2)]
         norms = [bergman_type_norm(f, a2, fast_grid) for f in functions]
-        c = chain_constant(
-            sym, functions, norms, fast_grid,
-            outcome.verdicts[0].sup_estimate, outcome.verdicts[1].sup_estimate, symbol_samples(sym, fast_grid),
-        )
+        sups = tuple(v.sup_estimate for v in outcome.verdicts[:2])
+        c = chain_constant(sym, a2, fast_grid, symbol_samples(sym, fast_grid), (functions, norms, *sups))
         assert c is not None and 0 < c < 50
 
     def test_takes_the_norms_it_is_given(self, a2, fast_grid, monkeypatch):
@@ -172,18 +174,20 @@ class TestChainConstant:
         functions = [constant(1), PowerSeries([0, 1])]
         norms = [bergman_type_norm(f, a2, fast_grid) for f in functions]
         samples = symbol_samples(sym, fast_grid)
-        expected = chain_constant(sym, functions, norms, fast_grid, 1.0, 2.0, samples)
+        expected = chain_constant(sym, a2, fast_grid, samples, (functions, norms, 1.0, 2.0))
 
         def forbidden(*args):
             raise AssertionError("chain_constant computed a norm")
 
         monkeypatch.setattr(oracle, "bergman_type_norm", forbidden)
-        assert chain_constant(sym, functions, norms, fast_grid, 1.0, 2.0, samples) == expected
-        assert chain_constant(sym, functions, [2 * n for n in norms], fast_grid, 1.0, 2.0, samples) == 0.5 * expected
+        assert chain_constant(sym, a2, fast_grid, samples, (functions, norms, 1.0, 2.0)) == expected
+        doubled = (functions, [2 * n for n in norms], 1.0, 2.0)
+        assert chain_constant(sym, a2, fast_grid, samples, doubled) == 0.5 * expected
 
     def test_skipped_when_sups_divergent(self, a2, fast_grid):
         sym = SymbolPair(constant(1), identity_map())
-        c = chain_constant(sym, [constant(1)], [1.0], fast_grid, float("inf"), 1.0, symbol_samples(sym, fast_grid))
+        chain = ([constant(1)], [1.0], float("inf"), 1.0)
+        c = chain_constant(sym, a2, fast_grid, symbol_samples(sym, fast_grid), chain)
         assert c is None
 
 
@@ -200,7 +204,7 @@ class TestChainConstantSamples:
         expected = max(bloch_seminorm(operator_apply(sym, f), grid) / (n * (s1 + s2))
                        for f, n in zip(battery.functions, battery.norms))
         samples = symbol_samples(sym, grid)
-        assert chain_constant(sym, battery.functions, battery.norms, grid, s1, s2, samples) == expected
+        assert chain_constant(sym, space, grid, samples, (battery.functions, battery.norms, s1, s2)) == expected
 
     def test_an_oracle_task_evaluates_u_and_phi_on_the_grid_once(self, monkeypatch):
         config = parse_config(dict(CURATED["boundary-touch"]["config"], tasks=["bounded_bloch", "oracle"]))
@@ -222,30 +226,41 @@ class TestChainConstantSamples:
 
 class TestOneSearch:
     """An oracle task refines its trend, probe and chain constant in one
-    search; each must read as the separate call gives it."""
+    search; each, and each view of it, must read as the row groups give it
+    when searched apart (``reference_oracle_task``)."""
+
+    @staticmethod
+    def assert_views_equal_the_reference(sym, space, grid, chain=None) -> tuple:
+        samples = symbol_samples(sym, grid)
+        want = reference_oracle_task(sym, space, grid, samples, chain)
+        # repr is exact for floats, signed zeros included
+        assert repr(oracle.oracle_task(sym, space, grid, samples, chain)) == repr(want)
+        assert repr(lower_bound_trend(sym, space, grid)) == repr(want[0])
+        assert repr(compactness_probe(sym, space, grid, samples)) == repr(want[1])
+        if chain is not None:
+            assert repr(chain_constant(sym, space, grid, samples, chain)) == repr(want[2])
+        return want
 
     @pytest.mark.parametrize("case", sorted(CURATED))
     def test_entry_and_chain_constant_equal_the_separate_calls(self, case):
         config = parse_config(CURATED[case]["config"])
         sym, space, grid = config.symbol, config.space, config.grid
         report = cli_run(config)
-        samples = symbol_samples(sym, grid)
-        trend = lower_bound_trend(sym, space, grid, samples)
-        probe = compactness_probe(sym, space, grid, trend, samples)
-        entry = report.results["tasks"]["oracle"]
-        # repr is exact for floats, signed zeros included
-        assert repr(entry["lower_bound"]) == repr(trend.to_dict())
-        assert repr(entry["compactness_probe"]) == repr(probe.to_dict())
         bounded = report.results["tasks"]["bounded_bloch"]
         battery = oracle.constants_battery(space, grid)
+        chain = None
         if bounded["overall"]:
-            s1, s2 = (v["sup_estimate"] for v in bounded["verdicts"])
-            expected = chain_constant(sym, battery.functions, battery.norms, grid, s1, s2, samples)
-        else:
-            expected = None
-        assert repr(report.results["constants"]["chain_constant"]) == repr(expected)
-        chain = None if expected is None else (battery.functions, battery.norms, s1, s2)
-        assert repr(oracle.oracle_task(sym, space, grid, samples, chain)) == repr((trend, probe, expected))
+            chain = (battery.functions, battery.norms, *(v["sup_estimate"] for v in bounded["verdicts"]))
+        trend, probe, constant = self.assert_views_equal_the_reference(sym, space, grid, chain)
+        entry = report.results["tasks"]["oracle"]
+        assert repr(entry["lower_bound"]) == repr(trend.to_dict())
+        assert repr(entry["compactness_probe"]) == repr(probe.to_dict())
+        assert repr(report.results["constants"]["chain_constant"]) == repr(constant)
+
+    @pytest.mark.parametrize("sym", [pytest.param(sym, id=label) for label, sym in random_pairs(3, 8)])
+    def test_random_pairs_equal_the_separate_searches(self, sym):
+        # the grid and space of the trends of acceptance criterion 8
+        self.assert_views_equal_the_reference(sym, SpaceSpec.bergman(2), RadialGrid(12, 128, 8))
 
     @pytest.mark.parametrize("case, rows", [("boundary-touch", 11 + 11 + 4), ("blaschke-rotor", 11 + 11),
                                             ("zero-multiplier", 11)])
@@ -298,13 +313,13 @@ class TestImageModulus:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_the_complex_derivative(self, case, pinched, grid):
         sym, space = self.CASES[case]
-        trend = lower_bound_trend(sym, space, grid)
+        chase_points, images = chase_members(sym, grid)
         if pinched:
-            scales = [vanishing_test_function(w, space).scale for w in trend.images]
-            family = FractionalKernel(trend.images, 1.0 / space.p + space.weight.t + 2.0, scales, pinched=True)
+            scales = [vanishing_test_function(w, space).scale for w in images]
+            family = FractionalKernel(images, 1.0 / space.p + space.weight.t + 2.0, scales, pinched=True)
         else:
-            scales = [boundary_test_function(w, space).scale for w in trend.images]
-            family = FractionalKernel(trend.images, 1.0 / space.p + space.weight.t + 1.0, scales)
+            scales = [boundary_test_function(w, space).scale for w in images]
+            family = FractionalKernel(images, 1.0 / space.p + space.weight.t + 1.0, scales)
         # the 17,408-point sample grid, one member at a time
         _, z = sample_points(grid.depth, grid.angular_nodes)
         assert z.size == 17408
@@ -315,7 +330,7 @@ class TestImageModulus:
             self.check(member.image_derivative_modulus(*samples), ref, self.term_scale(member, *samples))
         # (M, 33) bracket arrays around the chase points, member m on row m
         span = 2.0 * np.pi / grid.angular_nodes
-        points = (np.asarray(trend.chase_points)[:, None] * np.linspace(0.9, 1.0, 33)
+        points = (chase_points[:, None] * np.linspace(0.9, 1.0, 33)
                   * np.exp(1j * np.linspace(-span, span, 33)))
         jets = (*sym.u.jet(points), *sym.phi.jet(points))
         ref = np.abs(operator_apply(sym, family).deriv(points))
@@ -340,14 +355,16 @@ class TestChaseFamily:
     def test_family_norms_match_the_members_alone(self, case, grid):
         config = parse_config(CURATED[case]["config"])
         sym, space = config.symbol, config.space
-        trend = lower_bound_trend(sym, space, grid)
-        assert len(trend.image_norms) == 11
-        pinned = compactness_probe(sym, space, grid, trend, symbol_samples(sym, grid)).vanishing_values
-        for z_star, w, kernel_norm, pinned_norm in zip(trend.chase_points, trend.images, trend.image_norms, pinned):
+        ratios = lower_bound_trend(sym, space, grid).member_ratios
+        pinned = compactness_probe(sym, space, grid, symbol_samples(sym, grid)).vanishing_values
+        assert len(ratios) == 11 and len(pinned) == (0 if sym.phi.misses_boundary else 11)
+        for m, (z_star, w) in enumerate(zip(*chase_members(sym, grid))):
+            kernel_norm = ratios[m] * kernel_family_norm(abs(w), space, grid)
             member = self.alone(operator_apply(sym, boundary_test_function(w, space)), grid, z_star)
             assert kernel_norm == pytest.approx(member, rel=1e-12, abs=0)
-            member = self.alone(operator_apply(sym, vanishing_test_function(w, space)), grid, z_star)
-            assert pinned_norm == pytest.approx(member, rel=1e-12, abs=0)
+            if pinned:
+                member = self.alone(operator_apply(sym, vanishing_test_function(w, space)), grid, z_star)
+                assert pinned[m] == pytest.approx(member, rel=1e-12, abs=0)
 
 
 class TestKernelForms:
@@ -360,15 +377,15 @@ class TestKernelForms:
     @staticmethod
     def chase(case, grid):
         config = parse_config(CURATED[case]["config"])
-        return config.space, lower_bound_trend(config.symbol, config.space, grid)
+        return (config.space, *chase_members(config.symbol, grid))
 
     @pytest.mark.parametrize("case", CASES)
     def test_vanishing_function_equals_the_factored_product(self, case, grid):
-        space, trend = self.chase(case, grid)
+        space, _, images = self.chase(case, grid)
         _, z = sample_points(grid.depth, grid.angular_nodes)
         assert z.size == 17408
         t = space.weight.t
-        for q in trend.images:
+        for q in images:
             gap = 1.0 - (np.conj(q) * q).real
             steep = FractionalKernel(q, 1.0 / space.p + t + 2.0, np.conj(q) * gap ** (t + 1.0) / space.weight(abs(q)))
             got, want = vanishing_test_function(q, space).jet(z), Product(PowerSeries([-q, 1.0]), steep).jet(z)
@@ -378,14 +395,14 @@ class TestKernelForms:
 
     @pytest.mark.parametrize("case", CASES)
     def test_family_rows_equal_the_single_kernels(self, case, grid):
-        space, trend = self.chase(case, grid)
+        space, chase_points, images = self.chase(case, grid)
         # (M, 33) points, member m on row m, as the bracket rounds evaluate them
-        points = np.asarray(trend.chase_points)[:, None] * np.linspace(0.5, 1.0, 33)
+        points = chase_points[:, None] * np.linspace(0.5, 1.0, 33)
         for pinched, single in ((False, boundary_test_function), (True, vanishing_test_function)):
-            family = oracle._family(trend.images, space, pinched)
-            assert len(family) == len(trend.images) == 11 and family.pinched is pinched
+            family = oracle._family(images, space, pinched)
+            assert len(family) == len(images) == 11 and family.pinched is pinched
             value, derivative = family.jet(points)
-            for m, w in enumerate(trend.images):
+            for m, w in enumerate(images):
                 kernel = single(w, space)
                 assert (family.base[m, 0], family.exponent, family.scale[m, 0]) == (kernel.base, kernel.exponent,
                                                                                      kernel.scale)
