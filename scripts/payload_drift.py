@@ -14,13 +14,18 @@ Each tree is imported in its own subprocess, which dumps:
   ``deep-classify`` benchmark units), with the SHA-256 of its canonical
   bytes.  This needs both trees to be checkouts; ``bench/`` is only read;
 * the SHA-256 of every file ``emit`` writes (JSON and CSV, ``meta``
-  blanked) for each curated and each ``--deep`` config.
+  blanked) for each curated and each ``--deep`` config;
+* the number of CPUs the child may run on and, for each ``--deep``
+  config, the number of blocks its sample table was sampled in (one for a
+  tree that samples each table whole).
 
 The payloads are compared section by section (a curated task entry, the
 constants block, one part of a pair payload).  The script prints, per
 section kind, how many sections are byte-identical, the largest relative
 drift of any float with its path, and every verdict change; then how many
-emitted files are byte-identical, naming each that is not.  Exit status
+emitted files are byte-identical, naming each that is not; then each
+tree's CPU count and deep tables by block count, which shows whether a
+byte-identity run crossed the multi-block path.  Exit status
 is 1 when a verdict changed, 2 when a tree could not be dumped, and 0
 otherwise.  Last, it prints the ``wc -l`` line count of each tree's
 ``blochlab/*.py`` files and their totals.
@@ -42,7 +47,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 # fields whose change is a change of verdict, not of a measured value
@@ -109,19 +114,38 @@ def dump(src: Path, seeds: list, count: int, deep_seeds: list, workloads) -> dic
                 "derivative_limit": criteria.derivative_limit_probe(sym, space, probe_mesh).to_dict(),
                 "composition_limit": criteria.composition_limit_probe(sym, space, probe_mesh).to_dict(),
             }
+    blocks = {}
     if deep_seeds:
         spec = importlib.util.spec_from_file_location("bench_workloads", workloads)
         bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
         spec.loader.exec_module(bench)
+        each_block = getattr(criteria, "_each_block", None)  # absent from a tree that samples tables whole
+        tables = []
+        if each_block is not None:
+            def counted(edges, fill):
+                tables.append(len(edges) - 1)
+                return each_block(edges, fill)
+
+            criteria._each_block = counted
         for seed in deep_seeds:
             for label, text in bench.deep_config_texts(seed):
+                tables.clear()
                 report = cli.run(cli.parse_config(text))
+                blocks[f"deep/{seed}/{label}"] = list(tables) if each_block is not None else [1]
                 units[f"deep/{seed}/{label}"] = dict(
                     {f"tasks.{task}": e for task, e in report.results["tasks"].items()},
                     payload_sha256=hashlib.sha256(report.results_payload()).hexdigest(),
                     **{k: v for k, v in report.results.items() if k != "tasks"})
                 files.update({f"deep/{seed}/{label}/{file}": h for file, h in emitted_hashes(cli, report).items()})
-    return {"units": units, "files": files}
+    return {"units": units, "files": files, "blocks": blocks, "cpus": cpu_count()}
+
+
+def cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def dump_in_subprocess(src: Path, seeds: list, count: int, deep_seeds: list = (), workloads=None) -> dict:
@@ -186,6 +210,15 @@ def report_files(old_files: dict, new_files: dict) -> None:
         print(f"emitted file differs: {name}")
 
 
+def report_blocks(trees: list) -> None:
+    """Each tree's CPU count and its deep tables by block count."""
+    for name, dumped in trees:
+        counts = Counter(n for unit in dumped["blocks"].values() for n in unit)
+        tables = ", ".join(f"{count} in {n} block{'s' * (n != 1)}" for n, count in sorted(counts.items())) or "none"
+        multi = "taken" if any(n > 1 for n in counts) else "not taken"
+        print(f"{name}: {dumped['cpus']} CPUs; deep tables: {tables}; multi-block path {multi}")
+
+
 def report(old_units: dict, new_units: dict) -> int:
     found = {"drift": (0.0, None, None, None), "changes": []}
     identical, total = defaultdict(int), defaultdict(int)
@@ -244,6 +277,7 @@ def main() -> int:
     old, new = (dump_in_subprocess(src, seeds, args.count, deep_seeds, workloads) for src, workloads in trees)
     status = report(old["units"], new["units"])
     report_files(old["files"], new["files"])
+    report_blocks([("old", old), ("new", new)])
     print_line_counts(trees[0][0], trees[1][0])
     return status
 

@@ -17,14 +17,16 @@ than guessed.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .disk_functions import DiskFunction, SelfMap
+from .disk_functions import DiskFunction, SelfMap, jets
 from .norms import (
     DEFAULT_GRID,
     TRIGGER_PHI,
@@ -71,6 +73,7 @@ COMPOSITION_QUANTITY = "u_phi_prime"
 _QUOTIENTS = (MULTIPLIER_QUANTITY, COMPOSITION_QUANTITY)
 _PLAIN_MULTIPLIER = "u_prime_plain"
 _PLAIN_COMPOSITION = "u_phi_prime_plain"
+_SAMPLED = (*_QUOTIENTS, _PLAIN_MULTIPLIER, _PLAIN_COMPOSITION)
 
 _PHI_CLIP = 1.0 - 1e-16  # guards double rounding of |phi| at extreme radii
 
@@ -85,6 +88,10 @@ class SymbolPair:
 
     u: DiskFunction
     phi: SelfMap
+
+    def jets(self, z) -> tuple:
+        """``(u, u', phi, phi')`` at ``z``, from one check that ``|z| < 1``."""
+        return jets(z, self.u, self.phi)
 
 
 class Status(str, Enum):
@@ -118,22 +125,21 @@ class Verdict:
 # pointwise quantities
 
 
-def _quotients(z, omr2, sym: SymbolPair, space: SpaceSpec):
+def _quotients(z, omr2, sym: SymbolPair, space: SpaceSpec, out=(None,) * 5):
     """Clipped ``|phi(z)|`` and the criterion samples at ``z``, given
     ``omr2 = 1-|z|^2``: both quotients and their plain numerators
-    ``(1-|z|^2)|u'|`` and ``(1-|z|^2)|u phi'|``, keyed by quantity name."""
-    phi, dphi = sym.phi.jet(z)
-    u, du = sym.u.jet(z)
-    pm = np.minimum(np.abs(np.asarray(phi)), _PHI_CLIP)
-    plain_mult = omr2 * np.abs(du)
-    plain_comp = omr2 * np.abs(np.asarray(u) * np.asarray(dphi))
+    ``(1-|z|^2)|u'|`` and ``(1-|z|^2)|u phi'|``, keyed by quantity name.
+    ``out``, when given, holds five arrays of the samples' shape that
+    receive ``|phi|`` and the four samples, in that order."""
+    u, du, phi, dphi = sym.jets(z)
+    pm, mult, comp, plain_mult, plain_comp = out
+    pm = np.minimum(np.abs(np.asarray(phi)), _PHI_CLIP, out=pm)
+    plain_mult = np.multiply(omr2, np.abs(du), out=plain_mult)
+    plain_comp = np.multiply(omr2, np.abs(np.asarray(u) * np.asarray(dphi)), out=plain_comp)
     wgt, gap = space.weight(pm), one_minus_sq(pm)
-    return pm, {
-        MULTIPLIER_QUANTITY: plain_mult / (wgt * gap ** (1.0 / space.p)),
-        COMPOSITION_QUANTITY: plain_comp / (wgt * gap ** (1.0 + 1.0 / space.p)),
-        _PLAIN_MULTIPLIER: plain_mult,
-        _PLAIN_COMPOSITION: plain_comp,
-    }
+    mult = np.divide(plain_mult, wgt * gap ** (1.0 / space.p), out=mult)
+    comp = np.divide(plain_comp, wgt * gap ** (1.0 + 1.0 / space.p), out=comp)
+    return pm, dict(zip(_SAMPLED, (mult, comp, plain_mult, plain_comp)))
 
 
 def _quotients_at(z, sym: SymbolPair, space: SpaceSpec):
@@ -297,12 +303,75 @@ class EquivalenceProbe:
 # the sample table: every classifier and limit probe reads from it
 
 
+# A table is sampled in blocks of whole circles, each of at least this many
+# points unless the table is one block.  numpy elides the temporaries of
+# arrays of 256 KiB and more (2**14 complex points), and a complex product
+# that elides rounds differently from one that does not (see
+# ``disk_functions._scaled_jet``); blocks of 2**15 points or more keep every
+# block on the whole table's side of that size, so the samples are those of
+# one whole-table evaluation bit for bit.
+_BLOCK_POINTS = 2**15
+
+
+def _block_edges(circles: int, nodes: int) -> list:
+    """The first circle of each block of a ``(circles, nodes)`` table, then
+    ``circles``: ``points // _BLOCK_POINTS`` contiguous blocks (at least
+    one, at most one per circle) whose circle counts differ by at most one."""
+    blocks = min(circles, max(1, circles * nodes // _BLOCK_POINTS))
+    return [circles * i // blocks for i in range(blocks + 1)]
+
+
+def _each_block(edges: list, fill) -> None:
+    """Call ``fill(start, stop)`` for the circles of each block.
+
+    The calling thread and one helper thread for each further CPU the
+    process may run on, up to one thread per block, take blocks from one
+    counter (``next`` on an ``itertools.count`` is atomic under the GIL);
+    numpy releases the GIL inside its loops, so the blocks run in parallel.  The helpers are joined before this returns, and once every
+    block has run the first block's error, if any, is raised."""
+    count = len(edges) - 1
+    errors = [None] * count
+    claim = itertools.count()
+
+    def drain():
+        while (i := next(claim)) < count:
+            try:
+                fill(edges[i], edges[i + 1])
+            except Exception as exc:  # raised below, after every block
+                errors[i] = exc
+
+    threads, helpers = min(_cpus(), count), []
+    if threads > 1:
+        import threading  # not at package import: only a multi-block table starts threads
+
+        helpers = [threading.Thread(target=drain) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 class SampleTable:
     """The criterion samples of one ``(symbol, space, grid)`` and the
     verdicts read from them.
 
     Both quotients and their plain numerators are sampled once over the
-    circles of ``sample_points``.  A boundary profile is built on first use
+    circles of ``sample_points``, in blocks of whole circles that run in
+    parallel (``_each_block``).  A boundary profile is built on first use
     and kept, and so is the multiplier's Bloch-tail verdict.  A ``|z|``
     profile reads a quantity's per-circle maxima over the radii, and the
     profiles of each trigger share one band partition of its modulus.  The
@@ -313,7 +382,11 @@ class SampleTable:
     def __init__(self, sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID):
         self.sym, self.grid = sym, grid
         self.radii, z = sample_points(grid.depth, grid.angular_nodes)
-        abs_phi, self.quantities = _quotients(z, one_minus_sq(self.radii)[:, None], sym, space)
+        omr2 = one_minus_sq(self.radii)[:, None]
+        abs_phi, *sampled = out = [np.empty(z.shape) for _ in range(5)]
+        _each_block(_block_edges(*z.shape),
+                    lambda a, b: _quotients(z[a:b], omr2[a:b], sym, space, [part[a:b] for part in out]))
+        self.quantities = dict(zip(_SAMPLED, sampled))
         self.z_bands = BandPartition(self.radii, grid.depth)
         self.phi_bands = BandPartition(abs_phi, grid.depth)
         self._maxima: dict = {}

@@ -30,6 +30,7 @@ from numpy.polynomial import polynomial as npoly
 
 __all__ = [
     "DomainError",
+    "jets",
     "DiskFunction",
     "PowerSeries",
     "FractionalKernel",
@@ -77,6 +78,13 @@ def _jet_at(f, z):
     """Value and derivative at ``z`` from one evaluation (``|z| < 1`` enforced)."""
     value, derivative = f._jet(_as_points(z))
     return _match_shape(value, z), _match_shape(derivative, z)
+
+
+def jets(z, *functions) -> tuple:
+    """``(f(z), f'(z))`` of each of ``functions`` in turn, flattened: one
+    check that ``|z| < 1``, then each function's jet at the same points."""
+    points = _as_points(z)
+    return tuple(_match_shape(part, z) for f in functions for part in f._jet(points))
 
 
 def _scaled_jet(factor, parts: list) -> tuple:

@@ -136,8 +136,7 @@ def operator_apply(sym: SymbolPair, f: DiskFunction) -> DiskFunction:
 def symbol_samples(sym: SymbolPair, grid: RadialGrid) -> tuple:
     """``(u, u', phi, phi')`` on the circles of ``sample_points``, the one
     evaluation of the symbol on the grid that an oracle task makes."""
-    _, z = sample_points(grid.depth, grid.angular_nodes)
-    return (*sym.u.jet(z), *sym.phi.jet(z))
+    return sym.jets(sample_points(grid.depth, grid.angular_nodes)[1])
 
 
 @dataclass
@@ -163,7 +162,7 @@ def _refine(sym: SymbolPair, grid: RadialGrid, groups) -> list:
         return [np.empty(0) for _ in groups]
 
     def modulus(z: np.ndarray) -> np.ndarray:
-        jets = (*sym.u.jet(z), *sym.phi.jet(z))
+        jets = sym.jets(z)
         return np.concatenate([group.modulus(*(part[end - group.size : end] for part in jets))
                                for group, end in zip(groups, ends)])
 

@@ -1,0 +1,270 @@
+"""A sample table is sampled in blocks of whole circles on several threads.
+
+The blocks must give the bytes of one whole-table evaluation at every
+block count the rule allows, no thread may outlive a table, and the
+symbol is evaluated through one checked ``jets`` call per block."""
+
+import json
+import multiprocessing
+import os
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blochlab import (
+    BlaschkeFactor,
+    DomainError,
+    PowerSeries,
+    RadialGrid,
+    Scaled,
+    ScaledMap,
+    SpaceSpec,
+    SymbolPair,
+    cli,
+    constant,
+    criteria,
+    identity_map,
+    oracle,
+)
+from blochlab.battery import CURATED
+from blochlab.disk_functions import jets
+from blochlab.norms import one_minus_sq, sample_points
+from bench_module import bench_workloads
+from test_criteria import _all_verdicts
+
+FLOOR = 2**14  # complex points in 256 KiB, numpy's elision threshold
+DEEP = RadialGrid(40, 2048, 12)
+CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "half_scale.json")
+
+
+def _affinity(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _force_blocks(monkeypatch, circles: int, nodes: int, blocks: int) -> list:
+    monkeypatch.setattr(criteria, "_BLOCK_POINTS", circles * nodes // blocks)
+    edges = criteria._block_edges(circles, nodes)
+    assert len(edges) - 1 == blocks
+    return edges
+
+
+def _largest_legal(circles: int, nodes: int) -> int:
+    """The most blocks of whole circles that keep every block at the floor."""
+    return circles // -(-FLOOR // nodes)
+
+
+def _started_threads(monkeypatch) -> list:
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+def _scaled_pair() -> SymbolPair:
+    return SymbolPair(Scaled(0.6 - 0.3j, PowerSeries([0.5, 1.0, 0.2j])),
+                      ScaledMap(0.7 + 0.2j, BlaschkeFactor(0.3 - 0.4j)))
+
+
+def _whole(sym, space, grid) -> list:
+    """``|phi|`` and the four samples from one whole-table ``_quotients``."""
+    radii, z = sample_points(grid.depth, grid.angular_nodes)
+    abs_phi, quantities = criteria._quotients(z, one_minus_sq(radii)[:, None], sym, space)
+    return [abs_phi, *quantities.values()]
+
+
+def _arrays(table) -> list:
+    return [table.phi_bands.modulus.reshape(table.quantities["u_prime"].shape), *table.quantities.values()]
+
+
+_CURATED = [pytest.param(name, id=f"curated-{name}") for name in sorted(CURATED)]
+_DEEP = [pytest.param(i, id=f"deep-1-{i:02d}") for i in range(24)]
+
+
+def _assert_counts_agree(monkeypatch, sym, space, grid) -> None:
+    """The table's arrays equal the whole-table evaluation bit for bit, and
+    every verdict reads the same, at 1, 2, 5 and the largest legal count."""
+    circles, nodes = sample_points(grid.depth, grid.angular_nodes)[1].shape
+    largest = _largest_legal(circles, nodes)
+    want, verdicts = _whole(sym, space, grid), None
+    _affinity(monkeypatch, 4)
+    for blocks in sorted({1, 2, 5, largest}):
+        edges = _force_blocks(monkeypatch, circles, nodes, blocks)
+        assert min(np.diff(edges)) * nodes >= FLOOR or blocks == 1
+        table = criteria.SampleTable(sym, space, grid)
+        for got, expected in zip(_arrays(table), want, strict=True):
+            assert got.tobytes() == expected.tobytes()
+        dicts = _all_verdicts(table)
+        assert verdicts is None or dicts == verdicts
+        verdicts = dicts
+
+
+class TestBlockIdentity:
+    @pytest.mark.parametrize("name", _CURATED)
+    def test_curated_configs(self, monkeypatch, name):
+        config = cli.parse_config(CURATED[name]["config"])
+        _assert_counts_agree(monkeypatch, config.symbol, config.space, DEEP)
+
+    @pytest.mark.parametrize("index", _DEEP)
+    def test_deep_configs(self, monkeypatch, index):
+        _, text = bench_workloads().deep_config_texts(1)[index]
+        config = cli.parse_config(text)
+        _assert_counts_agree(monkeypatch, config.symbol, config.space, config.grid)
+
+    def test_scaled_pair_at_the_smallest_legal_block(self, monkeypatch, a2):
+        grid = RadialGrid(4, FLOOR, 8)  # ten circles of exactly the floor
+        assert _largest_legal(10, FLOOR) == 10
+        _assert_counts_agree(monkeypatch, _scaled_pair(), a2, grid)
+
+    def test_blocks_below_the_floor_change_a_scaled_product(self):
+        """Why the floor exists: a block below numpy's elision size forms
+        ``factor * inner`` in the other operand order, and the complex
+        product rounds differently; at the floor it does not."""
+        phi = _scaled_pair().phi
+        for nodes, equal in ((FLOOR // 2, False), (FLOOR, True)):
+            _, z = sample_points(4, nodes)
+            whole = phi._jet(z)[0]
+            blocks = np.concatenate([phi._jet(z[i : i + 1])[0] for i in range(z.shape[0])])
+            assert np.array_equal(blocks, whole) is equal
+
+    @given(data=st.data(), log_nodes=st.integers(6, 17), order=st.integers(8, 32))
+    @settings(max_examples=200, deadline=None)
+    def test_every_accepted_grid_keeps_its_blocks_at_the_floor(self, data, log_nodes, order):
+        most = cli.MAX_SAMPLE_POINTS // 2 ** (log_nodes + 1) - 1  # the deepest grid the point cap admits
+        depth = data.draw(st.one_of(st.integers(4, max(4, most)), st.sampled_from([4, most, most + 1])))
+        grid = {"depth": depth, "angular_nodes": 2**log_nodes, "panel_order": order}
+        try:
+            config = cli.parse_config({"symbol": {"u": 1.0, "phi": {"monomial": {"degree": 1, "scale": 0.5}}},
+                                       "space": "bergman:2", "grid": grid, "tasks": ["bounded_bloch"]})
+        except cli.ValidationError:
+            return
+        circles, nodes = sample_points(config.grid.depth, config.grid.angular_nodes)[1].shape
+        edges = criteria._block_edges(circles, nodes)
+        assert edges[0] == 0 and edges[-1] == circles
+        assert len(edges) == 2 or min(np.diff(edges)) * nodes >= FLOOR
+
+    def test_the_benchmark_grids_are_one_block_or_five(self):
+        assert len(criteria._block_edges(34, 512)) == 2  # curated, 16x512: 17,408 points
+        assert len(criteria._block_edges(26, 128)) == 2  # random-agreement, at most 4,352 points
+        assert len(criteria._block_edges(34, 128)) == 2
+        assert len(criteria._block_edges(82, 2048)) == 6  # deep-classify, 40x2048
+
+
+class TestThreads:
+    def test_no_thread_outlives_a_table(self, monkeypatch, a2):
+        _affinity(monkeypatch, 4)
+        before = threading.active_count()
+        criteria.SampleTable(_scaled_pair(), a2, DEEP)
+        assert threading.active_count() == before
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch, a2):
+        _affinity(monkeypatch, 1)
+        started = _started_threads(monkeypatch)
+        criteria.SampleTable(_scaled_pair(), a2, DEEP)
+        assert started == []
+
+    def test_four_cpus_start_a_helper_for_each_further_block(self, monkeypatch, a2):
+        _affinity(monkeypatch, 4)
+        started = _started_threads(monkeypatch)
+        blocks = len(criteria._block_edges(82, 2048)) - 1
+        criteria.SampleTable(_scaled_pair(), a2, DEEP)
+        assert len(started) == min(4, blocks) - 1
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_a_block_error_is_raised_after_every_block_ran(self, monkeypatch):
+        ran = []
+
+        def fill(start, stop):
+            ran.append(start)
+            if start in (2, 4):
+                raise DomainError(f"block at {start}")
+
+        _affinity(monkeypatch, 4)
+        with pytest.raises(DomainError, match="block at 2"):
+            criteria._each_block([0, 2, 4, 6, 8], fill)
+        assert sorted(ran) == [0, 2, 4, 6]
+
+    def test_every_block_runs_once_under_contention(self, monkeypatch):
+        """More threads than cores, switching as often as the interpreter
+        allows: each block is claimed by exactly one thread."""
+        _affinity(monkeypatch, 4)
+        claims = np.zeros(64, dtype=int)
+
+        def fill(start, stop):
+            claims[start:stop] += 1
+            np.sqrt(np.arange(2048.0))  # releases the GIL between claims
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                claims[:] = 0
+                criteria._each_block(list(range(65)), fill)
+                assert claims.tolist() == [1] * 64
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_domain_run_at_depth_52_records_every_task(self, tmp_path, capsys):
+        assert len(criteria._block_edges(106, 4096)) - 1 == 13
+        assert cli.main(["run", CONFIG, "--grid", "52,4096,8", "--out", str(tmp_path), "--format", "json"]) == 0
+        (report,) = tmp_path.rglob("*.json")
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        results = json.loads(report.read_text(), parse_constant=refuse)["results"]
+        assert len(results["tasks"]) == 6
+        assert all(entry["error"] == "domain" for entry in results["tasks"].values())
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform")
+    def test_a_forked_child_builds_a_deep_table(self, a2):
+        criteria.SampleTable(_scaled_pair(), a2, DEEP)  # the parent has run helpers before it forks
+        child = multiprocessing.get_context("fork").Process(target=_build_deep_table)
+        child.start()
+        child.join(60)
+        assert child.exitcode == 0
+
+
+def _build_deep_table():
+    criteria.SampleTable(_scaled_pair(), SpaceSpec.bergman(2), DEEP)
+
+
+class TestCheckedJets:
+    OUTSIDE = np.array([[0.5, 1.0 + 0.0j]])
+
+    def test_jets_are_the_single_jets(self):
+        sym = _scaled_pair()
+        for z in (0.3 - 0.2j, sample_points(6, 64)[1]):
+            got = jets(z, sym.u, sym.phi)
+            want = (*sym.u.jet(z), *sym.phi.jet(z))
+            assert len(got) == 4
+            for a, b in zip(got, want):
+                assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert sym.jets(0.5j) == jets(0.5j, sym.u, sym.phi)
+
+    def test_jets_check_the_disk(self):
+        with pytest.raises(DomainError, match="evaluation point outside the open unit disk"):
+            jets(self.OUTSIDE, constant(1), identity_map())
+
+    def test_the_table_raises_outside_the_disk(self, a2):
+        # from depth 52 the sample circles round onto |z| = 1
+        with pytest.raises(DomainError, match="evaluation point outside the open unit disk"):
+            criteria.SampleTable(_scaled_pair(), a2, RadialGrid(52, 64, 8))
+
+    def test_symbol_samples_raise_outside_the_disk(self):
+        with pytest.raises(DomainError, match="evaluation point outside the open unit disk"):
+            oracle.symbol_samples(_scaled_pair(), RadialGrid(52, 64, 8))
+
+    def test_a_refinement_round_raises_outside_the_disk(self, monkeypatch):
+        monkeypatch.setattr(oracle, "family_bloch_seminorm", lambda modulus, grids, grid: modulus(self.OUTSIDE))
+        rows = oracle._Rows(1, iter(()), lambda u, du, phi, dphi: np.abs(du))
+        with pytest.raises(DomainError, match="evaluation point outside the open unit disk"):
+            oracle._refine(_scaled_pair(), RadialGrid(12, 128, 8), [rows])
