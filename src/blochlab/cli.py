@@ -26,6 +26,7 @@ import numbers
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -131,12 +132,11 @@ def _real_from(value, where: str) -> float:
 
 
 def _int_from(value, where: str) -> int:
-    """An integer field: bools, floats (``2.0`` too) and numeric strings are
-    rejected, not converted; what ``int`` cannot convert raises its own error."""
-    number = int(value)
+    """An integer field: bools, floats (``2.0`` too), strings and null are
+    rejected, not converted."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{where}: expected an integer, got {value!r}")
-    return number
+    return int(value)
 
 
 def _flag_from(value, where: str) -> bool:
@@ -169,91 +169,68 @@ def _complex_from(value, where: str) -> complex:
     return z
 
 
-def _object_from(spec, keys, where: str) -> dict:
-    """An object whose keys are among ``keys``."""
-    if not isinstance(spec, dict):
-        raise ValidationError(f"{where}: expected an object, got {spec!r}")
-    if not set(spec) <= set(keys):
-        raise ValidationError(f"{where}: unknown keys {sorted(set(spec) - set(keys))}")
-    return spec
+def _fields(build, *required, **optional):
+    """The reader of an object whose keys are the ``required`` ones, each a
+    ``(key, read)`` pair, and the ``optional`` ones, each ``key=(read,
+    default)``.
+
+    ``reader(body, where, at=where)`` passes ``build`` the value of each key
+    in that order: ``read(value, f"{where}.{key}")`` for a present key, the
+    default as it is for an absent optional one; a missing required key
+    raises ``KeyError`` in its turn.  A body that is not an object, or that
+    has any other key, is refused at ``at``, the body's own location, which
+    for a variant's body is ``where.<variant>``."""
+    fields = [(key, read, True, None) for key, read in required]
+    fields += [(key, read, False, default) for key, (read, default) in optional.items()]
+    keys = {key for key, *_ in fields}
+
+    def reader(body, where: str, at: str | None = None):
+        if not isinstance(body, dict):
+            raise ValidationError(f"{at or where}: expected an object, got {body!r}")
+        if not body.keys() <= keys:
+            raise ValidationError(f"{at or where}: unknown keys {sorted(body.keys() - keys)}")
+        return build(*[read(body[key], f"{where}.{key}") if needed or key in body else default
+                       for key, read, needed, default in fields])
+
+    return reader
 
 
-def _single_key(spec: dict, where: str) -> str:
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise ValidationError(f"{where}: expected an object with exactly one variant key")
-    return next(iter(spec))
-
-
-def _build_variant(table: dict, kind: str, spec, where: str):
-    """Dispatch a one-key variant object through ``table`` and report any
-    malformed body at ``where.<variant>``; nested builders report their
-    own, deeper locations."""
-    key = _single_key(spec, where)
-    if key not in table:
-        raise ValidationError(f"{where}: unknown {kind} variant {key!r}")
+@contextmanager
+def _located(where: str):
+    """Report a ``KeyError`` or ``TypeError`` raised in the block as a
+    malformed body at ``where``, and a ``ValueError`` or ``OverflowError``
+    by its message at ``where``.  A ``ValidationError`` names its own
+    location and passes."""
     try:
-        return table[key](spec[key], where)
+        yield
     except ValidationError:
         raise
     except (KeyError, TypeError) as exc:
-        raise ValidationError(f"{where}.{key}: malformed body ({exc})") from exc
+        raise ValidationError(f"{where}: malformed body ({exc})") from exc
     except (ValueError, OverflowError) as exc:
-        raise ValidationError(f"{where}.{key}: {exc}") from exc
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
-def _product(body, where: str) -> Product:
-    if len(body) != 2:
-        raise ValidationError(f"{where}.product: expected exactly two factors")
-    return Product(
-        build_function(body[0], f"{where}.product[0]"),
-        build_function(body[1], f"{where}.product[1]"),
-    )
-
-
-_FUNCTIONS = {
-    "constant": lambda body, where: PowerSeries([_complex_from(body, where)]),
-    "power_series": lambda body, where: PowerSeries([_complex_from(c, f"{where}.power_series") for c in body]),
-    "log_series": lambda body, where: truncated_log_series(_int_from(body, f"{where}.log_series")),
-    "fractional_kernel": lambda body, where: FractionalKernel(
-        _complex_from(body["base"], f"{where}.base"),
-        _real_from(body["exponent"], f"{where}.exponent"),
-        _complex_from(body.get("scale", 1.0), f"{where}.scale"),
-    ),
-    "sum": lambda body, where: Sum(tuple(build_function(s, f"{where}.sum[{i}]") for i, s in enumerate(body))),
-    "product": _product,
-    "scaled": lambda body, where: Scaled(
-        _complex_from(body["factor"], f"{where}.factor"), build_function(body["inner"], f"{where}.inner")
-    ),
-    "composed": lambda body, where: ComposedWithSelfMap(
-        build_function(body["outer"], f"{where}.outer"), build_self_map(body["inner"], f"{where}.inner")
-    ),
-}
-
-_SELF_MAPS = {
-    "affine": lambda body, where: Affine(
-        _complex_from(body["a"], f"{where}.a"), _complex_from(body["b"], f"{where}.b")
-    ),
-    "monomial": lambda body, where: MonomialPower(
-        _int_from(body["degree"], f"{where}.degree"), _complex_from(body.get("scale", 1.0), f"{where}.scale")
-    ),
-    "blaschke": lambda body, where: BlaschkeFactor(_complex_from(body["base"], f"{where}.base")),
-    "blaschke_product": lambda body, where: FiniteBlaschkeProduct(
-        [_complex_from(b, f"{where}.bases") for b in body["bases"]],
-        _complex_from(body.get("unimodular", 1.0), f"{where}.unimodular"),
-    ),
-    "scaled": lambda body, where: ScaledMap(
-        _complex_from(body["factor"], f"{where}.factor"), build_self_map(body["inner"], f"{where}.inner")
-    ),
-    "composition": lambda body, where: CompositionMap(
-        build_self_map(body["outer"], f"{where}.outer"), build_self_map(body["inner"], f"{where}.inner")
-    ),
-}
+def _build_variant(table: dict, kind: str, spec, where: str):
+    """Dispatch a one-key variant object through ``table``, whose entries
+    read ``(body, where, at)`` with ``at`` the body's location
+    ``where.<variant>``, where a malformed body is reported; nested
+    builders report their own, deeper locations."""
+    if not isinstance(spec, dict) or len(spec) != 1:
+        raise ValidationError(f"{where}: expected an object with exactly one variant key")
+    ((key, body),) = spec.items()
+    if key not in table:
+        raise ValidationError(f"{where}: unknown {kind} variant {key!r}")
+    at = f"{where}.{key}"
+    with _located(at):
+        return table[key](body, where, at)
 
 
 def build_function(spec, where: str = "u") -> DiskFunction:
     """Build a disk function from its config form."""
     if _is_number(spec):
-        return PowerSeries([_complex_from(spec, where)])
+        with _located(where):  # an integer past the floats overflows
+            return PowerSeries([_complex_from(spec, where)])
     return _build_variant(_FUNCTIONS, "function", spec, where)
 
 
@@ -264,34 +241,49 @@ def build_self_map(spec, where: str = "phi") -> SelfMap:
     return _build_variant(_SELF_MAPS, "self-map", spec, where)
 
 
+def _product(body, where: str, at: str) -> Product:
+    if len(body) != 2:
+        raise ValidationError(f"{at}: expected exactly two factors")
+    return Product(build_function(body[0], f"{at}[0]"), build_function(body[1], f"{at}[1]"))
+
+
+# An absent complex field's default is what _complex_from reads from 1.0.
+_FUNCTIONS = {
+    "constant": lambda body, where, at: PowerSeries([_complex_from(body, where)]),
+    "power_series": lambda body, where, at: PowerSeries([_complex_from(c, at) for c in body]),
+    "log_series": lambda body, where, at: truncated_log_series(_int_from(body, at)),
+    "fractional_kernel": _fields(FractionalKernel, ("base", _complex_from), ("exponent", _real_from),
+                                 scale=(_complex_from, 1 + 0j)),
+    "sum": lambda body, where, at: Sum(tuple(build_function(s, f"{at}[{i}]") for i, s in enumerate(body))),
+    "product": _product,
+    "scaled": _fields(Scaled, ("factor", _complex_from), ("inner", build_function)),
+    "composed": _fields(ComposedWithSelfMap, ("outer", build_function), ("inner", build_self_map)),
+}
+_SELF_MAPS = {
+    "affine": _fields(Affine, ("a", _complex_from), ("b", _complex_from)),
+    "monomial": _fields(MonomialPower, ("degree", _int_from), scale=(_complex_from, 1 + 0j)),
+    "blaschke": _fields(BlaschkeFactor, ("base", _complex_from)),
+    "blaschke_product": _fields(FiniteBlaschkeProduct, ("bases", lambda bases, where: [
+        _complex_from(b, where) for b in bases]), unimodular=(_complex_from, 1 + 0j)),
+    "scaled": _fields(ScaledMap, ("factor", _complex_from), ("inner", build_self_map)),
+    "composition": _fields(CompositionMap, ("outer", build_self_map), ("inner", build_self_map)),
+}
+_SYMBOL = _fields(SymbolPair, ("u", build_function), ("phi", build_self_map))
+_SPACE = _fields(SpaceSpec, ("p", _real_from), ("weight", _fields(
+    NormalWeight, ("alpha", _real_from), log_exponent=(_real_from, 0.0), s=(_real_from, None), t=(_real_from, None))))
+_GRID = _fields(RadialGrid, depth=(_int_from, 16), angular_nodes=(_int_from, 512), panel_order=(_int_from, 12))
+
+
 def _build_space(spec) -> SpaceSpec:
     if isinstance(spec, str):
         if not spec.startswith("bergman:"):
             raise ValidationError(f"space: unknown shorthand {spec!r}")
-        try:
+        with _located("space"):
             return SpaceSpec.bergman(_real_from(float(spec.split(":", 1)[1]), "space"))
-        except ValidationError:
-            raise
-        except ValueError as exc:
-            raise ValidationError(f"space: {exc}") from exc
     if not isinstance(spec, dict):
         raise ValidationError("space: expected 'bergman:p' or an object")
-    _object_from(spec, ("p", "weight"), "space")
-    try:
-        wspec = _object_from(spec["weight"], ("alpha", "log_exponent", "s", "t"), "space.weight")
-        weight = NormalWeight(
-            _real_from(wspec["alpha"], "space.weight.alpha"),
-            _real_from(wspec.get("log_exponent", 0.0), "space.weight.log_exponent"),
-            _real_from(wspec["s"], "space.weight.s") if "s" in wspec else None,
-            _real_from(wspec["t"], "space.weight.t") if "t" in wspec else None,
-        )
-        return SpaceSpec(_real_from(spec["p"], "space.p"), weight)
-    except ValidationError:
-        raise
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"space: malformed body ({exc})") from exc
-    except (ValueError, OverflowError) as exc:
-        raise ValidationError(f"space: {exc}") from exc
+    with _located("space"):
+        return _SPACE(spec, "space")
 
 
 def _schedule(tasks) -> tuple:
@@ -345,15 +337,11 @@ def parse_config(text_or_dict) -> RunConfig:
     if unknown:
         raise ValidationError(f"unknown top-level keys: {sorted(unknown)}")
     try:
-        symbol_spec = _object_from(doc["symbol"], ("u", "phi"), "symbol")
-        u = build_function(symbol_spec["u"], "symbol.u")
-        phi = build_self_map(symbol_spec["phi"], "symbol.phi")
+        symbol = _SYMBOL(doc["symbol"], "symbol")
     except KeyError as exc:
         raise ValidationError(f"symbol: missing field {exc}") from exc
-    try:
-        validate_self_map(phi)
-    except ValueError as exc:
-        raise ValidationError(f"symbol.phi: {exc}") from exc
+    with _located("symbol.phi"):
+        validate_self_map(symbol.phi)
     space = _build_space(doc.get("space", "bergman:2"))
     report = check_normality(space.weight)
     if not report.ok:
@@ -364,17 +352,8 @@ def parse_config(text_or_dict) -> RunConfig:
     gspec = doc.get("grid", {})
     if not isinstance(gspec, dict):
         raise ValidationError("grid: expected an object")
-    sizes = []
-    for key, default in (("depth", 16), ("angular_nodes", 512), ("panel_order", 12)):
-        value = gspec.get(key, default)
-        try:
-            sizes.append(_int_from(value, f"grid.{key}"))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"grid.{key}: expected an integer, got {value!r}") from exc
-    try:
-        grid = RadialGrid(*sizes)
-    except ValueError as exc:
-        raise ValidationError(f"grid: {exc}") from exc
+    with _located("grid"):
+        grid = _GRID(gspec, "grid")
     points = 2 * (grid.depth + 1) * grid.angular_nodes  # the circles of sample_points
     if points > MAX_SAMPLE_POINTS:
         raise ValidationError(
@@ -396,7 +375,7 @@ def parse_config(text_or_dict) -> RunConfig:
     if not isinstance(output.get("dir", ""), str):
         raise ValidationError(f"output.dir: expected a path string, got {output['dir']!r}")
     config = RunConfig(
-        symbol=SymbolPair(u, phi),
+        symbol=symbol,
         space=space,
         grid=grid,
         tasks=tasks,

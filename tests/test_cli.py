@@ -102,9 +102,9 @@ FUNCTION_ERRORS = [
     ({'power_series': [1, 'x']},
      'symbol.u.power_series: expected a number, [re, im] pair, or re/im object'),
     ({'log_series': 'x'},
-     "symbol.u.log_series: invalid literal for int() with base 10: 'x'"),
+     "symbol.u.log_series: expected an integer, got 'x'"),
     ({'log_series': None},
-     "symbol.u.log_series: malformed body (int() argument must be a string, a bytes-like object or a real number, not 'NoneType')"),
+     'symbol.u.log_series: expected an integer, got None'),
     ({'fractional_kernel': {'exponent': 1}},
      "symbol.u.fractional_kernel: malformed body ('base')"),
     ({'fractional_kernel': {'base': 0.5, 'exponent': -1}},
@@ -136,7 +136,7 @@ FUNCTION_ERRORS = [
     ({'composed': {'outer': 1, 'inner': {'x': 1}}},
      "symbol.u.inner: unknown self-map variant 'x'"),
     ({'composed': {'outer': {'log_series': 'y'}, 'inner': 'identity'}},
-     "symbol.u.outer.log_series: invalid literal for int() with base 10: 'y'"),
+     "symbol.u.outer.log_series: expected an integer, got 'y'"),
     ({'x': 1},
      "symbol.u: unknown function variant 'x'"),
     ({'a': 1, 'b': 2},
@@ -163,6 +163,9 @@ FUNCTION_ERRORS = [
      "symbol.u.exponent: expected a number, got '2'"),
     ({'fractional_kernel': {'base': 0.5, 'exponent': True}},
      'symbol.u.exponent: expected a number, got True'),
+    # a body that is not an object
+    ({'scaled': [0.5, 1.0]},
+     'symbol.u.scaled: expected an object, got [0.5, 1.0]'),
 ]
 SELF_MAP_ERRORS = [
     ({'affine': {}},
@@ -174,7 +177,7 @@ SELF_MAP_ERRORS = [
     ({'monomial': {}},
      "symbol.phi.monomial: malformed body ('degree')"),
     ({'monomial': {'degree': 'x'}},
-     "symbol.phi.monomial: invalid literal for int() with base 10: 'x'"),
+     "symbol.phi.degree: expected an integer, got 'x'"),
     ({'monomial': {'degree': 0}},
      'symbol.phi.monomial: degree must be a positive integer'),
     ({'monomial': {'degree': 1, 'scale': 2}},
@@ -229,6 +232,8 @@ SELF_MAP_ERRORS = [
      'symbol.phi.base: expected a number, [re, im] pair, or re/im object'),
     ({'blaschke': {'base': {'re': 0.5, 'im': False}}},
      'symbol.phi.base: expected a number, [re, im] pair, or re/im object'),
+    ({'affine': 5},
+     'symbol.phi.affine: expected an object, got 5'),
 ]
 
 
@@ -257,12 +262,15 @@ NONFINITE_FIELDS = [
       "space": {"p": 2.0, "weight": {"alpha": float("-inf"), "s": 0.25, "t": 0.75}}},
      "space.weight.alpha: expected a finite number, got -inf"),
     ({"symbol": {"u": 1.0, "phi": {"monomial": {"degree": float("inf")}}}},
-     "symbol.phi.monomial: cannot convert float infinity to integer"),
+     "symbol.phi.degree: expected an integer, got inf"),
+    ({"symbol": {"u": 10**400, "phi": "identity"}},
+     "symbol.u: int too large to convert to float"),
 ]
 
 
 @pytest.mark.parametrize("doc,message", NONFINITE_FIELDS,
-                         ids=["u-coefficient", "affine-a", "blaschke-base", "weight-alpha", "monomial-degree"])
+                         ids=["u-coefficient", "affine-a", "blaschke-base", "weight-alpha", "monomial-degree",
+                              "u-past-the-floats"])
 def test_non_finite_number_rejected_at_parse_time(doc, message):
     # the JSON text form carries NaN/Infinity tokens, which json.loads accepts
     text = json.dumps(dict(doc, tasks=["bounded_bloch"]))
@@ -320,6 +328,51 @@ def test_malformed_document_field_rejected_with_its_location(fields, message):
     with pytest.raises(ValidationError) as info:
         parse_config(dict(HALF_SCALE_DOC, **fields))
     assert str(info.value) == message
+
+
+# Every object of the document takes only its declared keys: a misspelt
+# optional key is refused at its object, not ignored with the default in
+# force ("scal" would analyse z**2, "nodes" would run 512 angular nodes).
+# Each case is the symbol of a valid document, the path of the object that
+# gets the stray key, its location and the key.
+_FK = {"fractional_kernel": {"base": 0.5, "exponent": 1.0}}
+STRAY_KEYS = [
+    ({"u": _FK}, ("symbol", "u", "fractional_kernel"), "symbol.u.fractional_kernel", "zz"),
+    ({"u": {"scaled": {"factor": 0.5, "inner": 1.0}}}, ("symbol", "u", "scaled"), "symbol.u.scaled", "zz"),
+    ({"u": {"composed": {"outer": 1.0, "inner": "identity"}}}, ("symbol", "u", "composed"), "symbol.u.composed",
+     "zz"),
+    ({"phi": {"affine": {"a": 0.5, "b": 0.25}}}, ("symbol", "phi", "affine"), "symbol.phi.affine", "zz"),
+    ({"phi": {"monomial": {"degree": 2}}}, ("symbol", "phi", "monomial"), "symbol.phi.monomial", "scal"),
+    ({"phi": {"blaschke": {"base": 0.5}}}, ("symbol", "phi", "blaschke"), "symbol.phi.blaschke", "zz"),
+    ({"phi": {"blaschke_product": {"bases": [0.5]}}}, ("symbol", "phi", "blaschke_product"),
+     "symbol.phi.blaschke_product", "zz"),
+    ({"phi": {"scaled": {"factor": 0.5, "inner": "identity"}}}, ("symbol", "phi", "scaled"), "symbol.phi.scaled",
+     "zz"),
+    ({"phi": {"composition": {"outer": "identity", "inner": "identity"}}}, ("symbol", "phi", "composition"),
+     "symbol.phi.composition", "zz"),
+    ({"u": {"composed": {"outer": _FK, "inner": {"monomial": {"degree": 2}}}}},
+     ("symbol", "u", "composed", "inner", "monomial"), "symbol.u.inner.monomial", "scal"),
+    ({}, ("grid",), "grid", "nodes"),
+]
+
+
+@pytest.mark.parametrize("symbol,path,where,key", STRAY_KEYS, ids=[case[2] for case in STRAY_KEYS])
+def test_a_key_outside_an_objects_declared_set_is_refused_at_the_object(symbol, path, where, key):
+    doc = json.loads(json.dumps(dict(HALF_SCALE_DOC, symbol=dict({"u": 1.0, "phi": "identity"}, **symbol))))
+    parse_config(doc)
+    functools.reduce(dict.__getitem__, path, doc)[key] = 1
+    with pytest.raises(ValidationError) as info:
+        parse_config(doc)
+    assert str(info.value) == f"{where}: unknown keys [{key!r}]"
+
+
+CONFIG_FILES = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIG_FILES, ids=[path.name for path in CONFIG_FILES])
+def test_the_shipped_configs_validate(path, capsys):
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "ok\n"
 
 
 def test_the_bergman_shorthand_reads_its_number_from_the_string():

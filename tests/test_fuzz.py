@@ -94,6 +94,8 @@ DEFECTS = [
     (("symbol", "u"), {"fractional_kernel": {"base": 0.5, "exponent": "2"}}),
     (("symbol", "phi"), {"affine": {"a": True, "b": 0}}),
     (("symbol", "phi"), {"blaschke": {"base": ["0.5", "0"]}}),
+    (("grid", "nodes"), 128),
+    (("symbol", "phi"), {"monomial": {"degree": 2, "scal": 0.5}}),
 ]
 
 
