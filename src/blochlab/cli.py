@@ -6,12 +6,12 @@ Commands::
 
     blochlab run <config.json> [--out DIR] [--format json,csv] [--strict] [--grid K,M,ORDER]
     blochlab validate <config.json>
-    blochlab battery [--out DIR] [--grid K,M,ORDER] [--strict]
+    blochlab battery [--out DIR] [--format json,csv] [--strict] [--grid K,M,ORDER]
 
 Exit status is 0 on completion even when verdicts are Fails; nonzero on
-errors, and 3 when ``--strict`` is set and the classifier disagrees with
-the oracle trend.  ``BLOCHLAB_OUT`` overrides the default output
-directory.
+errors, 1 when ``battery`` finds a curated expectation unmet, and 3 when
+``--strict`` is set and the classifier disagrees with the oracle trend.
+``BLOCHLAB_OUT`` overrides the default output directory.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -98,6 +98,11 @@ MAX_SAMPLE_POINTS = 256 * 2**20 // SAMPLE_TABLE_BYTES_PER_POINT
 # 10 KiB, order 10**6 would need 8 TB.  The largest order in use is 16; the
 # oracle's kernel norms grow as order^2 (13.6 MiB at 40x2048x32, 2.0 at 12).
 MAX_PANEL_ORDER = 32
+# Terms of a ``log_series`` multiplier.  truncated_log_series(n) allocates n+1
+# coefficients at parse time (10**12 would ask for 14.6 TiB), and every
+# evaluation runs Horner's rule over all of them, twice (value and derivative).
+# The longest series in use has 32 terms; 1024 is 32 times that.
+MAX_LOG_SERIES_TERMS = 1024
 # The norm quadrature evaluates (depth+1)*order*angular_nodes points and peaks
 # at about 84 bytes per point (traced constants battery at 16x512x12 to
 # 24x32768x8).  2**23 points (about 700 MiB) admit the largest grids in use,
@@ -131,11 +136,13 @@ def _real_from(value, where: str) -> float:
     return x
 
 
-def _int_from(value, where: str) -> int:
-    """An integer field: bools, floats (``2.0`` too), strings and null are
-    rejected, not converted."""
+def _int_from(value, where: str, maximum: int | None = None) -> int:
+    """An integer field, at most ``maximum`` when one is given: bools,
+    floats (``2.0`` too), strings and null are rejected, not converted."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{where}: expected an integer, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{where}: {value} is above the maximum {maximum}")
     return int(value)
 
 
@@ -251,7 +258,7 @@ def _product(body, where: str, at: str) -> Product:
 _FUNCTIONS = {
     "constant": lambda body, where, at: PowerSeries([_complex_from(body, where)]),
     "power_series": lambda body, where, at: PowerSeries([_complex_from(c, at) for c in body]),
-    "log_series": lambda body, where, at: truncated_log_series(_int_from(body, at)),
+    "log_series": lambda body, where, at: truncated_log_series(_int_from(body, at, MAX_LOG_SERIES_TERMS)),
     "fractional_kernel": _fields(FractionalKernel, ("base", _complex_from), ("exponent", _real_from),
                                  scale=(_complex_from, 1 + 0j)),
     "sum": lambda body, where, at: Sum(tuple(build_function(s, f"{at}[{i}]") for i, s in enumerate(body))),
@@ -271,7 +278,8 @@ _SELF_MAPS = {
 _SYMBOL = _fields(SymbolPair, ("u", build_function), ("phi", build_self_map))
 _SPACE = _fields(SpaceSpec, ("p", _real_from), ("weight", _fields(
     NormalWeight, ("alpha", _real_from), log_exponent=(_real_from, 0.0), s=(_real_from, None), t=(_real_from, None))))
-_GRID = _fields(RadialGrid, depth=(_int_from, 16), angular_nodes=(_int_from, 512), panel_order=(_int_from, 12))
+_GRID = _fields(RadialGrid, depth=(_int_from, 16), angular_nodes=(_int_from, 512),
+                panel_order=(lambda value, where: _int_from(value, where, MAX_PANEL_ORDER), 12))
 
 
 def _build_space(spec) -> SpaceSpec:
@@ -287,6 +295,8 @@ def _build_space(spec) -> SpaceSpec:
 
 
 def _schedule(tasks) -> tuple:
+    """The listed tasks in order, each after its prerequisite, and the
+    oracle, which reads ``bounded_bloch``'s entry, after every other."""
     if not isinstance(tasks, (list, tuple)):
         raise ValidationError(f"tasks: expected a list of task names, got {tasks!r}")
     if not tasks:
@@ -300,7 +310,7 @@ def _schedule(tasks) -> tuple:
             ordered.append(prereq)
         if task not in ordered:
             ordered.append(task)
-    return tuple(ordered)
+    return tuple(sorted(ordered, key=lambda task: task == "oracle"))
 
 
 @dataclass
@@ -360,8 +370,6 @@ def parse_config(text_or_dict) -> RunConfig:
             f"grid: the sample set has {points:,} points ({2 * (grid.depth + 1)} circles of "
             f"{grid.angular_nodes:,}), more than the {MAX_SAMPLE_POINTS:,} a sample table may hold"
         )
-    if grid.panel_order > MAX_PANEL_ORDER:
-        raise ValidationError(f"grid.panel_order: {grid.panel_order} is above the maximum {MAX_PANEL_ORDER}")
     nodes = (grid.depth + 1) * grid.panel_order * grid.angular_nodes  # the norm quadrature's node set
     if nodes > MAX_QUADRATURE_POINTS:
         raise ValidationError(
@@ -389,19 +397,10 @@ def parse_config(text_or_dict) -> RunConfig:
 
 
 def _echo_config(doc: dict, config: RunConfig) -> dict:
-    space, grid = config.space, config.grid
     echo = {
         "symbol": doc["symbol"],
-        "space": {
-            "p": space.p,
-            "weight": {
-                "alpha": space.weight.alpha,
-                "log_exponent": space.weight.log_exponent,
-                "s": space.weight.s,
-                "t": space.weight.t,
-            },
-        },
-        "grid": {"depth": grid.depth, "angular_nodes": grid.angular_nodes, "panel_order": grid.panel_order},
+        "space": asdict(config.space),
+        "grid": asdict(config.grid),
         "tasks": list(config.tasks),
         "strict": config.strict,
         "force_boundary": config.force_boundary,
@@ -435,7 +434,8 @@ def run(config: RunConfig) -> Report:
     """Execute the scheduled tasks and assemble the report.
 
     The classifier tasks share one sample table, built by the first of
-    them and released before a final ``oracle`` task, which never reads it.
+    them and released before the ``oracle`` task, which runs last and never
+    reads it.
     Fails verdicts do not raise.  A numerical failure (``DomainError`` or
     an ``ArithmeticError`` such as ``NonConvergentError``) is recorded as
     ``{"error", "detail"}`` against the task that hit it, whether in the
@@ -451,8 +451,7 @@ def run(config: RunConfig) -> Report:
         start, start_faults = time.perf_counter(), _minor_faults()
         try:
             if task == "oracle":
-                if config.tasks[-1] == "oracle":
-                    table = None  # no later task reads the samples
+                table = None  # the oracle runs last and reads no samples
                 results["tasks"][task] = _oracle_entry(config, results)
             else:
                 if table is None:
@@ -697,9 +696,9 @@ def _load_doc(path: str) -> dict:
 
 def _apply_overrides(doc: dict, args) -> dict:
     doc = dict(doc)
-    if getattr(args, "grid", None):
+    if args.grid:
         doc["grid"] = args.grid
-    if getattr(args, "strict", False):
+    if args.strict:
         doc["strict"] = True
         tasks = doc.get("tasks", [])
         if isinstance(tasks, (list, tuple)):  # any other value is left for parse_config to reject
@@ -719,13 +718,26 @@ def _cmd_run(args) -> int:
     return strict_exit_code(report) if config.strict else 0
 
 
-def _print_headline(report: Report) -> None:
+def _print_headline(report: Report, prefix: str = "", expect: dict | None = None) -> bool:
+    """Print each classifier task's state (``holds``, ``fails``,
+    ``inconclusive`` or its error kind) and whether every expectation is
+    met: an expected True only by ``holds``, an expected False only by
+    ``fails``."""
+    met = True
     for task, entry in report.results["tasks"].items():
-        if isinstance(entry, dict) and "overall" in entry:
-            state = "holds" if entry["overall"] else ("fails" if entry.get("decided") else "inconclusive")
-            print(f"{task}: {state}")
-        elif isinstance(entry, dict) and "error" in entry:
-            print(f"{task}: {entry['error']}")
+        if "overall" in entry:
+            state = "holds" if entry["overall"] else ("fails" if entry["decided"] else "inconclusive")
+        elif "error" in entry:
+            state = entry["error"]
+        else:
+            continue
+        suffix = ""
+        if expect and task in expect:
+            ok = state == ("holds" if expect[task] else "fails")
+            met = met and ok
+            suffix = "  [expected]" if ok else f"  [MISMATCH: expected {expect[task]}]"
+        print(f"{prefix}{task}: {state}{suffix}")
+    return met
 
 
 def _cmd_validate(args) -> int:
@@ -741,22 +753,10 @@ def _cmd_validate(args) -> int:
 def _cmd_battery(args) -> int:
     worst, formats = 0, _formats_from(args.format.split(","), "--format")
     for name, entry in CURATED.items():
-        doc = _apply_overrides(dict(entry["config"]), args)
-        config = parse_config(doc)
-        report = run(config)
+        report = run(parse_config(_apply_overrides(entry["config"], args)))
         emit(report, Path(args.out) / name, formats)
-        expect = entry.get("expect", {})
-        for task, task_entry in report.results["tasks"].items():
-            if not isinstance(task_entry, dict) or "overall" not in task_entry:
-                continue
-            got = task_entry["overall"]
-            suffix = ""
-            if task in expect:
-                ok = got == expect[task]
-                suffix = "  [expected]" if ok else f"  [MISMATCH: expected {expect[task]}]"
-                if not ok:
-                    worst = max(worst, 1)
-            print(f"{name}/{task}: {'holds' if got else 'fails/inconclusive'}{suffix}")
+        if not _print_headline(report, f"{name}/", entry.get("expect")):
+            worst = max(worst, 1)
         if args.strict:
             worst = max(worst, strict_exit_code(report))
     return worst
@@ -770,26 +770,24 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--version", action="version", version=f"blochlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    computing = argparse.ArgumentParser(add_help=False)  # the options shared by run and battery
+    computing.add_argument("--strict", action="store_true", help="exit 3 on classifier/oracle disagreement")
+    computing.add_argument("--grid", type=_parse_grid_flag, default=None, metavar="K,M,ORDER")
 
-    p_run = sub.add_parser("run", help="run the tasks of a config file")
+    p_run = sub.add_parser("run", parents=[computing], help="run the tasks of a config file")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None,
                        help="output directory (default: config, then BLOCHLAB_OUT)")
     p_run.add_argument("--format", default=None, help="comma-separated subset of json,csv")
-    p_run.add_argument("--strict", action="store_true",
-                       help="nonzero exit on classifier/oracle disagreement")
-    p_run.add_argument("--grid", type=_parse_grid_flag, default=None, metavar="K,M,ORDER")
     p_run.set_defaults(fn=_cmd_run)
 
     p_val = sub.add_parser("validate", help="validate a config file")
     p_val.add_argument("config")
     p_val.set_defaults(fn=_cmd_validate)
 
-    p_bat = sub.add_parser("battery", help="run the curated symbol battery")
+    p_bat = sub.add_parser("battery", parents=[computing], help="run the curated symbol battery")
     p_bat.add_argument("--out", default=_default_out())
     p_bat.add_argument("--format", default="json")
-    p_bat.add_argument("--strict", action="store_true")
-    p_bat.add_argument("--grid", type=_parse_grid_flag, default=None, metavar="K,M,ORDER")
     p_bat.set_defaults(fn=_cmd_battery)
 
     args = parser.parse_args(argv)

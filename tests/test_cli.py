@@ -56,6 +56,12 @@ class TestParsing:
         config = parse_config(doc)
         assert config.tasks.index("bounded_bloch") < config.tasks.index("compact_bloch")
 
+    def test_oracle_is_scheduled_after_every_classifier_task(self):
+        doc = dict(HALF_SCALE_DOC, tasks=["oracle", "bounded_bloch"])
+        assert parse_config(doc).tasks == ("bounded_bloch", "oracle")
+        doc["tasks"] = ["oracle", "compact_bloch", "lemma_probes"]
+        assert parse_config(doc).tasks == ("bounded_bloch", "compact_bloch", "lemma_probes", "oracle")
+
     def test_empty_tasks_rejected(self):
         doc = dict(HALF_SCALE_DOC)
         doc["tasks"] = []
@@ -422,6 +428,25 @@ def test_panel_order_above_the_maximum_is_rejected(order):
     assert str(info.value) == f"grid.panel_order: {order} is above the maximum {cli.MAX_PANEL_ORDER}"
 
 
+def test_log_series_up_to_the_maximum_parses():
+    doc = dict(HALF_SCALE_DOC, symbol={"u": {"log_series": cli.MAX_LOG_SERIES_TERMS}, "phi": "identity"})
+    assert cli.MAX_LOG_SERIES_TERMS == 1024
+    assert parse_config(doc).symbol.u.coefficients.size == 1025
+
+
+@pytest.mark.parametrize("u,message", [
+    ({"log_series": 1025}, "symbol.u.log_series: 1025 is above the maximum 1024"),
+    ({"log_series": 10**12}, "symbol.u.log_series: 1000000000000 is above the maximum 1024"),
+    ({"composed": {"outer": {"log_series": 1025}, "inner": "identity"}},
+     "symbol.u.outer.log_series: 1025 is above the maximum 1024"),
+])
+def test_log_series_above_the_maximum_is_refused_at_its_location(tmp_path, capsys, u, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(HALF_SCALE_DOC, symbol={"u": u, "phi": "identity"})))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"invalid: {message}\n"
+
+
 @pytest.mark.parametrize("grid", [(24, 32768, 12), (28, 16384, 24), (16, 16384, 32)])
 def test_quadrature_node_set_over_the_cap_is_rejected(grid):
     depth, nodes, order = grid
@@ -602,6 +627,16 @@ class TestRunAndEmit:
             assert set(entry) == expected[task], task
         if "bounded_little_bloch" in tasks:
             assert set(tasks["bounded_little_bloch"]["into_bloch"]) == group
+
+    def test_headline_inconclusive_meets_no_expectation(self, capsys):
+        inconclusive = {"overall": False, "decided": False, "verdicts": []}
+        report = Report({}, {}, {"tasks": {"bounded_bloch": inconclusive}}, {})
+        assert cli._print_headline(report, expect={"bounded_bloch": False}) is False
+        assert capsys.readouterr().out == "bounded_bloch: inconclusive  [MISMATCH: expected False]\n"
+        decided = dict(inconclusive, decided=True)
+        report = Report({}, {}, {"tasks": {"bounded_bloch": decided}}, {})
+        assert cli._print_headline(report, "case/", {"bounded_bloch": False}) is True
+        assert capsys.readouterr().out == "case/bounded_bloch: fails  [expected]\n"
 
     def test_strict_exit_code_flags_disagreement(self, half_scale_report):
         assert strict_exit_code(half_scale_report) == 0
@@ -806,6 +841,22 @@ class TestMain:
             assert main(["run", config, "--out", out] + strict) == 2
             assert capsys.readouterr().err == "error: " + message
         assert not (tmp_path / "out").exists()
+
+    def test_strict_oracle_only_run_compares_the_classifier(self, tmp_path, capsys):
+        doc = {"symbol": {"u": {"constant": 1.0}, "phi": "identity"}, "tasks": ["oracle"]}
+        out = tmp_path / "out"
+        assert main(["run", self._write(tmp_path, doc), "--strict", "--grid", "12,128,8", "--out", str(out)]) == 0
+        loaded = json.loads((out / "report.json").read_text())
+        assert loaded["results"]["tasks"]["oracle"]["agreement"] is True
+        assert loaded["config"]["tasks"] == ["bounded_bloch", "oracle"]
+        assert capsys.readouterr().out.endswith("bounded_bloch: fails\n")
+
+    def test_battery_counts_an_errored_task_as_unmet(self, tmp_path, capsys):
+        # at depth 52 every task of every curated config records a domain error
+        assert main(["battery", "--grid", "52,64,8", "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "half-scale/bounded_bloch: domain  [MISMATCH: expected True]" in lines
+        assert sum("MISMATCH" in line for line in lines) == sum(len(e["expect"]) for e in CURATED.values()) == 12
 
     def test_validate_rejects_a_non_string_output_dir(self, tmp_path, capsys):
         doc = dict(HALF_SCALE_DOC, output={"dir": 5})
