@@ -63,7 +63,7 @@ class DomainError(ValueError):
 
 def _as_points(z) -> np.ndarray:
     arr = np.asarray(z, dtype=complex)
-    if arr.size and np.any(np.abs(arr) >= 1.0):
+    if arr.size and (np.abs(arr) >= 1.0).any():
         raise DomainError("evaluation point outside the open unit disk")
     return arr
 
@@ -96,6 +96,25 @@ def _scaled_jet(factor, parts: list) -> tuple:
     round differently in the two orders (fused multiply-add).  Popping
     keeps the values bit for bit those of the plain expression."""
     return factor * parts.pop(0), factor * parts.pop(0)
+
+
+def _horner(c: np.ndarray, z) -> np.ndarray:
+    """``npoly.polyval(z, c)`` bit for bit, without a temporary per step.
+
+    It starts, as ``polyval`` does, from ``c[-1] + z * 0``, which keeps
+    signed zeros, and takes each step in place as ``value * z`` and then
+    ``+ c_k``, in ``polyval``'s operand order: complex products round
+    differently in the two orders (fused multiply-add).  A 0-d ``z`` gives
+    a numpy scalar, which takes the steps as the plain expression."""
+    value = c[-1] + z * 0
+    if np.ndim(value) == 0:
+        for ck in c[-2::-1]:
+            value = ck + value * z
+        return value
+    for ck in c[-2::-1]:
+        np.multiply(value, z, out=value)
+        np.add(value, ck, out=value)
+    return value
 
 
 class DiskFunction:
@@ -165,7 +184,7 @@ class PowerSeries(DiskFunction):
             self._dcoeffs = np.zeros(1, dtype=complex)
 
     def _jet(self, z):
-        return npoly.polyval(z, self.coefficients), npoly.polyval(z, self._dcoeffs)
+        return _horner(self.coefficients, z), _horner(self._dcoeffs, z)
 
     def __repr__(self):
         return f"PowerSeries({self.coefficients.tolist()!r})"
@@ -217,7 +236,7 @@ class FractionalKernel(DiskFunction):
     def _jet(self, z):
         conj_base = np.conj(self.base)
         w = 1.0 - conj_base * z
-        if not np.all(np.real(w) > 0.0):
+        if not (w.real > 0.0).all():
             raise ArithmeticError("kernel argument left the right half-plane")
         power = w ** (-self.exponent - 1.0)
         value, derivative = self.scale * (power * w), self.scale * self.exponent * conj_base * power
@@ -232,7 +251,7 @@ class FractionalKernel(DiskFunction):
         ``phi``; raises ``ArithmeticError`` when ``W`` leaves the right
         half-plane."""
         w = 1.0 - np.conj(self.base) * phi
-        if not np.all(w.real > 0.0):
+        if not (w.real > 0.0).all():
             raise ArithmeticError("kernel argument left the right half-plane")
         return w, w.real**2 + w.imag**2
 

@@ -259,6 +259,7 @@ def derivative_form_norm(f: DiskFunction, space: SpaceSpec, grid: RadialGrid = D
 
 
 _BRACKET_POINTS = 33
+_BRACKET_STEPS = np.arange(float(_BRACKET_POINTS))
 
 
 def bracket_argmax(fn, lo: np.ndarray, hi: np.ndarray, rounds: int):
@@ -271,17 +272,20 @@ def bracket_argmax(fn, lo: np.ndarray, hi: np.ndarray, rounds: int):
     to its best point's two neighbours, a factor of 16 per round.  Returns
     arrays ``(x, fn(x))`` of the best point of each row over all rounds,
     the earliest one on ties; a degenerate bracket keeps its one point.
+    A round reads its points through flat indices ``row * 33 + i`` into
+    the raveled arrays.
     """
-    rows, last = np.arange(lo.size), _BRACKET_POINTS - 1
+    starts, last = np.arange(0, lo.size * _BRACKET_POINTS, _BRACKET_POINTS), _BRACKET_POINTS - 1
     best_x, best = lo, np.full(lo.shape, -np.inf)
     for _ in range(rounds):
         xs = _bracket_abscissae(lo, hi)
         values = fn(xs)
         i = values.argmax(axis=1)
-        top = values[rows, i]
+        at, xs = starts + i, xs.ravel()
+        top = values.ravel()[at]
         better = top > best
-        best_x, best = np.where(better, xs[rows, i], best_x), np.where(better, top, best)
-        lo, hi = xs[rows, np.maximum(i - 1, 0)], xs[rows, np.minimum(i + 1, last)]
+        best_x, best = np.where(better, xs[at], best_x), np.where(better, top, best)
+        lo, hi = xs[at - (i > 0)], xs[at + (i < last)]
     return best_x, best
 
 
@@ -290,10 +294,9 @@ def _bracket_abscissae(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     overhead: ``k * step + a`` with the last point set to ``b``, and, as
     ``linspace`` does when any step underflows to 0, ``(k / 32) * (b - a) + a``."""
     last = _BRACKET_POINTS - 1
-    k = np.arange(float(_BRACKET_POINTS))
     delta = (b - a)[:, None]
     step = delta / last
-    xs = (k / last) * delta if np.any(step == 0.0) else k * step
+    xs = (_BRACKET_STEPS / last) * delta if (step == 0.0).any() else _BRACKET_STEPS * step
     xs += a[:, None]
     xs[:, last] = b
     return xs
@@ -327,13 +330,13 @@ def family_bloch_seminorm(modulus, samples, grid: RadialGrid = DEFAULT_GRID) -> 
     theta = 2.0 * np.pi * j / grid.angular_nodes
     ray = np.exp(1j * theta)[:, None]
     r_grid = radii[i][:, None]
+    gap_grid = 1.0 - r_grid * r_grid
     span = 2.0 * np.pi / grid.angular_nodes
 
     def radial_then_angular(xs: np.ndarray) -> np.ndarray:
         rr, th = xs[:members], xs[members:]
         mod = modulus(np.concatenate([rr * ray, r_grid * np.exp(1j * th)], axis=1))
-        return np.concatenate([(1.0 - rr * rr) * mod[:, :_BRACKET_POINTS],
-                               (1.0 - r_grid * r_grid) * mod[:, _BRACKET_POINTS:]])
+        return np.concatenate([(1.0 - rr * rr) * mod[:, :_BRACKET_POINTS], gap_grid * mod[:, _BRACKET_POINTS:]])
 
     lo = np.concatenate([np.where(i >= 1, radii[i - 1], 0.0), theta - span])
     hi = np.concatenate([np.where(i + 1 < radii.size, radii[np.minimum(i + 1, radii.size - 1)],
@@ -386,7 +389,7 @@ class BoundaryProfile:
     def __post_init__(self):
         finite = np.nonzero(~self.empty)[0]
         vals = self.values[finite]
-        if vals.size > 1 and np.any(np.diff(vals) > 0.0):
+        if vals.size > 1 and (np.diff(vals) > 0.0).any():
             raise AssertionError("nested suprema must be nonincreasing")
 
     @property

@@ -190,6 +190,8 @@ def _chase_rows(families, samples, grid: RadialGrid) -> _Rows:
                 yield omr2 * member.image_derivative_modulus(u, du, phi, dphi, shared)
 
     def modulus(u, du, phi, dphi):
+        if count == 1:
+            return families[0].image_derivative_modulus(u, du, phi, dphi)
         out = np.empty(phi.shape)
         for f, family in enumerate(families):
             rows = slice(f, None, count)
@@ -238,19 +240,40 @@ def kernel_family_norm(base_modulus: float, space: SpaceSpec, grid: RadialGrid =
     pq = space.p * (1.0 / space.p + t + 1.0)
 
     depth = max(grid.depth, int(np.ceil(np.log2(1.0 / max(1.0 - s_mod, 1e-300)))) + 8)
-    x, w, _ = radial_rule(depth, grid.panel_order, space.weight.alpha * space.p)
-    r = 1.0 - x
+    w, r, weight_factor = _kernel_radial_rule(depth, grid.panel_order, space)
     s = r * s_mod
 
     # dyadic angular panels [pi 2^-(j+1), pi 2^-j] down past the peak width
     j_max = int(np.ceil(np.log2(np.pi / max(1.0 - s.max(), 1e-300)))) + 6
-    theta, tw, _ = radial_rule(j_max, grid.panel_order, 1.0, np.pi)
+    half_angle_sin_sq, tw = _kernel_angular_rule(j_max, grid.panel_order)
 
     # |1 - s e^{i theta}|^2 without boundary cancellation
-    dist_sq = (1.0 - s[:, None]) ** 2 + 4.0 * s[:, None] * np.sin(0.5 * theta[None, :]) ** 2
+    dist_sq = (1.0 - s[:, None]) ** 2 + 4.0 * s[:, None] * half_angle_sin_sq
     mean = (dist_sq ** (-0.5 * pq) @ tw) / np.pi
-    F = mean * weight_power_over_gap(space, x) * r
+    F = mean * weight_factor * r
     return float(scale * np.sum(w * F) ** (1.0 / space.p))
+
+
+@lru_cache(maxsize=None)
+def _kernel_radial_rule(depth: int, order: int, space: SpaceSpec) -> tuple:
+    """``(w, 1 - x, weight_power_over_gap(space, x))`` of the radial rule
+    ``(x, w)`` of ``kernel_family_norm``, which depends on the space and the
+    grid only."""
+    x, w, _ = radial_rule(depth, order, space.weight.alpha * space.p)
+    r, weight_factor = 1.0 - x, weight_power_over_gap(space, x)
+    for arr in (r, weight_factor):
+        arr.setflags(write=False)
+    return w, r, weight_factor
+
+
+@lru_cache(maxsize=None)
+def _kernel_angular_rule(j_max: int, order: int) -> tuple:
+    """``(sin(theta/2)**2, weights)`` of the angular rule of
+    ``kernel_family_norm``, as a row, on ``j_max`` dyadic panels of ``[0, pi]``."""
+    theta, tw, _ = radial_rule(j_max, order, 1.0, np.pi)
+    half_angle_sin_sq = np.sin(0.5 * theta[None, :]) ** 2
+    half_angle_sin_sq.setflags(write=False)
+    return half_angle_sin_sq, tw
 
 
 def boundary_chase_point(phi, depths, angular_nodes: int = 256) -> np.ndarray:

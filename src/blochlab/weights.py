@@ -52,7 +52,7 @@ class NormalWeight:
                 raise DomainError("weight argument must lie in [0, 1)")
             return float(self.value_from_gap(np.array([1.0 - r]))[0])
         arr = np.asarray(r, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr >= 1.0):
+        if (arr < 0.0).any() or (arr >= 1.0).any():
             raise DomainError("weight argument must lie in [0, 1)")
         return self.value_from_gap(1.0 - arr)
 
@@ -79,49 +79,67 @@ class NormalWeight:
 
 @dataclass(frozen=True)
 class NormalityReport:
+    """``ok`` when the witness conditions hold on ``[1 - 2**-k0, 1)``; on
+    failure ``k0`` is the last start tried and ``failed_at`` the first
+    violating grid index past it."""
+
     ok: bool
     detail: str = ""
     failed_at: int | None = None
     condition: str | None = None
+    k0: int = 0
 
     def __bool__(self) -> bool:
         return self.ok
 
 
 def check_normality(weight: NormalWeight, depth: int = NORMALITY_GRID_DEPTH) -> NormalityReport:
-    """Validate the witness conditions on the grid ``r_k = 1 - 2**-k``.
+    """Validate the witness conditions on the grid ``r_k = 1 - 2**-k``,
+    ``k0 <= k <= depth``, for the smallest ``k0 <= depth // 2`` at which
+    they hold.
 
-    The ``s`` ratio must be nonincreasing across the grid and decay
-    overall; the ``t`` ratio must be nondecreasing and grow overall.
-    Returns the first violating grid index on failure.
+    Normality (Shields and Williams) asks the ratios to be monotone only
+    near the boundary, on some ``[r0, 1)``.  On the grid past ``k0`` the
+    ``s`` ratio must be nonincreasing and decay overall; the ``t`` ratio
+    must be nondecreasing and grow overall.  Returns the report at the
+    first ``k0`` that passes, or the failure at ``k0 = depth // 2`` with
+    its first violating grid index.
     """
     log_x = -np.log(2.0) * np.arange(depth + 1)
     log_w = weight.log_value_from_gap(log_x)
     log_ratio_s = log_w - weight.s * log_x
     log_ratio_t = log_w - weight.t * log_x
+    for k0 in range(depth // 2 + 1):
+        report = _normality_past(log_ratio_s, log_ratio_t, k0, depth)
+        if report.ok:
+            return report
+    return report
 
+
+def _normality_past(log_ratio_s, log_ratio_t, k0: int, depth: int) -> NormalityReport:
+    """The witness conditions on the grid indices ``k0 .. depth``."""
     slack = 1e-12
-    rising = np.nonzero(np.diff(log_ratio_s) > slack)[0]
+    rising = np.nonzero(np.diff(log_ratio_s[k0:]) > slack)[0]
     if rising.size:
-        k = int(rising[0])
+        k = k0 + int(rising[0])
         return NormalityReport(
-            False, f"w(r)/(1-r)^s increases between grid indices {k} and {k + 1}", k, "s"
+            False, f"w(r)/(1-r)^s increases between grid indices {k} and {k + 1}", k, "s", k0
         )
-    if log_ratio_s[-1] > log_ratio_s[0] + np.log(0.9):
+    if log_ratio_s[-1] > log_ratio_s[k0] + np.log(0.9):
         return NormalityReport(
-            False, "w(r)/(1-r)^s does not decay toward zero on the grid", depth, "s"
+            False, "w(r)/(1-r)^s does not decay toward zero on the grid", depth, "s", k0
         )
-    falling = np.nonzero(np.diff(log_ratio_t) < -slack)[0]
+    falling = np.nonzero(np.diff(log_ratio_t[k0:]) < -slack)[0]
     if falling.size:
-        k = int(falling[0])
+        k = k0 + int(falling[0])
         return NormalityReport(
-            False, f"w(r)/(1-r)^t decreases between grid indices {k} and {k + 1}", k, "t"
+            False, f"w(r)/(1-r)^t decreases between grid indices {k} and {k + 1}", k, "t", k0
         )
-    if log_ratio_t[-1] < log_ratio_t[0] - np.log(0.9):
+    if log_ratio_t[-1] < log_ratio_t[k0] - np.log(0.9):
         return NormalityReport(
-            False, "w(r)/(1-r)^t does not grow toward infinity on the grid", depth, "t"
+            False, "w(r)/(1-r)^t does not grow toward infinity on the grid", depth, "t", k0
         )
-    return NormalityReport(True)
+    return NormalityReport(True, k0=k0)
 
 
 @dataclass(frozen=True)

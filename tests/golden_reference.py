@@ -25,6 +25,12 @@ tests pin the one verdict rule of ``blochlab.criteria`` to them.
 ``reference_oracle_task`` refines the oracle's kernel rows, pinned rows and
 chain battery each in a search of its own; tests pin the one search of
 ``blochlab.oracle.oracle_task`` and its views to it bit for bit.
+``reference_bracket_argmax`` and ``reference_kernel_family_norm`` are the
+bracket search with 2-D fancy indexing and the kernel norm that builds its
+radial and angular rules on every call; tests pin ``bracket_argmax`` and
+``kernel_family_norm`` to them bit for bit.  ``reference_check_normality``
+checks the witness ratios on the whole grid; tests pin the report of every
+weight it accepts.
 """
 
 import csv
@@ -37,15 +43,20 @@ import numpy as np
 from blochlab.cli import _iter_verdicts
 from blochlab import oracle
 from blochlab.criteria import SLOPE_FAIL, SLOPE_HOLD, STABLE_REL, Status, Verdict
+from blochlab.disk_functions import DomainError
 from blochlab.norms import (
+    DEFAULT_GRID,
     TRIGGER_Z,
     BoundaryProfile,
     bloch_seminorm,
     bracket_argmax,
     one_minus_sq,
     profile_thresholds,
+    radial_rule,
     sample_points,
+    weight_power_over_gap,
 )
+from blochlab.weights import NORMALITY_GRID_DEPTH, NormalityReport
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -419,3 +430,78 @@ def reference_oracle_task(sym, space, grid, samples, chain=None) -> tuple:
         (semi,) = oracle._refine(sym, grid, [rows[0]])
         constant = max([0.0] + [float(value) / denom for value, denom in zip(semi, rows[1])])
     return trend, probe, constant
+
+
+def reference_bracket_argmax(fn, lo: np.ndarray, hi: np.ndarray, rounds: int):
+    """``bracket_argmax`` with each round's best point and new bracket read
+    by 2-D fancy indexing."""
+    rows, last = np.arange(lo.size), 32
+    best_x, best = lo, np.full(lo.shape, -np.inf)
+    for _ in range(rounds):
+        xs = _reference_bracket_abscissae(lo, hi)
+        values = fn(xs)
+        i = values.argmax(axis=1)
+        top = values[rows, i]
+        better = top > best
+        best_x, best = np.where(better, xs[rows, i], best_x), np.where(better, top, best)
+        lo, hi = xs[rows, np.maximum(i - 1, 0)], xs[rows, np.minimum(i + 1, last)]
+    return best_x, best
+
+
+def _reference_bracket_abscissae(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    last = 32
+    k = np.arange(33.0)
+    delta = (b - a)[:, None]
+    step = delta / last
+    xs = (k / last) * delta if np.any(step == 0.0) else k * step
+    xs += a[:, None]
+    xs[:, last] = b
+    return xs
+
+
+def reference_kernel_family_norm(base_modulus: float, space, grid=DEFAULT_GRID) -> float:
+    """``kernel_family_norm`` building its radial rule, weight factor and
+    angular row on every call."""
+    s_mod = float(base_modulus)
+    if not 0.0 <= s_mod < 1.0:
+        raise DomainError("base modulus must lie in [0, 1)")
+    t = space.weight.t
+    gap_w = 1.0 - s_mod**2
+    scale = gap_w ** (t + 1.0) / space.weight(s_mod)
+    pq = space.p * (1.0 / space.p + t + 1.0)
+
+    depth = max(grid.depth, int(np.ceil(np.log2(1.0 / max(1.0 - s_mod, 1e-300)))) + 8)
+    x, w, _ = radial_rule(depth, grid.panel_order, space.weight.alpha * space.p)
+    r = 1.0 - x
+    s = r * s_mod
+
+    j_max = int(np.ceil(np.log2(np.pi / max(1.0 - s.max(), 1e-300)))) + 6
+    theta, tw, _ = radial_rule(j_max, grid.panel_order, 1.0, np.pi)
+
+    dist_sq = (1.0 - s[:, None]) ** 2 + 4.0 * s[:, None] * np.sin(0.5 * theta[None, :]) ** 2
+    mean = (dist_sq ** (-0.5 * pq) @ tw) / np.pi
+    F = mean * weight_power_over_gap(space, x) * r
+    return float(scale * np.sum(w * F) ** (1.0 / space.p))
+
+
+def reference_check_normality(weight, depth: int = NORMALITY_GRID_DEPTH) -> NormalityReport:
+    """``check_normality`` with the witness ratios checked on the whole grid."""
+    log_x = -np.log(2.0) * np.arange(depth + 1)
+    log_w = weight.log_value_from_gap(log_x)
+    log_ratio_s = log_w - weight.s * log_x
+    log_ratio_t = log_w - weight.t * log_x
+
+    slack = 1e-12
+    rising = np.nonzero(np.diff(log_ratio_s) > slack)[0]
+    if rising.size:
+        k = int(rising[0])
+        return NormalityReport(False, f"w(r)/(1-r)^s increases between grid indices {k} and {k + 1}", k, "s")
+    if log_ratio_s[-1] > log_ratio_s[0] + np.log(0.9):
+        return NormalityReport(False, "w(r)/(1-r)^s does not decay toward zero on the grid", depth, "s")
+    falling = np.nonzero(np.diff(log_ratio_t) < -slack)[0]
+    if falling.size:
+        k = int(falling[0])
+        return NormalityReport(False, f"w(r)/(1-r)^t decreases between grid indices {k} and {k + 1}", k, "t")
+    if log_ratio_t[-1] < log_ratio_t[0] - np.log(0.9):
+        return NormalityReport(False, "w(r)/(1-r)^t does not grow toward infinity on the grid", depth, "t")
+    return NormalityReport(True)

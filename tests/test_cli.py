@@ -84,6 +84,19 @@ class TestParsing:
         with pytest.raises(ValidationError, match="not normal for witnesses"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("log_exponent", [0.5, -0.5, 1.0, -1.0])
+    def test_bergman_2_weight_with_a_log_factor_parses(self, log_exponent):
+        # normal near the boundary only, past k0 = 1 or 4 (Shields-Williams)
+        doc = dict(HALF_SCALE_DOC)
+        doc["space"] = {"p": 2.0, "weight": {"alpha": 0.5, "log_exponent": log_exponent, "s": 0.25, "t": 0.75}}
+        assert parse_config(doc).space.weight.log_exponent == log_exponent
+
+    def test_witness_above_alpha_still_refused_at_space_weight(self):
+        doc = dict(HALF_SCALE_DOC)
+        doc["space"] = {"p": 2.0, "weight": {"alpha": 0.5, "log_exponent": 0.0, "s": 0.75, "t": 1.0}}
+        with pytest.raises(ValidationError, match=r"^space\.weight: not normal"):
+            parse_config(doc)
+
     def test_identity_shorthand(self):
         phi = build_self_map("identity")
         assert phi.eval(0.3j) == pytest.approx(0.3j)

@@ -325,6 +325,60 @@ class TestJets:
             Affine(0.5, 0.5).jet(np.array([0.0, 1.0j]))
 
 
+def _bits(a) -> np.ndarray:
+    """The float bits of a complex value or array, signed zeros included."""
+    return np.atleast_1d(np.asarray(a, dtype=complex)).view(np.float64).view(np.int64)
+
+
+class TestHornerInPlace:
+    """``PowerSeries`` evaluates by Horner's rule in place; its values are
+    ``numpy.polynomial.polynomial.polyval``'s, bit for bit."""
+
+    @staticmethod
+    def points(shape, seed):
+        rng = np.random.default_rng(seed)
+        z = 0.999 * np.sqrt(rng.uniform(0.0, 1.0, shape)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, shape))
+        flat = z.reshape(-1)
+        flat[: min(flat.size, 4)] = [0.0, complex(-0.0, -0.0), complex(-0.5, -0.0), complex(-0.0, 0.25)][: flat.size]
+        return z
+
+    @staticmethod
+    def coefficients(degree, seed):
+        rng = np.random.default_rng([degree, seed])
+        c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+        c[rng.uniform(size=c.size) < 0.3] = complex(-0.0, -0.0)
+        c[0] = complex(-0.0, 0.0) if degree % 2 else c[0]
+        return c
+
+    @pytest.mark.parametrize("degree", range(9))
+    @pytest.mark.parametrize("shape", [(), (7,), (1, 66), (5, 66), (16, 2048)], ids=str)
+    def test_jet_equals_polyval_bit_for_bit(self, degree, shape):
+        # (16, 2048) complex points take 512 KiB, past numpy's temporary-elision size
+        c = self.coefficients(degree, len(shape))
+        f, z = PowerSeries(c), self.points(shape, degree)
+        value, derivative = f._jet(z)
+        assert np.shape(value) == np.shape(derivative) == shape
+        assert np.array_equal(_bits(value), _bits(npoly.polyval(z, c)))
+        assert np.array_equal(_bits(derivative), _bits(npoly.polyval(z, npoly.polyder(c) if degree else [0j])))
+
+    def test_strided_points_and_the_public_jet(self):
+        c = self.coefficients(5, 1)
+        z = self.points((6, 132), 5)[::2, ::2]
+        value, derivative = PowerSeries(c).jet(z)
+        assert np.array_equal(_bits(value), _bits(npoly.polyval(z, c)))
+        assert np.array_equal(_bits(derivative), _bits(npoly.polyval(z, npoly.polyder(c))))
+        one = PowerSeries(c).jet(complex(-0.3, -0.0))
+        assert np.array_equal(_bits(one), _bits((npoly.polyval(np.array(complex(-0.3, -0.0)), c),
+                                                 npoly.polyval(np.array(complex(-0.3, -0.0)), npoly.polyder(c)))))
+
+    def test_evaluation_leaves_the_points_and_coefficients_alone(self):
+        c = self.coefficients(4, 2)
+        z = self.points((3, 66), 2)
+        z_before, f = z.copy(), PowerSeries(c)
+        f._jet(z)
+        assert np.array_equal(_bits(z), _bits(z_before)) and np.array_equal(_bits(f.coefficients), _bits(c))
+
+
 class TestKernelFamily:
     bases = np.array([0.0, 0.5, 0.3 - 0.6j, -0.95j])
     scales = np.array([1.0, 0.75, 1.5j, 2.0 - 1.0j])

@@ -56,6 +56,7 @@ from golden_reference import (
     golden_argmax,
     golden_bloch_seminorm,
     reference_boundary_profile,
+    reference_bracket_argmax,
     scalar_bracket_argmax,
     scalar_chase,
     two_pass_family_bloch_seminorm,
@@ -277,6 +278,26 @@ class TestBracketArgmax:
         for a, b in cases:
             got, want = _bracket_abscissae(a, b), np.linspace(a, b, 33, axis=-1)
             assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("case", ["random", "degenerate", "underflow"])
+    def test_flat_bookkeeping_equals_the_fancy_indexed_search_bit_for_bit(self, case):
+        rng = np.random.default_rng(["random", "degenerate", "underflow"].index(case))
+        rows = 48
+        lo = rng.uniform(-2.0, 2.0, rows)
+        hi = lo + rng.uniform(0.0, 1.0, rows) * 10.0 ** rng.integers(-10, 1, rows)
+        if case == "degenerate":
+            hi[::3] = lo[::3]  # lo == hi: every point of the row is the one point
+        if case == "underflow":
+            lo[:2], hi[:2] = 0.0, 5e-324  # a step of 0: linspace's other rounding for the batch
+        freq, phase = rng.uniform(1.0, 40.0, rows)[:, None], rng.uniform(0.0, 6.0, rows)[:, None]
+
+        def fn(x):
+            # many local maxima, and plateaus where ties pick the earliest point
+            return np.round(np.sin(freq * x + phase) * (1.0 + 0.1 * x), 3)
+
+        got, want = bracket_argmax(fn, lo, hi, 12), reference_bracket_argmax(fn, lo, hi, 12)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (rows,) and np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
     def test_every_round_searches_linspace_abscissae(self):
         seen = []

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from blochlab import (
     FractionalKernel,
     MonomialPower,
+    NormalWeight,
     PowerSeries,
     Product,
     RadialGrid,
@@ -28,7 +29,7 @@ from blochlab.disk_functions import DiskFunction, FiniteBlaschkeProduct, SelfMap
 from blochlab.norms import sample_points
 from blochlab.oracle import chain_constant, kernel_family_norm, symbol_samples
 from blochlab.criteria import classify_bounded_into_bloch
-from golden_reference import reference_oracle_task
+from golden_reference import reference_kernel_family_norm, reference_oracle_task
 
 
 def chase_members(sym, grid):
@@ -64,6 +65,32 @@ class TestBoundaryKernels:
                 boundary_test_function(mod, a2), a2, RadialGrid(16, angular, 12)
             )
             assert kernel_family_norm(mod, a2) == pytest.approx(generic, rel=1e-7)
+
+    @pytest.mark.parametrize("shape", [(12, 128, 8), (16, 512, 12)], ids=str)
+    @pytest.mark.parametrize("space", [SpaceSpec.bergman(2), SpaceSpec.bergman(1),
+                                       SpaceSpec(2.0, NormalWeight(0.5, -1.0, 0.25, 0.75))],
+                             ids=["A2", "A1", "log"])
+    def test_norm_equals_the_uncached_body_bit_for_bit(self, shape, space):
+        grid = RadialGrid(*shape)
+        for _ in range(2):  # the first pass may fill the rule caches, the second reads them
+            for mod in (0.0, 0.5, 1.0 - 2.0**-30):
+                assert kernel_family_norm(mod, space, grid).hex() == reference_kernel_family_norm(mod, space, grid).hex()
+
+    def test_rule_caches_are_keyed_on_the_grid_and_space_only(self, monkeypatch):
+        keys = []
+        for name in ("_kernel_radial_rule", "_kernel_angular_rule"):
+            def spy(*args, cached=getattr(oracle, name)):
+                keys.append(args)
+                out = cached(*args)
+                assert not any(arr.flags.writeable for arr in out)
+                return out
+
+            monkeypatch.setattr(oracle, name, spy)
+        for name in ("half-scale", "boundary-touch"):
+            config = parse_config(CURATED[name]["config"])
+            oracle.oracle_task(config.symbol, config.space, config.grid, None)
+        assert len(keys) == 2 * 2 * len(oracle.CHASE_DEPTHS)
+        assert all(type(key) is int or type(key) is SpaceSpec for args in keys for key in args)
 
     def test_norm_depends_only_on_base_modulus(self, a2, grid):
         a = bergman_type_norm(boundary_test_function(0.7, a2), a2, grid)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from blochlab import DomainError, NormalWeight, SpaceSpec, check_normality
+from blochlab import DomainError, NormalityReport, NormalWeight, SpaceSpec, check_normality
+from blochlab.weights import NORMALITY_GRID_DEPTH
+
+from golden_reference import reference_check_normality
 
 
 class TestWeightEval:
@@ -85,16 +88,48 @@ class TestNormality:
         assert check_normality(NormalWeight(1.5, log_exponent=1.0, s=0.4, t=2.0)).ok
 
     def test_log_weight_needs_room_below_alpha(self):
-        # the log factor pushes the ratio up near r = 0 when alpha - s < L
+        # the log factor pushes the s-ratio up near r = 0 when alpha - s < L,
+        # but only there: past k0 = 1 it is monotone, which normality asks
         report = check_normality(NormalWeight(1.0, log_exponent=1.0, s=0.5, t=2.0))
-        assert not report.ok
-        assert report.condition == "s"
+        assert report.ok and report.k0 == 1
+        assert not check_normality(NormalWeight(1.0, log_exponent=1.0, s=0.5, t=2.0), depth=1).ok
 
     def test_negative_log_exponent(self):
-        # the reciprocal log factor drags the t-ratio down near r = 0, so the
-        # upper witness needs t >= alpha + 1
-        assert check_normality(NormalWeight(0.5, log_exponent=-1.0, s=0.25, t=1.6)).ok
-        assert not check_normality(NormalWeight(0.5, log_exponent=-1.0, s=0.25, t=0.75)).ok
+        # the reciprocal log factor drags the t-ratio down near r = 0, so on the
+        # whole grid the upper witness needs t >= alpha + 1; near the boundary
+        # (past k0 = 4) t = 0.75 suffices
+        assert check_normality(NormalWeight(0.5, log_exponent=-1.0, s=0.25, t=1.6)).k0 == 0
+        report = check_normality(NormalWeight(0.5, log_exponent=-1.0, s=0.25, t=0.75))
+        assert report.ok and report.k0 == 4
+
+    @pytest.mark.parametrize("log_exponent, k0", [(0.5, 1), (-0.5, 1), (1.0, 4), (-1.0, 4)])
+    def test_bergman_2_with_a_log_factor_is_normal_near_the_boundary(self, log_exponent, k0):
+        report = check_normality(NormalWeight(0.5, log_exponent=log_exponent, s=0.25, t=0.75))
+        assert report == NormalityReport(True, k0=k0)
+
+    def test_every_weight_normal_on_the_whole_grid_keeps_its_report(self):
+        # a weight accepted from the first grid point on gets the same report, with
+        # k0 = 0; a weight accepted only past some k0 > 0 was refused before
+        accepted = 0
+        for alpha in (0.3, 0.5, 1.0, 2.0):
+            for log_exponent in (0.0, 0.25, 0.7, 1.0, -0.25, -0.7, -1.0):
+                for s in (0.1, 0.25, 0.5, 0.9, 1.05):
+                    for t in (1.1, 1.5, 2.0, 3.0):
+                        weight = NormalWeight(alpha, log_exponent, s * alpha, t * alpha + log_exponent**2)
+                        want, got = reference_check_normality(weight), check_normality(weight)
+                        if want.ok:
+                            accepted += 1
+                            assert got == want and got.k0 == 0
+                        elif got.ok:
+                            assert got.k0 > 0
+                        else:
+                            assert got.condition is not None and got.k0 == NORMALITY_GRID_DEPTH // 2
+        assert accepted > 100
+
+    def test_a_witness_above_alpha_fails_on_every_window(self):
+        report = check_normality(NormalWeight(0.5, s=0.75, t=1.0))
+        assert not report.ok and report.condition == "s"
+        assert report.k0 == NORMALITY_GRID_DEPTH // 2 and report.failed_at == report.k0
 
 
 class TestSpaceSpec:
