@@ -13,6 +13,9 @@ Each tree is imported in its own subprocess, which dumps:
   of the tree's own ``bench/workloads.deep_config_texts(seed)`` (the
   ``deep-classify`` benchmark units), with the SHA-256 of its canonical
   bytes.  This needs both trees to be checkouts; ``bench/`` is only read;
+* the ``constants_battery`` of ``bergman:2`` and of ``bergman:2`` with a
+  ``log_exponent = -1`` weight at 40x2048x12, a grid whose quadrature runs
+  in thirty blocks, every value as ``float.hex``;
 * the SHA-256 of every file ``emit`` writes (JSON and CSV, ``meta``
   blanked) for each curated and each ``--deep`` config;
 * the number of CPUs the child may run on and, for each ``--deep``
@@ -20,9 +23,10 @@ Each tree is imported in its own subprocess, which dumps:
   tree that samples each table whole).
 
 The payloads are compared section by section (a curated task entry, the
-constants block, one part of a pair payload).  The script prints, per
-section kind, how many sections are byte-identical, the largest relative
-drift of any float with its path, and every verdict change; then how many
+constants block, one part of a pair payload, one battery value).  The
+script prints, per section kind, how many sections are byte-identical,
+the largest relative drift of any float with its path, and every verdict
+change (a battery value that differs is printed as changed); then how many
 emitted files are byte-identical, naming each that is not; then each
 tree's CPU count and deep tables by block count, which shows whether a
 byte-identity run crossed the multi-block path.  Exit status
@@ -90,7 +94,7 @@ def dump(src: Path, seeds: list, count: int, deep_seeds: list, workloads) -> dic
     every emitted file, keyed by unit and file name; runs in the child."""
     sys.path.insert(0, str(src))
     import blochlab
-    from blochlab import RadialGrid, SpaceSpec, cli, criteria, oracle
+    from blochlab import NormalWeight, RadialGrid, SpaceSpec, cli, criteria, oracle
     from blochlab.battery import CURATED, random_pairs
 
     if Path(blochlab.__file__).resolve().parent != src / "blochlab":
@@ -114,6 +118,13 @@ def dump(src: Path, seeds: list, count: int, deep_seeds: list, workloads) -> dic
                 "derivative_limit": criteria.derivative_limit_probe(sym, space, probe_mesh).to_dict(),
                 "composition_limit": criteria.composition_limit_probe(sym, space, probe_mesh).to_dict(),
             }
+    deep = RadialGrid(40, 2048, 12)
+    for name, battery_space in (("bergman2", space), ("bergman2-log-1", SpaceSpec(2.0, NormalWeight(0.5, -1.0)))):
+        battery = oracle.constants_battery(battery_space, deep)
+        units[f"battery/{name}"] = {
+            "norms": [float(n).hex() for n in battery.norms],
+            **{key: [float(v).hex() for v in value] if isinstance(value, list) else float(value).hex()
+               for key, value in battery.to_dict().items()}}
     blocks = {}
     if deep_seeds:
         spec = importlib.util.spec_from_file_location("bench_workloads", workloads)

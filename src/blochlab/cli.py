@@ -103,10 +103,10 @@ MAX_PANEL_ORDER = 32
 # evaluation runs Horner's rule over all of them, twice (value and derivative).
 # The longest series in use has 32 terms; 1024 is 32 times that.
 MAX_LOG_SERIES_TERMS = 1024
-# The norm quadrature evaluates (depth+1)*order*angular_nodes points and peaks
-# at about 84 bytes per point (traced constants battery at 16x512x12 to
-# 24x32768x8).  2**23 points (about 700 MiB) admit the largest grids in use,
-# 16x32768x12 (6,684,672 points, 527 MiB traced) and 24x32768x8 (6,553,600).
+# The norm quadrature evaluates (depth+1)*order*angular_nodes points, one block
+# of whole rows at a time, so its memory does not grow with the grid; the cap
+# bounds its time.  2**23 points admit the largest grids in use, 16x32768x12
+# (6,684,672 points, about 2.4 s cold) and 24x32768x8 (6,553,600).
 MAX_QUADRATURE_POINTS = 2**23
 
 

@@ -34,6 +34,7 @@ from .norms import (
     BandPartition,
     BoundaryProfile,
     RadialGrid,
+    block_edges,
     bloch_seminorm,
     boundary_profile,
     circle_maxima,
@@ -303,24 +304,6 @@ class EquivalenceProbe:
 # the sample table: every classifier and limit probe reads from it
 
 
-# A table is sampled in blocks of whole circles, each of at least this many
-# points unless the table is one block.  numpy elides the temporaries of
-# arrays of 256 KiB and more (2**14 complex points), and a complex product
-# that elides rounds differently from one that does not (see
-# ``disk_functions._scaled_jet``); blocks of 2**15 points or more keep every
-# block on the whole table's side of that size, so the samples are those of
-# one whole-table evaluation bit for bit.
-_BLOCK_POINTS = 2**15
-
-
-def _block_edges(circles: int, nodes: int) -> list:
-    """The first circle of each block of a ``(circles, nodes)`` table, then
-    ``circles``: ``points // _BLOCK_POINTS`` contiguous blocks (at least
-    one, at most one per circle) whose circle counts differ by at most one."""
-    blocks = min(circles, max(1, circles * nodes // _BLOCK_POINTS))
-    return [circles * i // blocks for i in range(blocks + 1)]
-
-
 def _each_block(edges: list, fill) -> None:
     """Call ``fill(start, stop)`` for the circles of each block.
 
@@ -370,13 +353,14 @@ class SampleTable:
     verdicts read from them.
 
     Both quotients and their plain numerators are sampled once over the
-    circles of ``sample_points``, in blocks of whole circles that run in
-    parallel (``_each_block``).  A boundary profile is built on first use
-    and kept, and so is the multiplier's Bloch-tail verdict.  A ``|z|``
-    profile reads a quantity's per-circle maxima over the radii, and the
-    profiles of each trigger share one band partition of its modulus.  The
-    methods are the classifiers and the limit probes; the module-level
-    functions of the same names build a table for a single call.
+    circles of ``sample_points``, in blocks of whole circles
+    (``block_edges``) that run in parallel (``_each_block``).  A boundary
+    profile is built on first use and kept, and so is the multiplier's
+    Bloch-tail verdict.  A ``|z|`` profile reads a quantity's per-circle
+    maxima over the radii, and the profiles of each trigger share one band
+    partition of its modulus.  The methods are the classifiers and the
+    limit probes; the module-level functions of the same names build a
+    table for a single call.
     """
 
     def __init__(self, sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID):
@@ -384,7 +368,7 @@ class SampleTable:
         self.radii, z = sample_points(grid.depth, grid.angular_nodes)
         omr2 = one_minus_sq(self.radii)[:, None]
         abs_phi, *sampled = out = [np.empty(z.shape) for _ in range(5)]
-        _each_block(_block_edges(*z.shape),
+        _each_block(block_edges(*z.shape),
                     lambda a, b: _quotients(z[a:b], omr2[a:b], sym, space, [part[a:b] for part in out]))
         self.quantities = dict(zip(_SAMPLED, sampled))
         self.z_bands = BandPartition(self.radii, grid.depth)

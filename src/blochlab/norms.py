@@ -7,7 +7,9 @@ plus a final band ``[0, 2**-K]`` on which the algebraic endpoint factor
 Dyadic bands equidistribute the mass of the boundary singularity that the
 weight contributes, and band-by-band contributions expose divergent
 integrands: a norm whose deepest three band contributions stop decaying is
-reported as nonconvergent instead of being silently truncated.
+reported as nonconvergent instead of being silently truncated.  The
+integrands and the growth envelopes are evaluated one block of whole rows
+at a time (``block_edges``), bit for bit as one whole-array evaluation.
 
 Suprema over the disk are taken on a standard sample set (dyadic radii
 plus geometric midpoints, equispaced angles) with one local vectorized
@@ -43,6 +45,7 @@ __all__ = [
     "circle_maxima",
     "sample_radii",
     "sample_points",
+    "block_edges",
     "profile_thresholds",
     "radial_rule",
     "weight_power_over_gap",
@@ -164,6 +167,24 @@ def sample_points(depth: int, angular_nodes: int):
     return r, z
 
 
+# Arrays of disk points are evaluated in blocks of whole rows, each of at
+# least this many points unless the array is one block.  numpy elides the
+# temporaries of arrays of 256 KiB and more (2**14 complex points), and a
+# complex product that elides rounds differently from one that does not (see
+# ``disk_functions._scaled_jet``); blocks of 2**15 points or more keep every
+# block on the whole array's side of that size, so the values are those of
+# one whole-array evaluation bit for bit.
+_BLOCK_POINTS = 2**15
+
+
+def block_edges(rows: int, nodes: int) -> list:
+    """The first row of each block of a ``(rows, nodes)`` array of points,
+    then ``rows``: ``points // _BLOCK_POINTS`` contiguous blocks (at least
+    one, at most one per row) whose row counts differ by at most one."""
+    blocks = min(rows, max(1, rows * nodes // _BLOCK_POINTS))
+    return [rows * i // blocks for i in range(blocks + 1)]
+
+
 @lru_cache(maxsize=None)
 def profile_thresholds(depth: int) -> np.ndarray:
     """Boundary thresholds ``1 - 2**-k`` for ``k = 1 .. depth``."""
@@ -200,6 +221,19 @@ def _angular_power_mean(values: np.ndarray, p: float) -> np.ndarray:
     return np.mean(np.abs(values) ** p, axis=1)
 
 
+def _circle_power_means(values, r: np.ndarray, nodes: int, p: float) -> np.ndarray:
+    """``_angular_power_mean`` of ``values`` on the circles of radii ``r``
+    with ``nodes`` equispaced points each, evaluated a block of circles at a
+    time (``block_edges``): a row's mean reads only its own circle, so the
+    means are those of one whole-array evaluation, and only one block of
+    points is held at once."""
+    ring, edges = _unit_circle(nodes), block_edges(r.size, nodes)
+    mpp = np.empty(r.size)
+    for a, b in zip(edges, edges[1:]):
+        mpp[a:b] = _angular_power_mean(values(r[a:b, None] * ring), p)
+    return mpp
+
+
 def weight_power_over_gap(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
     """``w(1-x)**p / x`` evaluated stably through the gap variable."""
     gamma = space.weight.alpha * space.p
@@ -219,8 +253,7 @@ def bergman_type_norm(f: DiskFunction, space: SpaceSpec, grid: RadialGrid = DEFA
     gamma = space.weight.alpha * space.p
     x, w, band = radial_rule(grid.depth, grid.panel_order, gamma)
     r = 1.0 - x
-    z = r[:, None] * _unit_circle(grid.angular_nodes)[None, :]
-    mpp = _angular_power_mean(f.eval(z), space.p)
+    mpp = _circle_power_means(f.eval, r, grid.angular_nodes, space.p)
     F = mpp * weight_power_over_gap(space, x) * r
     total, _ = _decay_checked_total(F, w, band, grid.depth, "bergman_type_norm")
     return float(total ** (1.0 / space.p))
@@ -246,8 +279,7 @@ def derivative_form_norm(f: DiskFunction, space: SpaceSpec, grid: RadialGrid = D
     gamma = space.weight.alpha * space.p
     x, w, band = radial_rule(grid.depth, grid.panel_order, gamma)
     r = 1.0 - x
-    z = r[:, None] * _unit_circle(grid.angular_nodes)[None, :]
-    mpp = _angular_power_mean(f.deriv(z), space.p)
+    mpp = _circle_power_means(f.deriv, r, grid.angular_nodes, space.p)
     F = mpp * (x * (2.0 - x)) ** space.p * weight_power_over_gap(space, x) * 2.0 * r
     total, _ = _decay_checked_total(F, w, band, grid.depth, "derivative_form_norm")
     head = unit_norm_mass(space, grid) * abs(f.eval(0.0)) ** space.p
@@ -544,15 +576,21 @@ def sw_integral_check(beta: float, m: float, rho: float, grid: RadialGrid = DEFA
 # growth envelopes
 
 
+def _envelope(values, space: SpaceSpec, power: float, grid: RadialGrid) -> float:
+    """``sup |values(z)| w(|z|) (1-|z|^2)**power`` over the circles of
+    ``sample_points``, taken a block of circles at a time (``block_edges``);
+    a NaN anywhere is the result, as it is of one whole-array maximum."""
+    radii, z = sample_points(grid.depth, grid.angular_nodes)
+    scale = space.weight(radii) * one_minus_sq(radii) ** power
+    edges = block_edges(*z.shape)
+    return float(np.max([np.max(scale[a:b, None] * np.abs(values(z[a:b]))) for a, b in zip(edges, edges[1:])]))
+
+
 def pointwise_growth_envelope(f: DiskFunction, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID) -> float:
     """``sup |f(z)| w(|z|) (1-|z|^2)**(1/p)`` over the sample set."""
-    radii, z = sample_points(grid.depth, grid.angular_nodes)
-    scale = space.weight(radii) * one_minus_sq(radii) ** (1.0 / space.p)
-    return float(np.max(scale[:, None] * np.abs(f.eval(z))))
+    return _envelope(f.eval, space, 1.0 / space.p, grid)
 
 
 def derivative_growth_envelope(f: DiskFunction, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID) -> float:
     """``sup |f'(z)| w(|z|) (1-|z|^2)**(1/p + 1)`` over the sample set."""
-    radii, z = sample_points(grid.depth, grid.angular_nodes)
-    scale = space.weight(radii) * one_minus_sq(radii) ** (1.0 / space.p + 1.0)
-    return float(np.max(scale[:, None] * np.abs(f.deriv(z))))
+    return _envelope(f.deriv, space, 1.0 / space.p + 1.0, grid)

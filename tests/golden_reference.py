@@ -30,7 +30,11 @@ bracket search with 2-D fancy indexing and the kernel norm that builds its
 radial and angular rules on every call; tests pin ``bracket_argmax`` and
 ``kernel_family_norm`` to them bit for bit.  ``reference_check_normality``
 checks the witness ratios on the whole grid; tests pin the report of every
-weight it accepts.
+weight it accepts.  ``reference_bergman_type_norm``,
+``reference_derivative_form_norm``, ``reference_pointwise_growth_envelope``
+and ``reference_derivative_growth_envelope`` evaluate their integrand on
+every quadrature node or sample circle in one array; tests pin the blocked
+quadrature and envelopes of ``blochlab.norms`` to them bit for bit.
 """
 
 import csv
@@ -48,12 +52,16 @@ from blochlab.norms import (
     DEFAULT_GRID,
     TRIGGER_Z,
     BoundaryProfile,
+    _angular_power_mean,
+    _decay_checked_total,
+    _unit_circle,
     bloch_seminorm,
     bracket_argmax,
     one_minus_sq,
     profile_thresholds,
     radial_rule,
     sample_points,
+    unit_norm_mass,
     weight_power_over_gap,
 )
 from blochlab.weights import NORMALITY_GRID_DEPTH, NormalityReport
@@ -505,3 +513,42 @@ def reference_check_normality(weight, depth: int = NORMALITY_GRID_DEPTH) -> Norm
     if log_ratio_t[-1] < log_ratio_t[0] - np.log(0.9):
         return NormalityReport(False, "w(r)/(1-r)^t does not grow toward infinity on the grid", depth, "t")
     return NormalityReport(True)
+
+
+def reference_bergman_type_norm(f, space, grid=DEFAULT_GRID) -> float:
+    """``bergman_type_norm`` with ``f`` evaluated on every node in one array."""
+    gamma = space.weight.alpha * space.p
+    x, w, band = radial_rule(grid.depth, grid.panel_order, gamma)
+    r = 1.0 - x
+    z = r[:, None] * _unit_circle(grid.angular_nodes)[None, :]
+    mpp = _angular_power_mean(f.eval(z), space.p)
+    F = mpp * weight_power_over_gap(space, x) * r
+    total, _ = _decay_checked_total(F, w, band, grid.depth, "bergman_type_norm")
+    return float(total ** (1.0 / space.p))
+
+
+def reference_derivative_form_norm(f, space, grid=DEFAULT_GRID) -> float:
+    """``derivative_form_norm`` with ``f'`` evaluated on every node in one array."""
+    gamma = space.weight.alpha * space.p
+    x, w, band = radial_rule(grid.depth, grid.panel_order, gamma)
+    r = 1.0 - x
+    z = r[:, None] * _unit_circle(grid.angular_nodes)[None, :]
+    mpp = _angular_power_mean(f.deriv(z), space.p)
+    F = mpp * (x * (2.0 - x)) ** space.p * weight_power_over_gap(space, x) * 2.0 * r
+    total, _ = _decay_checked_total(F, w, band, grid.depth, "derivative_form_norm")
+    head = unit_norm_mass(space, grid) * abs(f.eval(0.0)) ** space.p
+    return float((head + total) ** (1.0 / space.p))
+
+
+def reference_pointwise_growth_envelope(f, space, grid=DEFAULT_GRID) -> float:
+    """``pointwise_growth_envelope`` with ``f`` evaluated on every sample circle in one array."""
+    radii, z = sample_points(grid.depth, grid.angular_nodes)
+    scale = space.weight(radii) * one_minus_sq(radii) ** (1.0 / space.p)
+    return float(np.max(scale[:, None] * np.abs(f.eval(z))))
+
+
+def reference_derivative_growth_envelope(f, space, grid=DEFAULT_GRID) -> float:
+    """``derivative_growth_envelope`` with ``f'`` evaluated on every sample circle in one array."""
+    radii, z = sample_points(grid.depth, grid.angular_nodes)
+    scale = space.weight(radii) * one_minus_sq(radii) ** (1.0 / space.p + 1.0)
+    return float(np.max(scale[:, None] * np.abs(f.deriv(z))))

@@ -28,6 +28,7 @@ from blochlab import (
     constant,
     criteria,
     identity_map,
+    norms,
     oracle,
 )
 from blochlab.battery import CURATED
@@ -46,8 +47,8 @@ def _affinity(monkeypatch, cpus: int) -> None:
 
 
 def _force_blocks(monkeypatch, circles: int, nodes: int, blocks: int) -> list:
-    monkeypatch.setattr(criteria, "_BLOCK_POINTS", circles * nodes // blocks)
-    edges = criteria._block_edges(circles, nodes)
+    monkeypatch.setattr(norms, "_BLOCK_POINTS", circles * nodes // blocks)
+    edges = norms.block_edges(circles, nodes)
     assert len(edges) - 1 == blocks
     return edges
 
@@ -147,15 +148,15 @@ class TestBlockIdentity:
         except cli.ValidationError:
             return
         circles, nodes = sample_points(config.grid.depth, config.grid.angular_nodes)[1].shape
-        edges = criteria._block_edges(circles, nodes)
+        edges = norms.block_edges(circles, nodes)
         assert edges[0] == 0 and edges[-1] == circles
         assert len(edges) == 2 or min(np.diff(edges)) * nodes >= FLOOR
 
     def test_the_benchmark_grids_are_one_block_or_five(self):
-        assert len(criteria._block_edges(34, 512)) == 2  # curated, 16x512: 17,408 points
-        assert len(criteria._block_edges(26, 128)) == 2  # random-agreement, at most 4,352 points
-        assert len(criteria._block_edges(34, 128)) == 2
-        assert len(criteria._block_edges(82, 2048)) == 6  # deep-classify, 40x2048
+        assert len(norms.block_edges(34, 512)) == 2  # curated, 16x512: 17,408 points
+        assert len(norms.block_edges(26, 128)) == 2  # random-agreement, at most 4,352 points
+        assert len(norms.block_edges(34, 128)) == 2
+        assert len(norms.block_edges(82, 2048)) == 6  # deep-classify, 40x2048
 
 
 class TestThreads:
@@ -174,7 +175,7 @@ class TestThreads:
     def test_four_cpus_start_a_helper_for_each_further_block(self, monkeypatch, a2):
         _affinity(monkeypatch, 4)
         started = _started_threads(monkeypatch)
-        blocks = len(criteria._block_edges(82, 2048)) - 1
+        blocks = len(norms.block_edges(82, 2048)) - 1
         criteria.SampleTable(_scaled_pair(), a2, DEEP)
         assert len(started) == min(4, blocks) - 1
         assert not any(thread.is_alive() for thread in started)
@@ -213,7 +214,7 @@ class TestThreads:
             sys.setswitchinterval(interval)
 
     def test_a_domain_run_at_depth_52_records_every_task(self, tmp_path, capsys):
-        assert len(criteria._block_edges(106, 4096)) - 1 == 13
+        assert len(norms.block_edges(106, 4096)) - 1 == 13
         assert cli.main(["run", CONFIG, "--grid", "52,4096,8", "--out", str(tmp_path), "--format", "json"]) == 0
         (report,) = tmp_path.rglob("*.json")
 
