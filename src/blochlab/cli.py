@@ -326,6 +326,16 @@ class RunConfig:
     echo: dict = field(default_factory=dict)
 
 
+def _decode(text: str, source: str = ""):
+    """``text`` as JSON; a syntax error is a ``ParseError`` at
+    ``line N, column M``, after ``source: `` when a source is given."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        prefix = f"{source}: " if source else ""
+        raise ParseError(f"{prefix}line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
 def parse_config(text_or_dict) -> RunConfig:
     """Parse and eagerly validate a configuration document.
 
@@ -334,13 +344,7 @@ def parse_config(text_or_dict) -> RunConfig:
     task names and scheduling) are checked here so that ``run`` never
     starts a half-valid computation.
     """
-    if isinstance(text_or_dict, str):
-        try:
-            doc = json.loads(text_or_dict)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    else:
-        doc = text_or_dict
+    doc = _decode(text_or_dict) if isinstance(text_or_dict, str) else text_or_dict
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     unknown = set(doc) - {"symbol", "space", "grid", "tasks", "strict", "force_boundary", "output"}
@@ -688,10 +692,7 @@ def _load_doc(path: str) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read config {path!r}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    return _decode(text, path)
 
 
 def _apply_overrides(doc: dict, args) -> dict:

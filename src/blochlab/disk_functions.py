@@ -74,28 +74,11 @@ def _match_shape(value, template):
     return value
 
 
-def _jet_at(f, z):
-    """Value and derivative at ``z`` from one evaluation (``|z| < 1`` enforced)."""
-    value, derivative = f._jet(_as_points(z))
-    return _match_shape(value, z), _match_shape(derivative, z)
-
-
 def jets(z, *functions) -> tuple:
     """``(f(z), f'(z))`` of each of ``functions`` in turn, flattened: one
     check that ``|z| < 1``, then each function's jet at the same points."""
     points = _as_points(z)
     return tuple(_match_shape(part, z) for f in functions for part in f._jet(points))
-
-
-def _scaled_jet(factor, parts: list) -> tuple:
-    """``factor`` times a jet handed over as the only reference to its list.
-
-    Each part is popped into the product, so numpy sees a temporary, as it
-    does in ``factor * f(z)``: past its elision size numpy multiplies a
-    temporary in place with the operands swapped, and complex products
-    round differently in the two orders (fused multiply-add).  Popping
-    keeps the values bit for bit those of the plain expression."""
-    return factor * parts.pop(0), factor * parts.pop(0)
 
 
 def _horner(c: np.ndarray, z) -> np.ndarray:
@@ -117,14 +100,18 @@ def _horner(c: np.ndarray, z) -> np.ndarray:
     return value
 
 
-class DiskFunction:
-    """Analytic function on the unit disk with a closed-form derivative."""
+class _Jet:
+    """The jet protocol of ``DiskFunction`` and ``SelfMap``, which are two
+    separate subclasses (the benchmark tracer wraps each one's ``eval``)."""
 
     def _jet(self, z: np.ndarray) -> tuple:
         """``(f(z), f'(z))`` on an array of disk points."""
         raise NotImplementedError
 
-    jet = _jet_at
+    def jet(self, z):
+        """Value and derivative at ``z`` from one evaluation (``|z| < 1`` enforced)."""
+        value, derivative = self._jet(_as_points(z))
+        return _match_shape(value, z), _match_shape(derivative, z)
 
     def eval(self, z):
         """Value at ``z`` (``|z| < 1`` enforced)."""
@@ -136,6 +123,10 @@ class DiskFunction:
 
     def __call__(self, z):
         return self.eval(z)
+
+
+class DiskFunction(_Jet):
+    """Analytic function on the unit disk with a closed-form derivative."""
 
     def __add__(self, other):
         if isinstance(other, DiskFunction):
@@ -314,7 +305,13 @@ class Scaled(DiskFunction):
         self.inner = inner
 
     def _jet(self, z):
-        return _scaled_jet(self.factor, list(self.inner._jet(z)))
+        # each part is popped into the product, so numpy sees a temporary, as
+        # it does in ``factor * f(z)``: past its elision size numpy multiplies
+        # a temporary in place with the operands swapped, and complex products
+        # round differently in the two orders (fused multiply-add).  Popping
+        # keeps the values bit for bit those of the plain expression.
+        parts = list(self.inner._jet(z))
+        return self.factor * parts.pop(0), self.factor * parts.pop(0)
 
 
 class ComposedWithSelfMap(DiskFunction):
@@ -347,7 +344,7 @@ def truncated_log_series(n_terms: int) -> PowerSeries:
 # self-maps
 
 
-class SelfMap:
+class SelfMap(_Jet):
     """Analytic self-map of the disk with exact derivative and a certified
     structural bound ``sup_bound(r) >= sup_{|z| <= r} |phi(z)|``.
 
@@ -355,21 +352,6 @@ class SelfMap:
     samples; classifiers branch on it when deciding whether the image
     approaches the boundary.
     """
-
-    def _jet(self, z: np.ndarray) -> tuple:
-        """``(phi(z), phi'(z))`` on an array of disk points."""
-        raise NotImplementedError
-
-    jet = _jet_at
-
-    def eval(self, z):
-        return self.jet(z)[0]
-
-    def deriv(self, z):
-        return self.jet(z)[1]
-
-    def __call__(self, z):
-        return self.eval(z)
 
     def sup_bound(self, r: float) -> float:
         raise NotImplementedError
@@ -480,7 +462,7 @@ class FiniteBlaschkeProduct(SelfMap):
         for i in range(1, n):
             out = out + ders[i] * prefix[i] * suffix[i]
         # each factor value is popped into the product as a temporary, as in
-        # ``f0(z) * f1(z) * ...`` (see ``_scaled_jet``)
+        # ``f0(z) * f1(z) * ...`` (see ``Scaled._jet``)
         value = vals.pop(0)
         while vals:
             value = value * vals.pop(0)
@@ -501,8 +483,7 @@ class ScaledMap(SelfMap):
         self.factor = factor
         self.inner = inner
 
-    def _jet(self, z):
-        return _scaled_jet(self.factor, list(self.inner._jet(z)))
+    _jet = Scaled._jet
 
     def sup_bound(self, r):
         return min(1.0, abs(self.factor) * self.inner.sup_bound(r))
@@ -515,10 +496,7 @@ class CompositionMap(SelfMap):
         self.outer = outer
         self.inner = inner
 
-    def _jet(self, z):
-        w, dw = self.inner._jet(z)
-        value, derivative = self.outer._jet(w)
-        return value, derivative * dw
+    _jet = ComposedWithSelfMap._jet
 
     def sup_bound(self, r):
         return self.outer.sup_bound(min(1.0, self.inner.sup_bound(r)))

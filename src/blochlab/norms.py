@@ -171,7 +171,7 @@ def sample_points(depth: int, angular_nodes: int):
 # least this many points unless the array is one block.  numpy elides the
 # temporaries of arrays of 256 KiB and more (2**14 complex points), and a
 # complex product that elides rounds differently from one that does not (see
-# ``disk_functions._scaled_jet``); blocks of 2**15 points or more keep every
+# ``disk_functions.Scaled._jet``); blocks of 2**15 points or more keep every
 # block on the whole array's side of that size, so the values are those of
 # one whole-array evaluation bit for bit.
 _BLOCK_POINTS = 2**15

@@ -13,9 +13,9 @@ the classifier is reported, never auto-resolved.
 One oracle task (``oracle_task``) evaluates ``u``, ``u'``, ``phi`` and
 ``phi'`` on the sample grid once (``symbol_samples``), chases the 11
 boundary circles together, and refines every seminorm it needs in one
-search (``_search``): the kernel images, the pinned images (unless the
-probe is vacuous) and, for a bounded pair, the chain constant's battery are
-row groups of one ``family_bloch_seminorm``, whose rounds evaluate the jets
+search: the kernel images, the pinned images (unless the probe is
+vacuous) and, for a bounded pair, the chain constant's battery are row
+groups of one ``family_bloch_seminorm``, whose rounds evaluate the jets
 of ``u`` and ``phi`` once for all rows.  The kernel and pinned images are
 read from the closed-form moduli ``|g_m'|``, without a complex power, and
 on the grid a member's two images share ``W = 1 - conj(b_m) phi``.
@@ -158,8 +158,6 @@ def _refine(sym: SymbolPair, grid: RadialGrid, groups) -> list:
     round evaluates ``u`` and ``phi`` once for every row, and each group
     reads the jets of its own rows."""
     ends = np.cumsum([group.size for group in groups])
-    if ends[-1] == 0:
-        return [np.empty(0) for _ in groups]
 
     def modulus(z: np.ndarray) -> np.ndarray:
         jets = sym.jets(z)
@@ -190,8 +188,6 @@ def _chase_rows(families, samples, grid: RadialGrid) -> _Rows:
                 yield omr2 * member.image_derivative_modulus(u, du, phi, dphi, shared)
 
     def modulus(u, du, phi, dphi):
-        if count == 1:
-            return families[0].image_derivative_modulus(u, du, phi, dphi)
         out = np.empty(phi.shape)
         for f, family in enumerate(families):
             rows = slice(f, None, count)
@@ -337,7 +333,7 @@ def lower_bound_trend(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFA
     ``symbol_samples``, computed when not given.  This is ``oracle_task``'s
     trend, from a search without the pinned rows.
     """
-    return _search(sym, space, grid, samples, pinned=False)[0]
+    return oracle_task(sym, space, grid, samples, pinned=False)[0]
 
 
 def _classify_trend(values) -> str:
@@ -393,7 +389,7 @@ def compactness_probe(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, sampl
     A decaying trend corroborates compactness, a trend bounded away from
     zero corroborates the opposite; both are evidence, not proof.
     """
-    return _search(sym, space, grid, samples)[1]
+    return oracle_task(sym, space, grid, samples)[1]
 
 
 @dataclass(frozen=True)
@@ -440,7 +436,7 @@ def chain_constant(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, samples,
     from the task's ``symbol_samples`` and ``f``'s jet at ``phi``, in the
     operation order of the composite's own jet, so the values are those of
     ``bloch_seminorm`` of the composite."""
-    return _search(sym, space, grid, samples, chain)[2]
+    return oracle_task(sym, space, grid, samples, chain)[2]
 
 
 def _chain_rows(functions, norms, sup_multiplier: float, sup_composition: float, samples, grid: RadialGrid):
@@ -474,16 +470,11 @@ def _image_derivative(f: DiskFunction, u, du, phi, dphi) -> np.ndarray:
     return du * value + u * chain
 
 
-def oracle_task(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, samples, chain=None) -> tuple:
+def oracle_task(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, samples, chain=None, pinned=True) -> tuple:
     """The oracle task in one refinement search: ``(trend, probe, constant)``,
     the views ``lower_bound_trend``, ``compactness_probe`` and, given
     ``chain = (functions, norms, S1, S2)``, ``chain_constant`` (``constant``
-    is None without ``chain``)."""
-    return _search(sym, space, grid, samples, chain)
-
-
-def _search(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, samples, chain=None, pinned=True) -> tuple:
-    """``(trend, probe, constant)`` from one refinement search.
+    is None without ``chain``).
 
     The kernels at the images ``phi(z*)`` of the chase points, their pinned
     differences (when ``pinned`` and the map touches the boundary; the probe

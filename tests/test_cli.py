@@ -74,9 +74,15 @@ class TestParsing:
         with pytest.raises(ValidationError, match="unknown task"):
             parse_config(doc)
 
-    def test_malformed_json_reports_location(self):
-        with pytest.raises(ParseError, match="line"):
+    def test_malformed_json_reports_location(self, tmp_path, capsys):
+        with pytest.raises(ParseError) as info:
             parse_config('{"symbol": }')
+        assert str(info.value) == "line 1, column 12: Expecting value"
+        # a config file's error names the file first
+        path = tmp_path / "broken.json"
+        path.write_text('{"symbol": }')
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"invalid: {path}: line 1, column 12: Expecting value\n"
 
     def test_non_normal_weight_named_in_error(self):
         doc = dict(HALF_SCALE_DOC)

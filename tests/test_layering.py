@@ -2,10 +2,10 @@
 
 import ast
 import dataclasses
-import importlib.util
 from pathlib import Path
 
 import blochlab
+from bench_module import bench_module
 from blochlab import criteria, oracle
 
 PACKAGE = Path(blochlab.__file__).resolve().parent
@@ -29,10 +29,7 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 def test_names_the_benchmark_tracer_wraps_still_exist():
     # bench/tracing.py patches these bindings by name; a rename or deletion
     # must fail here rather than crash a traced benchmark run
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = bench_module("tracing")
     targets = [pair for pairs in tracing.SPANS.values() for pair in pairs]
     targets.append((criteria, "sample_points"))  # counts one call per sample table
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in targets if not hasattr(owner, attr)]
