@@ -24,7 +24,6 @@ from .disk_functions import (
     Sum,
     constant,
     identity_map,
-    metric_disk_comparability,
     pseudo_hyperbolic,
     truncated_log_series,
     validate_self_map,

@@ -677,10 +677,11 @@ def _emit_csv(report: Report, out: Path) -> list:
 
 
 def _parse_grid_flag(text: str) -> dict:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected K,M,ORDER")
-    return {"depth": int(parts[0]), "angular_nodes": int(parts[1]), "panel_order": int(parts[2])}
+    try:  # a wrong number of parts fails the unpacking, a part that is no integer fails ``int``
+        depth, angular_nodes, panel_order = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected K,M,ORDER") from None
+    return {"depth": depth, "angular_nodes": angular_nodes, "panel_order": panel_order}
 
 
 def _default_out() -> str:

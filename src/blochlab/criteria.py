@@ -49,8 +49,6 @@ __all__ = [
     "Status",
     "Verdict",
     "PreconditionUnmetError",
-    "MULTIPLIER_QUANTITY",
-    "COMPOSITION_QUANTITY",
     "multiplier_quotient",
     "composition_quotient",
     "SampleTable",

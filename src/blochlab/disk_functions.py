@@ -16,9 +16,8 @@ Two families of immutable value objects:
 All evaluators accept scalars or numpy arrays of points and return the
 matching shape.  Each class computes its value and derivative together
 as one jet, so a composite evaluates every child once per point;
-``eval`` and ``deriv`` are the two halves of ``jet``.  Disk geometry
-(pseudo-hyperbolic distance, Bergman metric, metric-disk comparability
-sampling) lives at the bottom.
+``eval`` and ``deriv`` are the two halves of ``jet``.  Disk geometry,
+the pseudo-hyperbolic distance, lives at the bottom.
 """
 
 from __future__ import annotations
@@ -49,12 +48,13 @@ __all__ = [
     "identity_map",
     "truncated_log_series",
     "pseudo_hyperbolic",
-    "metric_disk_comparability",
     "validate_self_map",
 ]
 
-_GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 _TOUCH_ULPS = 4
+# ``validate_self_map`` samples ``r = 1 - 2**-k``, ``2 <= k <= _VALIDATE_DEPTH``, at ``_VALIDATE_ANGULAR`` nodes
+_VALIDATE_DEPTH = 16
+_VALIDATE_ANGULAR = 256
 
 
 class DomainError(ValueError):
@@ -121,37 +121,9 @@ class _Jet:
         """Derivative at ``z``, evaluated from the closed form."""
         return self.jet(z)[1]
 
-    def __call__(self, z):
-        return self.eval(z)
-
 
 class DiskFunction(_Jet):
     """Analytic function on the unit disk with a closed-form derivative."""
-
-    def __add__(self, other):
-        if isinstance(other, DiskFunction):
-            return Sum((self, other))
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, DiskFunction):
-            return Sum((self, Scaled(-1.0, other)))
-        return NotImplemented
-
-    def __neg__(self):
-        return Scaled(-1.0, self)
-
-    def __mul__(self, other):
-        if isinstance(other, DiskFunction):
-            return Product(self, other)
-        if isinstance(other, (int, float, complex, np.number)):
-            return Scaled(complex(other), self)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex, np.number)):
-            return Scaled(complex(other), self)
-        return NotImplemented
 
 
 class PowerSeries(DiskFunction):
@@ -502,16 +474,16 @@ class CompositionMap(SelfMap):
         return self.outer.sup_bound(min(1.0, self.inner.sup_bound(r)))
 
 
-def validate_self_map(phi: SelfMap, depth: int = 16, angular: int = 256) -> None:
+def validate_self_map(phi: SelfMap) -> None:
     """Check the self-map property and Schwarz-Pick on boundary-adjacent circles.
 
     Raises ``ValueError`` on the first violated sample.  The Schwarz-Pick
     inequality ``(1-|z|^2)|phi'(z)| <= (1-|phi(z)|^2)`` is a classical fact
     used here purely as a sanity check on the closed-form derivatives.
     """
-    theta = 2.0 * np.pi * np.arange(angular) / angular
+    theta = 2.0 * np.pi * np.arange(_VALIDATE_ANGULAR) / _VALIDATE_ANGULAR
     ring = np.exp(1j * theta)
-    for k in range(2, depth + 1):
+    for k in range(2, _VALIDATE_DEPTH + 1):
         r = 1.0 - 0.5**k
         z = r * ring
         w, dw = phi._jet(z)
@@ -534,24 +506,3 @@ def pseudo_hyperbolic(z, w):
     wa = _as_points(w)
     return np.abs((za - wa) / (1.0 - np.conj(za) * wa))
 
-
-def metric_disk_comparability(a: complex, r: float, samples: int = 4096) -> float:
-    """Empirical comparability ratio of ``1 - |z|^2`` across a Bergman disk.
-
-    Samples the metric disk of radius ``r`` about ``a`` (the Moebius image
-    of the Euclidean disk of radius ``tanh r``) on a golden-angle spiral
-    and returns the largest of ``(1-|z|^2)/(1-|a|^2)`` and its reciprocal.
-    """
-    a = complex(a)
-    if abs(a) >= 1.0:
-        raise DomainError("center must lie in the open unit disk")
-    if r <= 0.0:
-        raise ValueError("metric radius must be positive")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    t = np.tanh(r)
-    k = np.arange(samples)
-    zeta = t * np.sqrt((k + 0.5) / samples) * np.exp(1j * _GOLDEN_ANGLE * k)
-    z = (a - zeta) / (1.0 - np.conj(a) * zeta)
-    s = (1.0 - np.abs(z) ** 2) / (1.0 - abs(a) ** 2)
-    return float(max(s.max(), (1.0 / s).max()))

@@ -117,28 +117,20 @@ def check_normality(weight: NormalWeight, depth: int = NORMALITY_GRID_DEPTH) -> 
 
 
 def _normality_past(log_ratio_s, log_ratio_t, k0: int, depth: int) -> NormalityReport:
-    """The witness conditions on the grid indices ``k0 .. depth``."""
+    """The witness conditions on the grid indices ``k0 .. depth``: the ``s`` ratio and the
+    reciprocal ``t`` ratio must each be nonincreasing and fall overall (negation is exact)."""
     slack = 1e-12
-    rising = np.nonzero(np.diff(log_ratio_s[k0:]) > slack)[0]
-    if rising.size:
-        k = k0 + int(rising[0])
-        return NormalityReport(
-            False, f"w(r)/(1-r)^s increases between grid indices {k} and {k + 1}", k, "s", k0
-        )
-    if log_ratio_s[-1] > log_ratio_s[k0] + np.log(0.9):
-        return NormalityReport(
-            False, "w(r)/(1-r)^s does not decay toward zero on the grid", depth, "s", k0
-        )
-    falling = np.nonzero(np.diff(log_ratio_t[k0:]) < -slack)[0]
-    if falling.size:
-        k = k0 + int(falling[0])
-        return NormalityReport(
-            False, f"w(r)/(1-r)^t decreases between grid indices {k} and {k + 1}", k, "t", k0
-        )
-    if log_ratio_t[-1] < log_ratio_t[k0] - np.log(0.9):
-        return NormalityReport(
-            False, "w(r)/(1-r)^t does not grow toward infinity on the grid", depth, "t", k0
-        )
+    for name, log_ratio, turns, limit in (
+        ("s", log_ratio_s, "increases", "decay toward zero"),
+        ("t", -log_ratio_t, "decreases", "grow toward infinity"),
+    ):
+        rising = np.nonzero(np.diff(log_ratio[k0:]) > slack)[0]
+        if rising.size:
+            k = k0 + int(rising[0])
+            detail = f"w(r)/(1-r)^{name} {turns} between grid indices {k} and {k + 1}"
+            return NormalityReport(False, detail, k, name, k0)
+        if log_ratio[-1] > log_ratio[k0] + np.log(0.9):
+            return NormalityReport(False, f"w(r)/(1-r)^{name} does not {limit} on the grid", depth, name, k0)
     return NormalityReport(True, k0=k0)
 
 

@@ -180,7 +180,8 @@ class TestThreads:
         assert len(started) == min(4, blocks) - 1
         assert not any(thread.is_alive() for thread in started)
 
-    def test_a_block_error_is_raised_after_every_block_ran(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_a_block_error_is_raised_after_every_block_ran(self, monkeypatch, cpus):
         ran = []
 
         def fill(start, stop):
@@ -188,7 +189,7 @@ class TestThreads:
             if start in (2, 4):
                 raise DomainError(f"block at {start}")
 
-        _affinity(monkeypatch, 4)
+        _affinity(monkeypatch, cpus)
         with pytest.raises(DomainError, match="block at 2"):
             criteria._each_block([0, 2, 4, 6, 8], fill)
         assert sorted(ran) == [0, 2, 4, 6]

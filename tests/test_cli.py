@@ -830,6 +830,17 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error: grid: the sample set has 2,099,200 points")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "battery"])
+    @pytest.mark.parametrize("grid", ["16,512,x", "16,512,12.5"])
+    def test_a_grid_flag_part_that_is_no_integer_is_rejected_by_argparse(self, tmp_path, capsys, command, grid):
+        out = tmp_path / "out"
+        args = [command, self._write(tmp_path, HALF_SCALE_DOC)] if command == "run" else [command]
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + ["--grid", grid, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"blochlab {command}: error: argument --grid: expected K,M,ORDER\n")
+        assert not out.exists()
+
     def test_panel_order_over_the_maximum_is_rejected_from_a_config_file_and_the_grid_flag(self, tmp_path, capsys):
         doc = dict(HALF_SCALE_DOC, grid={"depth": 16, "angular_nodes": 512, "panel_order": 1000000})
         out = tmp_path / "out"

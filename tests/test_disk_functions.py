@@ -19,7 +19,6 @@ from blochlab import (
     ScaledMap,
     Sum,
     identity_map,
-    metric_disk_comparability,
     pseudo_hyperbolic,
     validate_self_map,
 )
@@ -112,13 +111,6 @@ class TestDeriv:
         exact = f.deriv(z)
         assert abs(numeric - exact) <= 1e-6 * max(1.0, abs(exact))
 
-    def test_operator_sugar(self):
-        f = PowerSeries([0, 1])
-        g = 2.0 * f + f * f - f
-        z = 0.3 + 0.1j
-        assert g.eval(z) == pytest.approx(2 * z + z * z - z)
-        assert g.deriv(z) == pytest.approx(2 + 2 * z - 1)
-
 
 class TestSelfMaps:
     def test_affine_rejects_non_self_map(self):
@@ -188,24 +180,6 @@ class TestDiskGeometry:
 
     def test_pseudo_hyperbolic_range(self):
         assert pseudo_hyperbolic(0.2, 0.9j) < 1.0
-
-    def test_comparability_small_disk_at_origin(self):
-        ratio = metric_disk_comparability(0.0, 0.1, samples=2048)
-        assert ratio <= 1.23
-        assert ratio == pytest.approx(1.0 / (1.0 - np.tanh(0.1) ** 2), rel=1e-3)
-
-    def test_comparability_degenerates_to_one(self):
-        assert metric_disk_comparability(0.0, 1e-6, samples=512) == pytest.approx(1.0, abs=1e-5)
-
-    def test_comparability_off_center(self):
-        ratio = metric_disk_comparability(0.9, 1.0, samples=4096)
-        assert ratio <= np.exp(2.0) * (1.9 / 0.1)
-
-    def test_comparability_domain_checks(self):
-        with pytest.raises(DomainError):
-            metric_disk_comparability(1.0, 0.5)
-        with pytest.raises(ValueError):
-            metric_disk_comparability(0.0, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ from blochlab import (
     NormalWeight,
     PowerSeries,
     RadialGrid,
+    Scaled,
     SpaceSpec,
     Status,
+    Sum,
     SymbolPair,
     bergman_type_norm,
     bloch_seminorm,
@@ -123,14 +125,14 @@ class TestBergmanTypeNorm:
     @settings(max_examples=25, deadline=None)
     def test_absolute_homogeneity(self, a2, f, c):
         base = bergman_type_norm(f, a2, RadialGrid(8, 64, 8))
-        scaled = bergman_type_norm(c * f, a2, RadialGrid(8, 64, 8))
+        scaled = bergman_type_norm(Scaled(c, f), a2, RadialGrid(8, 64, 8))
         assert scaled == pytest.approx(abs(c) * base, rel=1e-12, abs=1e-13)
 
     @given(f=small_polys, g=small_polys)
     @settings(max_examples=25, deadline=None)
     def test_triangle_inequality_at_p_two(self, a2, f, g):
         mesh = RadialGrid(8, 64, 8)
-        lhs = bergman_type_norm(f + g, a2, mesh)
+        lhs = bergman_type_norm(Sum((f, g)), a2, mesh)
         rhs = bergman_type_norm(f, a2, mesh) + bergman_type_norm(g, a2, mesh)
         assert lhs <= rhs + 1e-9
 

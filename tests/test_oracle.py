@@ -10,7 +10,9 @@ from blochlab import (
     PowerSeries,
     Product,
     RadialGrid,
+    Scaled,
     SpaceSpec,
+    Sum,
     SymbolPair,
     bergman_type_norm,
     bloch_seminorm,
@@ -147,7 +149,7 @@ class TestOperatorApply:
         z = r * np.exp(1j * ang)
         sym = SymbolPair(PowerSeries([0.5, 1]), MonomialPower(2, 0.9))
         f, g = PowerSeries([1, 2, 3]), FractionalKernel(0.4, 1.5)
-        lhs = operator_apply(sym, a * f + g).eval(z)
+        lhs = operator_apply(sym, Sum((Scaled(a, f), g))).eval(z)
         rhs = a * operator_apply(sym, f).eval(z) + operator_apply(sym, g).eval(z)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
