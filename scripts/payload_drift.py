@@ -24,9 +24,11 @@ Each tree is imported in its own subprocess, which dumps:
 
 The payloads are compared section by section (a curated task entry, the
 constants block, one part of a pair payload, one battery value).  The
-script prints, per section kind, how many sections are byte-identical,
-the largest relative drift of any float with its path, and every verdict
-change (a battery value that differs is printed as changed); then how many
+script prints one table row per section kind (``curated:constants``,
+``pairs:lower_bound``, ...): how many of its sections are byte-identical
+and the largest relative drift of any float in them, with its path.  It
+then prints every verdict change (a battery value that differs is printed
+as changed); then how many
 emitted files are byte-identical, naming each that is not; then each
 tree's CPU count and deep tables by block count, which shows whether a
 byte-identity run crossed the multi-block path.  Exit status
@@ -172,26 +174,26 @@ def dump_in_subprocess(src: Path, seeds: list, count: int, deep_seeds: list = ()
     return json.loads(done.stdout)
 
 
-def compare(old, new, path: str, found: dict) -> None:
-    """Walk two payloads together, recording the worst float drift and
-    every other difference under ``found``."""
+def compare(old, new, path: str, found: dict, kind: str) -> None:
+    """Walk two payloads of section kind ``kind`` together, recording the
+    worst float drift of the kind and every other difference under ``found``."""
     if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(set(old) | set(new)):
             where = f"{path}.{key}"
             if key not in old or key not in new:
                 found["changes"].append((key, where, old.get(key), new.get(key)))
             else:
-                compare(old[key], new[key], where, found)
+                compare(old[key], new[key], where, found, kind)
     elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         for i, (a, b) in enumerate(zip(old, new)):
-            compare(a, b, f"{path}[{i}]", found)
+            compare(a, b, f"{path}[{i}]", found, kind)
     elif isinstance(old, float) and isinstance(new, float):
         if old == new or (math.isnan(old) and math.isnan(new)):
             return
         scale = max(abs(old), abs(new))
         drift = abs(old - new) / scale if math.isfinite(scale) else math.inf
-        if drift > found["drift"][0]:
-            found["drift"] = (drift, path, old, new)
+        if drift > found["drift"][kind][0]:
+            found["drift"][kind] = (drift, path, old, new)
     elif old != new or type(old) is not type(new):
         found["changes"].append((path.rsplit(".", 1)[-1].split("[")[0], path, old, new))
 
@@ -231,7 +233,7 @@ def report_blocks(trees: list) -> None:
 
 
 def report(old_units: dict, new_units: dict) -> int:
-    found = {"drift": (0.0, None, None, None), "changes": []}
+    found = {"drift": defaultdict(lambda: (0.0, None, None, None)), "changes": []}
     identical, total = defaultdict(int), defaultdict(int)
     for unit in sorted(set(old_units) | set(new_units)):
         if unit not in old_units or unit not in new_units:
@@ -246,16 +248,13 @@ def report(old_units: dict, new_units: dict) -> int:
             if json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True):
                 identical[kind] += 1
             else:
-                compare(a, b, f"{unit}/{section}", found)
-    print("byte-identical sections:")
+                compare(a, b, f"{unit}/{section}", found, kind)
+    print("sections by kind: byte-identical, largest relative float drift")
     width = max(len(kind) for kind in total)
     for kind in sorted(total):
-        print(f"  {kind:<{width}}  {identical[kind]}/{total[kind]}")
-    drift, where, a, b = found["drift"]
-    if where is None:
-        print("largest relative float drift: 0")
-    else:
-        print(f"largest relative float drift: {drift:.3g} at {where} ({a!r} -> {b!r})")
+        drift, where, a, b = found["drift"][kind]
+        at = "" if where is None else f" at {where} ({a!r} -> {b!r})"
+        print(f"  {kind:<{width}}  {identical[kind]}/{total[kind]}  {drift:.3g}{at}")
     verdicts = [c for c in found["changes"] if c[0] in VERDICT_KEYS or c[0] == "unit"]
     others = [c for c in found["changes"] if c not in verdicts]
     for _, where, a, b in others:

@@ -125,6 +125,15 @@ class _Jet:
 class DiskFunction(_Jet):
     """Analytic function on the unit disk with a closed-form derivative."""
 
+    def image_derivative_modulus(self, u, du, phi, dphi):
+        """``|g'|`` for the image ``g = u (f o phi)``, from the jets
+        ``(u, u')`` and ``(phi, phi')`` at the same points: the complex
+        derivative, in the operation order of the jet of ``Product(u,
+        ComposedWithSelfMap(f, phi))``, then its modulus."""
+        value, derivative = self.jet(phi)
+        chain = derivative * dphi  # a named operand: numpy must not reuse it in place
+        return np.abs(du * value + u * chain)
+
 
 class PowerSeries(DiskFunction):
     """Truncated power series ``sum_n c_n z**n`` with coefficients ``c``.

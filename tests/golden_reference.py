@@ -7,11 +7,16 @@ the boundary chase in ``blochlab.oracle`` and the verdict rules in
 angular refinement done by that search.  Tests compare the vectorized
 ``bracket_argmax`` and ``bloch_seminorm`` against them.
 ``scalar_bracket_argmax`` searches one bracket as each row of
-``bracket_argmax`` is searched, and ``scalar_chase`` chases one circle with
-it; tests compare the row search and the batched chase against them.
+``bracket_argmax`` is searched, with or without the stopping rule, and
+``scalar_chase`` chases one circle with it; tests compare the row search
+and the batched chase against them.
 ``two_pass_family_bloch_seminorm`` is the family seminorm with the radial
 searches of all members as one ``bracket_argmax`` and then the angular
-ones as a second; tests pin the one merged search to it bit for bit.
+ones as a second, under the same stopping rule; tests pin the one merged
+search to it bit for bit.
+``fixed_round_twins`` makes each ``family_bloch_seminorm`` call twice, with
+the stopping rule and with all 12 rounds, and
+``assert_within_the_flat_tolerance`` checks a pair of them.
 ``reference_boundary_profile`` builds a profile with one full scan of the
 flat samples per band; tests compare ``boundary_profile`` and the sample
 table's reduced profiles against it with ``assert_same_profile``.
@@ -41,14 +46,16 @@ import csv
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from blochlab.cli import _iter_verdicts
-from blochlab import oracle
+from blochlab import norms, oracle
 from blochlab.criteria import SLOPE_FAIL, SLOPE_HOLD, STABLE_REL, Status, Verdict
 from blochlab.disk_functions import DomainError
 from blochlab.norms import (
+    _FLAT_REL,
     DEFAULT_GRID,
     TRIGGER_Z,
     BoundaryProfile,
@@ -57,6 +64,7 @@ from blochlab.norms import (
     _unit_circle,
     bloch_seminorm,
     bracket_argmax,
+    family_bloch_seminorm,
     one_minus_sq,
     profile_thresholds,
     radial_rule,
@@ -101,12 +109,14 @@ def golden_argmax(fn, lo: float, hi: float, iters: int):
     return best_x, best
 
 
-def scalar_bracket_argmax(fn, lo: float, hi: float, rounds: int):
+def scalar_bracket_argmax(fn, lo: float, hi: float, rounds: int, flat_rel=None):
     """The bracket search on one interval: ``fn`` maps an array of abscissae
     to an array, each round evaluates it on 33 ``linspace`` points and
     shrinks the bracket to the best point's two neighbours.  Returns
     ``(x, fn(x))`` for the best point over all rounds, the earliest on ties;
-    a degenerate interval returns its midpoint after one call."""
+    a degenerate interval returns its midpoint after one call.  Given
+    ``flat_rel``, the search ends after the first round whose values lie
+    within ``flat_rel`` of their maximum, relative to it."""
     a, b = float(lo), float(hi)
     if not b > a:
         x = 0.5 * (a + b)
@@ -119,6 +129,8 @@ def scalar_bracket_argmax(fn, lo: float, hi: float, rounds: int):
         if values[i] > best:
             best_x, best = float(xs[i]), float(values[i])
         a, b = xs[max(i - 1, 0)], xs[min(i + 1, 32)]
+        if flat_rel is not None and values[i] - values.min() <= flat_rel * abs(values[i]):
+            break
     return best_x, best
 
 
@@ -162,7 +174,8 @@ def two_pass_family_bloch_seminorm(modulus, samples, grid) -> np.ndarray:
     """``family_bloch_seminorm`` with two searches: every member's radial
     bracket around its grid argmax, then every member's angular bracket at
     the grid radius, each direction one ``bracket_argmax`` over the ``M``
-    rows, ``modulus`` called on ``(M, 33)`` points per round."""
+    rows with the same stopping rule, ``modulus`` called on ``(M, 33)``
+    points per round."""
     radii, _ = sample_points(grid.depth, grid.angular_nodes)
     peaks = []
     for g in samples:
@@ -177,7 +190,7 @@ def two_pass_family_bloch_seminorm(modulus, samples, grid) -> np.ndarray:
 
     lo = np.where(i >= 1, radii[i - 1], 0.0)
     hi = np.where(i + 1 < radii.size, radii[np.minimum(i + 1, radii.size - 1)], 0.5 * (1.0 + radii[i]))
-    top = bracket_argmax(radial, lo, hi, 12)[1]
+    top = bracket_argmax(radial, lo, hi, 12, flat_rel=_FLAT_REL)[1]
     best = np.where(top > grid_best, top, grid_best)
 
     span = 2.0 * np.pi / grid.angular_nodes
@@ -186,8 +199,33 @@ def two_pass_family_bloch_seminorm(modulus, samples, grid) -> np.ndarray:
     def angular(th):
         return (1.0 - r_best * r_best) * modulus(r_best * np.exp(1j * th))
 
-    top = bracket_argmax(angular, theta - span, theta + span, 12)[1]
+    top = bracket_argmax(angular, theta - span, theta + span, 12, flat_rel=_FLAT_REL)[1]
     return np.where(top > best, top, best)
+
+
+def fixed_round_twins(pairs: list):
+    """A stand-in for ``family_bloch_seminorm`` that returns the stopping
+    search's values and appends ``(stopping, fixed_round)`` to ``pairs``,
+    where ``fixed_round`` is the same call made again with the stopping rule
+    off (``norms._FLAT_REL`` None), every row searched for all 12 rounds."""
+
+    def search(modulus, samples, grid):
+        samples = list(samples)
+        stopping = family_bloch_seminorm(modulus, samples, grid)
+        with mock.patch.object(norms, "_FLAT_REL", None):
+            pairs.append((stopping, family_bloch_seminorm(modulus, samples, grid)))
+        return stopping
+
+    return search
+
+
+def assert_within_the_flat_tolerance(stopping, fixed_round) -> None:
+    """Every stopped value is at most its fixed-round value and below it by
+    at most ``2**-40`` of it: rounds ``1 .. k`` are those of the fixed-round
+    search, and a row stops only once its values are that flat."""
+    assert stopping.shape == fixed_round.shape
+    assert np.all(stopping <= fixed_round)
+    assert np.all(fixed_round - stopping <= 2.0**-40 * fixed_round)
 
 
 def reference_boundary_profile(quantity, trigger_modulus, depth: int, trigger: str = TRIGGER_Z) -> BoundaryProfile:

@@ -31,6 +31,7 @@ from blochlab import (
     truncated_log_series,
 )
 from blochlab.norms import (
+    _FLAT_REL,
     TRIGGER_PHI,
     TRIGGER_Z,
     BandPartition,
@@ -47,14 +48,16 @@ from blochlab.norms import (
     sample_radii,
     unit_norm_mass,
 )
-from blochlab.battery import CURATED
+from blochlab.battery import CURATED, random_pairs
 from blochlab.cli import parse_config
 from blochlab.criteria import SampleTable
 from blochlab.disk_functions import DiskFunction, FiniteBlaschkeProduct, SelfMap
-from blochlab import oracle
+from blochlab import norms, oracle
 from blochlab.oracle import boundary_chase_point, boundary_test_function, operator_apply
 from golden_reference import (
     assert_same_profile,
+    assert_within_the_flat_tolerance,
+    fixed_round_twins,
     golden_argmax,
     golden_bloch_seminorm,
     reference_boundary_profile,
@@ -267,6 +270,36 @@ class TestBracketArgmax:
 
             assert (xs[m], values[m]) == scalar_bracket_argmax(one, lo[m], hi[m], 12)
 
+    def test_stopping_rows_are_searched_as_their_own_searches_search_them(self):
+        # rows that go flat (to within _FLAT_REL of their maximum) in different
+        # rounds: parabolas of growing curvature, a row of zeros, a degenerate
+        # bracket, and a kink whose values never go flat
+        heights = np.array([1.0, 1.0, 1.0, 0.0, 2.0, 0.0])
+        curvatures = np.array([1e-3, 1.0, 1e4, 0.0, 1.0, 0.0])
+        centers = np.array([0.3, -0.2, 0.71, 0.5, 0.4, 0.05])
+        kinks = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        lo, hi = np.array([0.0, -1.0, 0.0, 0.0, 0.4, 0.0]), np.array([1.0, 0.5, 1.0, 1.0, 0.4, 1.0])
+
+        def row(x, m):
+            return heights[m] - curvatures[m] * (x - centers[m]) ** 2 - kinks[m] * np.abs(x - centers[m])
+
+        calls = []
+
+        def counted(x, m):
+            calls.append(m)
+            return row(x, m)
+
+        xs, values = bracket_argmax(lambda x: row(x, np.arange(6)[:, None]), lo, hi, 12, flat_rel=_FLAT_REL)
+        for m in range(6):
+            one = bracket_argmax(lambda x, m=m: counted(x, m), lo[m : m + 1], hi[m : m + 1], 12, flat_rel=_FLAT_REL)
+            assert (xs[m].tobytes(), values[m].tobytes()) == (one[0].tobytes(), one[1].tobytes())
+            assert (xs[m], values[m]) == scalar_bracket_argmax(lambda x, m=m: row(x, m), lo[m], hi[m], 12, _FLAT_REL)
+        rounds = [calls.count(m) for m in range(6)]
+        assert rounds[3] == rounds[4] == 1 and rounds[5] == 12 and len(set(rounds[:3])) == 3
+        # a stopped row's value is that of the fixed-round search's first rounds
+        fixed = bracket_argmax(lambda x: row(x, np.arange(6)[:, None]), lo, hi, 12)[1]
+        assert np.all(values <= fixed) and np.all(fixed - values <= _FLAT_REL * np.abs(fixed))
+
     def test_row_abscissae_equal_linspace_bit_for_bit(self):
         rng = np.random.default_rng(5)
         lo = rng.uniform(-4.0, 4.0, 64)
@@ -431,8 +464,37 @@ class TestMergedSearch:
 
         merged, two_pass = self.both(modulus, members, grid)
         assert merged.tobytes() == two_pass.tobytes()
-        # 12 merged rounds of 33 radial and 33 angular points per member, then the reference's 2 x 12
-        assert shapes == [(6, 66)] * 12 + [(6, 33)] * 24
+        # merged rounds of 33 radial and 33 angular points per member until every
+        # row is flat (all 12 here), then the reference's radial and angular
+        # rounds, each search until its own rows are flat; the counts repeat
+        assert shapes == [(6, 66)] * 12 + [(6, 33)] * (12 + 9)
+
+
+class TestStoppingRule:
+    """``family_bloch_seminorm`` stops each row once its values are flat; each
+    value must be at most the fixed-round search's and within ``2**-40`` of it."""
+
+    @pytest.mark.parametrize("case", sorted(CURATED))
+    def test_curated_families_stay_within_the_flat_tolerance(self, case):
+        grid, families = TestMergedSearch.families(case)
+        radii, z = sample_points(grid.depth, grid.angular_nodes)
+        pairs = []
+        for modulus, members in families:
+            samples = [one_minus_sq(radii)[:, None] * np.abs(g.deriv(z)) for g in members]
+            fixed_round_twins(pairs)(modulus, samples, grid)
+        for stopping, fixed in pairs:
+            assert_within_the_flat_tolerance(stopping, fixed)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_pair_oracle_rows_stay_within_the_flat_tolerance(self, seed, a2, fast_grid, monkeypatch):
+        pairs = []
+        monkeypatch.setattr(oracle, "family_bloch_seminorm", fixed_round_twins(pairs))
+        for _, sym in random_pairs(seed, 20):
+            oracle.oracle_task(sym, a2, fast_grid, oracle.symbol_samples(sym, fast_grid))
+        assert len(pairs) == 20
+        for stopping, fixed in pairs:
+            assert_within_the_flat_tolerance(stopping, fixed)
+        assert any((stopping != fixed).any() for stopping, fixed in pairs)
 
 
 class _CountingEvaluator:
@@ -458,7 +520,8 @@ class TestVectorizedSearchCallCounts:
         counter = _CountingEvaluator(monkeypatch, DiskFunction, "deriv")
         bloch_seminorm(f, grid)
         assert counter.scalar_calls == 0
-        assert counter.calls == 1 + 12  # the grid, then one call per round for both directions
+        # the grid, then one call per round for both directions, until both are flat
+        assert counter.calls == 1 + 6
 
     def test_family_seminorm_makes_one_grid_call_per_member_and_one_call_per_round(self, monkeypatch, a2, grid):
         sym = parse_config(CURATED["boundary-touch"]["config"]).symbol
@@ -470,9 +533,32 @@ class TestVectorizedSearchCallCounts:
         samples = (one_minus_sq(radii)[:, None] * np.abs(g.deriv(z)) for g in members)
         family = family_bloch_seminorm(lambda points: np.abs(image.deriv(points)), samples, grid)
         assert counter.scalar_calls == 0
-        assert counter.calls == 4 + 12
+        assert counter.calls == 4 + 6  # 6 of at most 12 rounds: every row is flat by then
         monkeypatch.undo()
         assert family.tolist() == [bloch_seminorm(g, grid) for g in members]
+
+    def test_chase_keeps_its_nine_rounds_where_its_values_go_flat_early(self, monkeypatch):
+        # |z^2| is constant on each circle, so every round's values are flat to
+        # rounding from the first; the chase returns a location and has no
+        # stopping rule, so it still takes all 9 rounds
+        spreads = []
+
+        def recorded(fn, lo, hi, rounds, **stopping):
+            assert not stopping
+
+            def along(th):
+                values = fn(th)
+                top = values.max(axis=1)
+                spreads.append((top - values.min(axis=1)) / top)
+                return values
+
+            return norms.bracket_argmax(along, lo, hi, rounds)
+
+        monkeypatch.setattr(oracle, "bracket_argmax", recorded)
+        counter = _CountingEvaluator(monkeypatch, SelfMap, "eval")
+        boundary_chase_point(MonomialPower(2), range(2, 13), 512)
+        assert counter.calls == 1 + 9 and len(spreads) == 9
+        assert np.all(spreads[0] <= _FLAT_REL)
 
     def test_chase_makes_one_grid_call_and_one_call_per_round(self, monkeypatch):
         counter = _CountingEvaluator(monkeypatch, SelfMap, "eval")

@@ -222,7 +222,15 @@ class TestChainConstant:
 
 class TestChainConstantSamples:
     """The chain constant reads the oracle task's samples and must give the
-    bytes of one ``bloch_seminorm`` per battery function."""
+    bytes of one ``bloch_seminorm`` per power of the battery, and of one
+    ``family_bloch_seminorm`` over the closed-form modulus for its kernel."""
+
+    @staticmethod
+    def kernel_seminorm(sym, kernel, grid) -> float:
+        radii, z = sample_points(grid.depth, grid.angular_nodes)
+        samples = norms.one_minus_sq(radii)[:, None] * kernel.image_derivative_modulus(*sym.jets(z))
+        return float(norms.family_bloch_seminorm(lambda points: kernel.image_derivative_modulus(*sym.jets(points)),
+                                                 [samples], grid)[0])
 
     @pytest.mark.parametrize("case", sorted(CURATED))
     def test_equals_the_seminorms_of_the_composites(self, case):
@@ -230,8 +238,10 @@ class TestChainConstantSamples:
         sym, space, grid = config.symbol, config.space, config.grid
         battery = oracle.constants_battery(space, grid)
         s1, s2 = 1.25, 0.5
-        expected = max(bloch_seminorm(operator_apply(sym, f), grid) / (n * (s1 + s2))
-                       for f, n in zip(battery.functions, battery.norms))
+        *powers, kernel = battery.functions
+        assert all(isinstance(f, PowerSeries) for f in powers) and isinstance(kernel, FractionalKernel)
+        semis = [bloch_seminorm(operator_apply(sym, f), grid) for f in powers] + [self.kernel_seminorm(sym, kernel, grid)]
+        expected = max(semi / (n * (s1 + s2)) for semi, n in zip(semis, battery.norms))
         samples = symbol_samples(sym, grid)
         assert chain_constant(sym, space, grid, samples, (battery.functions, battery.norms, s1, s2)) == expected
 
@@ -301,24 +311,27 @@ class TestOneSearch:
         # the grid and space of the trends of acceptance criterion 8
         self.assert_views_equal_the_reference(sym, SpaceSpec.bergman(2), RadialGrid(12, 128, 8))
 
-    @pytest.mark.parametrize("case, rows", [("boundary-touch", 11 + 11 + 4), ("blaschke-rotor", 11 + 11),
-                                            ("zero-multiplier", 11)])
-    def test_a_task_makes_one_refinement_search_besides_the_chase(self, case, rows, monkeypatch):
+    @pytest.mark.parametrize("case, rows, taken", [("boundary-touch", 11 + 11 + 4, 12), ("blaschke-rotor", 11 + 11, 12),
+                                                   ("zero-multiplier", 11, 1)])
+    def test_a_task_makes_one_refinement_search_besides_the_chase(self, case, rows, taken, monkeypatch):
         config = parse_config(dict(CURATED[case]["config"], tasks=["bounded_bloch", "oracle"]))
         searches = []
         search = norms.bracket_argmax
 
-        def counted(fn, lo, hi, rounds):
-            searches.append((lo.size, rounds))
-            return search(fn, lo, hi, rounds)
+        def counted(fn, lo, hi, rounds, **stopping):
+            calls = []
+            found = search(lambda xs: calls.append(xs) or fn(xs), lo, hi, rounds, **stopping)
+            searches.append((lo.size, rounds, stopping, len(calls)))
+            return found
 
         monkeypatch.setattr(norms, "bracket_argmax", counted)
         monkeypatch.setattr(oracle, "bracket_argmax", counted)
         cli_run(config)
-        # the chase (11 circles, 9 rounds), then one search of every row's
-        # radial and angular brackets: kernels, pinned kernels unless the
-        # probe is vacuous, and the chain battery for a bounded pair
-        assert searches == [(11, 9), (2 * rows, 12)]
+        # the chase (11 circles, all 9 rounds), then one search of every row's
+        # radial and angular brackets: kernels, pinned kernels unless the probe
+        # is vacuous, and the chain battery for a bounded pair, until every row
+        # is flat (the round counts repeat) or 12 rounds
+        assert searches == [(11, 9, {}, 9), (2 * rows, 12, {"flat_rel": norms._FLAT_REL}, taken)]
 
 
 class TestImageModulus:
@@ -375,6 +388,20 @@ class TestImageModulus:
         ref = np.abs(operator_apply(sym, family).deriv(points))
         assert ref.shape == (11, 33)
         self.check(family.image_derivative_modulus(*jets), ref, self.term_scale(family, *jets))
+
+    @pytest.mark.parametrize("case", sorted(CURATED))
+    def test_battery_kernel_matches_the_complex_jet(self, case, grid):
+        # the constants battery's kernel at 0.5, on the sample grid and on
+        # bracket arrays: its closed-form modulus against the modulus of the
+        # complex derivative of the composite's jet
+        sym, space = self.CASES[case]
+        kernel = oracle.constants_battery(space, grid).functions[-1]
+        assert isinstance(kernel, FractionalKernel) and kernel.base == 0.5
+        points = 0.5 * np.linspace(0.9, 1.0, 33) * np.exp(1j * np.linspace(-1.0, 1.0, 33))[:, None]
+        for jets in (symbol_samples(sym, grid), sym.jets(points)):
+            got = kernel.image_derivative_modulus(*jets)
+            ref = DiskFunction.image_derivative_modulus(kernel, *jets)
+            assert got.shape == ref.shape and np.all(np.abs(got - ref) <= 4e-15 * ref)
 
     def test_keeps_the_right_half_plane_check(self):
         family = FractionalKernel([0.999], 2.0, [1.0])
