@@ -15,7 +15,11 @@ Each tree is imported in its own subprocess, which dumps:
   bytes.  This needs both trees to be checkouts; ``bench/`` is only read;
 * the ``constants_battery`` of ``bergman:2`` and of ``bergman:2`` with a
   ``log_exponent = -1`` weight at 40x2048x12, a grid whose quadrature runs
-  in thirty blocks, every value as ``float.hex``;
+  in many blocks, every value as ``float.hex``;
+* the results payload of the curated ``half-scale`` and ``boundary-touch``
+  symbols run with the tasks ``bounded_bloch`` and ``oracle`` at
+  40x2048x12, whose sample table and oracle grid stage run in blocks of
+  circles (the curated grids are one block each);
 * the SHA-256 of every file ``emit`` writes (JSON and CSV, ``meta``
   blanked) for each curated and each ``--deep`` config;
 * the number of CPUs the child may run on and, for each ``--deep``
@@ -109,9 +113,12 @@ def dump(src: Path, seeds: list, count: int, deep_seeds: list, workloads) -> dic
                                         **{k: v for k, v in results.items() if k != "tasks"})
         files.update({f"curated/{name}/{file}": h for file, h in emitted_hashes(cli, report).items()})
     space, mesh, probe_mesh = SpaceSpec.bergman(2), RadialGrid(12, 128, 8), RadialGrid(16, 128, 8)
+    # a tree whose oracle task reads the symbol on the whole grid takes those samples as an argument
+    whole_grid = hasattr(oracle, "symbol_samples")
     for seed in seeds:
         for label, sym in random_pairs(seed, count):
-            trend, probe, _ = oracle.oracle_task(sym, space, mesh, oracle.symbol_samples(sym, mesh))
+            samples = (oracle.symbol_samples(sym, mesh),) if whole_grid else ()
+            trend, probe, _ = oracle.oracle_task(sym, space, mesh, *samples)
             units[f"pairs/{seed}/{label}"] = {
                 "bounded_bloch": criteria.classify_bounded_into_bloch(sym, space, mesh).to_dict(),
                 "lower_bound": trend.to_dict(),
@@ -127,6 +134,12 @@ def dump(src: Path, seeds: list, count: int, deep_seeds: list, workloads) -> dic
             "norms": [float(n).hex() for n in battery.norms],
             **{key: [float(v).hex() for v in value] if isinstance(value, list) else float(value).hex()
                for key, value in battery.to_dict().items()}}
+    for name in ("half-scale", "boundary-touch"):
+        doc = dict(json.loads(json.dumps(CURATED[name]["config"])), tasks=["bounded_bloch", "oracle"],
+                   grid={"depth": deep.depth, "angular_nodes": deep.angular_nodes, "panel_order": deep.panel_order})
+        results = cli.run(cli.parse_config(doc)).results
+        units[f"deep-oracle/{name}"] = dict({f"tasks.{task}": e for task, e in results["tasks"].items()},
+                                            **{k: v for k, v in results.items() if k != "tasks"})
     blocks = {}
     if deep_seeds:
         spec = importlib.util.spec_from_file_location("bench_workloads", workloads)

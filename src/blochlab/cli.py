@@ -60,7 +60,7 @@ from .disk_functions import (
     validate_self_map,
 )
 from .norms import NonConvergentError, RadialGrid
-from .oracle import constants_battery, oracle_task, symbol_samples
+from .oracle import constants_battery, oracle_task
 from .weights import NormalWeight, SpaceSpec, check_normality
 
 __all__ = [
@@ -87,10 +87,16 @@ _PREREQUISITE = {
     "bounded_little_bloch": "bounded_bloch",
 }
 ENV_OUT = "BLOCHLAB_OUT"
-# A sample table peaks at 128 bytes per point of the sample set (traced over
-# the classifier tasks of the curated configs at 16x512, 40x2048 and 24x4096);
-# a 256 MiB table bounds the sample set at 2**21 points, 12.5 times the
-# largest grid in use (40x2048, 167,936 points).
+# A sample table sampled whole peaked at 128 bytes per point of the sample set
+# (traced over the classifier tasks of the curated configs at 16x512, 40x2048
+# and 24x4096), so 256 MiB bounds the sample set at 2**21 points, 12.5 times
+# the largest grid in use (40x2048, 167,936 points).  Grids of two blocks or
+# more (norms.block_edges, 2**14 points each) peak lower, traced at 40x2048 and
+# 24x4096: a table built on two threads at 55-60 bytes per point, an oracle
+# task, whose grid stage runs in the same blocks, at 16-19 (152-176 when it
+# read the grid whole).  A one-block grid peaks at most at about 3 MiB (136 and
+# 177 bytes per point at 16x512), and the cached sample circles add 16 bytes
+# per point.  The bound is kept as an upper bound.
 SAMPLE_TABLE_BYTES_PER_POINT = 128
 MAX_SAMPLE_POINTS = 256 * 2**20 // SAMPLE_TABLE_BYTES_PER_POINT
 # Gauss-Legendre nodes per radial band.  leggauss(n) diagonalizes an n x n
@@ -489,18 +495,16 @@ def _failure(exc: Exception) -> dict:
 
 def _oracle_entry(config: RunConfig, results: dict) -> dict:
     """The oracle task's entry: the trend, the compactness probe and, for a
-    bounded pair, the chain constant, refined together by ``oracle_task``
-    from one ``symbol_samples`` set; also records the constants block,
-    whose battery fails soft on its own."""
+    bounded pair, the chain constant, refined together by ``oracle_task``,
+    which reads the symbol on the sample grid a block of circles at a time;
+    also records the constants block, whose battery fails soft on its own."""
     sym, space, grid = config.symbol, config.space, config.grid
     bounded_entry = results["tasks"].get("bounded_bloch")
     try:
-        # first, while no samples are held: the battery's first pass is the task's largest allocation
         battery = constants_battery(space, grid)
     except (DomainError, ArithmeticError) as exc:
         battery, results["constants"] = None, _failure(exc)
-    samples = symbol_samples(sym, grid)
-    trend, probe, constant = oracle_task(sym, space, grid, samples, _chain_inputs(battery, bounded_entry))
+    trend, probe, constant = oracle_task(sym, space, grid, _chain_inputs(battery, bounded_entry))
     if battery is not None:
         # measured constants over a small standard battery: growth-envelope ratios and the interval of
         # derivative-form to direct norm ratios (shared by every run on the same space and grid), and

@@ -353,10 +353,11 @@ class SampleTable:
     Both quotients and their plain numerators are sampled once over the
     circles of ``sample_points``, in blocks of whole circles
     (``block_edges``) that run in parallel (``_each_block``).  A boundary
-    profile is built on first use and kept, and so is the multiplier's
-    Bloch-tail verdict.  A ``|z|`` profile reads a quantity's per-circle
-    maxima over the radii, and the profiles of each trigger share one band
-    partition of its modulus.  The methods are the classifiers and the
+    profile is built on first use and kept, and so is each verdict, one per
+    rule, quantity and trigger, the multiplier's Bloch tail included: the
+    classifiers that require boundedness read the same verdicts again.  A
+    ``|z|`` profile reads a quantity's per-circle maxima over the radii, and
+    the profiles of each trigger share one band partition of its modulus.  The methods are the classifiers and the
     limit probes; the module-level functions of the same names build a
     table for a single call.
     """
@@ -373,6 +374,7 @@ class SampleTable:
         self.phi_bands = BandPartition(abs_phi, grid.depth)
         self._maxima: dict = {}
         self._profiles: dict = {}
+        self._verdicts: dict = {}
 
     def maxima(self, name: str) -> np.ndarray:
         """``circle_maxima`` of a sampled quantity: all that a ``|z|``-triggered
@@ -392,10 +394,20 @@ class SampleTable:
             self._profiles[name, trigger] = boundary_profile(quantity, bands.modulus, self.grid.depth, trigger, bands)
         return self._profiles[name, trigger]
 
+    def _kept(self, rule: str, name: str, trigger: str, verdict) -> Verdict:
+        """The verdict of ``rule`` for a quantity and trigger, ``verdict()``
+        on first use and the same object on every later one."""
+        if (rule, name, trigger) not in self._verdicts:
+            self._verdicts[rule, name, trigger] = verdict()
+        return self._verdicts[rule, name, trigger]
+
     def _sup_type_verdict(self, name: str) -> Verdict:
         """Finite-sup test over ``|z| -> 1``: hold when the slope is
         flat-or-negative and the running supremum has stabilized away from
         the deepest bands."""
+        return self._kept("sup", name, TRIGGER_Z, lambda: self._finite_sup(name))
+
+    def _finite_sup(self, name: str) -> Verdict:
         profile = self.profile(name)
         maxima = self.maxima(name)
         global_sup = float(maxima.max(initial=0.0))
@@ -410,7 +422,7 @@ class SampleTable:
              "neither sustained divergence nor stabilized supremum at this depth"))
 
     def _limit_verdict(self, name: str, trigger: str = TRIGGER_Z) -> Verdict:
-        return _limit_type_verdict(name, self.profile(name, trigger))
+        return self._kept("limit", name, trigger, lambda: _limit_type_verdict(name, self.profile(name, trigger)))
 
     @cached_property
     def u_tail(self) -> Verdict:

@@ -59,6 +59,7 @@ __all__ = [
     "bracket_argmax",
     "bloch_seminorm",
     "family_bloch_seminorm",
+    "grid_peak",
     "little_bloch_profile",
     "sw_integral_check",
     "pointwise_growth_envelope",
@@ -173,19 +174,24 @@ def sample_points(depth: int, angular_nodes: int):
 
 # Arrays of disk points are evaluated in blocks of whole rows, each of at
 # least this many points unless the array is one block.  numpy elides the
-# temporaries of arrays of 256 KiB and more (2**14 complex points), and a
-# complex product that elides rounds differently from one that does not (see
-# ``disk_functions.Scaled._jet``); blocks of 2**15 points or more keep every
-# block on the whole array's side of that size, so the values are those of
-# one whole-array evaluation bit for bit.
-_BLOCK_POINTS = 2**15
+# temporaries of arrays of 256 KiB and more (2**14 complex points): past that
+# size ``a * (b * c)`` multiplies the temporary in place with its operands
+# swapped, and a complex product rounds differently in the two orders (see
+# ``disk_functions.Scaled._jet``).  A float product commutes bit for bit, so
+# the float temporaries' own elision size (2**15 points) changes no value.
+# Blocks of 2**14 points or more keep every complex block on the whole
+# array's side of that size, so the values are those of one whole-array
+# evaluation bit for bit.
+_BLOCK_POINTS = 2**14
 
 
 def block_edges(rows: int, nodes: int) -> list:
     """The first row of each block of a ``(rows, nodes)`` array of points,
-    then ``rows``: ``points // _BLOCK_POINTS`` contiguous blocks (at least
-    one, at most one per row) whose row counts differ by at most one."""
-    blocks = min(rows, max(1, rows * nodes // _BLOCK_POINTS))
+    then ``rows``: contiguous blocks whose row counts differ by at most one,
+    as many as keep every block at ``_BLOCK_POINTS`` points or more (at
+    least ``ceil(_BLOCK_POINTS / nodes)`` rows), or one block when the array
+    has fewer rows than that."""
+    blocks = max(1, rows // -(-_BLOCK_POINTS // nodes))
     return [rows * i // blocks for i in range(blocks + 1)]
 
 
@@ -357,19 +363,27 @@ def _larger(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(b > a, b, a)
 
 
-def family_bloch_seminorm(modulus, samples, grid: RadialGrid = DEFAULT_GRID) -> np.ndarray:
+def grid_peak(values: np.ndarray) -> tuple:
+    """``(i, j, values[i, j])`` at the first maximum of a 2-D array in flat
+    order (its first NaN, if it holds one), as ``np.argmax`` finds it."""
+    i, j = divmod(int(np.argmax(values)), values.shape[1])
+    return i, j, values[i, j]
+
+
+def family_bloch_seminorm(modulus, peaks, grid: RadialGrid = DEFAULT_GRID) -> np.ndarray:
     """``bloch_seminorm`` of each function ``f_m`` of a family, as an array.
 
-    ``samples`` yields, one member at a time, ``(1-|z|^2)|f_m'|`` on the
-    circles of ``sample_points``; each grid supremum is sharpened by a
-    bracket search in radius and one in angle, both around its grid argmax
-    and independent of each other, and all ``2M`` brackets are searched as
-    one ``bracket_argmax``.  ``modulus`` maps an ``(M, n)`` array of
-    points, row ``m`` for member ``m``, to ``|f_m'|`` there; in each round
-    row ``m`` holds the member's 33 radial points and then its 33 angular
-    points, so every round is one call for all members and both
-    directions.  Only the moduli are read, so a caller may compute them in
-    closed form instead of forming the complex derivatives.
+    ``peaks`` holds, one member at a time, the ``grid_peak`` ``(i, j,
+    value)`` of ``(1-|z|^2)|f_m'|`` on the circles of ``sample_points``;
+    each grid supremum is sharpened by a bracket search in radius and one in
+    angle, both around its grid argmax and independent of each other, and
+    all ``2M`` brackets are searched as one ``bracket_argmax``.
+    ``modulus`` maps an ``(M, n)`` array of points, row ``m`` for member
+    ``m``, to ``|f_m'|`` there; in each round row ``m`` holds the member's
+    33 radial points and then its 33 angular points, so every round is one
+    call for all members and both directions.  Only the moduli are read, so
+    a caller may compute them in closed form instead of forming the complex
+    derivatives.
 
     Each row stops once its values are flat to ``_FLAT_REL`` (``flat_rel``
     of ``bracket_argmax``), at most 12 rounds: most rows reach the
@@ -377,10 +391,6 @@ def family_bloch_seminorm(modulus, samples, grid: RadialGrid = DEFAULT_GRID) -> 
     and later rounds only choose among it.  A value is still ``|f'|`` at a
     disk point, a lower bound of the supremum, at most its 12-round value."""
     radii, _ = sample_points(grid.depth, grid.angular_nodes)
-    peaks = []
-    for g in samples:
-        i, j = np.unravel_index(int(np.argmax(g)), g.shape)
-        peaks.append((i, j, g[i, j]))
     i, j, grid_best = (np.array(column) for column in zip(*peaks))
     members = grid_best.size
     theta = 2.0 * np.pi * j / grid.angular_nodes
@@ -414,7 +424,7 @@ def bloch_seminorm(f: DiskFunction, grid: RadialGrid = DEFAULT_GRID, samples=Non
     if samples is None:
         radii, z = sample_points(grid.depth, grid.angular_nodes)
         samples = one_minus_sq(radii)[:, None] * modulus(z)
-    return float(family_bloch_seminorm(modulus, [samples], grid)[0])
+    return float(family_bloch_seminorm(modulus, [grid_peak(samples)], grid)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,18 @@ growing as the family chases the boundary is the oracle's verdict, kept
 deliberately independent of the criterion quotients.  Disagreement with
 the classifier is reported, never auto-resolved.
 
-One oracle task (``oracle_task``) evaluates ``u``, ``u'``, ``phi`` and
-``phi'`` on the sample grid once (``symbol_samples``), chases the 11
-boundary circles together, and refines every seminorm it needs in one
-search: the kernel images, the pinned images (unless the probe is
-vacuous) and, for a bounded pair, the chain constant's battery are row
-groups of one ``family_bloch_seminorm``, whose rounds evaluate the jets
-of ``u`` and ``phi`` once for all rows, each row until its values are flat
-(``norms.family_bloch_seminorm``).  The kernel and pinned images, and the
-battery's kernel, are read from the closed-form moduli ``|g_m'|``
+One oracle task (``oracle_task``) chases the 11 boundary circles
+together and refines every seminorm it needs in one search: the kernel
+images, the pinned images (unless the probe is vacuous) and, for a
+bounded pair, the chain constant's battery are row groups of one
+``family_bloch_seminorm``, whose rounds evaluate the jets of ``u`` and
+``phi`` once for all rows, each row until its values are flat
+(``norms.family_bloch_seminorm``).  The search starts from each row's
+grid peak, found a block of sample circles at a time (``block_edges``):
+each block evaluates ``u``, ``u'``, ``phi`` and ``phi'`` once for every
+row, and each row keeps its running peak, so only one block of the grid
+is held at once.  The kernel and pinned images, and the battery's kernel,
+are read from the closed-form moduli ``|g_m'|``
 (``FractionalKernel.image_derivative_modulus``), without a complex power,
 and on the grid a member's two images share ``W = 1 - conj(b_m) phi``.
 The chase returns points, not values, and keeps its fixed 9 rounds.
@@ -43,10 +46,12 @@ from .norms import (
     RadialGrid,
     bergman_type_norm,
     bloch_seminorm,  # no longer called here; bench/test_bench.py checks this module's binding of it
+    block_edges,
     bracket_argmax,
     derivative_form_norm,
     derivative_growth_envelope,
     family_bloch_seminorm,
+    grid_peak,
     one_minus_sq,
     pointwise_growth_envelope,
     radial_rule,
@@ -70,7 +75,6 @@ __all__ = [
     "chain_constant",
     "oracle_task",
     "boundary_chase_point",
-    "symbol_samples",
 ]
 
 TREND_STABLE = "stable"
@@ -136,30 +140,49 @@ def operator_apply(sym: SymbolPair, f: DiskFunction) -> DiskFunction:
     return Product(sym.u, ComposedWithSelfMap(f, sym.phi))
 
 
-def symbol_samples(sym: SymbolPair, grid: RadialGrid) -> tuple:
-    """``(u, u', phi, phi')`` on the circles of ``sample_points``, the one
-    evaluation of the symbol on the grid that an oracle task makes."""
-    return sym.jets(sample_points(grid.depth, grid.angular_nodes)[1])
-
-
 @dataclass
 class _Rows:
     """One group of rows of an oracle task's refinement search: ``size``
-    functions ``g``, their sample-grid values ``(1-|z|^2)|g'|`` yielded one
-    at a time by ``grids``, and ``modulus``, which maps the jets
-    ``(u, u', phi, phi')`` at a ``(size, n)`` array of points to ``|g'|``
-    there, row for function."""
+    functions ``g``; ``grids``, which maps ``1-|z|^2`` and the jets
+    ``(u, u', phi, phi')`` on a block of sample circles to the values
+    ``(1-|z|^2)|g'|`` there, yielded one function at a time; and
+    ``modulus``, which maps the jets at a ``(size, n)`` array of points to
+    ``|g'|`` there, row for function."""
 
     size: int
-    grids: Iterator
+    grids: Callable[..., Iterator]
     modulus: Callable
+
+
+def _grid_peaks(sym: SymbolPair, grid: RadialGrid, groups) -> list:
+    """The ``grid_peak`` of every row of every group on the circles of
+    ``sample_points``, taken a block of circles at a time (``block_edges``).
+    Each block evaluates the jets of ``u`` and ``phi`` once for every row,
+    and each row keeps a running peak: a block's peak replaces it when it
+    is larger, or is a NaN where the running peak is not, so the peak is
+    the first maximum in flat order (the first NaN, if any), that of one
+    whole-grid ``grid_peak``.  A block holds at least ``2**14`` points
+    unless the grid is one block, so its values are the whole grid's."""
+    radii, z = sample_points(grid.depth, grid.angular_nodes)
+    omr2 = one_minus_sq(radii)[:, None]
+    peaks = [(0, 0, -np.inf)] * sum(group.size for group in groups)
+    edges = block_edges(*z.shape)
+    for a, b in zip(edges, edges[1:]):
+        jets = sym.jets(z[a:b])
+        rows = itertools.chain.from_iterable(group.grids(omr2[a:b], *jets) for group in groups)
+        for m, values in enumerate(rows):
+            i, j, value = grid_peak(values)
+            best = peaks[m][2]
+            if value > best or (value != value and best == best):
+                peaks[m] = (a + i, j, value)
+    return peaks
 
 
 def _refine(sym: SymbolPair, grid: RadialGrid, groups) -> list:
     """The Bloch seminorms of the functions of every group, as one array per
-    group, from one ``family_bloch_seminorm`` over all their rows.  Each
-    round evaluates ``u`` and ``phi`` once for every row, and each group
-    reads the jets of its own rows."""
+    group, from one ``family_bloch_seminorm`` over all their rows, started
+    from their ``_grid_peaks``.  Each round evaluates ``u`` and ``phi`` once
+    for every row, and each group reads the jets of its own rows."""
     ends = np.cumsum([group.size for group in groups])
 
     def modulus(z: np.ndarray) -> np.ndarray:
@@ -167,22 +190,18 @@ def _refine(sym: SymbolPair, grid: RadialGrid, groups) -> list:
         return np.concatenate([group.modulus(*(part[end - group.size : end] for part in jets))
                                for group, end in zip(groups, ends)])
 
-    grids = itertools.chain.from_iterable(group.grids for group in groups)
-    return np.split(family_bloch_seminorm(modulus, grids, grid), ends[:-1])
+    return np.split(family_bloch_seminorm(modulus, _grid_peaks(sym, grid, groups), grid), ends[:-1])
 
 
-def _chase_rows(families, samples, grid: RadialGrid) -> _Rows:
+def _chase_rows(families) -> _Rows:
     """The images ``u (K o phi)`` of the chase kernels under one or more
     families over the same bases, member-major: row ``F m + f`` is member
-    ``m`` of family ``f``.  The grids read the task's ``symbol_samples``; a
-    member's grids share ``W``, its half-plane check and ``|W|^2``, and
-    ``u phi'`` is formed once, so at most two member grids are alive."""
+    ``m`` of family ``f``.  On a block, a member's grids share ``W``, its
+    half-plane check and ``|W|^2``, and ``u phi'`` is formed once, so at
+    most two member grids are alive."""
     count = len(families)
-    radii, _ = sample_points(grid.depth, grid.angular_nodes)
-    omr2 = one_minus_sq(radii)[:, None]
 
-    def grids():
-        u, du, phi, dphi = samples
+    def grids(omr2, u, du, phi, dphi):
         u_dphi = u * dphi
         for m in range(len(families[0])):
             members = [family.member(m) for family in families]
@@ -197,7 +216,7 @@ def _chase_rows(families, samples, grid: RadialGrid) -> _Rows:
             out[rows] = family.image_derivative_modulus(u[rows], du[rows], phi[rows], dphi[rows])
         return out
 
-    return _Rows(count * len(families[0]), grids(), modulus)
+    return _Rows(count * len(families[0]), grids, modulus)
 
 
 def _image_norms(sym: SymbolPair, kernels: FractionalKernel, probe_points, semi: np.ndarray) -> tuple:
@@ -329,18 +348,16 @@ class LowerBoundTrend:
         }
 
 
-def lower_bound_trend(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID,
-                      samples=None) -> LowerBoundTrend:
+def lower_bound_trend(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID) -> LowerBoundTrend:
     """Lower bounds from kernel families chasing the boundary of the image.
 
     Base points are ``phi`` evaluated at per-circle argmax points of
     ``|phi|``, all circles chased at once; the family deepens with the
     chase and the bound either stabilizes (bounded evidence) or keeps
-    climbing (unbounded evidence).  ``samples`` are the task's
-    ``symbol_samples``, computed when not given.  This is ``oracle_task``'s
-    trend, from a search without the pinned rows.
+    climbing (unbounded evidence).  This is ``oracle_task``'s trend, from a
+    search without the pinned rows.
     """
-    return oracle_task(sym, space, grid, samples, pinned=False)[0]
+    return oracle_task(sym, space, grid, pinned=False)[0]
 
 
 def _classify_trend(values) -> str:
@@ -386,17 +403,17 @@ def _sequence_trend(values) -> str:
     return "ambiguous"
 
 
-def compactness_probe(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, samples) -> CompactnessProbe:
+def compactness_probe(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid) -> CompactnessProbe:
     """Apply the operator to boundary-chasing probe sequences and report
     the size trend of the image Bloch norms: ``oracle_task``'s probe.
 
-    The sequences are the chase's kernels and their pinned differences,
-    read from the task's ``symbol_samples``.  With no boundary-approaching
+    The sequences are the chase's kernels and their pinned differences.
+    With no boundary-approaching
     sequence available (structural sup bound below 1) the probe is vacuous.
     A decaying trend corroborates compactness, a trend bounded away from
     zero corroborates the opposite; both are evidence, not proof.
     """
-    return oracle_task(sym, space, grid, samples)[1]
+    return oracle_task(sym, space, grid)[1]
 
 
 @dataclass(frozen=True)
@@ -433,21 +450,21 @@ def constants_battery(space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID) -> Cons
     return ConstantsBattery(functions, norms, max(point_env), max(deriv_env), (min(equiv), max(equiv)))
 
 
-def chain_constant(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, samples, chain) -> float | None:
+def chain_constant(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, chain) -> float | None:
     """Empirical constant in ``B(u (f o phi)) <= C (S1 + S2) ||f||`` over a
     battery of functions with their norms ``||f||``, given finite criterion
     suprema ``S1, S2`` as ``chain = (functions, norms, S1, S2)``:
     ``oracle_task``'s constant.
 
-    The seminorm searches read ``|(u (f o phi))'|`` from the task's
-    ``symbol_samples`` through ``f.image_derivative_modulus``: for a power
+    The seminorm searches read ``|(u (f o phi))'|`` from the symbol's jets
+    through ``f.image_derivative_modulus``: for a power
     series, the complex derivative in the operation order of the
     composite's own jet, so the values are those of ``bloch_seminorm`` of
     the composite; for the battery's kernel, its closed-form modulus."""
-    return oracle_task(sym, space, grid, samples, chain)[2]
+    return oracle_task(sym, space, grid, chain)[2]
 
 
-def _chain_rows(functions, norms, sup_multiplier: float, sup_composition: float, samples, grid: RadialGrid):
+def _chain_rows(functions, norms, sup_multiplier: float, sup_composition: float):
     """The chain constant's rows, one per battery function with a nonzero
     ``||f|| (S1 + S2)``, and those denominators; None when ``S1 + S2`` is
     not finite or is 0."""
@@ -455,11 +472,8 @@ def _chain_rows(functions, norms, sup_multiplier: float, sup_composition: float,
     if not np.isfinite(total) or total == 0.0:
         return None
     kept = [(f, norm * total) for f, norm in zip(functions, norms) if norm * total != 0.0]
-    radii, _ = sample_points(grid.depth, grid.angular_nodes)
-    omr2 = one_minus_sq(radii)[:, None]
 
-    def grids():
-        u, du, phi, dphi = samples
+    def grids(omr2, u, du, phi, dphi):
         for f, _ in kept:
             yield omr2 * f.image_derivative_modulus(u, du, phi, dphi)
 
@@ -467,10 +481,10 @@ def _chain_rows(functions, norms, sup_multiplier: float, sup_composition: float,
         return np.concatenate([f.image_derivative_modulus(u[k : k + 1], du[k : k + 1], phi[k : k + 1],
                                                           dphi[k : k + 1]) for k, (f, _) in enumerate(kept)])
 
-    return _Rows(len(kept), grids(), modulus), [denom for _, denom in kept]
+    return _Rows(len(kept), grids, modulus), [denom for _, denom in kept]
 
 
-def oracle_task(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, samples, chain=None, pinned=True) -> tuple:
+def oracle_task(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, chain=None, pinned=True) -> tuple:
     """The oracle task in one refinement search: ``(trend, probe, constant)``,
     the views ``lower_bound_trend``, ``compactness_probe`` and, given
     ``chain = (functions, norms, S1, S2)``, ``chain_constant`` (``constant``
@@ -479,17 +493,16 @@ def oracle_task(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, samples, ch
     The kernels at the images ``phi(z*)`` of the chase points, their pinned
     differences (when ``pinned`` and the map touches the boundary; the probe
     is vacuous otherwise) and the chain battery (given ``chain``) are row
-    groups of one ``_refine`` reading ``samples`` (computed when None).  The
-    constant is the largest ``B(u (f o phi)) / (||f|| (S1 + S2))``, the
-    first on ties, or 0 without rows."""
+    groups of one ``_refine``.  The constant is the largest
+    ``B(u (f o phi)) / (||f|| (S1 + S2))``, the first on ties, or 0 without
+    rows."""
     points = boundary_chase_point(sym.phi, CHASE_DEPTHS, grid.angular_nodes)
     images = [complex(sym.phi.eval(z_star)) for z_star in points]
     families = [_family(images, space)]
     if pinned and not sym.phi.misses_boundary:
         families.append(_family(images, space, pinched=True))
-    samples = symbol_samples(sym, grid) if samples is None else samples
-    rows = None if chain is None else _chain_rows(*chain, samples, grid)
-    semis = _refine(sym, grid, [_chase_rows(families, samples, grid)] + ([] if rows is None else [rows[0]]))
+    rows = None if chain is None else _chain_rows(*chain)
+    semis = _refine(sym, grid, [_chase_rows(families)] + ([] if rows is None else [rows[0]]))
     kernel_semi = semis[0].reshape(-1, len(families))
     norms = [_image_norms(sym, family, points, kernel_semi[:, f]) for f, family in enumerate(families)]
     denoms = (kernel_family_norm(abs(w), space, grid) for w in images)

@@ -30,6 +30,12 @@ tests pin the one verdict rule of ``blochlab.criteria`` to them.
 ``reference_oracle_task`` refines the oracle's kernel rows, pinned rows and
 chain battery each in a search of its own; tests pin the one search of
 ``blochlab.oracle.oracle_task`` and its views to it bit for bit.
+``reference_symbol_samples``, ``reference_chase_grids``,
+``reference_chain_grids`` and ``reference_grid_peaks`` are the oracle's
+grid stage on the whole grid: one evaluation of the symbol on every sample
+circle, each row's values on the whole grid, and each row's first maximum
+by ``np.argmax``; tests pin the blocked grid stage of ``blochlab.oracle``
+to them bit for bit.
 ``reference_bracket_argmax`` and ``reference_kernel_family_norm`` are the
 bracket search with 2-D fancy indexing and the kernel norm that builds its
 radial and angular rules on every call; tests pin ``bracket_argmax`` and
@@ -209,11 +215,11 @@ def fixed_round_twins(pairs: list):
     where ``fixed_round`` is the same call made again with the stopping rule
     off (``norms._FLAT_REL`` None), every row searched for all 12 rounds."""
 
-    def search(modulus, samples, grid):
-        samples = list(samples)
-        stopping = family_bloch_seminorm(modulus, samples, grid)
+    def search(modulus, peaks, grid):
+        peaks = list(peaks)
+        stopping = family_bloch_seminorm(modulus, peaks, grid)
         with mock.patch.object(norms, "_FLAT_REL", None):
-            pairs.append((stopping, family_bloch_seminorm(modulus, samples, grid)))
+            pairs.append((stopping, family_bloch_seminorm(modulus, peaks, grid)))
         return stopping
 
     return search
@@ -437,7 +443,7 @@ def _reference_emit_csv(report, out: Path) -> list:
     return written
 
 
-def reference_oracle_task(sym, space, grid, samples, chain=None) -> tuple:
+def reference_oracle_task(sym, space, grid, chain=None) -> tuple:
     """``(trend, probe, constant)`` of ``oracle_task`` with the kernel rows,
     the pinned rows and the chain battery's rows each refined alone."""
     points = tuple(oracle.boundary_chase_point(sym.phi, oracle.CHASE_DEPTHS, grid.angular_nodes))
@@ -445,7 +451,7 @@ def reference_oracle_task(sym, space, grid, samples, chain=None) -> tuple:
 
     def image_norms(pinched):
         family = oracle._family(images, space, pinched)
-        (semi,) = oracle._refine(sym, grid, [oracle._chase_rows([family], samples, grid)])
+        (semi,) = oracle._refine(sym, grid, [oracle._chase_rows([family])])
         return oracle._image_norms(sym, family, points, semi)
 
     f_vals = image_norms(False)
@@ -470,12 +476,54 @@ def reference_oracle_task(sym, space, grid, samples, chain=None) -> tuple:
         else:
             name = "ambiguous"
         probe = oracle.CompactnessProbe("probe", oracle.CHASE_DEPTHS, f_vals, g_vals, name)
-    rows = None if chain is None else oracle._chain_rows(*chain, samples, grid)
+    rows = None if chain is None else oracle._chain_rows(*chain)
     constant = None
     if rows is not None:
         (semi,) = oracle._refine(sym, grid, [rows[0]])
         constant = max([0.0] + [float(value) / denom for value, denom in zip(semi, rows[1])])
     return trend, probe, constant
+
+
+def reference_symbol_samples(sym, grid) -> tuple:
+    """``(u, u', phi, phi')`` on the circles of ``sample_points``, the one
+    evaluation of the symbol on the grid that an oracle task makes."""
+    return sym.jets(sample_points(grid.depth, grid.angular_nodes)[1])
+
+
+def reference_chase_grids(families, samples, grid):
+    """The sample-grid values ``(1-|z|^2)|g'|`` of the images of the chase
+    kernels under one or more families, member-major, read from the whole
+    grid's ``samples``; a member's grids share ``W``, its half-plane check and
+    ``|W|^2``, and ``u phi'`` is formed once."""
+    radii, _ = sample_points(grid.depth, grid.angular_nodes)
+    omr2 = one_minus_sq(radii)[:, None]
+    u, du, phi, dphi = samples
+    u_dphi = u * dphi
+    for m in range(len(families[0])):
+        members = [family.member(m) for family in families]
+        shared = (*members[0].image_terms(phi), u_dphi)
+        for member in members:
+            yield omr2 * member.image_derivative_modulus(u, du, phi, dphi, shared)
+
+
+def reference_chain_grids(functions, samples, grid):
+    """The sample-grid values of the images of the chain battery's
+    functions, read from the whole grid's ``samples``."""
+    radii, _ = sample_points(grid.depth, grid.angular_nodes)
+    omr2 = one_minus_sq(radii)[:, None]
+    u, du, phi, dphi = samples
+    for f in functions:
+        yield omr2 * f.image_derivative_modulus(u, du, phi, dphi)
+
+
+def reference_grid_peaks(grids) -> list:
+    """``(i, j, g[i, j])`` at the whole-grid argmax of each grid ``g``: its
+    first maximum in flat order, or its first NaN."""
+    peaks = []
+    for g in grids:
+        i, j = np.unravel_index(int(np.argmax(g)), g.shape)
+        peaks.append((i, j, g[i, j]))
+    return peaks
 
 
 def reference_bracket_argmax(fn, lo: np.ndarray, hi: np.ndarray, rounds: int):

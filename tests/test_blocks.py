@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def _affinity(monkeypatch, cpus: int) -> None:
 
 
 def _force_blocks(monkeypatch, circles: int, nodes: int, blocks: int) -> list:
-    monkeypatch.setattr(norms, "_BLOCK_POINTS", circles * nodes // blocks)
+    monkeypatch.setattr(norms, "_BLOCK_POINTS", circles // blocks * nodes)
     edges = norms.block_edges(circles, nodes)
     assert len(edges) - 1 == blocks
     return edges
@@ -90,6 +91,11 @@ _CURATED = [pytest.param(name, id=f"curated-{name}") for name in sorted(CURATED)
 _DEEP = [pytest.param(i, id=f"deep-1-{i:02d}") for i in range(24)]
 
 
+def _curated(name) -> tuple:
+    config = cli.parse_config(CURATED[name]["config"])
+    return config.symbol, config.space
+
+
 def _assert_counts_agree(monkeypatch, sym, space, grid) -> None:
     """The table's arrays equal the whole-table evaluation bit for bit, and
     every verdict reads the same, at 1, 2, 5 and the largest legal count."""
@@ -111,14 +117,23 @@ def _assert_counts_agree(monkeypatch, sym, space, grid) -> None:
 class TestBlockIdentity:
     @pytest.mark.parametrize("name", _CURATED)
     def test_curated_configs(self, monkeypatch, name):
-        config = cli.parse_config(CURATED[name]["config"])
-        _assert_counts_agree(monkeypatch, config.symbol, config.space, DEEP)
+        _assert_counts_agree(monkeypatch, *_curated(name), DEEP)
 
     @pytest.mark.parametrize("index", _DEEP)
     def test_deep_configs(self, monkeypatch, index):
         _, text = bench_workloads().deep_config_texts(1)[index]
         config = cli.parse_config(text)
         _assert_counts_agree(monkeypatch, config.symbol, config.space, config.grid)
+
+    @pytest.mark.parametrize("name", _CURATED + [pytest.param(None, id="scaled-pair")])
+    def test_blocks_of_exactly_the_floor_are_the_whole_table(self, monkeypatch, name, a2):
+        grid = RadialGrid(39, 2048, 12)  # 80 circles: ten blocks of 8 circles, 16,384 points each
+        assert np.diff(norms.block_edges(80, 2048)).tolist() == [FLOOR // 2048] * 10
+        sym, space = (_scaled_pair(), a2) if name is None else _curated(name)
+        _affinity(monkeypatch, 2)
+        table = criteria.SampleTable(sym, space, grid)
+        for got, expected in zip(_arrays(table), _whole(sym, space, grid), strict=True):
+            assert got.tobytes() == expected.tobytes()
 
     def test_scaled_pair_at_the_smallest_legal_block(self, monkeypatch, a2):
         grid = RadialGrid(4, FLOOR, 8)  # ten circles of exactly the floor
@@ -152,11 +167,11 @@ class TestBlockIdentity:
         assert edges[0] == 0 and edges[-1] == circles
         assert len(edges) == 2 or min(np.diff(edges)) * nodes >= FLOOR
 
-    def test_the_benchmark_grids_are_one_block_or_five(self):
+    def test_the_benchmark_grids_are_one_block_or_ten(self):
         assert len(norms.block_edges(34, 512)) == 2  # curated, 16x512: 17,408 points
         assert len(norms.block_edges(26, 128)) == 2  # random-agreement, at most 4,352 points
         assert len(norms.block_edges(34, 128)) == 2
-        assert len(norms.block_edges(82, 2048)) == 6  # deep-classify, 40x2048
+        assert len(norms.block_edges(82, 2048)) == 11  # deep-classify, 40x2048: 8 or 9 circles each
 
 
 class TestThreads:
@@ -215,7 +230,7 @@ class TestThreads:
             sys.setswitchinterval(interval)
 
     def test_a_domain_run_at_depth_52_records_every_task(self, tmp_path, capsys):
-        assert len(norms.block_edges(106, 4096)) - 1 == 13
+        assert len(norms.block_edges(106, 4096)) - 1 == 26
         assert cli.main(["run", CONFIG, "--grid", "52,4096,8", "--out", str(tmp_path), "--format", "json"]) == 0
         (report,) = tmp_path.rglob("*.json")
 
@@ -233,6 +248,21 @@ class TestThreads:
         child.start()
         child.join(60)
         assert child.exitcode == 0
+
+
+class TestMemory:
+    def test_a_deep_table_holds_two_blocks_of_temporaries(self, monkeypatch, a2):
+        """About 9.6 MiB traced on two threads: 6.4 MiB of samples and one
+        block of temporaries per thread; blocks of 2**15 points took 12.1."""
+        _affinity(monkeypatch, 2)
+        criteria.SampleTable(_scaled_pair(), a2, DEEP)  # the cached sample circles are not the table's
+        tracemalloc.start()
+        try:
+            criteria.SampleTable(_scaled_pair(), a2, DEEP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 * 2**20
 
 
 def _build_deep_table():
@@ -261,12 +291,12 @@ class TestCheckedJets:
         with pytest.raises(DomainError, match="evaluation point outside the open unit disk"):
             criteria.SampleTable(_scaled_pair(), a2, RadialGrid(52, 64, 8))
 
-    def test_symbol_samples_raise_outside_the_disk(self):
+    def test_an_oracle_task_raises_outside_the_disk(self, a2):
         with pytest.raises(DomainError, match="evaluation point outside the open unit disk"):
-            oracle.symbol_samples(_scaled_pair(), RadialGrid(52, 64, 8))
+            oracle.oracle_task(_scaled_pair(), a2, RadialGrid(52, 64, 8))
 
     def test_a_refinement_round_raises_outside_the_disk(self, monkeypatch):
         monkeypatch.setattr(oracle, "family_bloch_seminorm", lambda modulus, grids, grid: modulus(self.OUTSIDE))
-        rows = oracle._Rows(1, iter(()), lambda u, du, phi, dphi: np.abs(du))
+        rows = oracle._Rows(1, lambda omr2, u, du, phi, dphi: iter(()), lambda u, du, phi, dphi: np.abs(du))
         with pytest.raises(DomainError, match="evaluation point outside the open unit disk"):
             oracle._refine(_scaled_pair(), RadialGrid(12, 128, 8), [rows])

@@ -774,8 +774,7 @@ class TestSharedWork:
             "lemma_probes": lambda: {"derivative_limit": criteria.derivative_limit_probe(*args).to_dict(),
                                      "composition_limit": criteria.composition_limit_probe(*args).to_dict()},
             "oracle": lambda: {"lower_bound": trend.to_dict(),
-                               "compactness_probe": oracle.compactness_probe(
-                                   *args, oracle.symbol_samples(config.symbol, config.grid)).to_dict(),
+                               "compactness_probe": oracle.compactness_probe(*args).to_dict(),
                                "agreement": tasks["oracle"]["agreement"]},
         }
         for task, entry in tasks.items():

@@ -30,6 +30,7 @@ from blochlab import (
     multiplier_quotient,
     truncated_log_series,
 )
+from blochlab import criteria
 from blochlab.battery import CURATED, random_pairs
 from blochlab.cli import parse_config
 from blochlab.criteria import SampleTable
@@ -260,6 +261,21 @@ class TestSharedSamples:
         assert sizes and max(sizes) <= 66  # bracket rounds only (33 radial and 33 angular points), no grid pass
         monkeypatch.undo()
         assert verdict.notes.endswith(f"seminorm {bloch_seminorm(u, grid):.6g}")
+
+    def test_each_verdict_is_made_once_per_table(self, a2, grid, monkeypatch):
+        # compact_into_bloch and bounded_into_little_bloch read bounded_into_bloch
+        # again, and the limit probes read the limits of the other classifiers
+        table = SampleTable(SymbolPair(PowerSeries([0.3, -1.0, 0.5j]), Affine(0.5, 0.5)), a2, grid)
+        made = []
+        finite_sup, limit = SampleTable._finite_sup, criteria._limit_type_verdict
+        monkeypatch.setattr(SampleTable, "_finite_sup", lambda self, name: made.append(("sup", name))
+                            or finite_sup(self, name))
+        monkeypatch.setattr(criteria, "_limit_type_verdict", lambda name, profile: made.append(
+            ("limit", name, profile.trigger)) or limit(name, profile))
+        first = _all_verdicts(table)
+        assert len(made) == len(set(made)) == 7  # two suprema; the |phi| and |z| limits of both quotients, one plain
+        assert _all_verdicts(table) == first and len(made) == 7
+        assert table.bounded_into_little_bloch().into_bloch.verdicts[0] is table.bounded_into_bloch().verdicts[0]
 
     def test_a_supremum_on_the_inner_cut_circle_is_inner(self, a2, fast_grid):
         # the inner supremum reads the circles up to and including the inner

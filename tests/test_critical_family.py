@@ -153,7 +153,7 @@ def outcomes(case: str) -> dict:
         compact = _answer(table.compact_into_bloch())
     except PreconditionUnmetError:
         compact = False if bounded is False else None  # an unbounded operator is not compact
-    trend, probe, _ = oracle.oracle_task(sym, space, GRID, oracle.symbol_samples(sym, GRID))
+    trend, probe, _ = oracle.oracle_task(sym, space, GRID)
     return {"bounded_bloch": bounded, "compact_bloch": compact,
             "bounded_little_bloch": _answer(table.bounded_into_little_bloch()),
             "compact_little_bloch": _answer(table.compact_into_little_bloch()),
@@ -219,7 +219,7 @@ def test_the_oracle_rows_stay_within_the_flat_tolerance(case, monkeypatch):
     sym, space = _symbol(a, m), SpaceSpec.bergman(float(p))
     pairs = []
     monkeypatch.setattr(oracle, "family_bloch_seminorm", fixed_round_twins(pairs))
-    oracle.oracle_task(sym, space, GRID, oracle.symbol_samples(sym, GRID))
+    oracle.oracle_task(sym, space, GRID)
     (stopping, fixed), = pairs
     assert stopping.shape == (22,)
     assert_within_the_flat_tolerance(stopping, fixed)

@@ -131,7 +131,7 @@ def outcomes(case: str) -> dict:
         compact = _answer(table.compact_into_bloch())
     except PreconditionUnmetError:
         compact = False if bounded is False else None  # an unbounded operator is not compact
-    trend, probe, _ = oracle.oracle_task(sym, spec, GRID, oracle.symbol_samples(sym, GRID))
+    trend, probe, _ = oracle.oracle_task(sym, spec, GRID)
     return {"bounded_bloch": bounded, "compact_bloch": compact,
             "bounded_little_bloch": _answer(table.bounded_into_little_bloch()),
             "compact_little_bloch": _answer(table.compact_into_little_bloch()),

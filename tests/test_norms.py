@@ -41,6 +41,7 @@ from blochlab.norms import (
     _bracket_abscissae,
     bracket_argmax,
     family_bloch_seminorm,
+    grid_peak,
     one_minus_sq,
     profile_thresholds,
     radial_rule,
@@ -434,7 +435,7 @@ class TestMergedSearch:
     def both(modulus, members, grid):
         radii, z = sample_points(grid.depth, grid.angular_nodes)
         samples = [one_minus_sq(radii)[:, None] * np.abs(g.deriv(z)) for g in members]
-        return (family_bloch_seminorm(modulus, iter(samples), grid),
+        return (family_bloch_seminorm(modulus, [grid_peak(g) for g in samples], grid),
                 two_pass_family_bloch_seminorm(modulus, iter(samples), grid))
 
     @pytest.mark.parametrize("case", sorted(CURATED))
@@ -480,8 +481,8 @@ class TestStoppingRule:
         radii, z = sample_points(grid.depth, grid.angular_nodes)
         pairs = []
         for modulus, members in families:
-            samples = [one_minus_sq(radii)[:, None] * np.abs(g.deriv(z)) for g in members]
-            fixed_round_twins(pairs)(modulus, samples, grid)
+            peaks = [grid_peak(one_minus_sq(radii)[:, None] * np.abs(g.deriv(z))) for g in members]
+            fixed_round_twins(pairs)(modulus, peaks, grid)
         for stopping, fixed in pairs:
             assert_within_the_flat_tolerance(stopping, fixed)
 
@@ -490,7 +491,7 @@ class TestStoppingRule:
         pairs = []
         monkeypatch.setattr(oracle, "family_bloch_seminorm", fixed_round_twins(pairs))
         for _, sym in random_pairs(seed, 20):
-            oracle.oracle_task(sym, a2, fast_grid, oracle.symbol_samples(sym, fast_grid))
+            oracle.oracle_task(sym, a2, fast_grid)
         assert len(pairs) == 20
         for stopping, fixed in pairs:
             assert_within_the_flat_tolerance(stopping, fixed)
@@ -530,8 +531,8 @@ class TestVectorizedSearchCallCounts:
         image = operator_apply(sym, kernels)
         radii, z = sample_points(grid.depth, grid.angular_nodes)
         counter = _CountingEvaluator(monkeypatch, DiskFunction, "deriv")
-        samples = (one_minus_sq(radii)[:, None] * np.abs(g.deriv(z)) for g in members)
-        family = family_bloch_seminorm(lambda points: np.abs(image.deriv(points)), samples, grid)
+        peaks = (grid_peak(one_minus_sq(radii)[:, None] * np.abs(g.deriv(z))) for g in members)
+        family = family_bloch_seminorm(lambda points: np.abs(image.deriv(points)), peaks, grid)
         assert counter.scalar_calls == 0
         assert counter.calls == 4 + 6  # 6 of at most 12 rounds: every row is flat by then
         monkeypatch.undo()

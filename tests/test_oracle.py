@@ -29,7 +29,7 @@ from blochlab.battery import CURATED, random_pairs
 from blochlab.cli import parse_config, run as cli_run
 from blochlab.disk_functions import DiskFunction, FiniteBlaschkeProduct, SelfMap
 from blochlab.norms import sample_points
-from blochlab.oracle import chain_constant, kernel_family_norm, symbol_samples
+from blochlab.oracle import chain_constant, kernel_family_norm
 from blochlab.criteria import classify_bounded_into_bloch
 from golden_reference import reference_kernel_family_norm, reference_oracle_task
 
@@ -170,19 +170,19 @@ class TestLowerBounds:
 class TestCompactnessProbe:
     def test_vacuous_for_strict_map(self, a2, fast_grid):
         sym = SymbolPair(constant(1), MonomialPower(1, 0.5))
-        probe = compactness_probe(sym, a2, fast_grid, symbol_samples(sym, fast_grid))
+        probe = compactness_probe(sym, a2, fast_grid)
         assert probe.kind == "vacuous"
         assert probe.trend == "vacuous"
 
     def test_zero_multiplier(self, a2, fast_grid):
         sym = SymbolPair(constant(0), identity_map())
-        probe = compactness_probe(sym, a2, fast_grid, symbol_samples(sym, fast_grid))
+        probe = compactness_probe(sym, a2, fast_grid)
         assert probe.kind == "probe"
         assert probe.trend == "zero"
 
     def test_identity_probe_bounded_away(self, a2, fast_grid):
         sym = SymbolPair(constant(1), identity_map())
-        probe = compactness_probe(sym, a2, fast_grid, symbol_samples(sym, fast_grid))
+        probe = compactness_probe(sym, a2, fast_grid)
         assert probe.trend == "bounded_away"
         assert min(probe.vanishing_values[-3:]) > 0.1 * max(probe.vanishing_values)
 
@@ -195,33 +195,32 @@ class TestChainConstant:
         functions = [constant(1), PowerSeries([0, 1]), boundary_test_function(0.5, a2)]
         norms = [bergman_type_norm(f, a2, fast_grid) for f in functions]
         sups = tuple(v.sup_estimate for v in outcome.verdicts[:2])
-        c = chain_constant(sym, a2, fast_grid, symbol_samples(sym, fast_grid), (functions, norms, *sups))
+        c = chain_constant(sym, a2, fast_grid, (functions, norms, *sups))
         assert c is not None and 0 < c < 50
 
     def test_takes_the_norms_it_is_given(self, a2, fast_grid, monkeypatch):
         sym = SymbolPair(PowerSeries([0.5, 1]), MonomialPower(1, 0.5))
         functions = [constant(1), PowerSeries([0, 1])]
         norms = [bergman_type_norm(f, a2, fast_grid) for f in functions]
-        samples = symbol_samples(sym, fast_grid)
-        expected = chain_constant(sym, a2, fast_grid, samples, (functions, norms, 1.0, 2.0))
+        expected = chain_constant(sym, a2, fast_grid, (functions, norms, 1.0, 2.0))
 
         def forbidden(*args):
             raise AssertionError("chain_constant computed a norm")
 
         monkeypatch.setattr(oracle, "bergman_type_norm", forbidden)
-        assert chain_constant(sym, a2, fast_grid, samples, (functions, norms, 1.0, 2.0)) == expected
+        assert chain_constant(sym, a2, fast_grid, (functions, norms, 1.0, 2.0)) == expected
         doubled = (functions, [2 * n for n in norms], 1.0, 2.0)
-        assert chain_constant(sym, a2, fast_grid, samples, doubled) == 0.5 * expected
+        assert chain_constant(sym, a2, fast_grid, doubled) == 0.5 * expected
 
     def test_skipped_when_sups_divergent(self, a2, fast_grid):
         sym = SymbolPair(constant(1), identity_map())
         chain = ([constant(1)], [1.0], float("inf"), 1.0)
-        c = chain_constant(sym, a2, fast_grid, symbol_samples(sym, fast_grid), chain)
+        c = chain_constant(sym, a2, fast_grid, chain)
         assert c is None
 
 
 class TestChainConstantSamples:
-    """The chain constant reads the oracle task's samples and must give the
+    """The chain constant reads the symbol's jets on the grid and must give the
     bytes of one ``bloch_seminorm`` per power of the battery, and of one
     ``family_bloch_seminorm`` over the closed-form modulus for its kernel."""
 
@@ -230,7 +229,7 @@ class TestChainConstantSamples:
         radii, z = sample_points(grid.depth, grid.angular_nodes)
         samples = norms.one_minus_sq(radii)[:, None] * kernel.image_derivative_modulus(*sym.jets(z))
         return float(norms.family_bloch_seminorm(lambda points: kernel.image_derivative_modulus(*sym.jets(points)),
-                                                 [samples], grid)[0])
+                                                 [norms.grid_peak(samples)], grid)[0])
 
     @pytest.mark.parametrize("case", sorted(CURATED))
     def test_equals_the_seminorms_of_the_composites(self, case):
@@ -242,8 +241,7 @@ class TestChainConstantSamples:
         assert all(isinstance(f, PowerSeries) for f in powers) and isinstance(kernel, FractionalKernel)
         semis = [bloch_seminorm(operator_apply(sym, f), grid) for f in powers] + [self.kernel_seminorm(sym, kernel, grid)]
         expected = max(semi / (n * (s1 + s2)) for semi, n in zip(semis, battery.norms))
-        samples = symbol_samples(sym, grid)
-        assert chain_constant(sym, space, grid, samples, (battery.functions, battery.norms, s1, s2)) == expected
+        assert chain_constant(sym, space, grid, (battery.functions, battery.norms, s1, s2)) == expected
 
     def test_an_oracle_task_evaluates_u_and_phi_on_the_grid_once(self, monkeypatch):
         config = parse_config(dict(CURATED["boundary-touch"]["config"], tasks=["bounded_bloch", "oracle"]))
@@ -280,14 +278,13 @@ class TestOneSearch:
 
     @staticmethod
     def assert_views_equal_the_reference(sym, space, grid, chain=None) -> tuple:
-        samples = symbol_samples(sym, grid)
-        want = reference_oracle_task(sym, space, grid, samples, chain)
+        want = reference_oracle_task(sym, space, grid, chain)
         # repr is exact for floats, signed zeros included
-        assert repr(oracle.oracle_task(sym, space, grid, samples, chain)) == repr(want)
+        assert repr(oracle.oracle_task(sym, space, grid, chain)) == repr(want)
         assert repr(lower_bound_trend(sym, space, grid)) == repr(want[0])
-        assert repr(compactness_probe(sym, space, grid, samples)) == repr(want[1])
+        assert repr(compactness_probe(sym, space, grid)) == repr(want[1])
         if chain is not None:
-            assert repr(chain_constant(sym, space, grid, samples, chain)) == repr(want[2])
+            assert repr(chain_constant(sym, space, grid, chain)) == repr(want[2])
         return want
 
     @pytest.mark.parametrize("case", sorted(CURATED))
@@ -375,7 +372,7 @@ class TestImageModulus:
         # the 17,408-point sample grid, one member at a time
         _, z = sample_points(grid.depth, grid.angular_nodes)
         assert z.size == 17408
-        samples = symbol_samples(sym, grid)
+        samples = sym.jets(z)
         for m in range(len(family)):
             member = family.member(m)
             ref = np.abs(operator_apply(sym, member).deriv(z))
@@ -398,7 +395,7 @@ class TestImageModulus:
         kernel = oracle.constants_battery(space, grid).functions[-1]
         assert isinstance(kernel, FractionalKernel) and kernel.base == 0.5
         points = 0.5 * np.linspace(0.9, 1.0, 33) * np.exp(1j * np.linspace(-1.0, 1.0, 33))[:, None]
-        for jets in (symbol_samples(sym, grid), sym.jets(points)):
+        for jets in (sym.jets(sample_points(grid.depth, grid.angular_nodes)[1]), sym.jets(points)):
             got = kernel.image_derivative_modulus(*jets)
             ref = DiskFunction.image_derivative_modulus(kernel, *jets)
             assert got.shape == ref.shape and np.all(np.abs(got - ref) <= 4e-15 * ref)
@@ -422,7 +419,7 @@ class TestChaseFamily:
         config = parse_config(CURATED[case]["config"])
         sym, space = config.symbol, config.space
         ratios = lower_bound_trend(sym, space, grid).member_ratios
-        pinned = compactness_probe(sym, space, grid, symbol_samples(sym, grid)).vanishing_values
+        pinned = compactness_probe(sym, space, grid).vanishing_values
         assert len(ratios) == 11 and len(pinned) == (0 if sym.phi.misses_boundary else 11)
         for m, (z_star, w) in enumerate(zip(*chase_members(sym, grid))):
             kernel_norm = ratios[m] * kernel_family_norm(abs(w), space, grid)

@@ -2,7 +2,7 @@
 whole rows, one block at a time.
 
 A row's angular mean and a circle's maximum read only that row, and every
-block holds at least ``2**15`` points unless the grid is one block, so the
+block holds at least ``2**14`` points unless the grid is one block, so the
 blocked values must equal the whole-array bodies of
 ``golden_reference`` bit for bit, raise what they raise, and hold only one
 block of points at a time."""
@@ -35,14 +35,14 @@ from golden_reference import (
     reference_pointwise_growth_envelope,
 )
 
-BLOCK = 2**15
+BLOCK = 2**14  # complex points in 256 KiB, numpy's elision threshold
 LOG_WEIGHT = SpaceSpec(2.0, NormalWeight(0.5, -1.0))  # normal from k0 = 4
 SPACES = {"bergman1": SpaceSpec.bergman(1), "bergman2": SpaceSpec.bergman(2), "bergman4": SpaceSpec.bergman(4),
           "log-1": LOG_WEIGHT}
-# one block; three; three of 42 rows; four uneven (38, 39, 38, 39 rows)
+# one block; six; seven of 18 rows; nine uneven (eight of 17 rows, one of 18)
 SMALL = {"12x128x8": RadialGrid(12, 128, 8), "16x512x12": RadialGrid(16, 512, 12),
          "13x1024x9": RadialGrid(13, 1024, 9), "13x1024x11": RadialGrid(13, 1024, 11)}
-# thirty quadrature blocks and five of circles; twenty-five and four uneven ones
+# sixty-one quadrature blocks and ten of circles; fifty-one and eight uneven ones
 LARGE = {"40x2048x12": RadialGrid(40, 2048, 12), "16x4096x12": RadialGrid(16, 4096, 12)}
 PAIRS = [
     (norms.bergman_type_norm, reference_bergman_type_norm),
@@ -98,13 +98,20 @@ class TestBitForBit:
         counts = {name: np.diff(norms.block_edges(*_quadrature_shape(grid))).tolist()
                   for name, grid in {**SMALL, **LARGE}.items()}
         assert counts["12x128x8"] == [104]
-        assert counts["16x512x12"] == [68, 68, 68]
-        assert counts["13x1024x9"] == [42, 42, 42]
-        assert counts["13x1024x11"] == [38, 39, 38, 39]
-        assert len(counts["40x2048x12"]) == 30 and len(counts["16x4096x12"]) == 25
+        assert counts["16x512x12"] == [34] * 6
+        assert counts["13x1024x9"] == [18] * 7
+        assert counts["13x1024x11"] == [17] * 8 + [18]
+        assert len(counts["40x2048x12"]) == 61 and len(counts["16x4096x12"]) == 51
         circles = {name: len(norms.block_edges(*norms.sample_points(grid.depth, grid.angular_nodes)[1].shape)) - 1
                    for name, grid in LARGE.items()}
-        assert circles == {"40x2048x12": 5, "16x4096x12": 4}
+        assert circles == {"40x2048x12": 10, "16x4096x12": 8}
+
+    @pytest.mark.parametrize("space_name", ["bergman2", "log-1"])
+    def test_blocks_of_exactly_the_floor_equal_whole(self, space_name):
+        grid = RadialGrid(15, 2048, 8)  # 128 quadrature rows and 32 circles: blocks of 8 rows, 16,384 points
+        assert np.diff(norms.block_edges(*_quadrature_shape(grid))).tolist() == [BLOCK // 2048] * 16
+        assert np.diff(norms.block_edges(32, 2048)).tolist() == [BLOCK // 2048] * 4
+        _assert_blocked_is_whole(SPACES[space_name], grid, FUNCTIONS)
 
     def test_the_log_weight_is_normal(self):
         assert check_normality(LOG_WEIGHT.weight).k0 == 4
@@ -131,8 +138,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("blocked, whole", PAIRS, ids=[blocked.__name__ for blocked, _ in PAIRS])
     def test_nodes_on_the_circle_raise_the_whole_array_error(self, blocked, whole, a2):
-        grid = RadialGrid(60, 512, 8)  # the deepest nodes, in the last of seven blocks, round onto |z| = 1
-        assert len(norms.block_edges(*_quadrature_shape(grid))) - 1 == 7
+        grid = RadialGrid(60, 512, 8)  # the deepest nodes, in the last of fifteen blocks, round onto |z| = 1
+        assert len(norms.block_edges(*_quadrature_shape(grid))) - 1 == 15
         with pytest.raises(DomainError) as want:
             whole(PowerSeries([0, 1]), a2, grid)
         with pytest.raises(DomainError) as got:
@@ -140,22 +147,41 @@ class TestErrors:
         assert str(got.value) == str(want.value)
 
 
+def _assert_the_rule_holds(rows: int, nodes: int) -> None:
+    """Every block holds the floor unless the array is one block below it,
+    and at most two floors and a row; row counts differ by at most one, and
+    one block more would leave a block below the floor."""
+    edges = norms.block_edges(rows, nodes)
+    counts = np.diff(edges)
+    sizes = counts * nodes
+    assert edges[0] == 0 and edges[-1] == rows and min(sizes) > 0
+    assert min(sizes) >= BLOCK or sizes.tolist() == [rows * nodes] and rows * nodes < BLOCK
+    assert max(sizes) < 2 * BLOCK + nodes
+    assert max(counts) - min(counts) <= 1
+    assert rows // (len(counts) + 1) * nodes < BLOCK
+
+
 class TestBlockRule:
     @given(depth=st.integers(4, 400), log_nodes=st.integers(6, 17), order=st.integers(8, 32))
     @settings(max_examples=300, deadline=None)
     def test_every_block_holds_the_floor_and_at_most_two_floors_and_a_row(self, depth, log_nodes, order):
-        nodes = 2**log_nodes
         for rows in ((depth + 1) * order, norms.sample_radii(depth).size):  # quadrature rows, sample circles
-            edges = norms.block_edges(rows, nodes)
-            sizes = [(b - a) * nodes for a, b in zip(edges, edges[1:])]
-            assert edges[0] == 0 and edges[-1] == rows and min(sizes) > 0
-            assert min(sizes) >= BLOCK or sizes == [rows * nodes] and rows * nodes < BLOCK
-            assert max(sizes) < 2 * BLOCK + nodes
+            _assert_the_rule_holds(rows, 2**log_nodes)
+
+    @given(rows=st.integers(1, 2000), nodes=st.integers(1, 2**17))
+    @settings(max_examples=300, deadline=None)
+    def test_any_row_length_keeps_its_blocks_at_the_floor(self, rows, nodes):
+        _assert_the_rule_holds(rows, nodes)
+
+    def test_a_block_one_row_short_of_the_floor_is_not_cut(self):
+        # 9 rows of 4,000 points: two blocks would leave one of 4 rows, 16,000 points
+        assert norms.block_edges(9, 4000) == [0, 9]
+        assert norms.block_edges(10, 4000) == [0, 5, 10]
 
     def test_a_grid_below_two_floors_is_one_block(self):
-        assert norms.block_edges(3, 2**13) == [0, 3]
-        assert norms.block_edges(4, 2**13) == [0, 4]
-        assert norms.block_edges(8, 2**13) == [0, 4, 8]
+        assert norms.block_edges(3, 2**12) == [0, 3]
+        assert norms.block_edges(7, 2**12) == [0, 7]
+        assert norms.block_edges(8, 2**12) == [0, 4, 8]
 
 
 class TestMemory:
