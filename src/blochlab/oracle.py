@@ -22,18 +22,21 @@ each block evaluates ``u``, ``u'``, ``phi`` and ``phi'`` once for every
 row, and each row keeps its running peak, so only one block of the grid
 is held at once.  The kernel and pinned images, and the battery's kernel,
 are read from the closed-form moduli ``|g_m'|``
-(``FractionalKernel.image_derivative_modulus``), without a complex power,
-and on the grid a member's two images share ``W = 1 - conj(b_m) phi``.
-The chase returns points, not values, and keeps its fixed 9 rounds.
-``lower_bound_trend``, ``compactness_probe`` and ``chain_constant`` are
-views of that one search; the trend's search leaves out the pinned rows.
+(``FractionalKernel.image_derivative_modulus``), without a complex power.
+The kernel and pinned images are evaluated only on the segments of 16
+nodes whose majorant, bounded from the closed form, can still reach the
+row's peak, and on whole circles a member's two images share ``W = 1 -
+conj(b_m) phi`` (``_ChaseRows``); the peaks are those of the whole grid
+bit for bit.  The chase returns points, not values, and keeps its fixed 9
+rounds.  ``lower_bound_trend``, ``compactness_probe`` and
+``chain_constant`` are views of that one search; the trend's search
+leaves out the pinned rows.
 The norms and envelopes of the constants battery, which depend only on
 the space and the grid, are computed once per ``(space, grid)``.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -147,11 +150,19 @@ class _Rows:
     ``(u, u', phi, phi')`` on a block of sample circles to the values
     ``(1-|z|^2)|g'|`` there, yielded one function at a time; and
     ``modulus``, which maps the jets at a ``(size, n)`` array of points to
-    ``|g'|`` there, row for function."""
+    ``|g'|`` there, row for function.  A group's ``block_peaks`` gives its
+    rows' peaks on a block; ``_ChaseRows``, the other kind of group, finds
+    them without evaluating the whole block."""
 
     size: int
     grids: Callable[..., Iterator]
     modulus: Callable
+
+    def block_peaks(self, omr2: np.ndarray, jets: tuple, best: list) -> Iterator:
+        """The ``grid_peak`` of each row on one block of circles, from the
+        whole block's values; ``best`` holds the rows' running peak values,
+        which a search may use to leave out what cannot replace them."""
+        return map(grid_peak, self.grids(omr2, *jets))
 
 
 def _grid_peaks(sym: SymbolPair, grid: RadialGrid, groups) -> list:
@@ -162,20 +173,35 @@ def _grid_peaks(sym: SymbolPair, grid: RadialGrid, groups) -> list:
     is larger, or is a NaN where the running peak is not, so the peak is
     the first maximum in flat order (the first NaN, if any), that of one
     whole-grid ``grid_peak``.  A block holds at least ``2**14`` points
-    unless the grid is one block, so its values are the whole grid's."""
+    unless the grid is one block, so its values are the whole grid's.  Each
+    group finds its block peaks given its rows' running peaks
+    (``_Rows.block_peaks``)."""
     radii, z = sample_points(grid.depth, grid.angular_nodes)
     omr2 = one_minus_sq(radii)[:, None]
     peaks = [(0, 0, -np.inf)] * sum(group.size for group in groups)
     edges = block_edges(*z.shape)
     for a, b in zip(edges, edges[1:]):
         jets = sym.jets(z[a:b])
-        rows = itertools.chain.from_iterable(group.grids(omr2[a:b], *jets) for group in groups)
-        for m, values in enumerate(rows):
-            i, j, value = grid_peak(values)
-            best = peaks[m][2]
-            if value > best or (value != value and best == best):
-                peaks[m] = (a + i, j, value)
+        start = 0
+        for group in groups:
+            rows = range(start, start + group.size)
+            found = group.block_peaks(omr2[a:b], jets, [peaks[m][2] for m in rows])
+            for m, (i, j, value) in zip(rows, found):
+                peaks[m] = _first_max(peaks[m], (a + i, j, value))
+            start += group.size
     return peaks
+
+
+def _first_max(p: tuple, q: tuple) -> tuple:
+    """Of two peaks ``(i, j, value)`` of one row, the one that ``grid_peak``
+    finds on their union: the NaN, or the earlier of two NaNs; else the
+    larger value, or the earlier of two equal ones."""
+    p_nan, q_nan = p[2] != p[2], q[2] != q[2]
+    if p_nan != q_nan:
+        return p if p_nan else q
+    if p_nan or p[2] == q[2]:
+        return min(p, q, key=lambda peak: peak[:2])
+    return p if p[2] > q[2] else q
 
 
 def _refine(sym: SymbolPair, grid: RadialGrid, groups) -> list:
@@ -193,30 +219,221 @@ def _refine(sym: SymbolPair, grid: RadialGrid, groups) -> list:
     return np.split(family_bloch_seminorm(modulus, _grid_peaks(sym, grid, groups), grid), ends[:-1])
 
 
-def _chase_rows(families) -> _Rows:
-    """The images ``u (K o phi)`` of the chase kernels under one or more
-    families over the same bases, member-major: row ``F m + f`` is member
-    ``m`` of family ``f``.  On a block, a member's grids share ``W``, its
-    half-plane check and ``|W|^2``, and ``u phi'`` is formed once, so at
-    most two member grids are alive."""
-    count = len(families)
+# The chase rows' block peaks come from a search bounded by per-segment
+# majorants (``_ChaseRows.block_peaks``).  A member's images are large only
+# where phi comes near its base, so each circle of a block is cut into
+# segments of _SEGMENT consecutive nodes (the last one ragged when the node
+# count is no multiple of it), and only the segments whose majorant reaches
+# the row's lower bound are evaluated.  With a loose 2x margin, segments of
+# 8/16/32/64 nodes left 12/18/35/48% of the random battery's segments to
+# evaluate: 16 is the knee.
+_SEGMENT = 16
 
-    def grids(omr2, u, du, phi, dphi):
-        u_dphi = u * dphi
-        for m in range(len(families[0])):
-            members = [family.member(m) for family in families]
-            shared = (*members[0].image_terms(phi), u_dphi)
-            for member in members:
-                yield omr2 * member.image_derivative_modulus(u, du, phi, dphi, shared)
+# Every majorant is inflated by the relative _MARGIN, which covers the
+# rounding of both sides: the exact values and the majorants are formed from
+# the same jets, and each of their operations rounds by an ulp but one.
+# W = 1 - conj(b) phi carries an absolute error of a few ulps of 1, so the
+# exact |W|**-(e+1) is off by about (e+1) 2**-50 / |W| relative, and the
+# majorant's d**-(e+1), taken as exp(-(e+1) log d), by as much and 2**-45.
+# A segment's majorants are certified only where 1 - |b| max|phi| >= (e + 2)
+# _FLOOR for the largest exponent e, which bounds d from below so that those
+# errors stay below 2**-24, and proves Re W > 0, the half-plane check, on the
+# whole segment; and only where the maxima of |u'| and |u phi'| and the
+# scales are 0 or lie within 2**+-100 (_RANGE), and d**-(e+1) does too
+# (``_floor``), so that no product on either side over- or underflows.  Any
+# other segment, one with a NaN or an infinity among its jets included, gets
+# a NaN majorant and is always evaluated.
+_MARGIN = 2.0**-20
+_FLOOR = 2.0**-24
+_RANGE = 2.0**100
 
-    def modulus(u, du, phi, dphi):
-        out = np.empty(phi.shape)
-        for f, family in enumerate(families):
+# A gathered node costs about this many nodes of one row on whole circles,
+# where a member's images share W (2.1 to 3 measured on 16x512 blocks): a
+# circle on which a member's kept segments would cost more is evaluated whole.
+_GATHER = 2.5
+
+# Segments are gathered at most this many at a time, 4,096 points, so that
+# a gather's copies of the jets and its temporaries stay below those of one
+# member on a whole block: at 1,024 a curated oracle task's traced peak rose
+# from 2.9 to 4.6 MiB, at 256 it is 2.5 MiB, in the same time.
+_BATCH = 256
+
+
+@lru_cache(maxsize=8)
+def _segment_layout(nodes: int) -> tuple:
+    """``(starts, centres, lengths, chunk)`` of the segments of a circle of
+    ``nodes`` nodes: each segment's first node, centre node and length, and
+    the ``(segments, _SEGMENT)`` nodes of each segment, its last node
+    repeated to fill a ragged one."""
+    starts = np.arange(0, nodes, _SEGMENT)
+    ends = np.minimum(starts + _SEGMENT, nodes)
+    chunk = np.minimum(starts[:, None] + np.arange(_SEGMENT), ends[:, None] - 1)
+    return starts, (starts + ends) // 2, ends - starts, chunk
+
+
+def _in_range(x: np.ndarray) -> np.ndarray:
+    return (x == 0.0) | ((x >= 1.0 / _RANGE) & (x <= _RANGE))
+
+
+def _majorants(families, omr2: np.ndarray, phi: np.ndarray, du: np.ndarray, u_dphi: np.ndarray) -> np.ndarray:
+    """Upper bounds of the chase rows' values ``(1-|z|^2)|g_m'|`` on each
+    segment of a block, one row per chase row (member-major) and one column
+    per segment in flat order, inflated by ``_MARGIN``; NaN where a bound is
+    not certified.
+
+    With ``c`` the value of ``phi`` at the segment's centre node and ``rho =
+    max|phi - c|``, on the segment ``Re W >= 1 - |b| max|phi|``, ``|W| >= d =
+    max(|1 - conj(b) c| - |b| rho, 1 - |b| max|phi|)`` and ``|phi - b| <=
+    min(|c - b| + rho, max|phi| + |b|)``; the closed form of
+    ``image_derivative_modulus`` gives ``|s| (max|u'| d**-e + e |b| max|u
+    phi'| d**-(e+1))``; pinned, ``max|u'| |phi - b| + max|u phi'|`` in the
+    first term and ``e |b| max|u phi'| |phi - b|`` in the second."""
+    starts, centres, lengths, _ = _segment_layout(phi.shape[1])
+    centre = phi[:, centres]
+    rho, phi_max, du_max, u_dphi_max = (np.maximum.reduceat(np.abs(x), starts, axis=1).reshape(-1)
+                                        for x in (phi - np.repeat(centre, lengths, axis=1), phi, du, u_dphi))
+    base = families[0].base
+    base_mod = np.abs(base)
+    # the centres as an (M, G) array: a complex product both of whose
+    # operands broadcast an axis takes numpy's slow loop, 10 ns a value
+    centre = np.tile(centre.reshape(-1), (base.size, 1))
+    reach = 1.0 - base_mod * phi_max
+    d = np.abs(1.0 - np.conj(base) * centre) - base_mod * rho
+    np.maximum(d, reach, out=d)
+    # a NaN in log(d) marks a segment whose bounds are not certified
+    log_d = np.log(np.maximum(d, _FLOOR))
+    log_d[~(reach >= _floor(max(family.exponent for family in families)))] = np.nan
+    du_max, u_dphi_max = (np.where(_in_range(x), x, np.nan) for x in (du_max, u_dphi_max))
+    gap = np.repeat(omr2[:, 0], starts.size)
+    out = np.empty((base.size, len(families), rho.size))
+    for f, family in enumerate(families):
+        e = family.exponent
+        if family.pinched:
+            far = np.minimum(np.abs(centre - base) + rho, phi_max + base_mod)
+            inner = (du_max * far + u_dphi_max) * d + (e * base_mod) * (u_dphi_max * far)
+        else:
+            inner = du_max * d + (e * base_mod) * u_dphi_max
+        scale = np.abs(family.scale)
+        scale = np.where(_in_range(scale), scale * (1.0 + _MARGIN), np.nan)
+        out[:, f] = gap * np.exp(-(e + 1.0) * log_d) * inner * scale
+    return out.reshape(-1, rho.size)
+
+
+def _floor(e: float) -> float:
+    """The least ``1 - |b| max|phi|`` at which a majorant of exponent ``e``
+    is certified: ``(e + 2) _FLOOR``, and no less than keeps ``d**-(e+1)``
+    within ``_RANGE`` (``inf`` when ``2**-(e+1)`` is not)."""
+    if 2.0 ** -(e + 1.0) < 1.0 / _RANGE:
+        return np.inf
+    return max((e + 2.0) * _FLOOR, _RANGE ** (-1.0 / (e + 1.0)))
+
+
+def _chunk_values(family, members, segments, omr2: np.ndarray, jets: tuple) -> tuple:
+    """``(values, nodes)``: ``(1-|z|^2)|g'|`` of the image of ``family``'s
+    member ``members[k]`` on the nodes of the block's segment
+    ``segments[k]`` (numbered in flat order), as row ``k`` of a ``(k,
+    _SEGMENT)`` array, and the flat indices of those nodes in the block.
+    Elementwise these are the whole-block expressions at the same points,
+    so the values are the whole block's bit for bit."""
+    nodes = jets[0].shape[1]
+    chunk = _segment_layout(nodes)[3]
+    circle, k = np.divmod(segments, chunk.shape[0])
+    flat = (circle * nodes)[:, None] + chunk[k]
+    u, du, phi, dphi = (np.take(x, flat) for x in jets)
+    return omr2[circle] * family.member(members).image_derivative_modulus(u, du, phi, dphi), flat
+
+
+@dataclass
+class _ChaseRows:
+    """The rows of the images ``u (K o phi)`` of the chase kernels under one
+    or more ``families`` over the same bases, member-major: row ``F m + f``
+    is member ``m`` of family ``f``.  They are a ``_Rows`` group whose block
+    peaks come from a search bounded by ``_majorants``."""
+
+    families: list
+
+    @property
+    def size(self) -> int:
+        return len(self.families) * len(self.families[0])
+
+    def modulus(self, u, du, phi, dphi) -> np.ndarray:
+        """``|g'|`` of each row's image at the jets of a ``(size, n)`` array of points."""
+        out, count = np.empty(phi.shape), len(self.families)
+        for f, family in enumerate(self.families):
             rows = slice(f, None, count)
             out[rows] = family.image_derivative_modulus(u[rows], du[rows], phi[rows], dphi[rows])
         return out
 
-    return _Rows(count * len(families[0]), grids, modulus)
+    def block_peaks(self, omr2: np.ndarray, jets: tuple, best: list) -> list:
+        """Each row's block peak, as far as it can replace the running peak
+        ``best``, from its segments' ``_majorants``:
+
+        1. the segment with the largest majorant (the seed) is evaluated, and
+           its maximum, or the running peak when that is at least as large,
+           is the row's lower bound;
+        2. the segments whose majorant is not below the lower bound are kept
+           (a NaN majorant is kept);
+        3. but a kept segment whose majorant equals the lower bound can at
+           most tie a point before it in flat order, and is left out unless
+           it comes no later than the seed and the seed set the bound.
+
+        After a NaN, in the seed or the running peak, only the segments
+        with a NaN majorant are kept: no certified segment holds a NaN, and
+        they still get the half-plane check.  A circle on which a member's
+        kept segments would cost more than ``_GATHER`` whole-circle nodes
+        each is evaluated whole for both its images (``_member_grids``);
+        the other kept segments are gathered (``_chunk_values``).  The
+        block peak is the first maximum, in flat order, of what was
+        evaluated (``_first_max``): every other point is below the lower
+        bound or ties an earlier one."""
+        u, du, phi, dphi = jets
+        u_dphi = u * dphi
+        families, count = self.families, len(self.families)
+        ub = _majorants(families, omr2, phi, du, u_dphi)
+        best = np.array(best, dtype=float)
+        seed = ub.argmax(axis=1)
+        live = ~(ub < best[:, None]).all(axis=1)
+        top = np.full(best.size, -np.inf)
+        for f, family in enumerate(families):
+            m = np.flatnonzero(live[f::count])
+            top[count * m + f] = _chunk_values(family, m, seed[count * m + f], omr2, jets)[0].max(axis=1)
+        seeded = top > best
+        lower = np.where((top != top) | (best != best), np.inf, np.where(seeded, top, best))[:, None]
+        ties = (np.arange(ub.shape[1]) <= seed[:, None]) & seeded[:, None]
+        keep = ~(ub < lower) & (ties | (ub != lower))
+        circles, nodes = phi.shape
+        kept = keep.reshape(-1, count, circles, ub.shape[1] // circles)
+        whole = kept.sum(axis=(1, 3)) * (_SEGMENT * _GATHER) > nodes * count
+        kept &= ~whole[:, None, :, None]
+        peaks = [(0, 0, -np.inf)] * best.size
+        for f, family in enumerate(families):
+            member, segment = np.nonzero(keep[f::count])
+            for at in range(0, member.size, _BATCH):
+                batch = slice(at, at + _BATCH)
+                values, flat = _chunk_values(family, member[batch], segment[batch], omr2, jets)
+                bounds = np.searchsorted(member[batch], np.arange(best.size // count + 1))
+                for m, (start, end) in enumerate(zip(bounds, bounds[1:])):
+                    if end > start:
+                        k = int(np.argmax(values[start:end]))
+                        i, j = divmod(int(flat[start:end].flat[k]), nodes)
+                        peaks[count * m + f] = _first_max(peaks[count * m + f], (i, j, values[start:end].flat[k]))
+        for m in np.flatnonzero(whole.any(axis=1)):
+            c = np.flatnonzero(whole[m])
+            on = slice(c[0], c[-1] + 1) if c[-1] + 1 - c[0] == c.size else c  # a view of a run of circles
+            grids = _member_grids(families, m, *(x[on] for x in (omr2, u, du, phi, dphi, u_dphi)))
+            for row, (i, j, value) in enumerate(map(grid_peak, grids), start=count * m):
+                peaks[row] = _first_max(peaks[row], (c[i], j, value))
+        return peaks
+
+
+def _member_grids(families, m: int, omr2, u, du, phi, dphi, u_dphi) -> Iterator:
+    """The values of member ``m``'s images under each family on some circles
+    of a block; they share ``W``, its half-plane check and ``|W|^2``, and
+    ``u phi'``, so at most two member grids are alive."""
+    members = [family.member(m) for family in families]
+    shared = (*members[0].image_terms(phi), u_dphi)
+    for member in members:
+        yield omr2 * member.image_derivative_modulus(u, du, phi, dphi, shared)
 
 
 def _image_norms(sym: SymbolPair, kernels: FractionalKernel, probe_points, semi: np.ndarray) -> tuple:
@@ -502,7 +719,7 @@ def oracle_task(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, chain=None,
     if pinned and not sym.phi.misses_boundary:
         families.append(_family(images, space, pinched=True))
     rows = None if chain is None else _chain_rows(*chain)
-    semis = _refine(sym, grid, [_chase_rows(families)] + ([] if rows is None else [rows[0]]))
+    semis = _refine(sym, grid, [_ChaseRows(families)] + ([] if rows is None else [rows[0]]))
     kernel_semi = semis[0].reshape(-1, len(families))
     norms = [_image_norms(sym, family, points, kernel_semi[:, f]) for f, family in enumerate(families)]
     denoms = (kernel_family_norm(abs(w), space, grid) for w in images)

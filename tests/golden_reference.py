@@ -451,7 +451,7 @@ def reference_oracle_task(sym, space, grid, chain=None) -> tuple:
 
     def image_norms(pinched):
         family = oracle._family(images, space, pinched)
-        (semi,) = oracle._refine(sym, grid, [oracle._chase_rows([family])])
+        (semi,) = oracle._refine(sym, grid, [oracle._ChaseRows([family])])
         return oracle._image_norms(sym, family, points, semi)
 
     f_vals = image_norms(False)

@@ -91,6 +91,15 @@ class TestRadialGrid:
         with pytest.raises(ValueError):
             RadialGrid(8, 128, 4)
 
+    def test_the_sample_circles_of_few_grids_are_kept(self):
+        """Sampling many grids keeps the points of the last four only."""
+        for depth in range(4, 24):
+            sample_points(depth, 64)
+        info = sample_points.cache_info()
+        assert info.maxsize == 4 and info.currsize == 4
+        sample_points(23, 64)
+        assert sample_points.cache_info().hits == info.hits + 1
+
 
 class TestBergmanTypeNorm:
     def test_constant_one(self, a2, grid):
