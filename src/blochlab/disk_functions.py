@@ -219,17 +219,7 @@ class FractionalKernel(DiskFunction):
         factor = z - self.base
         return factor * value, value + factor * derivative
 
-    def image_terms(self, phi) -> tuple:
-        """``(W, |W|**2)`` with ``W = 1 - conj(b_m) phi``, the factors of
-        ``image_derivative_modulus`` that depend only on the bases and
-        ``phi``; raises ``ArithmeticError`` when ``W`` leaves the right
-        half-plane."""
-        w = 1.0 - np.conj(self.base) * phi
-        if not (w.real > 0.0).all():
-            raise ArithmeticError("kernel argument left the right half-plane")
-        return w, w.real**2 + w.imag**2
-
-    def image_derivative_modulus(self, u, du, phi, dphi, shared=None):
+    def image_derivative_modulus(self, u, du, phi, dphi):
         """``|g_m'|`` for the images ``g_m = u (K_m o phi)``, from the jets
         ``(u, u')`` and ``(phi, phi')`` at the same points.
 
@@ -237,18 +227,18 @@ class FractionalKernel(DiskFunction):
         ``|g_m'| = |s_m| |W|**-(e+1) |u' W + e conj(b_m) u phi'|``; pinched,
         the last factor is ``|(u' (phi - b_m) + u phi') W + e conj(b_m) u (phi - b_m) phi'|``.
         The only power is the real ``(Re(W)**2 + Im(W)**2)**(-(e+1)/2)``, and
-        the right half-plane check of the jet is kept.  ``shared``, when
-        given, is ``(W, |W|**2, u phi')`` at these points, ``image_terms``
-        of any family with the same bases, so families over one set of
-        bases compute them once."""
+        the right half-plane check of the jet is kept."""
         conj_base = np.conj(self.base)
-        w, w_sq, u_dphi = (*self.image_terms(phi), u * dphi) if shared is None else shared
+        w = 1.0 - conj_base * phi
+        if not (w.real > 0.0).all():
+            raise ArithmeticError("kernel argument left the right half-plane")
+        u_dphi = u * dphi
         if self.pinched:
             factor = phi - self.base
             inner = (du * factor + u_dphi) * w + (self.exponent * conj_base) * (u_dphi * factor)
         else:
             inner = du * w + (self.exponent * conj_base) * u_dphi
-        power = w_sq ** (-0.5 * (self.exponent + 1.0))
+        power = (w.real**2 + w.imag**2) ** (-0.5 * (self.exponent + 1.0))
         return np.abs(self.scale) * power * np.abs(inner)
 
     def __repr__(self):

@@ -10,6 +10,9 @@ integrands: a norm whose deepest three band contributions stop decaying is
 reported as nonconvergent instead of being silently truncated.  The
 integrands and the growth envelopes are evaluated one block of whole rows
 at a time (``block_edges``), bit for bit as one whole-array evaluation.
+The oracle's kernel norm (``kernel_family_norm``) shares that radial rule,
+built once per space, depth and order, and integrates the angle on dyadic
+panels clustered at the kernel's peak.
 
 Suprema over the disk are taken on a standard sample set (dyadic radii
 plus geometric midpoints, equispaced angles) with one local vectorized
@@ -56,6 +59,7 @@ __all__ = [
     "bergman_type_norm",
     "derivative_form_norm",
     "unit_norm_mass",
+    "kernel_family_norm",
     "bracket_argmax",
     "bloch_seminorm",
     "family_bloch_seminorm",
@@ -108,15 +112,6 @@ class NonConvergentError(ArithmeticError):
         self.contributions = contributions
 
 
-@lru_cache(maxsize=None)
-def _gauss(order: int):
-    nodes, wts = np.polynomial.legendre.leggauss(order)
-    nodes.setflags(write=False)
-    wts.setflags(write=False)
-    return nodes, wts
-
-
-@lru_cache(maxsize=None)
 def radial_rule(depth: int, order: int, gamma: float, scale: float = 1.0):
     """Nodes and weights in ``x`` for ``int_0^scale F(x) dx`` with
     ``F(x) = x**(gamma-1) * (slowly varying)``.
@@ -124,7 +119,7 @@ def radial_rule(depth: int, order: int, gamma: float, scale: float = 1.0):
     Returns ``(x, w, band)`` where ``band`` is the dyadic band index and
     ``depth`` labels the desingularized tail band.
     """
-    g, gw = _gauss(order)
+    g, gw = np.polynomial.legendre.leggauss(order)
     xs, ws, bands = [], [], []
     for k in range(depth):
         hi, lo = scale * 0.5**k, scale * 0.5 ** (k + 1)
@@ -139,28 +134,28 @@ def radial_rule(depth: int, order: int, gamma: float, scale: float = 1.0):
     xs.append(x_tail)
     ws.append(w_tail)
     bands.append(np.full(order, depth, dtype=np.intp))
-    x = np.concatenate(xs)
-    w = np.concatenate(ws)
-    band = np.concatenate(bands)
-    for arr in (x, w, band):
-        arr.setflags(write=False)
-    return x, w, band
+    return np.concatenate(xs), np.concatenate(ws), np.concatenate(bands)
 
 
 @lru_cache(maxsize=None)
+def _weighted_rule(space: SpaceSpec, depth: int, order: int) -> tuple:
+    """``(x, w, band, 1 - x, weight_power_over_gap(space, x))`` of the
+    ``radial_rule`` of the space's norm integrals, read-only."""
+    x, w, band = radial_rule(depth, order, space.weight.alpha * space.p)
+    rule = (x, w, band, 1.0 - x, weight_power_over_gap(space, x))
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
 def sample_radii(depth: int) -> np.ndarray:
     """Dyadic radii ``1 - 2**-k`` and geometric midpoints, ascending from 0."""
     k = np.arange(depth + 1)
-    radii = np.unique(np.concatenate([1.0 - 0.5**k, 1.0 - 0.75 * 0.5**k]))
-    radii.setflags(write=False)
-    return radii
+    return np.unique(np.concatenate([1.0 - 0.5**k, 1.0 - 0.75 * 0.5**k]))
 
 
-@lru_cache(maxsize=None)
 def _unit_circle(m: int) -> np.ndarray:
-    ring = np.exp(2j * np.pi * np.arange(m) / m)
-    ring.setflags(write=False)
-    return ring
+    return np.exp(2j * np.pi * np.arange(m) / m)
 
 
 # the circles of the last few grids sampled: a run samples one grid and the
@@ -171,6 +166,7 @@ def sample_points(depth: int, angular_nodes: int):
     """Sample circles for sup searches: ``(radii, Z)`` with ``Z[i, j]``."""
     r = sample_radii(depth)
     z = r[:, None] * _unit_circle(angular_nodes)[None, :]
+    r.setflags(write=False)
     z.setflags(write=False)
     return r, z
 
@@ -263,22 +259,17 @@ def bergman_type_norm(f: DiskFunction, space: SpaceSpec, grid: RadialGrid = DEFA
     decaying, which happens exactly when the integrand's boundary growth is
     not resolved at this depth.
     """
-    gamma = space.weight.alpha * space.p
-    x, w, band = radial_rule(grid.depth, grid.panel_order, gamma)
-    r = 1.0 - x
+    x, w, band, r, weight_factor = _weighted_rule(space, grid.depth, grid.panel_order)
     mpp = _circle_power_means(f.eval, r, grid.angular_nodes, space.p)
-    F = mpp * weight_power_over_gap(space, x) * r
+    F = mpp * weight_factor * r
     total, _ = _decay_checked_total(F, w, band, grid.depth, "bergman_type_norm")
     return float(total ** (1.0 / space.p))
 
 
-@lru_cache(maxsize=None)
 def unit_norm_mass(space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID) -> float:
     """``int_0^1 w(r)^p/(1-r) r dr``, the p-th power of the norm of 1."""
-    gamma = space.weight.alpha * space.p
-    x, w, band = radial_rule(grid.depth, grid.panel_order, gamma)
-    F = weight_power_over_gap(space, x) * (1.0 - x)
-    return float(np.sum(w * F))
+    _, w, _, r, weight_factor = _weighted_rule(space, grid.depth, grid.panel_order)
+    return float(np.sum(w * (weight_factor * r)))
 
 
 def derivative_form_norm(f: DiskFunction, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID) -> float:
@@ -289,14 +280,58 @@ def derivative_form_norm(f: DiskFunction, space: SpaceSpec, grid: RadialGrid = D
     ``c0 = unit_norm_mass`` so the two norm forms agree exactly on constant
     functions.
     """
-    gamma = space.weight.alpha * space.p
-    x, w, band = radial_rule(grid.depth, grid.panel_order, gamma)
-    r = 1.0 - x
+    x, w, band, r, weight_factor = _weighted_rule(space, grid.depth, grid.panel_order)
     mpp = _circle_power_means(f.deriv, r, grid.angular_nodes, space.p)
-    F = mpp * (x * (2.0 - x)) ** space.p * weight_power_over_gap(space, x) * 2.0 * r
+    F = mpp * (x * (2.0 - x)) ** space.p * weight_factor * 2.0 * r
     total, _ = _decay_checked_total(F, w, band, grid.depth, "derivative_form_norm")
     head = unit_norm_mass(space, grid) * abs(f.eval(0.0)) ** space.p
     return float((head + total) ** (1.0 / space.p))
+
+
+def kernel_family_norm(base_modulus: float, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID) -> float:
+    """Norm of the normalized boundary kernel with ``|base| = base_modulus``.
+
+    The norm depends on the base point only through its modulus, and the
+    angular integrand ``|1 - s e^(i theta)|**(-p q)`` has a single peak at
+    ``theta = 0`` whose width shrinks with the boundary gap; equispaced
+    angles alias it badly once the gap falls below the angular spacing.
+    This routine therefore integrates the angle on dyadic panels clustered
+    at the peak (Gauss-Legendre inside each), which stays accurate for
+    base points far deeper than the uniform grid could resolve.  Radial
+    treatment matches the generic norm quadrature.
+    """
+    s_mod = float(base_modulus)
+    if not 0.0 <= s_mod < 1.0:
+        raise DomainError("base modulus must lie in [0, 1)")
+    t = space.weight.t
+    gap_w = 1.0 - s_mod**2
+    scale = gap_w ** (t + 1.0) / space.weight(s_mod)
+    pq = space.p * (1.0 / space.p + t + 1.0)
+
+    depth = max(grid.depth, int(np.ceil(np.log2(1.0 / max(1.0 - s_mod, 1e-300)))) + 8)
+    _, w, _, r, weight_factor = _weighted_rule(space, depth, grid.panel_order)
+    s = r * s_mod
+
+    # dyadic angular panels [pi 2^-(j+1), pi 2^-j] down past the peak width
+    j_max = int(np.ceil(np.log2(np.pi / max(1.0 - s.max(), 1e-300)))) + 6
+    half_angle_sin_sq, tw = _kernel_angular_rule(j_max, grid.panel_order)
+
+    # |1 - s e^{i theta}|^2 without boundary cancellation
+    dist_sq = (1.0 - s[:, None]) ** 2 + 4.0 * s[:, None] * half_angle_sin_sq
+    mean = (dist_sq ** (-0.5 * pq) @ tw) / np.pi
+    F = mean * weight_factor * r
+    return float(scale * np.sum(w * F) ** (1.0 / space.p))
+
+
+@lru_cache(maxsize=None)
+def _kernel_angular_rule(j_max: int, order: int) -> tuple:
+    """``(sin(theta/2)**2, weights)`` of the angular rule of
+    ``kernel_family_norm``, as a row, on ``j_max`` dyadic panels of ``[0, pi]``."""
+    theta, tw, _ = radial_rule(j_max, order, 1.0, np.pi)
+    half_angle_sin_sq = np.sin(0.5 * theta[None, :]) ** 2
+    for arr in (half_angle_sin_sq, tw):
+        arr.setflags(write=False)
+    return half_angle_sin_sq, tw
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,11 @@ are read from the closed-form moduli ``|g_m'|``
 (``FractionalKernel.image_derivative_modulus``), without a complex power.
 The kernel and pinned images are evaluated only on the segments of 16
 nodes whose majorant, bounded from the closed form, can still reach the
-row's peak, and on whole circles a member's two images share ``W = 1 -
-conj(b_m) phi`` (``_ChaseRows``); the peaks are those of the whole grid
-bit for bit.  The chase returns points, not values, and keeps its fixed 9
-rounds.  ``lower_bound_trend``, ``compactness_probe`` and
-``chain_constant`` are views of that one search; the trend's search
-leaves out the pinned rows.
+row's peak, or on the whole circles where those segments would cost
+more (``_ChaseRows``); the peaks are those of the whole grid bit for
+bit.  The chase returns points, not values, and keeps its fixed 9 rounds.
+``lower_bound_trend``, ``compactness_probe`` and ``chain_constant`` are
+views of that one search; the trend's search leaves out the pinned rows.
 The norms and envelopes of the constants battery, which depend only on
 the space and the grid, are computed once per ``(space, grid)``.
 """
@@ -55,11 +54,10 @@ from .norms import (
     derivative_growth_envelope,
     family_bloch_seminorm,
     grid_peak,
+    kernel_family_norm,
     one_minus_sq,
     pointwise_growth_envelope,
-    radial_rule,
     sample_points,
-    weight_power_over_gap,
 )
 from .criteria import SymbolPair
 from .weights import SpaceSpec
@@ -247,9 +245,9 @@ _MARGIN = 2.0**-20
 _FLOOR = 2.0**-24
 _RANGE = 2.0**100
 
-# A gathered node costs about this many nodes of one row on whole circles,
-# where a member's images share W (2.1 to 3 measured on 16x512 blocks): a
-# circle on which a member's kept segments would cost more is evaluated whole.
+# A gathered node costs about this many nodes of one row on whole circles
+# (2.1 to 3 measured on 16x512 blocks): a circle on which a member's kept
+# segments would cost more is evaluated whole.
 _GATHER = 2.5
 
 # Segments are gathered at most this many at a time, 4,096 points, so that
@@ -259,7 +257,6 @@ _GATHER = 2.5
 _BATCH = 256
 
 
-@lru_cache(maxsize=8)
 def _segment_layout(nodes: int) -> tuple:
     """``(starts, centres, lengths, chunk)`` of the segments of a circle of
     ``nodes`` nodes: each segment's first node, centre node and length, and
@@ -381,11 +378,10 @@ class _ChaseRows:
         with a NaN majorant are kept: no certified segment holds a NaN, and
         they still get the half-plane check.  A circle on which a member's
         kept segments would cost more than ``_GATHER`` whole-circle nodes
-        each is evaluated whole for both its images (``_member_grids``);
-        the other kept segments are gathered (``_chunk_values``).  The
-        block peak is the first maximum, in flat order, of what was
-        evaluated (``_first_max``): every other point is below the lower
-        bound or ties an earlier one."""
+        each is evaluated whole, once per family; the other kept segments
+        are gathered (``_chunk_values``).  The block peak is the first
+        maximum, in flat order, of what was evaluated (``_first_max``):
+        every other point is below the lower bound or ties an earlier one."""
         u, du, phi, dphi = jets
         u_dphi = u * dphi
         families, count = self.families, len(self.families)
@@ -420,20 +416,11 @@ class _ChaseRows:
         for m in np.flatnonzero(whole.any(axis=1)):
             c = np.flatnonzero(whole[m])
             on = slice(c[0], c[-1] + 1) if c[-1] + 1 - c[0] == c.size else c  # a view of a run of circles
-            grids = _member_grids(families, m, *(x[on] for x in (omr2, u, du, phi, dphi, u_dphi)))
-            for row, (i, j, value) in enumerate(map(grid_peak, grids), start=count * m):
-                peaks[row] = _first_max(peaks[row], (c[i], j, value))
+            gap, *part = (x[on] for x in (omr2, *jets))
+            for f, family in enumerate(families):
+                i, j, value = grid_peak(gap * family.member(m).image_derivative_modulus(*part))
+                peaks[count * m + f] = _first_max(peaks[count * m + f], (c[i], j, value))
         return peaks
-
-
-def _member_grids(families, m: int, omr2, u, du, phi, dphi, u_dphi) -> Iterator:
-    """The values of member ``m``'s images under each family on some circles
-    of a block; they share ``W``, its half-plane check and ``|W|^2``, and
-    ``u phi'``, so at most two member grids are alive."""
-    members = [family.member(m) for family in families]
-    shared = (*members[0].image_terms(phi), u_dphi)
-    for member in members:
-        yield omr2 * member.image_derivative_modulus(u, du, phi, dphi, shared)
 
 
 def _image_norms(sym: SymbolPair, kernels: FractionalKernel, probe_points, semi: np.ndarray) -> tuple:
@@ -452,63 +439,6 @@ def _image_norms(sym: SymbolPair, kernels: FractionalKernel, probe_points, semi:
     value, derivative = image.jet(points)
     probe = (1.0 - np.abs(points[:, 0]) ** 2) * np.abs(derivative[:, 0])
     return tuple(float(v) for v in np.abs(value[:, 1]) + np.where(probe > semi, probe, semi))
-
-
-def kernel_family_norm(base_modulus: float, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID) -> float:
-    """Norm of the normalized boundary kernel with ``|base| = base_modulus``.
-
-    The norm depends on the base point only through its modulus, and the
-    angular integrand ``|1 - s e^(i theta)|**(-p q)`` has a single peak at
-    ``theta = 0`` whose width shrinks with the boundary gap; equispaced
-    angles alias it badly once the gap falls below the angular spacing.
-    This routine therefore integrates the angle on dyadic panels clustered
-    at the peak (Gauss-Legendre inside each), which stays accurate for
-    base points far deeper than the uniform grid could resolve.  Radial
-    treatment matches the generic norm quadrature.
-    """
-    s_mod = float(base_modulus)
-    if not 0.0 <= s_mod < 1.0:
-        raise DomainError("base modulus must lie in [0, 1)")
-    t = space.weight.t
-    gap_w = 1.0 - s_mod**2
-    scale = gap_w ** (t + 1.0) / space.weight(s_mod)
-    pq = space.p * (1.0 / space.p + t + 1.0)
-
-    depth = max(grid.depth, int(np.ceil(np.log2(1.0 / max(1.0 - s_mod, 1e-300)))) + 8)
-    w, r, weight_factor = _kernel_radial_rule(depth, grid.panel_order, space)
-    s = r * s_mod
-
-    # dyadic angular panels [pi 2^-(j+1), pi 2^-j] down past the peak width
-    j_max = int(np.ceil(np.log2(np.pi / max(1.0 - s.max(), 1e-300)))) + 6
-    half_angle_sin_sq, tw = _kernel_angular_rule(j_max, grid.panel_order)
-
-    # |1 - s e^{i theta}|^2 without boundary cancellation
-    dist_sq = (1.0 - s[:, None]) ** 2 + 4.0 * s[:, None] * half_angle_sin_sq
-    mean = (dist_sq ** (-0.5 * pq) @ tw) / np.pi
-    F = mean * weight_factor * r
-    return float(scale * np.sum(w * F) ** (1.0 / space.p))
-
-
-@lru_cache(maxsize=None)
-def _kernel_radial_rule(depth: int, order: int, space: SpaceSpec) -> tuple:
-    """``(w, 1 - x, weight_power_over_gap(space, x))`` of the radial rule
-    ``(x, w)`` of ``kernel_family_norm``, which depends on the space and the
-    grid only."""
-    x, w, _ = radial_rule(depth, order, space.weight.alpha * space.p)
-    r, weight_factor = 1.0 - x, weight_power_over_gap(space, x)
-    for arr in (r, weight_factor):
-        arr.setflags(write=False)
-    return w, r, weight_factor
-
-
-@lru_cache(maxsize=None)
-def _kernel_angular_rule(j_max: int, order: int) -> tuple:
-    """``(sin(theta/2)**2, weights)`` of the angular rule of
-    ``kernel_family_norm``, as a row, on ``j_max`` dyadic panels of ``[0, pi]``."""
-    theta, tw, _ = radial_rule(j_max, order, 1.0, np.pi)
-    half_angle_sin_sq = np.sin(0.5 * theta[None, :]) ** 2
-    half_angle_sin_sq.setflags(write=False)
-    return half_angle_sin_sq, tw
 
 
 def boundary_chase_point(phi, depths, angular_nodes: int = 256) -> np.ndarray:

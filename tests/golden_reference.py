@@ -493,17 +493,12 @@ def reference_symbol_samples(sym, grid) -> tuple:
 def reference_chase_grids(families, samples, grid):
     """The sample-grid values ``(1-|z|^2)|g'|`` of the images of the chase
     kernels under one or more families, member-major, read from the whole
-    grid's ``samples``; a member's grids share ``W``, its half-plane check and
-    ``|W|^2``, and ``u phi'`` is formed once."""
+    grid's ``samples``, each member of each family evaluated alone."""
     radii, _ = sample_points(grid.depth, grid.angular_nodes)
     omr2 = one_minus_sq(radii)[:, None]
-    u, du, phi, dphi = samples
-    u_dphi = u * dphi
     for m in range(len(families[0])):
-        members = [family.member(m) for family in families]
-        shared = (*members[0].image_terms(phi), u_dphi)
-        for member in members:
-            yield omr2 * member.image_derivative_modulus(u, du, phi, dphi, shared)
+        for family in families:
+            yield omr2 * family.member(m).image_derivative_modulus(*samples)
 
 
 def reference_chain_grids(functions, samples, grid):

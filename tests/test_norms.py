@@ -100,6 +100,15 @@ class TestRadialGrid:
         sample_points(23, 64)
         assert sample_points.cache_info().hits == info.hits + 1
 
+    @pytest.mark.parametrize("shape", [(12, 128), (16, 512)], ids=str)
+    def test_the_sample_circles_are_read_only(self, shape):
+        """``sample_points`` is the only cache in front of the radii and the
+        unit circle, so both arrays it hands out are read-only."""
+        radii, z = sample_points(*shape)
+        assert not radii.flags.writeable and not z.flags.writeable
+        with pytest.raises(ValueError):
+            radii[0] = 0.5
+
 
 class TestBergmanTypeNorm:
     def test_constant_one(self, a2, grid):

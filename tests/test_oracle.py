@@ -80,14 +80,14 @@ class TestBoundaryKernels:
 
     def test_rule_caches_are_keyed_on_the_grid_and_space_only(self, monkeypatch):
         keys = []
-        for name in ("_kernel_radial_rule", "_kernel_angular_rule"):
-            def spy(*args, cached=getattr(oracle, name)):
+        for name in ("_weighted_rule", "_kernel_angular_rule"):
+            def spy(*args, cached=getattr(norms, name)):
                 keys.append(args)
                 out = cached(*args)
                 assert not any(arr.flags.writeable for arr in out)
                 return out
 
-            monkeypatch.setattr(oracle, name, spy)
+            monkeypatch.setattr(norms, name, spy)
         for name in ("half-scale", "boundary-touch"):
             config = parse_config(CURATED[name]["config"])
             oracle.oracle_task(config.symbol, config.space, config.grid, None)

@@ -250,9 +250,9 @@ class TestBoundedSearch:
         evaluated = []
         closed_form = FractionalKernel.image_derivative_modulus
 
-        def counted(self, u, du, phi, dphi, shared=None):
+        def counted(self, u, du, phi, dphi):
             evaluated.append(np.size(phi))
-            return closed_form(self, u, du, phi, dphi, shared)
+            return closed_form(self, u, du, phi, dphi)
 
         monkeypatch.setattr(FractionalKernel, "image_derivative_modulus", counted)
         oracle._grid_peaks(config.symbol, GRID, [oracle._ChaseRows(families)])
