@@ -22,6 +22,7 @@ from .disk_functions import (
     ScaledMap,
     SelfMap,
     Sum,
+    SymbolPair,
     constant,
     identity_map,
     pseudo_hyperbolic,
@@ -45,7 +46,6 @@ from .criteria import (
     EquivalenceProbe,
     PreconditionUnmetError,
     Status,
-    SymbolPair,
     Verdict,
     VerdictGroup,
     bergman_specialization_ratio,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .criteria import SymbolPair
 from .disk_functions import (
     Affine,
     BlaschkeFactor,
@@ -20,6 +19,7 @@ from .disk_functions import (
     MonomialPower,
     PowerSeries,
     ScaledMap,
+    SymbolPair,
 )
 
 __all__ = ["CURATED", "random_pairs"]

@@ -38,7 +38,7 @@ except ImportError:  # not on Windows
 
 from . import __version__
 from .battery import CURATED
-from .criteria import PreconditionUnmetError, SampleTable, SymbolPair
+from .criteria import PreconditionUnmetError, SampleTable
 from .disk_functions import (
     Affine,
     BlaschkeFactor,
@@ -55,6 +55,7 @@ from .disk_functions import (
     ScaledMap,
     SelfMap,
     Sum,
+    SymbolPair,
     identity_map,
     truncated_log_series,
     validate_self_map,

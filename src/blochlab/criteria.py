@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .disk_functions import DiskFunction, SelfMap, jets
+from .disk_functions import SymbolPair
 from .norms import (
     DEFAULT_GRID,
     TRIGGER_PHI,
@@ -45,7 +45,6 @@ from .norms import (
 from .weights import SpaceSpec
 
 __all__ = [
-    "SymbolPair",
     "Status",
     "Verdict",
     "PreconditionUnmetError",
@@ -79,18 +78,6 @@ _PHI_CLIP = 1.0 - 1e-16  # guards double rounding of |phi| at extreme radii
 
 class PreconditionUnmetError(RuntimeError):
     """A compactness classifier was invoked without a boundedness verdict."""
-
-
-@dataclass(frozen=True, eq=False)
-class SymbolPair:
-    """Multiplier ``u`` and self-map ``phi`` inducing ``f -> u (f o phi)``."""
-
-    u: DiskFunction
-    phi: SelfMap
-
-    def jets(self, z) -> tuple:
-        """``(u, u', phi, phi')`` at ``z``, from one check that ``|z| < 1``."""
-        return jets(z, self.u, self.phi)
 
 
 class Status(str, Enum):
@@ -352,14 +339,16 @@ class SampleTable:
 
     Both quotients and their plain numerators are sampled once over the
     circles of ``sample_points``, in blocks of whole circles
-    (``block_edges``) that run in parallel (``_each_block``).  A boundary
-    profile is built on first use and kept, and so is each verdict, one per
-    rule, quantity and trigger, the multiplier's Bloch tail included: the
-    classifiers that require boundedness read the same verdicts again.  A
-    ``|z|`` profile reads a quantity's per-circle maxima over the radii, and
-    the profiles of each trigger share one band partition of its modulus.  The methods are the classifiers and the
-    limit probes; the module-level functions of the same names build a
-    table for a single call.
+    (``block_edges``) that run in parallel (``_each_block``).  A quantity's
+    per-circle maxima, each boundary profile and each verdict, one per rule,
+    quantity and trigger, are made on first use and kept in one memo
+    (``_once``; the multiplier's Bloch tail is a cached property), which
+    returns the same object on every later read: the classifiers that
+    require boundedness read the same verdicts again.  A ``|z|`` profile
+    reads a quantity's per-circle maxima over the radii, and the profiles of
+    each trigger share one band partition of its modulus.  The methods are
+    the classifiers and the limit probes; the module-level functions of the
+    same names build a table for a single call.
     """
 
     def __init__(self, sym: SymbolPair, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID):
@@ -372,40 +361,35 @@ class SampleTable:
         self.quantities = dict(zip(_SAMPLED, sampled))
         self.z_bands = BandPartition(self.radii, grid.depth)
         self.phi_bands = BandPartition(abs_phi, grid.depth)
-        self._maxima: dict = {}
-        self._profiles: dict = {}
-        self._verdicts: dict = {}
+        self._memo: dict = {}
+
+    def _once(self, key: tuple, build):
+        """``build()`` on the first call with ``key``, and the same object on every later one."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def maxima(self, name: str) -> np.ndarray:
         """``circle_maxima`` of a sampled quantity: all that a ``|z|``-triggered
         profile or supremum reads."""
-        if name not in self._maxima:
-            self._maxima[name] = circle_maxima(self.quantities[name])
-        return self._maxima[name]
+        return self._once(("maxima", name), lambda: circle_maxima(self.quantities[name]))
 
     def profile(self, name: str, trigger: str = TRIGGER_Z) -> BoundaryProfile:
         """Boundary profile of a sampled quantity, triggered by ``|z|`` or
         ``|phi(z)|``.  Regions the image never reaches come back flagged empty."""
-        if (name, trigger) not in self._profiles:
+        def build():
             if trigger == TRIGGER_Z:
                 quantity, bands = self.maxima(name), self.z_bands
             else:
                 quantity, bands = self.quantities[name], self.phi_bands
-            self._profiles[name, trigger] = boundary_profile(quantity, bands.modulus, self.grid.depth, trigger, bands)
-        return self._profiles[name, trigger]
-
-    def _kept(self, rule: str, name: str, trigger: str, verdict) -> Verdict:
-        """The verdict of ``rule`` for a quantity and trigger, ``verdict()``
-        on first use and the same object on every later one."""
-        if (rule, name, trigger) not in self._verdicts:
-            self._verdicts[rule, name, trigger] = verdict()
-        return self._verdicts[rule, name, trigger]
+            return boundary_profile(quantity, bands.modulus, self.grid.depth, trigger, bands)
+        return self._once(("profile", name, trigger), build)
 
     def _sup_type_verdict(self, name: str) -> Verdict:
         """Finite-sup test over ``|z| -> 1``: hold when the slope is
         flat-or-negative and the running supremum has stabilized away from
         the deepest bands."""
-        return self._kept("sup", name, TRIGGER_Z, lambda: self._finite_sup(name))
+        return self._once(("sup", name), lambda: self._finite_sup(name))
 
     def _finite_sup(self, name: str) -> Verdict:
         profile = self.profile(name)
@@ -422,7 +406,7 @@ class SampleTable:
              "neither sustained divergence nor stabilized supremum at this depth"))
 
     def _limit_verdict(self, name: str, trigger: str = TRIGGER_Z) -> Verdict:
-        return self._kept("limit", name, trigger, lambda: _limit_type_verdict(name, self.profile(name, trigger)))
+        return self._once(("limit", name, trigger), lambda: _limit_type_verdict(name, self.profile(name, trigger)))
 
     @cached_property
     def u_tail(self) -> Verdict:

@@ -13,14 +13,17 @@ Two families of immutable value objects:
   each carrying a certified structural bound for ``sup |phi|`` on any
   centered sub-disk.
 
-All evaluators accept scalars or numpy arrays of points and return the
-matching shape.  Each class computes its value and derivative together
-as one jet, so a composite evaluates every child once per point;
-``eval`` and ``deriv`` are the two halves of ``jet``.  Disk geometry,
-the pseudo-hyperbolic distance, lives at the bottom.
+A ``SymbolPair`` ``(u, phi)`` induces ``f -> u (f o phi)``.  All evaluators
+accept scalars or numpy arrays of points and return the matching shape.
+Each class computes its value and derivative together as one jet, so a
+composite evaluates every child once per point; ``eval`` and ``deriv`` are
+the two halves of ``jet``.  Disk geometry, the pseudo-hyperbolic distance,
+lives at the bottom.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -28,6 +31,7 @@ from numpy.polynomial import polynomial as npoly
 __all__ = [
     "DomainError",
     "jets",
+    "SymbolPair",
     "DiskFunction",
     "PowerSeries",
     "FractionalKernel",
@@ -77,6 +81,18 @@ def jets(z, *functions) -> tuple:
     check that ``|z| < 1``, then each function's jet at the same points."""
     points = _as_points(z)
     return tuple(_match_shape(part, z) for f in functions for part in f._jet(points))
+
+
+@dataclass(frozen=True, eq=False)
+class SymbolPair:
+    """Multiplier ``u`` and self-map ``phi`` inducing ``f -> u (f o phi)``."""
+
+    u: DiskFunction
+    phi: SelfMap
+
+    def jets(self, z) -> tuple:
+        """``(u, u', phi, phi')`` at ``z``, from one check that ``|z| < 1``."""
+        return jets(z, self.u, self.phi)
 
 
 def _horner(c: np.ndarray, z) -> np.ndarray:

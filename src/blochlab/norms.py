@@ -10,9 +10,11 @@ integrands: a norm whose deepest three band contributions stop decaying is
 reported as nonconvergent instead of being silently truncated.  The
 integrands and the growth envelopes are evaluated one block of whole rows
 at a time (``block_edges``), bit for bit as one whole-array evaluation.
-The oracle's kernel norm (``kernel_family_norm``) shares that radial rule,
-built once per space, depth and order, and integrates the angle on dyadic
-panels clustered at the kernel's peak.
+The test kernel's normalization, its exponent and scale at a base point,
+is defined once (``kernel_terms``): the oracle's test functions read it,
+and so does their norm (``kernel_family_norm``), which shares that radial
+rule, built once per space, depth and order, and integrates the angle on
+dyadic panels clustered at the kernel's peak.
 
 Suprema over the disk are taken on a standard sample set (dyadic radii
 plus geometric midpoints, equispaced angles) with one local vectorized
@@ -59,6 +61,7 @@ __all__ = [
     "bergman_type_norm",
     "derivative_form_norm",
     "unit_norm_mass",
+    "kernel_terms",
     "kernel_family_norm",
     "bracket_argmax",
     "bloch_seminorm",
@@ -194,12 +197,9 @@ def block_edges(rows: int, nodes: int) -> list:
     return [rows * i // blocks for i in range(blocks + 1)]
 
 
-@lru_cache(maxsize=None)
 def profile_thresholds(depth: int) -> np.ndarray:
     """Boundary thresholds ``1 - 2**-k`` for ``k = 1 .. depth``."""
-    d = 1.0 - 0.5 ** np.arange(1, depth + 1)
-    d.setflags(write=False)
-    return d
+    return 1.0 - 0.5 ** np.arange(1, depth + 1)
 
 
 def one_minus_sq(r: np.ndarray) -> np.ndarray:
@@ -288,8 +288,21 @@ def derivative_form_norm(f: DiskFunction, space: SpaceSpec, grid: RadialGrid = D
     return float((head + total) ** (1.0 / space.p))
 
 
+def kernel_terms(w, space: SpaceSpec, pinched: bool = False) -> tuple:
+    """Exponent and scale of the normalized kernel at ``w``, ``(1-|w|^2)**(t+1)
+    / (w(|w|) (1 - conj(w) z)**(1/p + t + 1))`` with the weight's witness ``t``;
+    pinned, of the pinned difference's steeper kernel: ``1/p + t + 2`` and
+    ``conj(w)`` times the scale, 0 at ``w = 0``, where the difference is 0."""
+    t = space.weight.t
+    if pinched:
+        gap = 1.0 - (np.conj(w) * w).real
+        return 1.0 / space.p + t + 2.0, np.conj(w) * gap ** (t + 1.0) / space.weight(abs(w))
+    gap = 1.0 - abs(w) ** 2
+    return 1.0 / space.p + t + 1.0, gap ** (t + 1.0) / space.weight(abs(w))
+
+
 def kernel_family_norm(base_modulus: float, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID) -> float:
-    """Norm of the normalized boundary kernel with ``|base| = base_modulus``.
+    """Norm of the normalized kernel (``kernel_terms``) with ``|base| = base_modulus``.
 
     The norm depends on the base point only through its modulus, and the
     angular integrand ``|1 - s e^(i theta)|**(-p q)`` has a single peak at
@@ -303,10 +316,8 @@ def kernel_family_norm(base_modulus: float, space: SpaceSpec, grid: RadialGrid =
     s_mod = float(base_modulus)
     if not 0.0 <= s_mod < 1.0:
         raise DomainError("base modulus must lie in [0, 1)")
-    t = space.weight.t
-    gap_w = 1.0 - s_mod**2
-    scale = gap_w ** (t + 1.0) / space.weight(s_mod)
-    pq = space.p * (1.0 / space.p + t + 1.0)
+    exponent, scale = kernel_terms(s_mod, space)
+    pq = space.p * exponent
 
     depth = max(grid.depth, int(np.ceil(np.log2(1.0 / max(1.0 - s_mod, 1e-300)))) + 8)
     _, w, _, r, weight_factor = _weighted_rule(space, depth, grid.panel_order)
@@ -599,7 +610,7 @@ def boundary_profile(
     running = running[::-1]
     empty = running == -np.inf
     values = np.where(empty, np.nan, running)
-    return BoundaryProfile(trigger, profile_thresholds(depth).copy(), values, band_vals, band_mods, empty)
+    return BoundaryProfile(trigger, profile_thresholds(depth), values, band_vals, band_mods, empty)
 
 
 def circle_maxima(values: np.ndarray) -> np.ndarray:

@@ -4,11 +4,11 @@ Two explicit kernel families act as boundary test functions: a
 normalized kernel whose norms stay uniformly bounded over the base
 point sweep, and a pinned kernel difference that vanishes at a chosen
 image point while its derivative matches the derivative growth envelope
-there.  Applying the operator to these families yields numerical lower
-bounds on the operator norm; whether those bounds stabilize or keep
-growing as the family chases the boundary is the oracle's verdict, kept
-deliberately independent of the criterion quotients.  Disagreement with
-the classifier is reported, never auto-resolved.
+there, both normalized by ``norms.kernel_terms``.  Applying the operator
+to them yields lower bounds on the operator norm; whether those bounds
+stabilize or keep growing as the family chases the boundary is the
+oracle's verdict, kept independent of the classifier, whose module
+(``criteria``) it never imports.  Disagreement is reported, never resolved.
 
 One oracle task (``oracle_task``) chases the 11 boundary circles
 together and refines every seminorm it needs in one search: the kernel
@@ -24,10 +24,10 @@ is held at once.  The kernel and pinned images, and the battery's kernel,
 are read from the closed-form moduli ``|g_m'|``
 (``FractionalKernel.image_derivative_modulus``), without a complex power.
 The kernel and pinned images are evaluated only on the segments of 16
-nodes whose majorant, bounded from the closed form, can still reach the
-row's peak, or on the whole circles where those segments would cost
-more (``_ChaseRows``); the peaks are those of the whole grid bit for
-bit.  The chase returns points, not values, and keeps its fixed 9 rounds.
+nodes (a circle is whole segments) whose majorant, bounded from the closed
+form, can still reach the row's peak, or on the whole circles where those
+segments would cost more (``_ChaseRows``); the peaks are those of the whole
+grid bit for bit.  The chase returns points, not values, and keeps its fixed 9 rounds.
 ``lower_bound_trend``, ``compactness_probe`` and ``chain_constant`` are
 views of that one search; the trend's search leaves out the pinned rows.
 The norms and envelopes of the constants battery, which depend only on
@@ -42,7 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .disk_functions import ComposedWithSelfMap, DiskFunction, DomainError, FractionalKernel, PowerSeries, Product
+from .disk_functions import (ComposedWithSelfMap, DiskFunction, DomainError, FractionalKernel, PowerSeries, Product,
+                             SymbolPair)
 from .norms import (
     DEFAULT_GRID,
     RadialGrid,
@@ -55,11 +56,11 @@ from .norms import (
     family_bloch_seminorm,
     grid_peak,
     kernel_family_norm,
+    kernel_terms,
     one_minus_sq,
     pointwise_growth_envelope,
     sample_points,
 )
-from .criteria import SymbolPair
 from .weights import SpaceSpec
 
 __all__ = [
@@ -84,18 +85,13 @@ TREND_AMBIGUOUS = "ambiguous"
 
 
 def boundary_test_function(w: complex, space: SpaceSpec) -> FractionalKernel:
-    """Normalized kernel with base point ``w``:
-
-    ``(1-|w|^2)**(t+1) / (w(|w|) (1 - conj(w) z)**(1/p + t + 1))``
-
-    using the weight's stored witness ``t``.  Norms stay uniformly bounded
-    as ``|w|`` sweeps to the boundary, which is what makes the family a
-    usable operator-norm probe.
-    """
+    """The normalized kernel with base point ``w`` (``norms.kernel_terms``).
+    Norms stay uniformly bounded as ``|w|`` sweeps to the boundary, which
+    is what makes the family a usable operator-norm probe."""
     w = complex(w)
     if abs(w) >= 1.0:
         raise DomainError("base point must lie in the open unit disk")
-    return FractionalKernel(w, *_kernel_terms(w, space))
+    return FractionalKernel(w, *kernel_terms(w, space))
 
 
 def vanishing_test_function(image_point: complex, space: SpaceSpec) -> FractionalKernel:
@@ -113,26 +109,13 @@ def vanishing_test_function(image_point: complex, space: SpaceSpec) -> Fractiona
     q = complex(image_point)
     if abs(q) >= 1.0:
         raise DomainError("image point must lie in the open unit disk")
-    return FractionalKernel(q, *_kernel_terms(q, space, pinched=True), pinched=True)
-
-
-def _kernel_terms(w: complex, space: SpaceSpec, pinched: bool = False) -> tuple:
-    """Exponent and scale of the kernel at ``w`` of ``boundary_test_function``,
-    or, pinched, of the steeper kernel of ``vanishing_test_function``.  The
-    steeper scale is 0 at ``w = 0``, where both kernels of the difference
-    collapse to the same constant and the test function is 0."""
-    t = space.weight.t
-    if pinched:
-        gap = 1.0 - (np.conj(w) * w).real
-        return 1.0 / space.p + t + 2.0, np.conj(w) * gap ** (t + 1.0) / space.weight(abs(w))
-    gap = 1.0 - abs(w) ** 2
-    return 1.0 / space.p + t + 1.0, gap ** (t + 1.0) / space.weight(abs(w))
+    return FractionalKernel(q, *kernel_terms(q, space, pinched=True), pinched=True)
 
 
 def _family(images, space: SpaceSpec, pinched: bool = False) -> FractionalKernel:
     """The chase family at the image points: the kernels of
     ``boundary_test_function``, or, pinched, those of ``vanishing_test_function``."""
-    terms = [_kernel_terms(w, space, pinched) for w in images]
+    terms = [kernel_terms(w, space, pinched) for w in images]
     return FractionalKernel(images, terms[0][0], [scale for _, scale in terms], pinched)
 
 
@@ -220,11 +203,11 @@ def _refine(sym: SymbolPair, grid: RadialGrid, groups) -> list:
 # The chase rows' block peaks come from a search bounded by per-segment
 # majorants (``_ChaseRows.block_peaks``).  A member's images are large only
 # where phi comes near its base, so each circle of a block is cut into
-# segments of _SEGMENT consecutive nodes (the last one ragged when the node
-# count is no multiple of it), and only the segments whose majorant reaches
-# the row's lower bound are evaluated.  With a loose 2x margin, segments of
-# 8/16/32/64 nodes left 12/18/35/48% of the random battery's segments to
-# evaluate: 16 is the knee.
+# segments of _SEGMENT consecutive nodes, and only the segments whose
+# majorant reaches the row's lower bound are evaluated.  A RadialGrid's node
+# count is a power of two, at least 64, so every circle is whole segments.
+# With a loose 2x margin, segments of 8/16/32/64 nodes left 12/18/35/48% of
+# the random battery's segments to evaluate: 16 is the knee.
 _SEGMENT = 16
 
 # Every majorant is inflated by the relative _MARGIN, which covers the
@@ -257,17 +240,6 @@ _GATHER = 2.5
 _BATCH = 256
 
 
-def _segment_layout(nodes: int) -> tuple:
-    """``(starts, centres, lengths, chunk)`` of the segments of a circle of
-    ``nodes`` nodes: each segment's first node, centre node and length, and
-    the ``(segments, _SEGMENT)`` nodes of each segment, its last node
-    repeated to fill a ragged one."""
-    starts = np.arange(0, nodes, _SEGMENT)
-    ends = np.minimum(starts + _SEGMENT, nodes)
-    chunk = np.minimum(starts[:, None] + np.arange(_SEGMENT), ends[:, None] - 1)
-    return starts, (starts + ends) // 2, ends - starts, chunk
-
-
 def _in_range(x: np.ndarray) -> np.ndarray:
     return (x == 0.0) | ((x >= 1.0 / _RANGE) & (x <= _RANGE))
 
@@ -276,19 +248,21 @@ def _majorants(families, omr2: np.ndarray, phi: np.ndarray, du: np.ndarray, u_dp
     """Upper bounds of the chase rows' values ``(1-|z|^2)|g_m'|`` on each
     segment of a block, one row per chase row (member-major) and one column
     per segment in flat order, inflated by ``_MARGIN``; NaN where a bound is
-    not certified.
+    not certified.  A block is read as one ``(circles, nodes // _SEGMENT,
+    _SEGMENT)`` view, each segment's maxima taken over its last axis.
 
-    With ``c`` the value of ``phi`` at the segment's centre node and ``rho =
-    max|phi - c|``, on the segment ``Re W >= 1 - |b| max|phi|``, ``|W| >= d =
+    With ``c`` the value of ``phi`` at the segment's centre, its node
+    ``_SEGMENT // 2``, and ``rho = max|phi - c|``, on the segment ``Re W >= 1 - |b| max|phi|``, ``|W| >= d =
     max(|1 - conj(b) c| - |b| rho, 1 - |b| max|phi|)`` and ``|phi - b| <=
     min(|c - b| + rho, max|phi| + |b|)``; the closed form of
     ``image_derivative_modulus`` gives ``|s| (max|u'| d**-e + e |b| max|u
     phi'| d**-(e+1))``; pinned, ``max|u'| |phi - b| + max|u phi'|`` in the
     first term and ``e |b| max|u phi'| |phi - b|`` in the second."""
-    starts, centres, lengths, _ = _segment_layout(phi.shape[1])
-    centre = phi[:, centres]
-    rho, phi_max, du_max, u_dphi_max = (np.maximum.reduceat(np.abs(x), starts, axis=1).reshape(-1)
-                                        for x in (phi - np.repeat(centre, lengths, axis=1), phi, du, u_dphi))
+    shape = (phi.shape[0], phi.shape[1] // _SEGMENT, _SEGMENT)
+    phi, du, u_dphi = (x.reshape(shape) for x in (phi, du, u_dphi))
+    centre = phi[:, :, _SEGMENT // 2]
+    rho, phi_max, du_max, u_dphi_max = (np.abs(x).max(axis=2).reshape(-1)
+                                        for x in (phi - centre[:, :, None], phi, du, u_dphi))
     base = families[0].base
     base_mod = np.abs(base)
     # the centres as an (M, G) array: a complex product both of whose
@@ -301,7 +275,7 @@ def _majorants(families, omr2: np.ndarray, phi: np.ndarray, du: np.ndarray, u_dp
     log_d = np.log(np.maximum(d, _FLOOR))
     log_d[~(reach >= _floor(max(family.exponent for family in families)))] = np.nan
     du_max, u_dphi_max = (np.where(_in_range(x), x, np.nan) for x in (du_max, u_dphi_max))
-    gap = np.repeat(omr2[:, 0], starts.size)
+    gap = np.broadcast_to(omr2, shape[:2]).reshape(-1)
     out = np.empty((base.size, len(families), rho.size))
     for f, family in enumerate(families):
         e = family.exponent
@@ -326,18 +300,16 @@ def _floor(e: float) -> float:
 
 
 def _chunk_values(family, members, segments, omr2: np.ndarray, jets: tuple) -> tuple:
-    """``(values, nodes)``: ``(1-|z|^2)|g'|`` of the image of ``family``'s
-    member ``members[k]`` on the nodes of the block's segment
-    ``segments[k]`` (numbered in flat order), as row ``k`` of a ``(k,
-    _SEGMENT)`` array, and the flat indices of those nodes in the block.
+    """``(values, circle, k)``: ``(1-|z|^2)|g'|`` of ``family``'s member
+    ``members[n]`` on the block's segment ``segments[n]`` (in flat order),
+    gathered as ``view[circle[n], k[n]]`` of the block's ``(circles, nodes //
+    _SEGMENT, _SEGMENT)`` view; its node ``j`` is ``(circle, _SEGMENT k + j)``.
     Elementwise these are the whole-block expressions at the same points,
     so the values are the whole block's bit for bit."""
-    nodes = jets[0].shape[1]
-    chunk = _segment_layout(nodes)[3]
-    circle, k = np.divmod(segments, chunk.shape[0])
-    flat = (circle * nodes)[:, None] + chunk[k]
-    u, du, phi, dphi = (np.take(x, flat) for x in jets)
-    return omr2[circle] * family.member(members).image_derivative_modulus(u, du, phi, dphi), flat
+    circles, nodes = jets[0].shape
+    circle, k = np.divmod(segments, nodes // _SEGMENT)
+    u, du, phi, dphi = (x.reshape(circles, -1, _SEGMENT)[circle, k] for x in jets)
+    return omr2[circle] * family.member(members).image_derivative_modulus(u, du, phi, dphi), circle, k
 
 
 @dataclass
@@ -406,13 +378,13 @@ class _ChaseRows:
             member, segment = np.nonzero(keep[f::count])
             for at in range(0, member.size, _BATCH):
                 batch = slice(at, at + _BATCH)
-                values, flat = _chunk_values(family, member[batch], segment[batch], omr2, jets)
+                values, circle, k = _chunk_values(family, member[batch], segment[batch], omr2, jets)
                 bounds = np.searchsorted(member[batch], np.arange(best.size // count + 1))
                 for m, (start, end) in enumerate(zip(bounds, bounds[1:])):
                     if end > start:
-                        k = int(np.argmax(values[start:end]))
-                        i, j = divmod(int(flat[start:end].flat[k]), nodes)
-                        peaks[count * m + f] = _first_max(peaks[count * m + f], (i, j, values[start:end].flat[k]))
+                        row, node = divmod(int(np.argmax(values[start:end])), _SEGMENT)
+                        peak = (circle[start + row], _SEGMENT * k[start + row] + node, values[start + row, node])
+                        peaks[count * m + f] = _first_max(peaks[count * m + f], peak)
         for m in np.flatnonzero(whole.any(axis=1)):
             c = np.flatnonzero(whole[m])
             on = slice(c[0], c[-1] + 1) if c[-1] + 1 - c[0] == c.size else c  # a view of a run of circles
@@ -441,7 +413,7 @@ def _image_norms(sym: SymbolPair, kernels: FractionalKernel, probe_points, semi:
     return tuple(float(v) for v in np.abs(value[:, 1]) + np.where(probe > semi, probe, semi))
 
 
-def boundary_chase_point(phi, depths, angular_nodes: int = 256) -> np.ndarray:
+def boundary_chase_point(phi, depths, angular_nodes: int) -> np.ndarray:
     """The points on the circles of radii ``1 - 2**-k``, ``k`` in ``depths``,
     where ``|phi|`` is largest (angular grid argmax followed by a bracket
     search), as an array.
@@ -482,8 +454,8 @@ class LowerBoundTrend:
     depths: tuple
     values: tuple
     classification: str
-    chase_depths: tuple = ()
-    member_ratios: tuple = ()
+    chase_depths: tuple
+    member_ratios: tuple
 
     def to_dict(self) -> dict:
         return {

@@ -304,10 +304,9 @@ class FlatTable(SampleTable):
         return self.quantities[name].ravel()
 
     def profile(self, name, trigger=TRIGGER_Z):
-        if (name, trigger) not in self._profiles:
-            mod = self.radii if trigger == TRIGGER_Z else self.phi_bands.modulus
-            self._profiles[name, trigger] = boundary_profile(self.quantities[name], mod, self.grid.depth, trigger)
-        return self._profiles[name, trigger]
+        mod = self.radii if trigger == TRIGGER_Z else self.phi_bands.modulus
+        return self._once(("profile", name, trigger),
+                          lambda: boundary_profile(self.quantities[name], mod, self.grid.depth, trigger))
 
 
 def _all_verdicts(table: SampleTable) -> str:
@@ -374,9 +373,11 @@ class TestReducedProfiles:
         args = (config.symbol, config.space, config.grid)
         table, flat = SampleTable(*args), FlatTable(*args)
         assert _all_verdicts(table) == _all_verdicts(flat)
-        assert set(table._profiles) == set(flat._profiles)
-        for (name, trigger), prof in table._profiles.items():
-            assert_same_profile(prof, flat._profiles[name, trigger])
+        profiles = {key[1:]: prof for key, prof in table._memo.items() if key[0] == "profile"}
+        flat_profiles = {key[1:]: prof for key, prof in flat._memo.items() if key[0] == "profile"}
+        assert set(profiles) == set(flat_profiles)
+        for (name, trigger), prof in profiles.items():
+            assert_same_profile(prof, flat_profiles[name, trigger])
             mod = flat.radii if trigger == TRIGGER_Z else flat.phi_bands.modulus
             assert_same_profile(prof, reference_boundary_profile(flat.quantities[name], mod, config.grid.depth, trigger))
 

@@ -37,3 +37,24 @@ def test_names_the_benchmark_tracer_wraps_still_exist():
     # the tracer reads a trend's verdict from these fields
     assert "classification" in {f.name for f in dataclasses.fields(oracle.LowerBoundTrend)}
     assert "trend" in {f.name for f in dataclasses.fields(oracle.CompactnessProbe)}
+
+
+def _sibling_imports(module) -> set:
+    """The sibling modules ``module`` imports from, by name."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            names.update([node.module] if node.module else [alias.name for alias in node.names])
+        elif node.module == "blochlab":
+            names.update(alias.name for alias in node.names)
+        elif (node.module or "").startswith("blochlab."):
+            names.add(node.module.split(".")[1])
+    return names
+
+
+def test_the_oracle_and_the_classifier_import_nothing_from_each_other():
+    # the oracle is the classifier's independent witness
+    assert "criteria" not in _sibling_imports(oracle)
+    assert "oracle" not in _sibling_imports(criteria)

@@ -243,7 +243,7 @@ class TestGoldenArgmax:
     @pytest.mark.parametrize("depth", range(2, 13))
     def test_chase_of_touching_affine_map_lands_on_positive_axis(self, depth):
         # |z/2 + 1/2| on a circle is largest at z > 0
-        (z,) = boundary_chase_point(Affine(0.5, 0.5), [depth])
+        (z,) = boundary_chase_point(Affine(0.5, 0.5), [depth], 256)
         assert z.real > 0.0 and abs(z.imag) <= 1e-12
         assert abs(z) == pytest.approx(1.0 - 0.5**depth, rel=1e-15)
 

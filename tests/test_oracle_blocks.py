@@ -33,7 +33,7 @@ from golden_reference import (
 DEEP = RadialGrid(40, 2048, 12)  # 82 circles in ten blocks of 8 or 9
 GRID = RadialGrid(16, 512, 12)  # the curated configs' own grid, one block
 SHALLOW = RadialGrid(12, 128, 8)  # the random battery's grid
-RAGGED = SimpleNamespace(depth=16, angular_nodes=500)  # 31 segments of 16 nodes and one of 4 a circle
+NARROW = RadialGrid(16, 64, 12)  # the fewest nodes a grid accepts: 4 segments a circle
 _CURATED = [pytest.param(name, id=name) for name in sorted(CURATED)]
 
 
@@ -172,6 +172,12 @@ class TestBoundedSearch:
         got, want = _chase(config.symbol, config.space, GRID)
         assert got == want
 
+    @pytest.mark.parametrize("name", _CURATED)
+    def test_curated_symbols_at_the_fewest_segments_a_circle(self, name):
+        config = _config(name)
+        got, want = _chase(config.symbol, config.space, NARROW)
+        assert got == want
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_random_pairs(self, seed, a2):
         for label, sym in random_pairs(seed, 20):
@@ -181,12 +187,6 @@ class TestBoundedSearch:
     @pytest.mark.parametrize("p, a, m", _CRITICAL)
     def test_the_critical_family(self, p, a, m):
         got, want = _chase(*_critical(p, a, m), GRID)
-        assert got == want
-
-    @pytest.mark.parametrize("name", _CURATED)
-    def test_a_node_count_no_multiple_of_the_segment(self, name):
-        config = _config(name)
-        got, want = _chase(config.symbol, config.space, RAGGED)
         assert got == want
 
     def test_the_zero_multiplier_and_ties_on_a_circle(self):
@@ -259,6 +259,20 @@ class TestBoundedSearch:
         points = sample_points(GRID.depth, GRID.angular_nodes)[1].size
         assert sum(evaluated) <= 0.10 * 2 * len(oracle.CHASE_DEPTHS) * points
 
+    def test_every_grid_circle_is_whole_segments(self):
+        # the chase reads each block as (circles, nodes // _SEGMENT, _SEGMENT)
+        accepted = []
+        for nodes in range(64, 2**16 + 1):
+            try:
+                accepted.append(RadialGrid(4, nodes, 8).angular_nodes)
+            except ValueError:
+                pass
+        assert accepted == [2**k for k in range(6, 17)]
+        assert all(nodes % oracle._SEGMENT == 0 for nodes in accepted)
+        for nodes in (96, 500):
+            with pytest.raises(ValueError, match="power of two"):
+                RadialGrid(4, nodes, 8)
+
     def test_first_max(self):
         assert oracle._first_max((3, 1, 2.0), (1, 5, 2.0)) == (1, 5, 2.0)
         assert oracle._first_max((3, 1, 2.0), (1, 5, 1.0)) == (3, 1, 2.0)
@@ -266,7 +280,7 @@ class TestBoundedSearch:
         assert oracle._first_max((3, 1, np.nan), (1, 5, np.nan))[:2] == (1, 5)
 
 
-_NODES = np.arange(16, 300)
+_NODES = np.arange(16, 289, oracle._SEGMENT)  # whole segments, as on every RadialGrid
 
 
 class TestMajorants:
@@ -281,8 +295,7 @@ class TestMajorants:
         radii, _ = sample_points(depth, nodes)
         u, du, phi, dphi = samples = reference_symbol_samples(sym, grid)
         bounds = oracle._majorants(families, one_minus_sq(radii)[:, None], phi, du, u * dphi)
-        starts = np.arange(0, nodes, oracle._SEGMENT)
         for bound, values in zip(bounds, reference_chase_grids(families, samples, grid)):
-            top = np.maximum.reduceat(values, starts, axis=1).reshape(-1)
+            top = values.reshape(-1, oracle._SEGMENT).max(axis=1)
             certified = ~np.isnan(bound)
             assert (top[certified] <= bound[certified]).all()
