@@ -61,7 +61,7 @@ from .disk_functions import (
     validate_self_map,
 )
 from .norms import NonConvergentError, RadialGrid
-from .oracle import constants_battery, oracle_task
+from .oracle import TREND_AMBIGUOUS, TREND_STABLE, constants_battery, oracle_task
 from .weights import NormalWeight, SpaceSpec, check_normality
 
 __all__ = [
@@ -75,14 +75,16 @@ __all__ = [
     "main",
 ]
 
-KNOWN_TASKS = (
-    "bounded_bloch",
-    "compact_bloch",
-    "bounded_little_bloch",
-    "compact_little_bloch",
-    "lemma_probes",
-    "oracle",
-)
+# Each classifier task, in order, to its report entry from (sample table, force_boundary).
+_CLASSIFIER_ENTRIES = {
+    "bounded_bloch": lambda table, force: table.bounded_into_bloch().to_dict(),
+    "compact_bloch": lambda table, force: table.compact_into_bloch(force).to_dict(),
+    "bounded_little_bloch": lambda table, force: table.bounded_into_little_bloch().to_dict(),
+    "compact_little_bloch": lambda table, force: table.compact_into_little_bloch().to_dict(),
+    "lemma_probes": lambda table, force: {"derivative_limit": table.derivative_limit_probe().to_dict(),
+                                          "composition_limit": table.composition_limit_probe().to_dict()},
+}
+KNOWN_TASKS = (*_CLASSIFIER_ENTRIES, "oracle")
 _PREREQUISITE = {
     "compact_bloch": "bounded_bloch",
     "bounded_little_bloch": "bounded_bloch",
@@ -449,10 +451,12 @@ def run(config: RunConfig) -> Report:
     reads it.
     Fails verdicts do not raise.  A numerical failure (``DomainError`` or
     an ``ArithmeticError`` such as ``NonConvergentError``) is recorded as
-    ``{"error", "detail"}`` against the task that hit it, whether in the
-    sample table or in the oracle, and the run goes on; anything else
-    propagates.  ``meta`` holds each task's wall-clock seconds and, where
-    the ``resource`` module exists, its minor page faults.
+    ``{"error", "detail"}`` against the task that hit it, in the sample
+    table or in the oracle, and ``compact_bloch``'s ``PreconditionUnmetError``
+    (a pair not bounded into Bloch) as ``{"error": "precondition_unmet",
+    "detail"}``; the run goes on, and anything else propagates.  ``meta``
+    holds each task's wall-clock seconds and, where the ``resource`` module
+    exists, its minor page faults.
     """
     results: dict = {"tasks": {}}
     timings: dict = {}
@@ -467,9 +471,11 @@ def run(config: RunConfig) -> Report:
             else:
                 if table is None:
                     table = SampleTable(config.symbol, config.space, config.grid)
-                results["tasks"][task] = _classifier_entry(table, task, config.force_boundary)
+                results["tasks"][task] = _CLASSIFIER_ENTRIES[task](table, config.force_boundary)
         except (DomainError, ArithmeticError) as exc:
             results["tasks"][task] = _failure(exc)
+        except PreconditionUnmetError as exc:
+            results["tasks"][task] = {"error": "precondition_unmet", "detail": str(exc)}
         timings[task] = round(time.perf_counter() - start, 6)
         if resource is not None:
             faults[task] = _minor_faults() - start_faults
@@ -515,21 +521,6 @@ def _oracle_entry(config: RunConfig, results: dict) -> dict:
             "agreement": _agreement(bounded_entry, trend.classification)}
 
 
-def _classifier_entry(table: SampleTable, task: str, force_boundary: bool) -> dict:
-    """The report entry of one classifier task, read from the run's table."""
-    if task == "compact_bloch":
-        try:
-            return table.compact_into_bloch(force_boundary).to_dict()
-        except PreconditionUnmetError as exc:
-            return {"error": "precondition_unmet", "detail": str(exc)}
-    if task == "lemma_probes":
-        return {"derivative_limit": table.derivative_limit_probe().to_dict(),
-                "composition_limit": table.composition_limit_probe().to_dict()}
-    groups = {"bounded_bloch": table.bounded_into_bloch, "bounded_little_bloch": table.bounded_into_little_bloch,
-              "compact_little_bloch": table.compact_into_little_bloch}
-    return groups[task]().to_dict()
-
-
 def _chain_inputs(battery, bounded_entry):
     """``(functions, norms, S1, S2)`` for the chain constant when the
     battery is available and the classifier says bounded with finite
@@ -544,9 +535,9 @@ def _chain_inputs(battery, bounded_entry):
 
 def _agreement(bounded_entry, trend_classification: str):
     """Classifier versus oracle-trend agreement; None when either is undecided."""
-    if not (bounded_entry or {}).get("decided", False) or trend_classification == "ambiguous":
+    if not (bounded_entry or {}).get("decided", False) or trend_classification == TREND_AMBIGUOUS:
         return None
-    return bool(bounded_entry["overall"] == (trend_classification == "stable"))
+    return bool(bounded_entry["overall"] == (trend_classification == TREND_STABLE))
 
 
 def strict_exit_code(report: Report) -> int:
@@ -637,8 +628,6 @@ def _render(o, nl: str, memo: dict) -> str:
 
 def _iter_verdicts(results: dict):
     for task, entry in results["tasks"].items():
-        if not isinstance(entry, dict):
-            continue
         for v in entry.get("verdicts", ()):
             yield task, v
         inner = entry.get("into_bloch")
@@ -663,9 +652,7 @@ def _emit_csv(report: Report, out: Path) -> list:
     written = [summary]
     texts: dict = {}  # id of a profile dict -> its file's text, built once per distinct profile
     for task, verdict in _iter_verdicts(report.results):
-        profile = verdict.get("profile")
-        if not profile:
-            continue
+        profile = verdict["profile"]
         if id(profile) not in texts:
             # the cells are floats or None, which csv.writer writes as repr and as an empty field
             texts[id(profile)] = "delta,value\r\n" + "".join(

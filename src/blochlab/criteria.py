@@ -92,7 +92,7 @@ class Verdict:
     status: Status
     sup_estimate: float
     divergence_slope: float | None
-    profile: BoundaryProfile | None
+    profile: BoundaryProfile
     notes: str = ""
 
     def to_dict(self) -> dict:
@@ -102,7 +102,7 @@ class Verdict:
             "status": self.status.value,
             "sup_estimate": sup,
             "divergence_slope": None if self.divergence_slope is None else float(self.divergence_slope),
-            "profile": None if self.profile is None else self.profile.to_dict(),
+            "profile": self.profile.to_dict(),
             "notes": self.notes,
         }
 

@@ -36,7 +36,6 @@ the space and the grid, are computed once per ``(space, grid)``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -126,24 +125,28 @@ def operator_apply(sym: SymbolPair, f: DiskFunction) -> DiskFunction:
 
 @dataclass
 class _Rows:
-    """One group of rows of an oracle task's refinement search: ``size``
-    functions ``g``; ``grids``, which maps ``1-|z|^2`` and the jets
-    ``(u, u', phi, phi')`` on a block of sample circles to the values
-    ``(1-|z|^2)|g'|`` there, yielded one function at a time; and
-    ``modulus``, which maps the jets at a ``(size, n)`` array of points to
-    ``|g'|`` there, row for function.  A group's ``block_peaks`` gives its
-    rows' peaks on a block; ``_ChaseRows``, the other kind of group, finds
-    them without evaluating the whole block."""
+    """One group of rows of an oracle task's refinement search: a row for
+    each of the ``functions`` ``f``, its image ``g = u (f o phi)`` read from
+    the jets ``(u, u', phi, phi')`` by ``f.image_derivative_modulus``.
+    ``_ChaseRows``, the other kind of group, finds its block peaks without
+    evaluating the whole block."""
 
-    size: int
-    grids: Callable[..., Iterator]
-    modulus: Callable
+    functions: list
 
-    def block_peaks(self, omr2: np.ndarray, jets: tuple, best: list) -> Iterator:
-        """The ``grid_peak`` of each row on one block of circles, from the
-        whole block's values; ``best`` holds the rows' running peak values,
+    @property
+    def size(self) -> int:
+        return len(self.functions)
+
+    def modulus(self, u, du, phi, dphi) -> np.ndarray:
+        """``|g'|`` of each row at the jets of a ``(size, n)`` array of points, row for function."""
+        return np.concatenate([f.image_derivative_modulus(u[k : k + 1], du[k : k + 1], phi[k : k + 1],
+                                                          dphi[k : k + 1]) for k, f in enumerate(self.functions)])
+
+    def block_peaks(self, omr2: np.ndarray, jets: tuple, best: list) -> list:
+        """The ``grid_peak`` of each row's ``(1-|z|^2)|g'|`` on one block, from
+        the whole block's values; ``best`` holds the rows' running peak values,
         which a search may use to leave out what cannot replace them."""
-        return map(grid_peak, self.grids(omr2, *jets))
+        return [grid_peak(omr2 * f.image_derivative_modulus(*jets)) for f in self.functions]
 
 
 def _grid_peaks(sym: SymbolPair, grid: RadialGrid, groups) -> list:
@@ -316,7 +319,7 @@ def _chunk_values(family, members, segments, omr2: np.ndarray, jets: tuple) -> t
 class _ChaseRows:
     """The rows of the images ``u (K o phi)`` of the chase kernels under one
     or more ``families`` over the same bases, member-major: row ``F m + f``
-    is member ``m`` of family ``f``.  They are a ``_Rows`` group whose block
+    is member ``m`` of family ``f``: a row group like ``_Rows``, whose block
     peaks come from a search bounded by ``_majorants``."""
 
     families: list
@@ -591,16 +594,7 @@ def _chain_rows(functions, norms, sup_multiplier: float, sup_composition: float)
     if not np.isfinite(total) or total == 0.0:
         return None
     kept = [(f, norm * total) for f, norm in zip(functions, norms) if norm * total != 0.0]
-
-    def grids(omr2, u, du, phi, dphi):
-        for f, _ in kept:
-            yield omr2 * f.image_derivative_modulus(u, du, phi, dphi)
-
-    def modulus(u, du, phi, dphi):
-        return np.concatenate([f.image_derivative_modulus(u[k : k + 1], du[k : k + 1], phi[k : k + 1],
-                                                          dphi[k : k + 1]) for k, (f, _) in enumerate(kept)])
-
-    return _Rows(len(kept), grids, modulus), [denom for _, denom in kept]
+    return _Rows([f for f, _ in kept]), [denom for _, denom in kept]
 
 
 def oracle_task(sym: SymbolPair, space: SpaceSpec, grid: RadialGrid, chain=None, pinned=True) -> tuple:

@@ -37,7 +37,7 @@ from blochlab.norms import (
     pointwise_growth_envelope,
     sample_points,
 )
-from blochlab.oracle import TREND_STABLE, kernel_family_norm, lower_bound_trend
+from blochlab.oracle import TREND_AMBIGUOUS, TREND_STABLE, kernel_family_norm, lower_bound_trend
 
 RESULTS: list[str] = []
 
@@ -216,7 +216,7 @@ def test_criterion_8_classifier_oracle_agreement():
         for _, sym in pairs:
             outcome = classify_bounded_into_bloch(sym, A2, BATTERY_GRID)
             trend = lower_bound_trend(sym, A2, BATTERY_GRID)
-            if not outcome.decided or trend.classification == "ambiguous":
+            if not outcome.decided or trend.classification == TREND_AMBIGUOUS:
                 undecided += 1
                 continue
             decided += 1

@@ -297,6 +297,6 @@ class TestCheckedJets:
 
     def test_a_refinement_round_raises_outside_the_disk(self, monkeypatch):
         monkeypatch.setattr(oracle, "family_bloch_seminorm", lambda modulus, grids, grid: modulus(self.OUTSIDE))
-        rows = oracle._Rows(1, lambda omr2, u, du, phi, dphi: iter(()), lambda u, du, phi, dphi: np.abs(du))
+        rows = oracle._Rows([constant(1)])
         with pytest.raises(DomainError, match="evaluation point outside the open unit disk"):
             oracle._refine(_scaled_pair(), RadialGrid(12, 128, 8), [rows])

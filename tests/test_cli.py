@@ -37,6 +37,10 @@ def half_scale_report():
 
 
 class TestParsing:
+    def test_the_known_tasks_in_their_listed_order(self):
+        assert KNOWN_TASKS == ("bounded_bloch", "compact_bloch", "bounded_little_bloch", "compact_little_bloch",
+                               "lemma_probes", "oracle")
+
     def test_bergman_shorthand_defaults(self):
         config = parse_config(dict(HALF_SCALE_DOC))
         assert config.space.p == 2.0
@@ -627,6 +631,29 @@ class TestRunAndEmit:
         doc["tasks"] = ["compact_bloch"]
         report = run(parse_config(doc))
         assert report.results["tasks"]["compact_bloch"]["error"] == "precondition_unmet"
+
+    def test_an_unmet_precondition_leaves_the_later_tasks_running(self):
+        doc = dict(HALF_SCALE_DOC, symbol={"u": 1, "phi": "identity"},
+                   tasks=["compact_bloch", "compact_little_bloch", "lemma_probes", "oracle"])
+        tasks = run(parse_config(doc)).results["tasks"]
+        assert list(tasks) == ["bounded_bloch", "compact_bloch", "compact_little_bloch", "lemma_probes", "oracle"]
+        assert tasks["compact_bloch"]["error"] == "precondition_unmet"
+        assert "multiplier=" in tasks["compact_bloch"]["detail"]
+        assert "overall" in tasks["compact_little_bloch"]
+        assert set(tasks["lemma_probes"]) == {"derivative_limit", "composition_limit"}
+        assert set(tasks["oracle"]) == {"lower_bound", "compactness_probe", "agreement"}
+
+    @pytest.mark.parametrize("case", sorted(CURATED))
+    def test_every_verdict_carries_a_profile_and_gets_its_csv(self, case, tmp_path):
+        report = run(parse_config(dict(CURATED[case]["config"], grid=HALF_SCALE_DOC["grid"])))
+        verdicts = list(cli._iter_verdicts(report.results))
+        assert verdicts
+        for task, verdict in verdicts:
+            assert isinstance(verdict["profile"], dict), (task, verdict["quantity"])
+        written = emit(report, tmp_path, ("csv",))
+        profiles = [path for path in written if path.name.endswith(".profile.csv")]
+        assert len(profiles) == len(set(profiles)) == len(verdicts)
+        assert sorted(tmp_path.glob("*.profile.csv")) == sorted(profiles)
 
     @pytest.mark.parametrize("case", ["half-scale", "boundary-touch"])
     def test_task_entry_key_sets(self, case):

@@ -102,7 +102,7 @@ class TestWholeGridPeaks:
             yield np.where((on == later) & (angle == 1), 4.0, np.where(on == 0, 4.0, 1.0))  # tie: circle 0 wins
             yield np.full(u.shape, -np.inf)
 
-        rows = oracle._Rows(4, grids, None)
+        rows = SimpleNamespace(size=4, block_peaks=lambda omr2, jets, best: map(norms.grid_peak, grids(omr2, *jets)))
         got = oracle._grid_peaks(sym, DEEP, [rows])
         omr2 = gaps[:, None]
         want = reference_grid_peaks(grids(omr2, *reference_symbol_samples(sym, DEEP)))
