@@ -23,8 +23,7 @@ Each tree is imported in its own subprocess, which dumps:
 * the SHA-256 of every file ``emit`` writes (JSON and CSV, ``meta``
   blanked) for each curated and each ``--deep`` config;
 * the number of CPUs the child may run on and, for each ``--deep``
-  config, the number of blocks its sample table was sampled in (one for a
-  tree that samples each table whole).
+  config, the number of blocks its sample table was sampled in.
 
 The payloads are compared section by section (a curated task entry, the
 constants block, one part of a pair payload, one battery value).  The
@@ -113,19 +112,17 @@ def dump(src: Path, seeds: list, count: int, deep_seeds: list, workloads) -> dic
                                         **{k: v for k, v in results.items() if k != "tasks"})
         files.update({f"curated/{name}/{file}": h for file, h in emitted_hashes(cli, report).items()})
     space, mesh, probe_mesh = SpaceSpec.bergman(2), RadialGrid(12, 128, 8), RadialGrid(16, 128, 8)
-    # a tree whose oracle task reads the symbol on the whole grid takes those samples as an argument
-    whole_grid = hasattr(oracle, "symbol_samples")
     for seed in seeds:
         for label, sym in random_pairs(seed, count):
-            samples = (oracle.symbol_samples(sym, mesh),) if whole_grid else ()
-            trend, probe, _ = oracle.oracle_task(sym, space, mesh, *samples)
+            trend, probe, _ = oracle.oracle_task(sym, space, mesh)
+            table = criteria.SampleTable(sym, space, probe_mesh)
             units[f"pairs/{seed}/{label}"] = {
                 "bounded_bloch": criteria.classify_bounded_into_bloch(sym, space, mesh).to_dict(),
                 "lower_bound": trend.to_dict(),
                 "lower_bound_alone": oracle.lower_bound_trend(sym, space, mesh).to_dict(),
                 "compactness_probe": probe.to_dict(),
-                "derivative_limit": criteria.derivative_limit_probe(sym, space, probe_mesh).to_dict(),
-                "composition_limit": criteria.composition_limit_probe(sym, space, probe_mesh).to_dict(),
+                "derivative_limit": table.derivative_limit_probe().to_dict(),
+                "composition_limit": table.composition_limit_probe().to_dict(),
             }
     deep = RadialGrid(40, 2048, 12)
     for name, battery_space in (("bergman2", space), ("bergman2-log-1", SpaceSpec(2.0, NormalWeight(0.5, -1.0)))):
@@ -145,19 +142,18 @@ def dump(src: Path, seeds: list, count: int, deep_seeds: list, workloads) -> dic
         spec = importlib.util.spec_from_file_location("bench_workloads", workloads)
         bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
         spec.loader.exec_module(bench)
-        each_block = getattr(criteria, "_each_block", None)  # absent from a tree that samples tables whole
-        tables = []
-        if each_block is not None:
-            def counted(edges, fill):
-                tables.append(len(edges) - 1)
-                return each_block(edges, fill)
+        each_block, tables = criteria._each_block, []
 
-            criteria._each_block = counted
+        def counted(edges, fill):
+            tables.append(len(edges) - 1)
+            return each_block(edges, fill)
+
+        criteria._each_block = counted
         for seed in deep_seeds:
             for label, text in bench.deep_config_texts(seed):
                 tables.clear()
                 report = cli.run(cli.parse_config(text))
-                blocks[f"deep/{seed}/{label}"] = list(tables) if each_block is not None else [1]
+                blocks[f"deep/{seed}/{label}"] = list(tables)
                 units[f"deep/{seed}/{label}"] = dict(
                     {f"tasks.{task}": e for task, e in report.results["tasks"].items()},
                     payload_sha256=hashlib.sha256(report.results_payload()).hexdigest(),

@@ -17,15 +17,10 @@ Usage:
 import argparse
 import sys
 
-from blochlab import (
-    RadialGrid,
-    SpaceSpec,
-    classify_bounded_into_bloch,
-    composition_limit_probe,
-    derivative_limit_probe,
-)
+from blochlab import RadialGrid, SpaceSpec, classify_bounded_into_bloch
 from blochlab.battery import random_pairs
 from blochlab.cli import main as blochlab_main
+from blochlab.criteria import SampleTable
 from blochlab.oracle import TREND_AMBIGUOUS, TREND_STABLE, lower_bound_trend
 
 
@@ -37,7 +32,8 @@ def pair_failures(sym, space, mesh, probe_mesh) -> tuple:
     if outcome.decided and trend.classification != TREND_AMBIGUOUS:
         if outcome.overall != (trend.classification == TREND_STABLE):
             failures.append("classifier and oracle trend disagree")
-    for probe in (derivative_limit_probe(sym, space, probe_mesh), composition_limit_probe(sym, space, probe_mesh)):
+    table = SampleTable(sym, space, probe_mesh)
+    for probe in (table.derivative_limit_probe(), table.composition_limit_probe()):
         if probe.agree is False:
             failures.append(f"{probe.name} sides disagree")
     state = ("bounded" if outcome.overall else "unbounded") if outcome.decided else "undecided"

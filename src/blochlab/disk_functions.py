@@ -19,6 +19,13 @@ Each class computes its value and derivative together as one jet, so a
 composite evaluates every child once per point; ``eval`` and ``deriv`` are
 the two halves of ``jet``.  Disk geometry, the pseudo-hyperbolic distance,
 lives at the bottom.
+
+A point's jet does not depend on the points evaluated with it: no complex
+product takes a temporary as its right operand.  From 2**14 points numpy
+reuses a temporary right operand in place and multiplies with the operands
+swapped, and a complex product rounds differently in the two orders (fused
+multiply-add); a named operand, or a temporary on the left, keeps one order
+at every size.
 """
 
 from __future__ import annotations
@@ -102,9 +109,11 @@ def _horner(c: np.ndarray, z) -> np.ndarray:
     signed zeros, and takes each step in place as ``value * z`` and then
     ``+ c_k``, in ``polyval``'s operand order: complex products round
     differently in the two orders (fused multiply-add).  A 0-d ``z`` gives
-    a numpy scalar, which takes the steps as the plain expression."""
+    a numpy scalar, which takes the steps as the plain expression, and so
+    does a single point: numpy multiplies a one-point array in place
+    without fused multiply-add, unlike the same point in a longer array."""
     value = c[-1] + z * 0
-    if np.ndim(value) == 0:
+    if np.size(value) == 1:
         for ck in c[-2::-1]:
             value = ck + value * z
         return value
@@ -145,7 +154,7 @@ class DiskFunction(_Jet):
         derivative, in the operation order of the jet of ``Product(u,
         ComposedWithSelfMap(f, phi))``, then its modulus."""
         value, derivative = self.jet(phi)
-        chain = derivative * dphi  # a named operand: numpy must not reuse it in place
+        chain = derivative * dphi
         return np.abs(du * value + u * chain)
 
 
@@ -223,13 +232,19 @@ class FractionalKernel(DiskFunction):
         one.base, one.scale = self.base[rows], self.scale[rows]
         return one
 
-    def _jet(self, z):
+    def _argument(self, z) -> tuple:
+        """``conj(base)`` and ``w = 1 - conj(base) z``, checked to lie in the right half-plane."""
         conj_base = np.conj(self.base)
         w = 1.0 - conj_base * z
         if not (w.real > 0.0).all():
             raise ArithmeticError("kernel argument left the right half-plane")
+        return conj_base, w
+
+    def _jet(self, z):
+        conj_base, w = self._argument(z)
         power = w ** (-self.exponent - 1.0)
-        value, derivative = self.scale * (power * w), self.scale * self.exponent * conj_base * power
+        power_w = power * w
+        value, derivative = self.scale * power_w, self.scale * self.exponent * conj_base * power
         if not self.pinched:
             return value, derivative
         factor = z - self.base
@@ -244,14 +259,12 @@ class FractionalKernel(DiskFunction):
         the last factor is ``|(u' (phi - b_m) + u phi') W + e conj(b_m) u (phi - b_m) phi'|``.
         The only power is the real ``(Re(W)**2 + Im(W)**2)**(-(e+1)/2)``, and
         the right half-plane check of the jet is kept."""
-        conj_base = np.conj(self.base)
-        w = 1.0 - conj_base * phi
-        if not (w.real > 0.0).all():
-            raise ArithmeticError("kernel argument left the right half-plane")
+        conj_base, w = self._argument(phi)
         u_dphi = u * dphi
         if self.pinched:
             factor = phi - self.base
-            inner = (du * factor + u_dphi) * w + (self.exponent * conj_base) * (u_dphi * factor)
+            u_dphi_factor = u_dphi * factor
+            inner = (du * factor + u_dphi) * w + (self.exponent * conj_base) * u_dphi_factor
         else:
             inner = du * w + (self.exponent * conj_base) * u_dphi
         power = (w.real**2 + w.imag**2) ** (-0.5 * (self.exponent + 1.0))
@@ -294,13 +307,8 @@ class Scaled(DiskFunction):
         self.inner = inner
 
     def _jet(self, z):
-        # each part is popped into the product, so numpy sees a temporary, as
-        # it does in ``factor * f(z)``: past its elision size numpy multiplies
-        # a temporary in place with the operands swapped, and complex products
-        # round differently in the two orders (fused multiply-add).  Popping
-        # keeps the values bit for bit those of the plain expression.
-        parts = list(self.inner._jet(z))
-        return self.factor * parts.pop(0), self.factor * parts.pop(0)
+        value, derivative = self.inner._jet(z)
+        return self.factor * value, self.factor * derivative
 
 
 class ComposedWithSelfMap(DiskFunction):
@@ -392,10 +400,11 @@ class MonomialPower(SelfMap):
         self.scale = scale
 
     def _jet(self, z):
-        value = self.scale * z**self.degree
+        power = z**self.degree
         if self.degree == 1:
-            return value, np.full_like(np.asarray(z, dtype=complex), self.scale)
-        return value, self.scale * self.degree * z ** (self.degree - 1)
+            return self.scale * power, np.full_like(np.asarray(z, dtype=complex), self.scale)
+        lower = z ** (self.degree - 1)
+        return self.scale * power, self.scale * self.degree * lower
 
     def sup_bound(self, r):
         return min(1.0, abs(self.scale) * r**self.degree)
@@ -437,25 +446,12 @@ class FiniteBlaschkeProduct(SelfMap):
         self.unimodular = unimodular
 
     def _jet(self, z):
-        vals, ders = map(list, zip(*(f._jet(z) for f in self.factors)))
-        n = len(vals)
-        # prefix/suffix products avoid dividing through zeros of the factors
-        prefix = [np.ones_like(vals[0])]
-        for i in range(n - 1):
-            prefix.append(prefix[-1] * vals[i])
-        suffix = [np.ones_like(vals[0])]
-        for i in range(n - 1, 0, -1):
-            suffix.append(suffix[-1] * vals[i])
-        suffix.reverse()
-        out = ders[0] * suffix[0] if n == 1 else ders[0] * prefix[0] * suffix[0]
-        for i in range(1, n):
-            out = out + ders[i] * prefix[i] * suffix[i]
-        # each factor value is popped into the product as a temporary, as in
-        # ``f0(z) * f1(z) * ...`` (see ``Scaled._jet``)
-        value = vals.pop(0)
-        while vals:
-            value = value * vals.pop(0)
-        return self.unimodular * value, self.unimodular * out
+        # the product rule, one factor at a time: no division through a zero of a factor
+        value, derivative = self.factors[0]._jet(z)
+        for f in self.factors[1:]:
+            v, d = f._jet(z)
+            value, derivative = value * v, derivative * v + d * value
+        return self.unimodular * value, self.unimodular * derivative
 
     def sup_bound(self, r):
         bound = 1.0

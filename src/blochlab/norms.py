@@ -175,15 +175,9 @@ def sample_points(depth: int, angular_nodes: int):
 
 
 # Arrays of disk points are evaluated in blocks of whole rows, each of at
-# least this many points unless the array is one block.  numpy elides the
-# temporaries of arrays of 256 KiB and more (2**14 complex points): past that
-# size ``a * (b * c)`` multiplies the temporary in place with its operands
-# swapped, and a complex product rounds differently in the two orders (see
-# ``disk_functions.Scaled._jet``).  A float product commutes bit for bit, so
-# the float temporaries' own elision size (2**15 points) changes no value.
-# Blocks of 2**14 points or more keep every complex block on the whole
-# array's side of that size, so the values are those of one whole-array
-# evaluation bit for bit.
+# least this many points unless the array is one block.  The size bounds
+# memory only: a point's jet does not depend on its batch (see
+# ``disk_functions``), so every block size gives the whole array's values.
 _BLOCK_POINTS = 2**14
 
 
@@ -445,13 +439,13 @@ def family_bloch_seminorm(modulus, peaks, grid: RadialGrid = DEFAULT_GRID) -> np
     theta = 2.0 * np.pi * j / grid.angular_nodes
     ray = np.exp(1j * theta)[:, None]
     r_grid = radii[i][:, None]
-    gap_grid = 1.0 - r_grid * r_grid
+    gap_grid = one_minus_sq(r_grid)
     span = 2.0 * np.pi / grid.angular_nodes
 
     def radial_then_angular(xs: np.ndarray) -> np.ndarray:
         rr, th = xs[:members], xs[members:]
         mod = modulus(np.concatenate([rr * ray, r_grid * np.exp(1j * th)], axis=1))
-        return np.concatenate([(1.0 - rr * rr) * mod[:, :_BRACKET_POINTS], gap_grid * mod[:, _BRACKET_POINTS:]])
+        return np.concatenate([one_minus_sq(rr) * mod[:, :_BRACKET_POINTS], gap_grid * mod[:, _BRACKET_POINTS:]])
 
     lo = np.concatenate([np.where(i >= 1, radii[i - 1], 0.0), theta - span])
     hi = np.concatenate([np.where(i + 1 < radii.size, radii[np.minimum(i + 1, radii.size - 1)],

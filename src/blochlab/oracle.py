@@ -156,10 +156,8 @@ def _grid_peaks(sym: SymbolPair, grid: RadialGrid, groups) -> list:
     and each row keeps a running peak: a block's peak replaces it when it
     is larger, or is a NaN where the running peak is not, so the peak is
     the first maximum in flat order (the first NaN, if any), that of one
-    whole-grid ``grid_peak``.  A block holds at least ``2**14`` points
-    unless the grid is one block, so its values are the whole grid's.  Each
-    group finds its block peaks given its rows' running peaks
-    (``_Rows.block_peaks``)."""
+    whole-grid ``grid_peak``.  Each group finds its block peaks given its
+    rows' running peaks (``_Rows.block_peaks``)."""
     radii, z = sample_points(grid.depth, grid.angular_nodes)
     omr2 = one_minus_sq(radii)[:, None]
     peaks = [(0, 0, -np.inf)] * sum(group.size for group in groups)

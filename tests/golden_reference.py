@@ -192,7 +192,7 @@ def two_pass_family_bloch_seminorm(modulus, samples, grid) -> np.ndarray:
     ray = np.exp(1j * theta)[:, None]
 
     def radial(rr):
-        return (1.0 - rr * rr) * modulus(rr * ray)
+        return one_minus_sq(rr) * modulus(rr * ray)
 
     lo = np.where(i >= 1, radii[i - 1], 0.0)
     hi = np.where(i + 1 < radii.size, radii[np.minimum(i + 1, radii.size - 1)], 0.5 * (1.0 + radii[i]))
@@ -203,7 +203,7 @@ def two_pass_family_bloch_seminorm(modulus, samples, grid) -> np.ndarray:
     r_best = radii[i][:, None]
 
     def angular(th):
-        return (1.0 - r_best * r_best) * modulus(r_best * np.exp(1j * th))
+        return one_minus_sq(r_best) * modulus(r_best * np.exp(1j * th))
 
     top = bracket_argmax(angular, theta - span, theta + span, 12, flat_rel=_FLAT_REL)[1]
     return np.where(top > best, top, best)

@@ -1,8 +1,9 @@
 """A sample table is sampled in blocks of whole circles on several threads.
 
 The blocks must give the bytes of one whole-table evaluation at every
-block count the rule allows, no thread may outlive a table, and the
-symbol is evaluated through one checked ``jets`` call per block."""
+block count the rule allows and at blocks of one circle, no thread may
+outlive a table, and the symbol is evaluated through one checked ``jets``
+call per block."""
 
 import json
 import multiprocessing
@@ -38,7 +39,7 @@ from blochlab.norms import one_minus_sq, sample_points
 from bench_module import bench_workloads
 from test_criteria import _all_verdicts
 
-FLOOR = 2**14  # complex points in 256 KiB, numpy's elision threshold
+FLOOR = 2**14  # the fewest points in a block of a multi-block array (norms.block_edges)
 DEEP = RadialGrid(40, 2048, 12)
 CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "half_scale.json")
 
@@ -85,6 +86,16 @@ def _whole(sym, space, grid) -> list:
 
 def _arrays(table) -> list:
     return [table.phi_bands.modulus.reshape(table.quantities["u_prime"].shape), *table.quantities.values()]
+
+
+def _table_task_and_battery(sym, space, grid) -> list:
+    """The table's arrays and verdicts, the constants battery and the oracle
+    task with the battery's chain rows, as bytes and exact reprs."""
+    table = criteria.SampleTable(sym, space, grid)
+    oracle.constants_battery.cache_clear()
+    battery = oracle.constants_battery(space, grid)
+    task = oracle.oracle_task(sym, space, grid, (battery.functions, battery.norms, 1.0, 1.0))
+    return [*(array.tobytes() for array in _arrays(table)), repr(_all_verdicts(table)), repr(battery), repr(task)]
 
 
 _CURATED = [pytest.param(name, id=f"curated-{name}") for name in sorted(CURATED)]
@@ -140,16 +151,20 @@ class TestBlockIdentity:
         assert _largest_legal(10, FLOOR) == 10
         _assert_counts_agree(monkeypatch, _scaled_pair(), a2, grid)
 
-    def test_blocks_below_the_floor_change_a_scaled_product(self):
-        """Why the floor exists: a block below numpy's elision size forms
-        ``factor * inner`` in the other operand order, and the complex
-        product rounds differently; at the floor it does not."""
-        phi = _scaled_pair().phi
-        for nodes, equal in ((FLOOR // 2, False), (FLOOR, True)):
-            _, z = sample_points(4, nodes)
-            whole = phi._jet(z)[0]
-            blocks = np.concatenate([phi._jet(z[i : i + 1])[0] for i in range(z.shape[0])])
-            assert np.array_equal(blocks, whole) is equal
+    @pytest.mark.parametrize("name", _CURATED + [pytest.param(None, id="scaled-pair")])
+    def test_one_circle_blocks_give_the_default_bytes(self, monkeypatch, name, a2):
+        """Block size is not a correctness parameter: with every block one
+        circle, below numpy's temporary-elision size, the sample table, the
+        oracle task and the constants battery are those of the default blocks."""
+        sym, space = (_scaled_pair(), a2) if name is None else _curated(name)
+        _affinity(monkeypatch, 2)
+        default = _table_task_and_battery(sym, space, DEEP)
+        monkeypatch.setattr(norms, "_BLOCK_POINTS", 1)
+        assert np.diff(norms.block_edges(82, 2048)).tolist() == [1] * 82
+        try:
+            assert _table_task_and_battery(sym, space, DEEP) == default
+        finally:
+            oracle.constants_battery.cache_clear()  # no later test reads a one-circle battery
 
     @given(data=st.data(), log_nodes=st.integers(6, 17), order=st.integers(8, 32))
     @settings(max_examples=200, deadline=None)

@@ -185,6 +185,8 @@ class TestDiskGeometry:
 # ---------------------------------------------------------------------------
 # jets: the closed forms below are the separate value and derivative bodies
 # each class had before it computed both as one jet; they are the reference.
+# They keep the jets' operand order: no complex product takes a temporary as
+# its right operand, which numpy would swap from 2**14 points on.
 
 
 def closed_form_value(f, z):
@@ -200,19 +202,22 @@ def closed_form_value(f, z):
     if isinstance(f, Product):
         return closed_form_value(f.left, z) * closed_form_value(f.right, z)
     if isinstance(f, (Scaled, ScaledMap)):
-        return f.factor * closed_form_value(f.inner, z)
+        inner = closed_form_value(f.inner, z)
+        return f.factor * inner
     if isinstance(f, (ComposedWithSelfMap, CompositionMap)):
         return closed_form_value(f.outer, closed_form_value(f.inner, z))
     if isinstance(f, Affine):
         return f.a * z + f.b
     if isinstance(f, MonomialPower):
-        return f.scale * z**f.degree
+        power = z**f.degree
+        return f.scale * power
     if isinstance(f, BlaschkeFactor):
         return (f.base - z) / (1.0 - np.conj(f.base) * z)
     if isinstance(f, FiniteBlaschkeProduct):
         out = closed_form_value(f.factors[0], z)
         for g in f.factors[1:]:
-            out = out * closed_form_value(g, z)
+            v = closed_form_value(g, z)
+            out = out * v
         return f.unimodular * out
     raise TypeError(f)
 
@@ -232,7 +237,8 @@ def closed_form_derivative(f, z):
         return (closed_form_derivative(f.left, z) * closed_form_value(f.right, z)
                 + closed_form_value(f.left, z) * closed_form_derivative(f.right, z))
     if isinstance(f, (Scaled, ScaledMap)):
-        return f.factor * closed_form_derivative(f.inner, z)
+        inner = closed_form_derivative(f.inner, z)
+        return f.factor * inner
     if isinstance(f, (ComposedWithSelfMap, CompositionMap)):
         return closed_form_derivative(f.outer, closed_form_value(f.inner, z)) * closed_form_derivative(f.inner, z)
     if isinstance(f, Affine):
@@ -240,23 +246,17 @@ def closed_form_derivative(f, z):
     if isinstance(f, MonomialPower):
         if f.degree == 1:
             return np.full_like(np.asarray(z, dtype=complex), f.scale)
-        return f.scale * f.degree * z ** (f.degree - 1)
+        power = z ** (f.degree - 1)
+        return f.scale * f.degree * power
     if isinstance(f, BlaschkeFactor):
         return (abs(f.base) ** 2 - 1.0) / (1.0 - np.conj(f.base) * z) ** 2
     if isinstance(f, FiniteBlaschkeProduct):
-        vals = [closed_form_value(g, z) for g in f.factors]
-        ders = [closed_form_derivative(g, z) for g in f.factors]
-        n = len(vals)
-        prefix = [np.ones_like(vals[0])]
-        for v in vals[:-1]:
-            prefix.append(prefix[-1] * v)
-        suffix = [np.ones_like(vals[0])]
-        for v in reversed(vals[1:]):
-            suffix.append(suffix[-1] * v)
-        suffix.reverse()
-        out = ders[0] * suffix[0] if n == 1 else ders[0] * prefix[0] * suffix[0]
-        for i in range(1, n):
-            out = out + ders[i] * prefix[i] * suffix[i]
+        # the product rule for (f_0 ... f_{k-1}) f_k, one factor at a time
+        value, out = closed_form_value(f.factors[0], z), closed_form_derivative(f.factors[0], z)
+        for g in f.factors[1:]:
+            v = closed_form_value(g, z)
+            out = out * v + closed_form_derivative(g, z) * value
+            value = value * v
         return f.unimodular * out
     raise TypeError(f)
 
@@ -305,8 +305,8 @@ def _bits(a) -> np.ndarray:
 
 
 class TestHornerInPlace:
-    """``PowerSeries`` evaluates by Horner's rule in place; its values are
-    ``numpy.polynomial.polynomial.polyval``'s, bit for bit."""
+    """``PowerSeries`` evaluates by Horner's rule into two buffers; its
+    values are ``numpy.polynomial.polynomial.polyval``'s, bit for bit."""
 
     @staticmethod
     def points(shape, seed):
@@ -389,6 +389,57 @@ class TestKernelFamily:
             FractionalKernel([0.5], 0.0, [1.0])
         with pytest.raises(ValueError):
             FractionalKernel([0.5, 0.2], 1.0, [1.0])
+
+
+def batch_functions() -> dict:
+    """One of each jet class by name, with complex factors and scales
+    wherever a product could round differently with its operands swapped."""
+    kernel = FractionalKernel(0.3 - 0.6j, 2.25, 1.5j)
+    pinched = FractionalKernel(0.3 - 0.6j, 2.25, 1.5j, pinched=True)
+    series = PowerSeries([0.5, 1.0, 0.2j])
+    blaschke = [FiniteBlaschkeProduct(bases, np.exp(0.7j))
+                for bases in ([0.3 - 0.4j], [0.3, -0.5j], [0.3, -0.5j, 0.6 + 0.1j])]
+    return {
+        "power-series": PowerSeries([0.5, -1.0j, 0.25, 2.0]),
+        "kernel": kernel,
+        "pinched-kernel": pinched,
+        "scaled": Scaled(0.6 - 0.3j, series),
+        "product": Product(Scaled(0.6 - 0.3j, kernel), series),
+        "sum": Sum((Scaled(2.0 - 1.0j, kernel), pinched)),
+        "composed": ComposedWithSelfMap(pinched, blaschke[2]),
+        "affine": Affine(0.3 + 0.2j, 0.25),
+        "monomial": MonomialPower(3, 0.6 + 0.7j),
+        "blaschke-factor": BlaschkeFactor(0.4 - 0.3j),
+        **{f"blaschke-{len(phi.factors)}": phi for phi in blaschke},
+        "scaled-map": ScaledMap(0.7 + 0.2j, BlaschkeFactor(0.3 - 0.4j)),
+        "composition-map": CompositionMap(ScaledMap(0.7 + 0.2j, blaschke[1]), MonomialPower(2, 0.6 + 0.7j)),
+    }
+
+
+class TestBatchIndependence:
+    """A point's jet does not depend on the points evaluated with it.  The
+    16x512 sample grid is past numpy's temporary-elision size (2**14
+    complex points) and its rows are not, so a complex product whose right
+    operand is a temporary would round differently on the whole grid.  This
+    also needs numpy's loops to round alike at every position of an array,
+    which the CI job records with ``numpy.show_runtime()``."""
+
+    @staticmethod
+    def single_points(z) -> list:
+        """Flat indices of every 97th grid point, each as a one-point array."""
+        return [(k, z.reshape(-1)[k : k + 1]) for k in range(0, z.size, 97)]
+
+    @pytest.mark.parametrize("name", list(batch_functions()))
+    def test_the_grid_jet_is_its_rows_and_its_points(self, name):
+        f, z = batch_functions()[name], sample_points(16, 512)[1]
+        assert z.size >= 2**14 > z.shape[1]
+        whole = [_bits(part).reshape(z.shape + (2,)) for part in f._jet(z)]
+        for i in range(z.shape[0]):
+            for part, row in zip(whole, f._jet(z[i])):
+                assert np.array_equal(part[i], _bits(row).reshape(-1, 2))
+        for k, point in self.single_points(z):
+            for part, one in zip(whole, f._jet(point)):
+                assert np.array_equal(part.reshape(-1, 2)[k], _bits(one))
 
 
 class TestVacuity:

@@ -35,7 +35,7 @@ from golden_reference import (
     reference_pointwise_growth_envelope,
 )
 
-BLOCK = 2**14  # complex points in 256 KiB, numpy's elision threshold
+BLOCK = 2**14  # the fewest points in a block of a multi-block array (norms.block_edges)
 LOG_WEIGHT = SpaceSpec(2.0, NormalWeight(0.5, -1.0))  # normal from k0 = 4
 SPACES = {"bergman1": SpaceSpec.bergman(1), "bergman2": SpaceSpec.bergman(2), "bergman4": SpaceSpec.bergman(4),
           "log-1": LOG_WEIGHT}
