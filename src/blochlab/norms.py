@@ -14,7 +14,9 @@ The test kernel's normalization, its exponent and scale at a base point,
 is defined once (``kernel_terms``): the oracle's test functions read it,
 and so does their norm (``kernel_family_norm``), which shares that radial
 rule, built once per space, depth and order, and integrates the angle on
-dyadic panels clustered at the kernel's peak.
+dyadic panels clustered at the kernel's peak, order 8 on each and 2 past
+the peak width at every grid: within 8.8e-13 relative of order 32 run 14
+past it, below the ``_FLAT_REL`` at which the seminorms it divides stop.
 
 Suprema over the disk are taken on a standard sample set (dyadic radii
 plus geometric midpoints, equispaced angles) with one local vectorized
@@ -295,6 +297,18 @@ def kernel_terms(w, space: SpaceSpec, pinched: bool = False) -> tuple:
     return 1.0 / space.p + t + 1.0, gap ** (t + 1.0) / space.weight(abs(w))
 
 
+# The kernel norm's angular rule: Gauss-Legendre order 8 on each dyadic panel,
+# run 2 levels past the peak width, whatever the grid.  Against order 32 run
+# 14 levels past it, over bergman:1/2/4 and two log weights, |w| from 0 to
+# 1 - 2**-30, at 12x128x8, 16x512x12, 40x2048x12 and 16x512x32, it is within
+# 8.8e-13 relative, below the 2**-40 (9.1e-13) at which the oracle's seminorm
+# rows stop.  Order 7 is off by 3e-11, and so is 0 levels past the peak; 1 level
+# reads the same 8.8e-13, so 2 keeps one in hand.  The radial rule stays the
+# grid's: at order 8 it moves the norm by up to 1.1e-6 on the same sweep.
+_KERNEL_ANGULAR_ORDER = 8
+_KERNEL_PEAK_LEVELS = 2
+
+
 def kernel_family_norm(base_modulus: float, space: SpaceSpec, grid: RadialGrid = DEFAULT_GRID) -> float:
     """Norm of the normalized kernel (``kernel_terms``) with ``|base| = base_modulus``.
 
@@ -303,9 +317,13 @@ def kernel_family_norm(base_modulus: float, space: SpaceSpec, grid: RadialGrid =
     ``theta = 0`` whose width shrinks with the boundary gap; equispaced
     angles alias it badly once the gap falls below the angular spacing.
     This routine therefore integrates the angle on dyadic panels clustered
-    at the peak (Gauss-Legendre inside each), which stays accurate for
-    base points far deeper than the uniform grid could resolve.  Radial
-    treatment matches the generic norm quadrature.
+    at the peak, Gauss-Legendre of order 8 inside each and 2 panels past
+    the peak width, which stays accurate for base points far deeper than
+    the uniform grid could resolve.  It is within 8.8e-13 relative of order
+    32 run 14 panels past the peak, below the ``2**-40`` at which the
+    seminorms this norm divides stop, so a ratio is as accurate as its
+    numerator.  Radial treatment matches the generic norm quadrature, and
+    ``grid.panel_order`` sets only that rule.
     """
     s_mod = float(base_modulus)
     if not 0.0 <= s_mod < 1.0:
@@ -318,8 +336,8 @@ def kernel_family_norm(base_modulus: float, space: SpaceSpec, grid: RadialGrid =
     s = r * s_mod
 
     # dyadic angular panels [pi 2^-(j+1), pi 2^-j] down past the peak width
-    j_max = int(np.ceil(np.log2(np.pi / max(1.0 - s.max(), 1e-300)))) + 6
-    half_angle_sin_sq, tw = _kernel_angular_rule(j_max, grid.panel_order)
+    j_max = int(np.ceil(np.log2(np.pi / max(1.0 - s.max(), 1e-300)))) + _KERNEL_PEAK_LEVELS
+    half_angle_sin_sq, tw = _kernel_angular_rule(j_max)
 
     # |1 - s e^{i theta}|^2 without boundary cancellation
     dist_sq = (1.0 - s[:, None]) ** 2 + 4.0 * s[:, None] * half_angle_sin_sq
@@ -329,10 +347,10 @@ def kernel_family_norm(base_modulus: float, space: SpaceSpec, grid: RadialGrid =
 
 
 @lru_cache(maxsize=None)
-def _kernel_angular_rule(j_max: int, order: int) -> tuple:
+def _kernel_angular_rule(j_max: int) -> tuple:
     """``(sin(theta/2)**2, weights)`` of the angular rule of
     ``kernel_family_norm``, as a row, on ``j_max`` dyadic panels of ``[0, pi]``."""
-    theta, tw, _ = radial_rule(j_max, order, 1.0, np.pi)
+    theta, tw, _ = radial_rule(j_max, _KERNEL_ANGULAR_ORDER, 1.0, np.pi)
     half_angle_sin_sq = np.sin(0.5 * theta[None, :]) ** 2
     for arr in (half_angle_sin_sq, tw):
         arr.setflags(write=False)

@@ -39,7 +39,10 @@ to them bit for bit.
 ``reference_bracket_argmax`` and ``reference_kernel_family_norm`` are the
 bracket search with 2-D fancy indexing and the kernel norm that builds its
 radial and angular rules on every call; tests pin ``bracket_argmax`` and
-``kernel_family_norm`` to them bit for bit.  ``reference_check_normality``
+``kernel_family_norm`` to them bit for bit.  ``high_order_kernel_norm`` is
+the kernel norm on an angular rule of order 32 run 14 dyadic levels past
+the peak width; a test holds ``kernel_family_norm`` within 1e-12 relative
+of it.  ``reference_check_normality``
 checks the witness ratios on the whole grid; tests pin the report of every
 weight it accepts.  ``reference_bergman_type_norm``,
 ``reference_derivative_form_norm``, ``reference_pointwise_growth_envelope``
@@ -447,7 +450,7 @@ def reference_oracle_task(sym, space, grid, chain=None) -> tuple:
     """``(trend, probe, constant)`` of ``oracle_task`` with the kernel rows,
     the pinned rows and the chain battery's rows each refined alone."""
     points = tuple(oracle.boundary_chase_point(sym.phi, oracle.CHASE_DEPTHS, grid.angular_nodes))
-    images = tuple(complex(sym.phi.eval(z_star)) for z_star in points)
+    images = tuple(complex(w) for w in sym.phi.eval(points))
 
     def image_norms(pinched):
         family = oracle._family(images, space, pinched)
@@ -551,6 +554,16 @@ def _reference_bracket_abscissae(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def reference_kernel_family_norm(base_modulus: float, space, grid=DEFAULT_GRID) -> float:
     """``kernel_family_norm`` building its radial rule, weight factor and
     angular row on every call."""
+    return _kernel_norm(base_modulus, space, grid, 8, 2)
+
+
+def high_order_kernel_norm(base_modulus: float, space, grid=DEFAULT_GRID) -> float:
+    """The kernel norm with ``kernel_family_norm``'s radial rule and an
+    angular rule of order 32 run 14 dyadic levels past the peak width."""
+    return _kernel_norm(base_modulus, space, grid, 32, 14)
+
+
+def _kernel_norm(base_modulus: float, space, grid, order: int, levels: int) -> float:
     s_mod = float(base_modulus)
     if not 0.0 <= s_mod < 1.0:
         raise DomainError("base modulus must lie in [0, 1)")
@@ -564,8 +577,8 @@ def reference_kernel_family_norm(base_modulus: float, space, grid=DEFAULT_GRID) 
     r = 1.0 - x
     s = r * s_mod
 
-    j_max = int(np.ceil(np.log2(np.pi / max(1.0 - s.max(), 1e-300)))) + 6
-    theta, tw, _ = radial_rule(j_max, grid.panel_order, 1.0, np.pi)
+    j_max = int(np.ceil(np.log2(np.pi / max(1.0 - s.max(), 1e-300)))) + levels
+    theta, tw, _ = radial_rule(j_max, order, 1.0, np.pi)
 
     dist_sq = (1.0 - s[:, None]) ** 2 + 4.0 * s[:, None] * np.sin(0.5 * theta[None, :]) ** 2
     mean = (dist_sq ** (-0.5 * pq) @ tw) / np.pi

@@ -438,7 +438,7 @@ class TestMergedSearch:
         the constants battery, each as ``(modulus, members)``."""
         config = parse_config(CURATED[case]["config"])
         sym, space, grid = config.symbol, config.space, config.grid
-        images = [complex(sym.phi.eval(z)) for z in boundary_chase_point(sym.phi, range(2, 13), grid.angular_nodes)]
+        images = [complex(w) for w in sym.phi.eval(boundary_chase_point(sym.phi, range(2, 13), grid.angular_nodes))]
         families = []
         for pinched in (False, True):
             kernels = oracle._family(images, space, pinched)

@@ -31,13 +31,13 @@ from blochlab.disk_functions import DiskFunction, FiniteBlaschkeProduct, SelfMap
 from blochlab.norms import sample_points
 from blochlab.oracle import chain_constant, kernel_family_norm
 from blochlab.criteria import classify_bounded_into_bloch
-from golden_reference import reference_kernel_family_norm, reference_oracle_task
+from golden_reference import high_order_kernel_norm, reference_kernel_family_norm, reference_oracle_task
 
 
 def chase_members(sym, grid):
     """The chase points ``z*`` of an oracle task on ``grid`` and their images ``phi(z*)``."""
     points = oracle.boundary_chase_point(sym.phi, oracle.CHASE_DEPTHS, grid.angular_nodes)
-    return points, [complex(sym.phi.eval(z_star)) for z_star in points]
+    return points, [complex(w) for w in sym.phi.eval(points)]
 
 
 class TestBoundaryKernels:
@@ -79,10 +79,10 @@ class TestBoundaryKernels:
                 assert kernel_family_norm(mod, space, grid).hex() == reference_kernel_family_norm(mod, space, grid).hex()
 
     def test_rule_caches_are_keyed_on_the_grid_and_space_only(self, monkeypatch):
-        keys = []
-        for name in ("_weighted_rule", "_kernel_angular_rule"):
-            def spy(*args, cached=getattr(norms, name)):
-                keys.append(args)
+        keys = {"_weighted_rule": [], "_kernel_angular_rule": []}
+        for name, called in keys.items():
+            def spy(*args, cached=getattr(norms, name), called=called):
+                called.append(args)
                 out = cached(*args)
                 assert not any(arr.flags.writeable for arr in out)
                 return out
@@ -91,8 +91,24 @@ class TestBoundaryKernels:
         for name in ("half-scale", "boundary-touch"):
             config = parse_config(CURATED[name]["config"])
             oracle.oracle_task(config.symbol, config.space, config.grid, None)
-        assert len(keys) == 2 * 2 * len(oracle.CHASE_DEPTHS)
-        assert all(type(key) is int or type(key) is SpaceSpec for args in keys for key in args)
+        # the radial rule on (space, depth, panel_order), the angular rule on j_max alone
+        assert [len(args) for args in keys["_weighted_rule"]] == [3] * 2 * len(oracle.CHASE_DEPTHS)
+        assert [len(args) for args in keys["_kernel_angular_rule"]] == [1] * 2 * len(oracle.CHASE_DEPTHS)
+        assert all(type(key) is int or type(key) is SpaceSpec for called in keys.values()
+                   for args in called for key in args)
+
+    @pytest.mark.parametrize("shape", [(12, 128, 8), (16, 512, 12), (40, 2048, 12), (16, 512, 32)], ids=str)
+    def test_norm_is_within_1e_12_of_the_high_order_rule(self, shape):
+        # order 8, 2 levels past the peak, against order 32, 14 levels past it
+        grid = RadialGrid(*shape)
+        spaces = [SpaceSpec.bergman(1), SpaceSpec.bergman(2), SpaceSpec.bergman(4),
+                  SpaceSpec(2.0, NormalWeight(0.5, -1.0, 0.25, 0.75)),
+                  SpaceSpec(2.0, NormalWeight(1.5, 1.0, 0.4, 2.0))]
+        mods = [0.0, 0.3, 0.5, 0.9, 0.99] + [1.0 - 2.0**-k for k in (8, 12, 16, 20, 25, 30)]
+        for space in spaces:
+            for mod in mods:
+                reference = high_order_kernel_norm(mod, space, grid)
+                assert kernel_family_norm(mod, space, grid) == pytest.approx(reference, rel=1e-12, abs=0)
 
     def test_norm_depends_only_on_base_modulus(self, a2, grid):
         a = bergman_type_norm(boundary_test_function(0.7, a2), a2, grid)
@@ -428,6 +444,24 @@ class TestChaseFamily:
             if pinned:
                 member = self.alone(operator_apply(sym, vanishing_test_function(w, space)), grid, z_star)
                 assert pinned[m] == pytest.approx(member, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("sym", [pytest.param(sym, id=label) for label, sym in random_pairs(5)])
+    def test_images_are_their_points_inside_a_longer_array(self, sym, monkeypatch):
+        # the images of a task are phi at the chase points as one array, bit for bit
+        # wherever the points sit in a batch, here between two 16x512 sample grids
+        grid, seen = RadialGrid(12, 128, 8), []
+        family = oracle._family
+
+        def spy(images, space, pinched=False):
+            seen.append(np.array(images))
+            return family(images, space, pinched)
+
+        monkeypatch.setattr(oracle, "_family", spy)
+        oracle.oracle_task(sym, SpaceSpec.bergman(2), grid)
+        points = oracle.boundary_chase_point(sym.phi, oracle.CHASE_DEPTHS, grid.angular_nodes)
+        z = sample_points(16, 512)[1].reshape(-1)
+        longer = sym.phi.eval(np.concatenate([z, points, z]))[z.size : z.size + points.size]
+        assert seen and all(images.tobytes() == longer.tobytes() for images in seen)
 
 
 class TestKernelForms:

@@ -50,7 +50,7 @@ def _families(sym, space, grid) -> list:
     """The kernels and pinned kernels at the chase images of ``sym`` on
     ``grid`` (pinned even where the probe would be vacuous)."""
     points = oracle.boundary_chase_point(sym.phi, oracle.CHASE_DEPTHS, grid.angular_nodes)
-    images = [complex(sym.phi.eval(z_star)) for z_star in points]
+    images = [complex(w) for w in sym.phi.eval(points)]
     return [oracle._family(images, space), oracle._family(images, space, pinched=True)]
 
 
@@ -299,3 +299,20 @@ class TestMajorants:
             top = values.reshape(-1, oracle._SEGMENT).max(axis=1)
             certified = ~np.isnan(bound)
             assert (top[certified] <= bound[certified]).all()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_segment_maxima_are_the_reduction_bit_for_bit(self, dtype):
+        # NaN, infinities and signed zeros among finite cells, in every position of a segment
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((5, 8, oracle._SEGMENT)).astype(dtype)
+        if dtype is complex:
+            x += 1j * rng.standard_normal(x.shape)
+        specials = [np.nan, np.inf, -np.inf, 0.0, -0.0,
+                    complex(-0.0, -0.0), complex(np.nan, 1.0), complex(1.0, -np.inf)]
+        for i, cell in enumerate(specials[: 5 if dtype is float else None]):
+            for k in range(oracle._SEGMENT):
+                x[i % 5, (i + k) % 8, k] = cell
+        x[4, 7] = -0.0
+        want = np.abs(x).max(axis=2).reshape(-1)
+        got = oracle._segment_maxima(x)
+        assert got.tobytes() == want.tobytes() and np.isnan(got).any() and np.isinf(got).any()
